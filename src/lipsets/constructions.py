@@ -8,6 +8,7 @@ reports with exact certificates.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -174,16 +175,17 @@ def worst_imbalance(
     The signed mass of [u, u+r] is piecewise linear in u, so the max |·| is
     attained at a kink; returns (ratio, window left end)."""
     x, r = rat(x), rat(r)
+    if r <= 0:
+        raise ValueError("radius must be positive")
     cands = {x - r, x}
     for S in (t.e1, t.em1):
-        for e in S.endpoints():
+        for e in S.endpoints_in(x - r, x + r):
             for u in (e, e - r):
                 if x - r <= u <= x:
                     cands.add(u)
     best = None
     for u in sorted(cands):
-        w = IntervalSet([Interval(u, u + r)])
-        h = abs(t.e1.intersect(w).measure() - t.em1.intersect(w).measure()) / r
+        h = abs(t.e1.mass(u, u + r) - t.em1.mass(u, u + r)) / r
         if best is None or h > best[0]:
             best = (h, u)
     return best
@@ -281,18 +283,18 @@ def balance_point(
 ) -> Fraction:
     """Exact t ∈ (r, s) with (1-δ)(|E∩[r,t]| - |E∩[t,s]|) = target.
 
-    The left side is continuous, nondecreasing and piecewise linear in t, so
-    t is found by a segment walk plus one linear solve; the leftmost solution
-    is returned on flat ties.  With zero E-mass the only admissible target is
-    0 and the midpoint is returned (the integral is flat there anyway).
+    With A = |E∩[r,s]| the equation reads 2|E∩[r,t]| - A = target/(1-δ),
+    so t is the leftmost inverse of the cumulative measure at
+    Φ(r) + (A + target/(1-δ))/2; the leftmost solution is returned on flat
+    ties.  With zero E-mass the only admissible target is 0 and the
+    midpoint is returned (the integral is flat there anyway).
     """
     r, s, target, delta = rat(r), rat(s), rat(target), rat(delta)
     if not r < s:
         raise ValueError("need r < s")
     if not 0 <= delta < 1:
         raise ValueError("delta must be in [0,1)")
-    block = IntervalSet([Interval(r, s)])
-    A = E.intersect(block).measure()
+    A = E.mass(r, s)
     tau = target / (1 - delta)
     if A == 0:
         if target != 0:
@@ -300,17 +302,7 @@ def balance_point(
         return (r + s) / 2
     if abs(tau) >= A:
         raise ValueError("unsolvable target (precondition violated)")
-    # h(t) = 2|E∩[r,t]| - A; walk segments cut at E endpoints
-    cuts = sorted({r, s} | {e for e in E.endpoints() if r < e < s})
-    h = -A
-    for a, b in zip(cuts, cuts[1:]):
-        in_e = E.contains((a + b) / 2)
-        h_next = h + (2 * (b - a) if in_e else 0)
-        if h_next >= tau:
-            # flat segments cannot reach tau (h < tau on entry), so in_e holds
-            return a + (tau - h) / 2
-        h = h_next
-    raise AssertionError("walk must terminate: h(s) = A > tau")
+    return E.locate(E.cumulative(r) + (A + tau) / 2)
 
 
 # -- the small-lip sawtooth ---------------------------------------------------------
@@ -328,7 +320,11 @@ class SmallLipBlock:
 def small_lip_blocks(
     E: IntervalSet, epsilon: RationalLike, window: Interval
 ) -> list[SmallLipBlock]:
-    """ε-grid blocks of the window with their exact balance points."""
+    """ε-grid blocks of the window with their exact balance points.
+
+    Only the blocks that E's components overlap with positive length carry
+    mass; every other block is emitted at its midpoint without a query.
+    """
     eps = rat(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
@@ -339,18 +335,16 @@ def small_lip_blocks(
             bounds.add(k * eps)
         k += 1
     cuts = sorted(bounds)
+    loaded: set[int] = set()  # indices i of the blocks [cuts[i], cuts[i+1]] with mass
+    for iv in E.clip(window):
+        loaded.update(range(bisect_right(cuts, iv.lo) - 1, bisect_left(cuts, iv.hi)))
     blocks = []
-    for a, b in zip(cuts, cuts[1:]):
-        seg = IntervalSet([Interval(a, b)])
-        mass = E.intersect(seg).measure()
-        if mass == 0:
-            x = (a + b) / 2
-            blocks.append(SmallLipBlock(a, b, x, Fraction(0), Fraction(0)))
+    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        if i not in loaded:
+            blocks.append(SmallLipBlock(a, b, (a + b) / 2, Fraction(0), Fraction(0)))
             continue
         x = balance_point(E, a, b, 0, 0)
-        left = E.intersect(IntervalSet([Interval(a, x)])).measure() if a < x else Fraction(0)
-        right = E.intersect(IntervalSet([Interval(x, b)])).measure() if x < b else Fraction(0)
-        blocks.append(SmallLipBlock(a, b, x, left, right))
+        blocks.append(SmallLipBlock(a, b, x, E.mass(a, x), E.mass(x, b)))
     return blocks
 
 
@@ -407,7 +401,7 @@ def _constant_off(f: PiecewiseLinear, S: IntervalSet) -> bool:
     for seg, slope in zip(SlopeProfile.of(f).segments, f.slopes()):
         if slope == 0:
             continue
-        if S.intersect(IntervalSet([seg])).measure() != seg.length:
+        if S.mass(seg.lo, seg.hi) != seg.length:
             return False
     return True
 

@@ -38,8 +38,11 @@ class DensityQuery:
 
 def one_sided_measure(E: IntervalSet, x: RationalLike, r: RationalLike, side: str) -> Fraction:
     x, r = rat(x), rat(r)
-    window = Interval(x - r, x) if side == LEFT else Interval(x, x + r)
-    return E.intersect(IntervalSet([window])).measure()
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    if side == LEFT:
+        return E.mass(x - r, x)
+    return E.mass(x, x + r)
 
 
 def one_sided_ratio(E: IntervalSet, x: RationalLike, r: RationalLike, side: str) -> Fraction:
@@ -62,41 +65,42 @@ def max_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
 
 def centered_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
     x, r = rat(x), rat(r)
-    return E.intersect(IntervalSet([Interval(x - r, x + r)])).measure() / (2 * r)
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return E.mass(x - r, x + r) / (2 * r)
 
 
 # -- candidate radii ---------------------------------------------------------
 
 
 def _endpoint_distances(E: IntervalSet, x: Fraction, bound: Fraction) -> list[Fraction]:
-    ds = {abs(e - x) for e in E.endpoints()}
+    ds = {abs(e - x) for e in E.endpoints_in(x - bound, x + bound)}
     return sorted(d for d in ds if 0 < d < bound)
 
 
-def _affine_on(E, x, side, r_a, r_b):
-    """(c, b) with one_sided_measure == c + b*r on the piece [r_a, r_b]."""
-    g_a = one_sided_measure(E, x, r_a, side)
-    g_b = one_sided_measure(E, x, r_b, side)
-    b = (g_b - g_a) / (r_b - r_a)
-    return g_a - b * r_a, b
+def _sided_masses(E: IntervalSet, x: Fraction, r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    return r, one_sided_measure(E, x, r, LEFT), one_sided_measure(E, x, r, RIGHT)
 
 
-def _ratio_candidates(E: IntervalSet, x: Fraction, delta: Fraction) -> list[Fraction]:
-    """Radii at which inf/sup of max(left,right)/r over (0, δ] can occur:
-    piece endpoints plus in-piece crossings of the two one-sided curves."""
-    pts = _endpoint_distances(E, x, delta) + [delta]
-    out = list(pts)
-    prev = None
-    for r in pts:
-        if prev is not None and prev < r:
-            cl, bl = _affine_on(E, x, LEFT, prev, r)
-            cr, br = _affine_on(E, x, RIGHT, prev, r)
-            if bl != br:
-                cross = (cl - cr) / (br - bl)
-                if prev < cross < r:
-                    out.append(cross)
-        prev = r
-    return sorted(set(out))
+def _ratio_candidates(
+    E: IntervalSet, x: Fraction, delta: Fraction
+) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(r, left mass, right mass), ascending in r, at the radii where
+    inf/sup of max(left,right)/r over (0, δ] can occur: piece endpoints plus
+    in-piece crossings of the two one-sided curves.  Each side's mass is
+    evaluated once per radius."""
+    rows = [_sided_masses(E, x, r) for r in _endpoint_distances(E, x, delta) + [delta]]
+    out = rows[:1]
+    for (r_a, left_a, right_a), (r_b, left_b, right_b) in zip(rows, rows[1:]):
+        # both masses are affine in r on [r_a, r_b]; left = right at most once
+        bl = (left_b - left_a) / (r_b - r_a)
+        br = (right_b - right_a) / (r_b - r_a)
+        if bl != br:
+            cross = ((left_a - bl * r_a) - (right_a - br * r_a)) / (br - bl)
+            if r_a < cross < r_b:
+                out.append(_sided_masses(E, x, cross))
+        out.append((r_b, left_b, right_b))
+    return out
 
 
 # -- level-set membership -----------------------------------------------------
@@ -123,9 +127,8 @@ def level_set_membership(
     if gamma <= 0 or delta <= 0:
         raise ValueError("gamma and delta must be positive")
     worst = None
-    for r in _ratio_candidates(E, x, delta):
-        left = one_sided_ratio(E, x, r, LEFT)
-        right = one_sided_ratio(E, x, r, RIGHT)
+    for r, left_mass, right_mass in _ratio_candidates(E, x, delta):
+        left, right = left_mass / r, right_mass / r
         m = max(left, right)
         if worst is None or m < worst[1]:
             worst = (r, m, left, right)
@@ -343,14 +346,16 @@ def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tupl
 
     |E ∩ [t, t+r]| is piecewise linear in t, so the min is at a kink."""
     x, r = rat(x), rat(r)
+    if r <= 0:
+        raise ValueError("radius must be positive")
     cands = {x - r, x}
-    for e in E.endpoints():
+    for e in E.endpoints_in(x - r, x + r):
         for t in (e, e - r):
             if x - r <= t <= x:
                 cands.add(t)
     best = None
     for t in sorted(cands):
-        m = E.intersect(IntervalSet([Interval(t, t + r)])).measure() / r
+        m = E.mass(t, t + r) / r
         if best is None or m < best[0]:
             best = (m, t)
     return best

@@ -307,16 +307,6 @@ class FlattenResult:
     delta: Fraction
 
 
-def _mass_prefix_point(E: IntervalSet, lo: Fraction, hi: Fraction, eta: Fraction) -> Fraction:
-    """Leftmost t with |E ∩ [lo, t]| = eta (0 < eta <= mass)."""
-    acc = Fraction(0)
-    for iv in E.intersect(IntervalSet([Interval(lo, hi)])):
-        if acc + iv.length >= eta:
-            return iv.lo + (eta - acc)
-        acc += iv.length
-    raise AssertionError("eta exceeds available mass")
-
-
 def envelope_flatten(
     f: PiecewiseLinear,
     env: Envelope,
@@ -370,13 +360,13 @@ def envelope_flatten(
     for seg, slope in zip(SlopeProfile.of(f).segments, f.slopes()):
         if slope == 0:
             continue
-        if outside.intersect(IntervalSet([seg])).measure() != 0:
+        if outside.mass(seg.lo, seg.hi) != 0:
             raise PreconditionError(
                 "f is not flat on an H-part outside the active segment", seg
             )
 
     seg_iv = Interval(c, d)
-    total = E.intersect(IntervalSet([seg_iv])).measure()
+    total = E.mass(c, d)
     if H.clip(seg_iv).is_empty:
         # nothing to flatten: the identity path is permitted
         return FlattenResult(f, (c, d), Fraction(0), (), total,
@@ -410,7 +400,7 @@ def envelope_flatten(
 
     for p, q in cells:
         cell_iv = Interval(p, q)
-        cell_mass = E.intersect(IntervalSet([cell_iv])).measure()
+        cell_mass = E.mass(p, q)
         rise_cell = f(q) - f(p)
         if cell_mass == 0:
             if rise_cell != 0:
@@ -428,23 +418,18 @@ def envelope_flatten(
             else IntervalSet([cell_iv])
         )
         for comp in contiguous:
-            mass = E.intersect(IntervalSet([comp])).measure()
+            mass = E.mass(comp.lo, comp.hi)
             rise = scale * mass
             if mass == 0 or rise == 0:
                 comps.append(
                     FlattenComponent(comp.lo, comp.hi, mass, Fraction(0), None, None)
                 )
                 continue
+            # the ramp [u, v] leaves E-mass eta flat at each end of comp
             eta = (mass - abs(rise) / (1 - delta)) / 2
-            u = _mass_prefix_point(E, comp.lo, comp.hi, eta)
-            acc = Fraction(0)
-            v = None
-            for iv in reversed(E.intersect(IntervalSet([comp])).intervals):
-                if acc + iv.length >= eta:
-                    v = iv.hi - (eta - acc)
-                    break
-                acc += iv.length
-            assert v is not None and u < v
+            u = E.locate(E.cumulative(comp.lo) + eta)
+            v = E.locate(E.cumulative(comp.hi) - eta, rightmost=True)
+            assert u < v
             flat_until(u)
             for point in [z for z in phi.breakpoints_in(u, v) if u < z < v] + [v]:
                 prev = xs[-1]
@@ -490,6 +475,6 @@ def slope_zero_on(f: PiecewiseLinear, H: IntervalSet) -> bool:
     for seg, slope in zip(SlopeProfile.of(f).segments, f.slopes()):
         if slope == 0:
             continue
-        if H.intersect(IntervalSet([seg])).measure() != 0:
+        if H.mass(seg.lo, seg.hi) != 0:
             return False
     return True

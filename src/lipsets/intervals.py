@@ -9,6 +9,7 @@ Lebesgue measure ignores endpoints.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -83,9 +84,13 @@ class IntervalSet:
     Isolated degenerate components are rejected unless
     ``allow_degenerate=True`` (used only for closure examples such as the
     singleton {0}).
+
+    Mass queries go through a prefix-sum index over the components, built on
+    the first such query and cached (the set is immutable); sets that are
+    never queried never pay for it.
     """
 
-    __slots__ = ("_intervals",)
+    __slots__ = ("_intervals", "_index")
 
     def __init__(self, intervals: Iterable[Interval] = (), allow_degenerate: bool = False):
         raw = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
@@ -181,6 +186,72 @@ class IntervalSet:
 
     def measure(self) -> Fraction:
         return sum((iv.length for iv in self._intervals), Fraction(0))
+
+    def _mass_index(self) -> tuple[list[Fraction], list[Fraction]]:
+        """(endpoints, cum): the sorted endpoints lo_0, hi_0, lo_1, ... and
+        cum[j] = total length of the first j components."""
+        try:
+            return self._index
+        except AttributeError:
+            pass
+        ends = self.endpoints()
+        cum = [Fraction(0)]
+        for iv in self._intervals:
+            cum.append(cum[-1] + iv.length)
+        self._index = (ends, cum)
+        return self._index
+
+    def cumulative(self, x: RationalLike) -> Fraction:
+        """Φ(x) = |E ∩ (-∞, x]|, in O(log n).
+
+        Closed collapse: endpoints carry no mass, so Φ is continuous and
+        nondecreasing, with slope 1 on E and 0 off E, and the function φ
+        of `pcw.build_phi` is Φ(x) - Φ(basepoint).
+        """
+        x = rat(x)
+        ends, cum = self._mass_index()
+        p = bisect_right(ends, x)
+        if p & 1:  # lo_j <= x < hi_j with j = p // 2
+            return cum[p >> 1] + (x - ends[p - 1])
+        return cum[p >> 1]
+
+    def mass(self, a: RationalLike, b: RationalLike) -> Fraction:
+        """|E ∩ [a, b]| = Φ(b) - Φ(a), in O(log n); 0 when a == b.
+
+        Open, half-open and closed windows have the same mass (closed
+        collapse).  Raises ValueError when a > b, as Interval(a, b) does.
+        """
+        a, b = rat(a), rat(b)
+        if a > b:
+            raise ValueError(f"mass window with a > b: [{a}, {b}]")
+        return self.cumulative(b) - self.cumulative(a)
+
+    def locate(self, m: RationalLike, rightmost: bool = False) -> Fraction:
+        """Inverse of Φ: the leftmost t with Φ(t) = m (0 < m <= |E|), or
+        with rightmost=True the rightmost one (0 <= m < |E|).
+
+        Φ is constant across a gap of E, so a value m reached at a gap has
+        the gap's left end as leftmost and its right end as rightmost
+        solution.  Raises ValueError outside those ranges, where the
+        solution set is empty or unbounded.
+        """
+        m = rat(m)
+        ends, cum = self._mass_index()
+        if rightmost:
+            if not 0 <= m < cum[-1]:
+                raise ValueError(f"no rightmost t with Φ(t) = {m}")
+            j = bisect_right(cum, m) - 1
+        else:
+            if not 0 < m <= cum[-1]:
+                raise ValueError(f"no leftmost t with Φ(t) = {m}")
+            j = bisect_left(cum, m) - 1
+        # cum[j] <= m <= cum[j + 1]: the solution lies in component j
+        return ends[2 * j] + (m - cum[j])
+
+    def endpoints_in(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
+        """The endpoints e with lo <= e <= hi, in order, in O(log n + k)."""
+        ends, _ = self._mass_index()
+        return ends[bisect_left(ends, rat(lo)):bisect_right(ends, rat(hi))]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         allow = any(iv.is_degenerate for iv in self._intervals + other._intervals)

@@ -426,12 +426,7 @@ def check_increment_bound(
     checks = []
     for a, b in pairs:
         a, b = rat(a), rat(b)
-        lo, hi = min(a, b), max(a, b)
-        allowance = (
-            E.intersect(IntervalSet([Interval(lo, hi)])).measure()
-            if lo < hi
-            else Fraction(0)
-        )
+        allowance = E.mass(min(a, b), max(a, b))
         checks.append(IncrementCheck(a, b, abs(f(a) - f(b)), allowance))
     return IncrementReport(tuple(checks))
 
@@ -446,6 +441,6 @@ def slopes_within_indicator(
             continue
         if abs(s) > cap:
             return False
-        if E.intersect(IntervalSet([seg])).measure() != seg.length:
+        if E.mass(seg.lo, seg.hi) != seg.length:
             return False
     return True

@@ -75,7 +75,7 @@ class NestedClosedSystem:
                 raise ValueError(f"nesting violated at stage {n}")
             prev = F
         for comp in self.complement(len(self.closed_sets)):
-            if self.target.intersect(IntervalSet([comp])).is_empty:
+            if self.target.mass(comp.lo, comp.hi) == 0:
                 raise ValueError(f"complement component {comp} misses the target")
 
     @property
@@ -289,11 +289,13 @@ class UdtBuildResult:
             F_n = self.system.closed_at(n)
             for m in range(n, len(self.stages) + 1):
                 f_m = self.stages[m - 1]
-                for comp in F_n:
-                    if comp.is_degenerate:
-                        continue
-                    if (f_m - f_n).restrict(comp.lo, comp.hi).sup_norm() != 0:
-                        return False
+                if m > n:  # f_n - f_n = 0: nothing to check at m = n
+                    diff = f_m - f_n
+                    for comp in F_n:
+                        if comp.is_degenerate:
+                            continue
+                        if diff.restrict(comp.lo, comp.hi).sup_norm() != 0:
+                            return False
                 for rec in self.diagnostics[n - 1].witnesses:
                     gap = abs(rec.x - rec.y)
                     if not abs(f_m(rec.x) - f_m(rec.y)) > rec.tail_target * gap:
@@ -551,8 +553,7 @@ def build_udt_lip1(
                     qmargin, r_prev.scale(Fraction(1, 3)).restrict(region.lo, region.hi)
                 )
             margin_parts.append((region, qmargin))
-            seg_mass = E.intersect(IntervalSet([Interval(c0, d0)])).measure()
-            if seg_mass == 0:
+            if E.mass(c0, d0) == 0:
                 continue
             f_loc = f_n.restrict(region.lo, region.hi)
             env_loc = Envelope(f_loc - qmargin, f_loc + qmargin)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.constructions import (
     Lip1SumResult,
+    SmallLipBlock,
     TernaryDecomposition,
     balance_point,
     build_lip1_sum,
@@ -242,6 +243,28 @@ class TestBalancePoint:
         right = E.intersect(iset((t, s))).measure() if t < s else F(0)
         assert (1 - delta) * (left - right) == target
 
+    @settings(max_examples=120)
+    @given(
+        dyadic_sets(),
+        st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=16),
+        st.sampled_from([(F(0), F(1)), (F(1, 5), F(7, 9)), (F(-1), F(1, 3))]),
+    )
+    def test_equals_segment_walk(self, E, target_frac, block):
+        # h(t) = 2|E∩[r,t]| - A walked over the segments cut at E's endpoints
+        r, s = block
+        A = E.intersect(iset((r, s))).measure()
+        if A == 0:
+            return
+        tau = target_frac * A
+        cuts = sorted({r, s} | {e for e in E.endpoints() if r < e < s})
+        h = -A
+        for a, b in zip(cuts, cuts[1:]):
+            h_next = h + (2 * (b - a) if E.contains((a + b) / 2) else 0)
+            if h_next >= tau:
+                break
+            h = h_next
+        assert balance_point(E, r, s, tau, 0) == a + (tau - h) / 2
+
 
 class TestSmallLip:
     def test_full_window_sawtooth(self):
@@ -289,6 +312,45 @@ class TestSmallLip:
             f, E, [(F(k, 7), F(k + 2, 7)) for k in range(5)]
         )
         assert rep.all_ok
+
+
+def _blocks_by_walk(E, eps, window):
+    """Every ε-grid block of the window, each with its own mass query."""
+    k = -(-window.lo // eps)
+    inner = []
+    while k * eps < window.hi:
+        if window.lo < k * eps:
+            inner.append(k * eps)
+        k += 1
+    cuts = [window.lo] + inner + [window.hi]
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        if E.mass(a, b) == 0:
+            out.append(SmallLipBlock(a, b, (a + b) / 2, F(0), F(0)))
+        else:
+            x = balance_point(E, a, b, 0, 0)
+            out.append(SmallLipBlock(a, b, x, E.mass(a, x), E.mass(x, b)))
+    return out
+
+
+class TestSmallLipBlocks:
+    # the walk over 3 * 2^10 blocks takes about 0.2 s, near the default deadline
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dyadic_sets(),
+        st.sampled_from([F(1, 4), F(1, 3), F(1, 2), 1, F(1, 2 ** 10)]),
+        st.sampled_from([W01, W, Interval(F(-1, 3), F(4, 3)), Interval(F(1, 4), F(5, 8))]),
+    )
+    def test_equals_walk_over_every_block(self, E, eps, window):
+        assert small_lip_blocks(E, eps, window) == _blocks_by_walk(E, eps, window)
+
+    def test_fine_grid_with_sparse_mass(self):
+        E = iset((F(1, 7), F(1, 7) + F(1, 2 ** 11)), (F(1, 3), F(3, 8)), (F(9, 10), F(31, 32)))
+        eps = F(1, 2 ** 10)
+        blocks = small_lip_blocks(E, eps, W)
+        assert blocks == _blocks_by_walk(E, eps, W)
+        assert len(blocks) == 3 * 2 ** 10
+        assert sum(b.left_mass + b.right_mass for b in blocks) == E.measure()
 
 
 class TestLip1Sum:

@@ -13,6 +13,7 @@ from lipsets.density import (
     LEFT,
     RIGHT,
     DensityQuery,
+    MembershipCertificate,
     UDTWitness,
     centered_ratio,
     check_strongly_dense_at,
@@ -24,6 +25,7 @@ from lipsets.density import (
     level_set_membership,
     max_ratio,
     merge_udt_witnesses,
+    one_sided_measure,
     one_sided_ratio,
     prop5_example,
     suggest_udt_witness,
@@ -31,7 +33,7 @@ from lipsets.density import (
     worst_window_ratio,
 )
 
-from oracles import brute_level_membership, brute_max_ratio
+from oracles import brute_level_membership, brute_max_ratio, brute_one_sided_measure
 
 F = Fraction
 
@@ -81,6 +83,56 @@ class TestDensityRatio:
         pairs = [(iv.lo, iv.hi) for iv in E]
         assert max_ratio(E, x, r) == brute_max_ratio(pairs, x, r)
 
+    @settings(max_examples=150)
+    @given(dyadic_sets(), dyadic, st.integers(1, 2 ** GRID_M))
+    def test_masses_match_clipping_oracle(self, E, x, rk):
+        r = F(rk, 2 ** GRID_M)
+        pairs = [(iv.lo, iv.hi) for iv in E]
+        for side in (LEFT, RIGHT):
+            assert one_sided_measure(E, x, r, side) == brute_one_sided_measure(
+                pairs, x, r, side
+            )
+        both = brute_one_sided_measure(pairs, x + r, 2 * r, LEFT)
+        assert centered_ratio(E, x, r) == both / (2 * r)
+
+    def test_nonpositive_radius_rejected(self):
+        E = iset((0, 1))
+        for r in (0, F(-1, 4)):
+            for call in (
+                lambda: one_sided_measure(E, F(1, 2), r, LEFT),
+                lambda: one_sided_ratio(E, F(1, 2), r, RIGHT),
+                lambda: centered_ratio(E, F(1, 2), r),
+                lambda: worst_window_ratio(E, F(1, 2), r),
+            ):
+                with pytest.raises(ValueError):
+                    call()
+
+
+def _direct_membership(pairs, x, gamma, delta):
+    """Level-set membership with every mass clipped from all components,
+    recomputed wherever it is needed, and candidates from all endpoints."""
+
+    def g(r, side):
+        return brute_one_sided_measure(pairs, x, r, side)
+
+    pts = sorted({abs(e - x) for p in pairs for e in p if 0 < abs(e - x) < delta})
+    pts.append(delta)
+    cands = set(pts)
+    for ra, rb in zip(pts, pts[1:]):
+        bl = (g(rb, LEFT) - g(ra, LEFT)) / (rb - ra)
+        br = (g(rb, RIGHT) - g(ra, RIGHT)) / (rb - ra)
+        if bl != br:
+            cross = ((g(ra, LEFT) - bl * ra) - (g(ra, RIGHT) - br * ra)) / (br - bl)
+            if ra < cross < rb:
+                cands.add(cross)
+    worst = None
+    for r in sorted(cands):
+        left, right = g(r, LEFT) / r, g(r, RIGHT) / r
+        if worst is None or max(left, right) < worst[1]:
+            worst = (r, max(left, right), left, right)
+    r, m, left, right = worst
+    return MembershipCertificate(m >= gamma, r, m, left, right)
+
 
 class TestLevelSetMembership:
     def test_interior_point(self):
@@ -108,6 +160,15 @@ class TestLevelSetMembership:
         assert cert.left_ratio == one_sided_ratio(E, F(1, 3), cert.worst_r, LEFT)
         assert cert.right_ratio == one_sided_ratio(E, F(1, 3), cert.worst_r, RIGHT)
         assert cert.worst_ratio == max(cert.left_ratio, cert.right_ratio)
+
+    def test_minimum_at_a_crossing(self):
+        # left ratio 1/(4r) falls, right ratio 1 - 1/(2r) rises past r = 1/2;
+        # they cross at r = 3/4, below both piece ends (1/2 at r = 1/2 and 1)
+        E = iset((F(-1, 4), 0), (F(1, 2), 1))
+        cert = level_set_membership(E, 0, F(1, 2), 1)
+        assert (cert.worst_r, cert.worst_ratio) == (F(3, 4), F(1, 3))
+        assert cert.left_ratio == cert.right_ratio == F(1, 3)
+        assert not cert.member
 
     def test_gamma_delta_validation(self):
         with pytest.raises(ValueError):
@@ -157,6 +218,19 @@ class TestLevelSetMembership:
         grid = [delta, delta / 2, delta / 4, delta / 8]
         rep = check_strongly_one_sided_dense_at(E, x, grid, tolerance=1 - gamma)
         assert all(row[3] >= gamma for row in rep.details)
+
+    @settings(max_examples=100)
+    @given(
+        dyadic_sets(),
+        st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=64),
+        st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=16),
+        st.fractions(min_value=F(1, 64), max_value=F(1, 2), max_denominator=64),
+    )
+    def test_certificate_equals_direct_computation(self, E, x, gamma, delta):
+        pairs = [(iv.lo, iv.hi) for iv in E]
+        assert level_set_membership(E, x, gamma, delta) == _direct_membership(
+            pairs, x, gamma, delta
+        )
 
 
 class TestLevelSet:
@@ -269,6 +343,27 @@ class TestStronglyDense:
     def test_worst_window(self):
         ratio, t = worst_window_ratio(iset((0, 1)), 0, F(1, 2))
         assert ratio == 0 and t == F(-1, 2)
+
+    def test_worst_window_leftmost_start_on_a_tie(self):
+        # |E ∩ [t, t + 1/4]| is 1/16 for all t in [3/8, 7/16]; the left end
+        # 3/8 = 5/8 - 1/4 comes from an endpoint to the right of x
+        E = iset((0, F(7, 16)), (F(5, 8), 1))
+        assert worst_window_ratio(E, F(1, 2), F(1, 4)) == (F(1, 4), F(3, 8))
+
+    @settings(max_examples=100)
+    @given(dyadic_sets(), dyadic, st.integers(1, 2 ** GRID_M))
+    def test_worst_window_against_all_endpoints(self, E, x, rk):
+        # direct scan: every window [t, t + r] ∋ x starting at x - r, x, an
+        # endpoint or an endpoint minus r, each mass clipped from E
+        r = F(rk, 2 ** GRID_M)
+        pairs = [(iv.lo, iv.hi) for iv in E]
+        starts = {x - r, x} | {
+            t for e in E.endpoints() for t in (e, e - r) if x - r <= t <= x
+        }
+        expected = min(
+            (brute_one_sided_measure(pairs, t, r, RIGHT) / r, t) for t in starts
+        )
+        assert worst_window_ratio(E, x, r) == expected
 
     def test_interior_holds(self):
         rep = check_strongly_dense_at(iset((0, 1)), F(1, 2), [F(1, 4), F(1, 8)])

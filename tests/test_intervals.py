@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lipsets.intervals import Interval, IntervalSet, canonicalize, rat
 
 from oracles import (
+    brute_one_sided_measure,
     cells_complement,
     cells_intersect,
     cells_measure,
@@ -183,6 +184,100 @@ def test_bitmask_oracle_agreement(s, t):
     assert s.complement_within(win).measure() == cells_measure(
         cells_complement(cs, n), GRID_M
     )
+
+
+# -- the cumulative-measure index ------------------------------------------------
+
+grid_points = st.integers(0, 2 ** GRID_M).map(lambda k: F(k, 2 ** GRID_M))
+WINDOW = (F(0), F(1))
+
+
+@settings(max_examples=200)
+@given(window_pairs, grid_points, grid_points)
+def test_mass_matches_oracles(pairs, a, b):
+    a, b = min(a, b), max(a, b)
+    s = IntervalSet.from_pairs(pairs)
+    cs, _ = to_cells(pairs, WINDOW, GRID_M)
+    cw, _ = to_cells([(a, b)], WINDOW, GRID_M)
+    expected = cells_measure(cells_intersect(cs, cw), GRID_M)
+    assert s.mass(a, b) == expected
+    comps = [(iv.lo, iv.hi) for iv in s]
+    assert s.mass(a, b) == brute_one_sided_measure(comps, b, b - a, "left")
+    assert s.cumulative(b) - s.cumulative(a) == expected
+    assert s.cumulative(F(-1)) == 0
+    assert s.cumulative(2) == s.measure()
+
+
+def _cumulative_breakpoints(s):
+    out = [F(0)]
+    for iv in s:
+        out.append(out[-1] + iv.length)
+    return out
+
+
+@settings(max_examples=200)
+@given(window_pairs, st.integers(0, 2 ** GRID_M))
+def test_locate_inverts_cumulative(pairs, k):
+    s = IntervalSet.from_pairs(pairs)
+    total = s.measure()
+    # every cumulative breakpoint (those between components are reached
+    # across a whole gap) plus one value inside a component
+    for m in _cumulative_breakpoints(s) + [total * F(k, 2 ** GRID_M)]:
+        if 0 < m <= total:
+            t = s.locate(m)
+            assert s.cumulative(t) == m
+            # leftmost: Φ increases just left of t, so t ∈ (lo, hi] of a component
+            assert any(iv.lo < t <= iv.hi for iv in s)
+        if 0 <= m < total:
+            t = s.locate(m, rightmost=True)
+            assert s.cumulative(t) == m
+            assert any(iv.lo <= t < iv.hi for iv in s)
+
+
+def test_locate_at_a_gap_and_out_of_range():
+    s = iset((0, F(1, 4)), (F(1, 2), 1))
+    assert s.locate(F(1, 4)) == F(1, 4)
+    assert s.locate(F(1, 4), rightmost=True) == F(1, 2)
+    assert s.locate(F(3, 4)) == 1
+    assert s.locate(0, rightmost=True) == 0
+    for m, rightmost in [(0, False), (F(3, 4), True), (1, False), (F(-1, 4), True)]:
+        with pytest.raises(ValueError):
+            s.locate(m, rightmost=rightmost)
+    with pytest.raises(ValueError):
+        IntervalSet.empty().locate(0, rightmost=True)
+
+
+def test_degenerate_components_carry_no_mass():
+    s = IntervalSet([Interval.point(0), Interval(F(1, 2), F(1))], allow_degenerate=True)
+    assert s.cumulative(0) == 0
+    assert s.cumulative(F(3, 4)) == F(1, 4)
+    assert s.mass(-1, 1) == F(1, 2)
+    assert s.locate(F(1, 4)) == F(3, 4)
+    assert s.locate(0, rightmost=True) == F(1, 2)
+    assert s.endpoints_in(0, F(1, 2)) == [0, 0, F(1, 2)]
+
+
+@settings(max_examples=200)
+@given(window_pairs, grid_points, grid_points)
+def test_endpoints_in_is_a_filter(pairs, lo, hi):
+    s = IntervalSet.from_pairs(pairs)
+    assert s.endpoints_in(lo, hi) == [e for e in s.endpoints() if lo <= e <= hi]
+
+
+def test_mass_of_reversed_window_rejected():
+    s = iset((0, 1))
+    assert s.mass(F(1, 4), F(1, 4)) == 0
+    with pytest.raises(ValueError):
+        s.mass(F(3, 4), F(1, 4))
+
+
+def test_index_keeps_equality_and_hash():
+    s, t = iset((0, F(1, 3)), (F(1, 2), 1)), iset((0, F(1, 3)), (F(1, 2), 1))
+    h = hash(s)
+    assert s.mass(F(1, 4), F(3, 4)) == F(1, 3)
+    assert s == t and t == s
+    assert hash(s) == h == hash(t)
+    assert s != iset((0, 1))
 
 
 def test_json_round_trip():
