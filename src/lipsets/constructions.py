@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 from .density import (
@@ -26,9 +26,9 @@ from .density import (
 )
 from .pcw import (
     PiecewiseLinear,
-    SlopeProfile,
     build_phi,
     build_signed_integral,
+    first_sloped_segment,
     geometric_grid,
 )
 
@@ -362,11 +362,11 @@ def build_small_lip(
     for blk in blocks:
         if blk.left_mass > 0:
             plus_parts.extend(
-                E.intersect(IntervalSet([Interval(blk.lo, blk.balance)])).intervals
+                E.clip(Interval(blk.lo, blk.balance)).intervals
             )
         if blk.right_mass > 0:
             minus_parts.extend(
-                E.intersect(IntervalSet([Interval(blk.balance, blk.hi)])).intervals
+                E.clip(Interval(blk.balance, blk.hi)).intervals
             )
     plus = IntervalSet(plus_parts)
     minus = IntervalSet(minus_parts)
@@ -395,15 +395,6 @@ class Lip1SumResult:
     @property
     def skipped_parts(self) -> tuple[int, ...]:
         return tuple(p.index for p in self.parts if p.skipped)
-
-
-def _constant_off(f: PiecewiseLinear, S: IntervalSet) -> bool:
-    for seg, slope in zip(SlopeProfile.of(f).segments, f.slopes()):
-        if slope == 0:
-            continue
-        if S.mass(seg.lo, seg.hi) != seg.length:
-            return False
-    return True
 
 
 def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumResult:
@@ -437,9 +428,8 @@ def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumRes
         else:
             f_n = build_small_lip(part, eps, window)
             total = total + f_n
-            diags.append(
-                Lip1Part(n, eps, dist, f_n.sup_norm(), _constant_off(f_n, part), False)
-            )
+            constant_off = first_sloped_segment(f_n, part.complement_within(f_n.domain)) is None
+            diags.append(Lip1Part(n, eps, dist, f_n.sup_norm(), constant_off, False))
         earlier = part if earlier is None else earlier.union(part)
     return Lip1SumResult(total.simplify(), tuple(diags), window)
 

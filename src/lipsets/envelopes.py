@@ -13,11 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 from .constructions import balance_point
-from .pcw import PiecewiseLinear, SlopeProfile, build_phi, monotone_runs, pl_max, pl_min
+from .pcw import (
+    PiecewiseLinear,
+    build_phi,
+    first_sloped_segment,
+    merged_breakpoints,
+    monotone_runs,
+    pl_min,
+)
 
 
 class PreconditionError(ValueError):
@@ -59,10 +66,6 @@ class Envelope:
         up = (self.upper - f).restrict(lo, hi)
         return min(low.min_value(), up.min_value())
 
-    @classmethod
-    def symmetric(cls, radius: PiecewiseLinear) -> "Envelope":
-        return cls(radius.scale(-1), radius)
-
 
 @dataclass(frozen=True)
 class Vicinity:
@@ -78,17 +81,18 @@ class Vicinity:
             raise ValueError("radius must be nonnegative")
 
     def contains(self, g: PiecewiseLinear) -> bool:
+        """|g - c| <= r, checked as g - c <= r and c - g <= r."""
         diff = g - self.center
-        return pl_max(diff, diff.scale(-1)).le(self.radius)
+        return diff.le(self.radius) and diff.scale(-1).le(self.radius)
 
     def envelope(self) -> Envelope:
         return Envelope(self.center - self.radius, self.center + self.radius)
 
     def is_inside(self, other: "Vicinity") -> bool:
-        """Sufficient exact check for {g : |g-c| <= r} ⊆ {g : |g-c'| <= r'}."""
+        """Sufficient exact check for {g : |g-c| <= r} ⊆ {g : |g-c'| <= r'}:
+        |c - c'| + r <= r', checked as r + (c - c') <= r' and r - (c - c') <= r'."""
         diff = self.center - other.center
-        abs_diff = pl_max(diff, diff.scale(-1))
-        return (abs_diff + self.radius).le(other.radius)
+        return (self.radius + diff).le(other.radius) and (self.radius - diff).le(other.radius)
 
 
 def verify_contraction(
@@ -99,14 +103,15 @@ def verify_contraction(
     Equivalent (φ nondecreasing) to the per-segment slope condition on the
     breakpoint union.  Returns None when it holds, else a witness segment
     (a, b, |Δf|, factor*Δφ)."""
-    xs = sorted(set(f.breakpoints) | set(phi.breakpoints))
-    for a, b in zip(xs, xs[1:]):
-        df = abs(f(b) - f(a))
-        dphi = phi(b) - phi(a)
+    xs = merged_breakpoints(f, phi)  # domains may differ
+    fs, ps = f.at(xs), phi.at(xs)
+    for k in range(1, len(xs)):
+        df = abs(fs[k] - fs[k - 1])
+        dphi = ps[k] - ps[k - 1]
         if dphi < 0:
             raise ValueError("phi must be nondecreasing")
         if df > factor * dphi:
-            return (a, b, df, factor * dphi)
+            return (xs[k - 1], xs[k], df, factor * dphi)
     return None
 
 
@@ -268,18 +273,9 @@ def envelope_refine(
         extend(a, mid, +1)
         extend(mid, b, -1)
 
-    zig = PiecewiseLinear(xs, vs).simplify()
+    zig = PiecewiseLinear(xs, vs)
     assert zig(d) == f(d), "telescoping failure"
-    parts = []
-    if lo < c:
-        parts.append(f.restrict(lo, c))
-    parts.append(zig)
-    if d < hi:
-        parts.append(f.restrict(d, hi))
-    g = parts[0]
-    for p in parts[1:]:
-        g = g.concat(p)
-    g = g.simplify()
+    g = f.splice([zig])
     if env.min_margin_on(g, c, d) <= 0:
         raise PreconditionError("refined function escapes the envelope")
     return RefineResult(g, (c, d), tuple(division), eps, delta, gamma, n)
@@ -357,13 +353,11 @@ def envelope_flatten(
     outside = H.clip(f.domain).intersect(
         IntervalSet([Interval(c, d)]).complement_within(f.domain)
     )
-    for seg, slope in zip(SlopeProfile.of(f).segments, f.slopes()):
-        if slope == 0:
-            continue
-        if outside.mass(seg.lo, seg.hi) != 0:
-            raise PreconditionError(
-                "f is not flat on an H-part outside the active segment", seg
-            )
+    seg = first_sloped_segment(f, outside)
+    if seg is not None:
+        raise PreconditionError(
+            "f is not flat on an H-part outside the active segment", seg
+        )
 
     seg_iv = Interval(c, d)
     total = E.mass(c, d)
@@ -411,7 +405,7 @@ def envelope_flatten(
             continue
         scale = rise_cell / cell_mass  # |scale| <= 1-ε < 1-δ by contraction
         sign = 1 if scale >= 0 else -1
-        h_in = H.intersect(IntervalSet([cell_iv]))
+        h_in = H.clip(cell_iv)
         contiguous = (
             h_in.complement_within(cell_iv)
             if not h_in.is_empty
@@ -441,17 +435,7 @@ def envelope_flatten(
         flat_until(q)
         assert vs[-1] == f(q), "cell endpoint mismatch"
 
-    core = PiecewiseLinear(xs, vs).simplify()
-    parts = []
-    if lo < c:
-        parts.append(f.restrict(lo, c))
-    parts.append(core)
-    if d < hi:
-        parts.append(f.restrict(d, hi))
-    g = parts[0]
-    for part in parts[1:]:
-        g = g.concat(part)
-    g = g.simplify()
+    g = f.splice([PiecewiseLinear(xs, vs)])
     post = verify_contraction(g, phi, 1 - delta)
     if post is not None:
         raise AssertionError(f"flatten violated its own contraction: {post}")
@@ -468,13 +452,3 @@ def envelope_flatten(
         eps,
         delta,
     )
-
-
-def slope_zero_on(f: PiecewiseLinear, H: IntervalSet) -> bool:
-    """Exact check that f' = 0 on every positive-length part of H."""
-    for seg, slope in zip(SlopeProfile.of(f).segments, f.slopes()):
-        if slope == 0:
-            continue
-        if H.mass(seg.lo, seg.hi) != 0:
-            return False
-    return True

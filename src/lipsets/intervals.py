@@ -273,7 +273,25 @@ class IntervalSet:
         return IntervalSet(out)
 
     def clip(self, window: Interval) -> "IntervalSet":
-        return self.intersect(IntervalSet([window]))
+        """self ∩ window in O(log n + k), by bisect on the mass index.
+
+        Equal to intersecting with IntervalSet([window]): components that
+        only touch the window, and degenerate ones, drop out, and a
+        degenerate window raises ValueError.
+        """
+        if window.is_degenerate:
+            raise ValueError(f"degenerate clip window {window}")
+        a, b = window.lo, window.hi
+        ends, _ = self._mass_index()
+        # components j with hi_j > a and lo_j < b; ends = lo_0, hi_0, lo_1, ...
+        first = bisect_right(ends, a) // 2
+        stop = (bisect_left(ends, b) + 1) // 2
+        out = []
+        for iv in self._intervals[first:stop]:
+            lo, hi = max(iv.lo, a), min(iv.hi, b)
+            if lo < hi:
+                out.append(Interval(lo, hi))
+        return IntervalSet(out)
 
     def complement_within(self, window: Interval) -> "IntervalSet":
         """Closed-collapse complement relative to a bounded window.

@@ -3,6 +3,14 @@
 The carrier for every construction: rational breakpoints and values, linear
 interpolation in between, clamp-to-constant outside the domain (all the
 functions we build are constant off their active window).
+
+`PiecewiseLinear.at` is the only sweep: `add`, `sub`, `le`, `pl_min`,
+`pl_max`, `monotone_runs` and `envelopes.verify_contraction` evaluate their
+functions through it on sorted points (for two functions, on their
+`merged_breakpoints`), in one forward pass per function.
+`PiecewiseLinear.splice` is the only glue: it replaces a function on the
+domains of given pieces.  `first_sloped_segment` is the only check of slopes
+against a set.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 
@@ -43,11 +51,6 @@ class PiecewiseLinear:
     def constant(cls, c: RationalLike, domain: Interval) -> "PiecewiseLinear":
         return cls([domain.lo, domain.hi], [c, c])
 
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[RationalLike, RationalLike]]) -> "PiecewiseLinear":
-        pts = sorted((rat(x), rat(y)) for x, y in points)
-        return cls([p[0] for p in pts], [p[1] for p in pts])
-
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
         bps = self.breakpoints
@@ -59,6 +62,32 @@ class PiecewiseLinear:
         x0, x1 = bps[i], bps[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+
+    def at(self, xs: Iterable[Fraction]) -> list[Fraction]:
+        """[self(x) for x in xs] for nondecreasing xs, in one forward pass
+        over the breakpoints (clamped to the end values off the domain).
+        Raises ValueError when xs steps back past a breakpoint."""
+        bps, vals = self.breakpoints, self.values
+        first, last = bps[0], bps[-1]
+        out = []
+        i = 1  # bps[i - 1] < x for every x inside the domain seen so far
+        for x in xs:
+            if x <= first:
+                out.append(vals[0])
+            elif x >= last:
+                out.append(vals[-1])
+            else:
+                while bps[i] < x:
+                    i += 1
+                if x <= bps[i - 1]:
+                    raise ValueError("xs must be nondecreasing")
+                x1, v1 = bps[i], vals[i]
+                if x == x1:
+                    out.append(v1)
+                else:
+                    x0, v0 = bps[i - 1], vals[i - 1]
+                    out.append(v0 + (v1 - v0) * (x - x0) / (x1 - x0))
+        return out
 
     def slopes(self) -> tuple[Fraction, ...]:
         out = []
@@ -104,15 +133,15 @@ class PiecewiseLinear:
     def _merged_breakpoints(self, other: "PiecewiseLinear") -> list[Fraction]:
         if self.domain != other.domain:
             raise ValueError("domain mismatch")
-        merged = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return merged
+        return merged_breakpoints(self, other)
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         bps = self._merged_breakpoints(other)
-        return PiecewiseLinear(bps, [self(x) + other(x) for x in bps])
+        return PiecewiseLinear(bps, [a + b for a, b in zip(self.at(bps), other.at(bps))])
 
     def sub(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self.add(other.scale(-1))
+        bps = self._merged_breakpoints(other)
+        return PiecewiseLinear(bps, [a - b for a, b in zip(self.at(bps), other.at(bps))])
 
     def scale(self, c: RationalLike) -> "PiecewiseLinear":
         c = rat(c)
@@ -135,9 +164,11 @@ class PiecewiseLinear:
         lo, hi = rat(lo), rat(hi)
         if not (self.domain.lo <= lo < hi <= self.domain.hi):
             raise ValueError("restriction outside domain")
-        inner = [b for b in self.breakpoints if lo < b < hi]
-        bps = [lo] + inner + [hi]
-        return PiecewiseLinear(bps, [self(x) for x in bps])
+        i = bisect_right(self.breakpoints, lo)
+        j = bisect_left(self.breakpoints, hi)
+        return PiecewiseLinear(
+            [lo, *self.breakpoints[i:j], hi], [self(lo), *self.values[i:j], self(hi)]
+        )
 
     def concat(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         if self.domain.hi != other.domain.lo:
@@ -147,6 +178,32 @@ class PiecewiseLinear:
         bps = self.breakpoints + other.breakpoints[1:]
         vals = self.values + other.values[1:]
         return PiecewiseLinear(bps, vals)
+
+    def splice(self, pieces: Iterable["PiecewiseLinear"]) -> "PiecewiseLinear":
+        """self with each piece in its place on the piece's domain, simplified.
+
+        The pieces must be sorted, must not overlap and must lie inside the
+        domain.  At every seam, between self and a piece or between two
+        abutting pieces, both sides must agree (ValueError otherwise)."""
+        cursor, end = self.breakpoints[0], self.breakpoints[-1]
+        parts: list[PiecewiseLinear] = []
+        for piece in pieces:
+            lo, hi = piece.breakpoints[0], piece.breakpoints[-1]
+            if lo < cursor or hi > end:
+                raise ValueError("pieces must be sorted, disjoint and inside the domain")
+            if cursor < lo:
+                parts.append(self.restrict(cursor, lo))
+            parts.append(piece)
+            cursor = hi
+        if cursor < end:
+            parts.append(self.restrict(cursor, end))
+        xs, vs = list(parts[0].breakpoints), list(parts[0].values)
+        for g in parts[1:]:
+            if vs[-1] != g.values[0]:
+                raise ValueError("splice would be discontinuous")
+            xs.extend(g.breakpoints[1:])
+            vs.extend(g.values[1:])
+        return PiecewiseLinear(xs, vs).simplify()
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.values)
@@ -159,7 +216,8 @@ class PiecewiseLinear:
 
     def le(self, other: "PiecewiseLinear") -> bool:
         """Exact pointwise self <= other (checked at the breakpoint union)."""
-        return all(self(x) <= other(x) for x in self._merged_breakpoints(other))
+        bps = self._merged_breakpoints(other)
+        return all(a <= b for a, b in zip(self.at(bps), other.at(bps)))
 
     def breakpoints_in(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
         i = bisect_left(self.breakpoints, lo)
@@ -167,40 +225,49 @@ class PiecewiseLinear:
         return list(self.breakpoints[i:j])
 
 
-def _with_crossings(f: PiecewiseLinear, g: PiecewiseLinear) -> list[Fraction]:
-    """Breakpoint union plus every point where f - g changes sign."""
+def merged_breakpoints(f: PiecewiseLinear, g: PiecewiseLinear) -> list[Fraction]:
+    """The sorted union of the breakpoints of f and g (any domains)."""
+    both = sorted(f.breakpoints + g.breakpoints)  # two sorted runs: one merge
+    return [both[0], *(b for a, b in zip(both, both[1:]) if a != b)]
+
+
+def _pick(f: PiecewiseLinear, g: PiecewiseLinear, choose) -> PiecewiseLinear:
+    """choose(f, g) pointwise, on the breakpoint union plus every point
+    where f - g changes sign (there f = g), simplified."""
     bps = f._merged_breakpoints(g)
-    out: list[Fraction] = []
-    for a, b in zip(bps, bps[1:]):
-        out.append(a)
-        da = f(a) - g(a)
-        db = f(b) - g(b)
+    fs, gs = f.at(bps), g.at(bps)
+    xs, vs = [bps[0]], [choose(fs[0], gs[0])]
+    for k in range(1, len(bps)):
+        da, db = fs[k - 1] - gs[k - 1], fs[k] - gs[k]
         if (da > 0 > db) or (da < 0 < db):
             t = da / (da - db)
-            out.append(a + t * (b - a))
-    out.append(bps[-1])
-    return out
+            xs.append(bps[k - 1] + t * (bps[k] - bps[k - 1]))
+            vs.append(fs[k - 1] + t * (fs[k] - fs[k - 1]))
+        xs.append(bps[k])
+        vs.append(choose(fs[k], gs[k]))
+    return PiecewiseLinear(xs, vs).simplify()
 
 
 def pl_min(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    xs = _with_crossings(f, g)
-    return PiecewiseLinear(xs, [min(f(x), g(x)) for x in xs]).simplify()
+    return _pick(f, g, min)
 
 
 def pl_max(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    xs = _with_crossings(f, g)
-    return PiecewiseLinear(xs, [max(f(x), g(x)) for x in xs]).simplify()
+    return _pick(f, g, max)
 
 
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Maximal intervals of [lo, hi] on which f is monotone (zero slopes
     extend the current run)."""
-    xs = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
+    bps = f.breakpoints
+    xs = [lo, *bps[bisect_right(bps, lo):bisect_left(bps, hi)], hi]
+    fs = f.at(xs)
     runs: list[tuple[Fraction, Fraction]] = []
     start = xs[0]
     direction = 0
-    for a, b in zip(xs, xs[1:]):
-        s = f(b) - f(a)
+    for k in range(1, len(xs)):
+        a = xs[k - 1]
+        s = fs[k] - fs[k - 1]
         sgn = 0 if s == 0 else (1 if s > 0 else -1)
         if sgn != 0 and direction != 0 and sgn != direction:
             runs.append((start, a))
@@ -212,22 +279,14 @@ def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[
     return runs
 
 
-@dataclass(frozen=True)
-class SlopeProfile:
-    """Per-segment slopes of a piecewise-linear function."""
-
-    segments: tuple[Interval, ...]
-    slopes: tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, f: PiecewiseLinear) -> "SlopeProfile":
-        segs = tuple(
-            Interval(a, b) for a, b in zip(f.breakpoints, f.breakpoints[1:])
-        )
-        return cls(segs, f.slopes())
-
-    def max_abs_slope(self) -> Fraction:
-        return max((abs(s) for s in self.slopes), default=Fraction(0))
+def first_sloped_segment(f: PiecewiseLinear, S: IntervalSet) -> Optional[Interval]:
+    """The first segment of f on which f has nonzero slope and S positive
+    mass, or None: None exactly when f' = 0 almost everywhere on S."""
+    bps, vals = f.breakpoints, f.values
+    for k in range(len(bps) - 1):
+        if vals[k] != vals[k + 1] and S.mass(bps[k], bps[k + 1]) != 0:
+            return Interval(bps[k], bps[k + 1])
+    return None
 
 
 # -- integral builders ------------------------------------------------------
@@ -310,12 +369,6 @@ def m_ratio(f: PiecewiseLinear, x: RationalLike, r: RationalLike) -> Fraction:
         if v > best:
             best = v
     return best / r
-
-
-def ball_exits_domain(f: PiecewiseLinear, x: RationalLike, r: RationalLike) -> bool:
-    """Clamp flag for reports: [x-r, x+r] not contained in the domain."""
-    x, r = rat(x), rat(r)
-    return x - r < f.domain.lo or x + r > f.domain.hi
 
 
 def local_lip_exact(f: PiecewiseLinear, x: RationalLike) -> tuple[Fraction, Fraction]:
@@ -429,18 +482,3 @@ def check_increment_bound(
         allowance = E.mass(min(a, b), max(a, b))
         checks.append(IncrementCheck(a, b, abs(f(a) - f(b)), allowance))
     return IncrementReport(tuple(checks))
-
-
-def slopes_within_indicator(
-    f: PiecewiseLinear, E: IntervalSet, cap: Fraction = Fraction(1)
-) -> bool:
-    """Segment-level sufficient condition for the universal increment bound:
-    every segment has |slope| <= cap and nonzero slope only inside E."""
-    for seg, s in zip(SlopeProfile.of(f).segments, f.slopes()):
-        if s == 0:
-            continue
-        if abs(s) > cap:
-            return False
-        if E.mass(seg.lo, seg.hi) != seg.length:
-            return False
-    return True

@@ -25,11 +25,11 @@ F_n endpoint, so witnesses are sampled from the recorded active regions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .intervals import Interval, IntervalSet, RationalLike, rat
+from .intervals import Interval, IntervalSet, rat
 from .density import UDTWitness, level_set_membership
 from .envelopes import (
     Envelope,
@@ -37,10 +37,9 @@ from .envelopes import (
     Vicinity,
     envelope_flatten,
     envelope_refine,
-    slope_zero_on,
     verify_contraction,
 )
-from .pcw import PiecewiseLinear, build_phi, monotone_runs, pl_max, pl_min
+from .pcw import PiecewiseLinear, build_phi, first_sloped_segment, monotone_runs, pl_max, pl_min
 
 
 class WitnessSearchError(RuntimeError):
@@ -187,37 +186,6 @@ def quadratic_margin(
     for p in pieces[1:]:
         out = pl_min(out, p)
     return pl_max(out, PiecewiseLinear.constant(0, dom))
-
-
-def _assemble_regions(
-    window: Interval, parts: Sequence[tuple[Interval, PiecewiseLinear]]
-) -> PiecewiseLinear:
-    """Glue per-region functions with 0 elsewhere into one window function."""
-    xs: list[Fraction] = []
-    vs: list[Fraction] = []
-
-    def push(x, v):
-        if xs and xs[-1] == x:
-            if vs[-1] != v:
-                raise AssertionError("discontinuous assembly")
-            return
-        xs.append(x)
-        vs.append(v)
-
-    cursor = window.lo
-    for region, fn in sorted(parts, key=lambda rv: rv[0].lo):
-        if region.lo > cursor:
-            push(cursor, Fraction(0))
-            push(region.lo, Fraction(0))
-        for x, v in fn.as_pairs():
-            push(x, v)
-        cursor = region.hi
-    if cursor < window.hi:
-        push(cursor, Fraction(0))
-        push(window.hi, Fraction(0))
-    if len(xs) < 2:
-        return PiecewiseLinear.constant(0, window)
-    return PiecewiseLinear(xs, vs).simplify()
 
 
 def _positive_zone(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -413,7 +381,7 @@ def _sample_level_points(
 ) -> list[Fraction]:
     comps: list[Interval] = []
     for lo, hi in segments:
-        comps.extend(E.intersect(IntervalSet([Interval(lo, hi)])).intervals)
+        comps.extend(E.clip(Interval(lo, hi)).intervals)
     comps = [c for c in comps if not c.is_degenerate]
     if not comps:
         return []
@@ -473,25 +441,28 @@ def build_udt_lip1(
         gamma_n, delta_n = witness.gammas[n - 1], witness.deltas[n - 1]
         delta_stage = Fraction(1, 2 ** (3 * n))
         F_n = system.closed_at(n)
-        F_prev = system.closed_at(n - 1)
+        r_third = None if r_prev is None else r_prev.scale(Fraction(1, 3))  # tube radius
 
-        # ---- flatten on the new closed parts (stage >= 2) ----
+        # ---- flatten on the new closed parts (stage >= 2); each region
+        # reads f_prev only on itself, so the results are spliced once ----
         if n == 1:
             f_star = f_prev
             eps_contract = Fraction(1)  # f_0 = 0 satisfies the ε = 1 bound
         else:
             eps_prev = Fraction(1, 2 ** (3 * (n - 1)))
             delta_prime = (delta_stage + eps_prev) / 2
-            f_star = f_prev
+            tube_lo, tube_hi = f_prev - r_third, f_prev + r_third
+            flattened: list[PiecewiseLinear] = []
             for region in system.complement(n - 1):
                 if region.is_degenerate:
                     continue
-                h_loc = F_n.intersect(IntervalSet([region]))
+                h_loc = F_n.clip(region)
                 if h_loc.is_empty:
                     continue
+                f_loc = f_prev.restrict(region.lo, region.hi)
                 zone = _positive_zone(r_prev, region.lo, region.hi)
                 if zone is None:
-                    if slope_zero_on(f_star.restrict(region.lo, region.hi), h_loc):
+                    if first_sloped_segment(f_loc, h_loc) is None:
                         continue
                     raise PreconditionError(
                         f"stage {n}: no r-positive zone in {region} but new "
@@ -503,32 +474,32 @@ def build_udt_lip1(
                 nonflat = [
                     comp
                     for comp in h_loc
-                    if not slope_zero_on(
-                        f_star.restrict(region.lo, region.hi),
-                        IntervalSet([comp], allow_degenerate=True),
-                    )
+                    if first_sloped_segment(
+                        f_loc, IntervalSet([comp], allow_degenerate=True)
+                    ) is not None
                 ]
                 if nonflat:
                     hull_lo = min(cp.lo for cp in nonflat)
                     hull_hi = max(cp.hi for cp in nonflat)
                     c0 = min(c0, (zone[0] + hull_lo) / 2)
                     d0 = max(d0, (hull_hi + zone[1]) / 2)
-                f_loc = f_star.restrict(region.lo, region.hi)
                 env_loc = Envelope(
-                    (f_prev - r_prev.scale(Fraction(1, 3))).restrict(region.lo, region.hi),
-                    (f_prev + r_prev.scale(Fraction(1, 3))).restrict(region.lo, region.hi),
+                    tube_lo.restrict(region.lo, region.hi),
+                    tube_hi.restrict(region.lo, region.hi),
                 )
                 res = envelope_flatten(
                     f_loc, env_loc, E, h_loc, eps_prev, delta_prime,
                     segment=(c0, d0), phi=phi,
                 )
-                f_star = _splice(f_star, res.function)
+                flattened.append(res.function)
+            f_star = f_prev.splice(flattened)
             eps_contract = delta_prime
 
-        # ---- margins and refine inside each complement region of F_n ----
-        margin_parts: list[tuple[Interval, PiecewiseLinear]] = []
+        # ---- margins and refine inside each complement region of F_n; each
+        # region reads f_star only on itself, so the results are spliced once ----
+        margin_parts: list[PiecewiseLinear] = []
+        refined: list[PiecewiseLinear] = []
         active: list[tuple[Fraction, Fraction]] = []
-        f_n = f_star
         for region in system.complement(n):
             if region.is_degenerate:
                 continue
@@ -549,30 +520,28 @@ def build_udt_lip1(
                 cap=Fraction(1),
             )
             if r_prev is not None:
-                qmargin = pl_min(
-                    qmargin, r_prev.scale(Fraction(1, 3)).restrict(region.lo, region.hi)
-                )
-            margin_parts.append((region, qmargin))
+                qmargin = pl_min(qmargin, r_third.restrict(region.lo, region.hi))
+            margin_parts.append(qmargin)
             if E.mass(c0, d0) == 0:
                 continue
-            f_loc = f_n.restrict(region.lo, region.hi)
+            f_loc = f_star.restrict(region.lo, region.hi)
             env_loc = Envelope(f_loc - qmargin, f_loc + qmargin)
-            # f_n is already a zigzag; the construction needs only the
+            # f_star is already a zigzag; the construction needs only the
             # increment precondition, which envelope_refine still verifies
             res = envelope_refine(
                 f_loc, env_loc, E, eps_contract, delta_stage,
                 segment=(c0, d0), phi=phi, division="adaptive",
                 require_monotone=False,
             )
-            f_n = _splice(f_n, res.function)
+            refined.append(res.function)
             active.append((c0, d0))
-
-        eps_margin = _assemble_regions(window, margin_parts)
+        f_n = f_star.splice(refined)
+        eps_margin = PiecewiseLinear.constant(0, window).splice(margin_parts)
 
         # ---- diagnostics: (i) and (iii) ----
         factor = 1 - delta_stage
         contraction_ok = verify_contraction(f_n, phi, factor) is None
-        flat_ok = slope_zero_on(f_n, F_n)
+        flat_ok = first_sloped_segment(f_n, F_n) is None
 
         # ---- (iv): witness search at sampled level-set points ----
         witnesses: list[WitnessRecord] = []
@@ -658,17 +627,3 @@ def _v_notch(window: Interval, lo: Fraction, hi: Fraction, cap: Fraction) -> Pie
     if len(xs) < 2:
         return PiecewiseLinear.constant(cap, window)
     return PiecewiseLinear(xs, vs)
-
-
-def _splice(whole: PiecewiseLinear, piece: PiecewiseLinear) -> PiecewiseLinear:
-    lo, hi = piece.domain.lo, piece.domain.hi
-    parts = []
-    if whole.domain.lo < lo:
-        parts.append(whole.restrict(whole.domain.lo, lo))
-    parts.append(piece)
-    if hi < whole.domain.hi:
-        parts.append(whole.restrict(hi, whole.domain.hi))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.concat(p)
-    return out.simplify()

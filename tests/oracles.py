@@ -3,10 +3,15 @@
 These deliberately avoid the library's own algorithms: sets with dyadic
 endpoints are handled as bitmasks over a 2^-m grid, densities and level-set
 membership are minimized over dense radius grids.
+
+The `ref_*` functions at the end are the slow paths that the one-sweep
+piecewise-linear algebra replaced: they evaluate a function one point at a
+time through its `__call__` and glue with `restrict` and `concat`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -96,3 +101,87 @@ def brute_m_ratio(f_eval, x, r, samples=512):
         if v > best:
             best = v
     return best / r
+
+
+# -- slow paths of the piecewise-linear algebra --------------------------------
+
+
+def ref_union(f, g):
+    return sorted(set(f.breakpoints) | set(g.breakpoints))
+
+
+def ref_crossings(f, g):
+    """The breakpoint union plus every point where f - g changes sign."""
+    xs = ref_union(f, g)
+    out = []
+    for a, b in zip(xs, xs[1:]):
+        out.append(a)
+        da, db = f(a) - g(a), f(b) - g(b)
+        if da * db < 0:
+            out.append(a + da / (da - db) * (b - a))
+    out.append(xs[-1])
+    return out
+
+
+def ref_combine(f, g, op):
+    """op(f, g) on the breakpoint union, one __call__ per point."""
+    xs = ref_union(f, g)
+    return type(f)(xs, [op(f(x), g(x)) for x in xs])
+
+
+def ref_le(f, g):
+    return all(f(x) <= g(x) for x in ref_union(f, g))
+
+
+def ref_pick(f, g, choose):
+    """choose(f, g) at the breakpoints and crossings, simplified."""
+    xs = ref_crossings(f, g)
+    return type(f)(xs, [choose(f(x), g(x)) for x in xs]).simplify()
+
+
+def ref_contraction_witness(f, phi, factor):
+    """First segment of the breakpoint union with |Δf| > factor·Δφ, as
+    (a, b, |Δf|, factor·Δφ), or None; f and φ may have different domains."""
+    xs = ref_union(f, phi)
+    for a, b in zip(xs, xs[1:]):
+        df, dphi = abs(f(b) - f(a)), phi(b) - phi(a)
+        if df > factor * dphi:
+            return (a, b, df, factor * dphi)
+    return None
+
+
+def ref_splice(f, pieces):
+    """Each piece put in place one at a time by restrict and concat."""
+    for piece in pieces:
+        lo, hi = piece.breakpoints[0], piece.breakpoints[-1]
+        out = piece
+        if f.breakpoints[0] < lo:
+            out = f.restrict(f.breakpoints[0], lo).concat(out)
+        if hi < f.breakpoints[-1]:
+            out = out.concat(f.restrict(hi, f.breakpoints[-1]))
+        f = out
+    return f.simplify()
+
+
+def ref_first_sloped_segment(f, pairs):
+    """(a, b) of the first segment where f moves between a and the segment's
+    midpoint and the intervals in pairs cover positive length, or None."""
+    for a, b in zip(f.breakpoints, f.breakpoints[1:]):
+        if f((a + b) / 2) == f(a):
+            continue
+        if any(min(hi, b) > max(lo, a) for lo, hi in pairs):
+            return (a, b)
+    return None
+
+
+def ref_vicinity_contains(center, radius, g):
+    """|g - c| <= r with |g - c| built as max(g - c, c - g)."""
+    diff = ref_combine(g, center, operator.sub)
+    return ref_le(ref_pick(diff, diff.scale(-1), max), radius)
+
+
+def ref_vicinity_is_inside(inner, outer):
+    """|c - c'| + r <= r' with |c - c'| built as max(c - c', c' - c)."""
+    diff = ref_combine(inner.center, outer.center, operator.sub)
+    abs_diff = ref_pick(diff, diff.scale(-1), max)
+    return ref_le(ref_combine(abs_diff, inner.radius, operator.add), outer.radius)

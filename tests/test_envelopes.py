@@ -13,10 +13,12 @@ from lipsets.envelopes import (
     Vicinity,
     envelope_flatten,
     envelope_refine,
-    slope_zero_on,
     verify_contraction,
 )
-from lipsets.pcw import PiecewiseLinear, build_phi, check_increment_bound
+from lipsets.pcw import PiecewiseLinear, build_phi, check_increment_bound, first_sloped_segment
+
+from oracles import ref_contraction_witness, ref_vicinity_contains, ref_vicinity_is_inside
+from strategies import pl_functions, points
 
 F = Fraction
 
@@ -109,6 +111,35 @@ class TestVerifyContraction:
         assert w is not None
         a, b, df, allowed = w
         assert df > allowed
+
+
+# -- the one-sweep checks against the slow paths they replaced ------------------------
+
+nonneg = st.integers(0, 32).map(lambda k: F(k, 16))
+small = st.integers(-8, 8).map(lambda k: F(k, 16))
+
+
+@settings(max_examples=100)
+@given(pl_functions(value=nonneg), st.sampled_from([F(1, 4), F(7, 8), F(1)]), st.data())
+def test_verify_contraction_on_unequal_domains(steps, factor, data):
+    # φ on [0, 1] is nondecreasing, f lives on a subsegment [a, b]
+    rises = [F(0), *steps.values[1:]]
+    phi = PiecewiseLinear(steps.breakpoints, [sum(rises[:k + 1]) for k in range(len(rises))])
+    a, b = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
+    f = data.draw(st.one_of(pl_functions(a, b), st.just(phi.restrict(a, b).scale(factor))))
+    assert verify_contraction(f, phi, factor) == ref_contraction_witness(f, phi, factor)
+
+
+@settings(max_examples=100)
+@given(pl_functions(), pl_functions(value=nonneg), pl_functions(value=small),
+       pl_functions(value=small), pl_functions(value=nonneg))
+def test_vicinity_checks_match_abs_formulation(c, r, h, h2, extra):
+    v = Vicinity(c, r)
+    g = c + h
+    assert v.contains(g) == ref_vicinity_contains(c, r, g)
+    w = Vicinity(c + h2, r + extra)
+    assert v.is_inside(w) == ref_vicinity_is_inside(v, w)
+    assert w.is_inside(v) == ref_vicinity_is_inside(w, v)
 
 
 class TestEnvelopeRefine:
@@ -255,7 +286,7 @@ class TestEnvelopeFlatten:
         delta = F(1, 8)
         res = envelope_flatten(f, env, E, H, eps, delta, segment=(F(1, 16), F(15, 16)))
         g = res.function
-        assert slope_zero_on(g, H)
+        assert first_sloped_segment(g, H) is None
         c, d = res.segment
         assert g(c) == f(c) and g(d) == f(d)
         assert verify_contraction(g, phi, 1 - delta) is None
@@ -271,7 +302,7 @@ class TestEnvelopeFlatten:
         H = iset((F(7, 16), F(9, 16)))
         res = envelope_flatten(f, env, E, H, eps, F(1, 8), segment=(F(1, 16), F(15, 16)))
         g = res.function
-        assert slope_zero_on(g, H)
+        assert first_sloped_segment(g, H) is None
         assert g(res.segment[0]) == f(res.segment[0])
         assert g(res.segment[1]) == f(res.segment[1])
 

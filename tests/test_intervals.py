@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lipsets.intervals import Interval, IntervalSet, canonicalize, rat
@@ -285,3 +285,45 @@ def test_json_round_trip():
     assert IntervalSet.from_json(s.to_json()) == s
     s2 = IntervalSet([Interval.point(0), Interval(F(1, 2), F(1))], allow_degenerate=True)
     assert IntervalSet.from_json(s2.to_json()) == s2
+
+
+# -- clip by bisect ------------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(window_pairs, st.lists(grid_points, max_size=3), grid_points, grid_points)
+def test_clip_matches_intersect_and_oracle(pairs, points, a, b):
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    # degenerate components at the drawn points, unless a pair absorbs them
+    s = IntervalSet(
+        [Interval(p, q) for p, q in pairs] + [Interval.point(p) for p in points],
+        allow_degenerate=True,
+    )
+    w = Interval(lo, hi)
+    clipped = s.clip(w)
+    assert clipped == s.intersect(IntervalSet([w]))
+    cs, _ = to_cells(pairs, WINDOW, GRID_M)
+    cw, _ = to_cells([(lo, hi)], WINDOW, GRID_M)
+    cc, _ = to_cells([(iv.lo, iv.hi) for iv in clipped], WINDOW, GRID_M)
+    assert cc == cells_intersect(cs, cw)
+
+
+def test_clip_at_touching_windows_and_points():
+    s = IntervalSet(
+        [Interval.point(0), Interval(F(1, 4), F(1, 2)), Interval.point(F(5, 8)),
+         Interval(F(7, 8), F(1))],
+        allow_degenerate=True,
+    )
+    windows = [(-1, 0), (0, F(1, 4)), (F(1, 2), F(5, 8)), (F(5, 8), F(7, 8)),
+               (F(1, 2), F(7, 8)), (1, 2), (F(3, 8), F(15, 16)), (-1, 2)]
+    for lo, hi in windows:
+        w = Interval(F(lo), F(hi))
+        assert s.clip(w) == s.intersect(IntervalSet([w])), w
+    for lo, hi in windows[:6]:  # each touches components at single points only
+        assert s.clip(Interval(F(lo), F(hi))).is_empty
+    assert s.clip(Interval(F(3, 8), F(15, 16))) == iset((F(3, 8), F(1, 2)), (F(7, 8), F(15, 16)))
+    assert s.clip(Interval(F(-1), F(2))) == iset((F(1, 4), F(1, 2)), (F(7, 8), 1))
+    assert IntervalSet.empty().clip(Interval(F(0), F(1))).is_empty
+    with pytest.raises(ValueError):  # as IntervalSet([window]) would
+        s.clip(Interval.point(F(1, 3)))

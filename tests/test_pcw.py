@@ -8,10 +8,10 @@ from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import (
     IncrementReport,
     PiecewiseLinear,
-    SlopeProfile,
     build_phi,
     build_signed_integral,
     check_increment_bound,
+    first_sloped_segment,
     geometric_grid,
     lip_sweep,
     local_lip_exact,
@@ -19,10 +19,17 @@ from lipsets.pcw import (
     monotone_runs,
     pl_max,
     pl_min,
-    slopes_within_indicator,
 )
 
-from oracles import brute_m_ratio
+from oracles import (
+    brute_m_ratio,
+    ref_combine,
+    ref_first_sloped_segment,
+    ref_le,
+    ref_pick,
+    ref_splice,
+)
+from strategies import pl_functions, points
 
 F = Fraction
 
@@ -257,18 +264,17 @@ class TestIncrementBound:
         assert rep.violations[0].excess == 1
 
     def test_segment_audit(self):
+        # nonzero slope only inside E: no sloped segment meets the complement
         E = iset((0, 1))
-        assert slopes_within_indicator(build_phi(E, 0), E)
-        assert not slopes_within_indicator(PiecewiseLinear([0, 1], [0, 2]), E)
-        assert not slopes_within_indicator(PiecewiseLinear([-1, 0], [0, F(1, 2)]), E)
+        phi = build_phi(E, 0)
+        assert first_sloped_segment(phi, E.complement_within(phi.domain)) is None
+        g = PiecewiseLinear([-1, 0], [0, F(1, 2)])
+        assert first_sloped_segment(g, E.complement_within(g.domain)) == Interval(F(-1), F(0))
 
 
 def test_slope_profile_recomputable():
     f = PiecewiseLinear([0, 1, 2], [0, 1, 1])
-    prof = SlopeProfile.of(f)
-    assert prof.slopes == (1, 0)
-    assert prof.max_abs_slope() == 1
-    assert prof.segments[0] == Interval(F(0), F(1))
+    assert f.slopes() == (1, 0)
 
 
 def test_sup_norm_of_sawtooth():
@@ -281,3 +287,99 @@ def test_monotone_runs_plateau_extends_run():
     f = PiecewiseLinear([0, 1, 2, 3, 4], [0, 1, 1, 0, 1])
     assert monotone_runs(f, F(0), F(4)) == [(0, 2), (2, 3), (3, 4)]
     assert monotone_runs(f, F(1, 2), F(5, 2)) == [(F(1, 2), 2), (2, F(5, 2))]
+
+
+# -- the one sweep, the one splice and the one slope check, against the
+# slow paths they replaced ------------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(pl_functions(), st.lists(points.map(lambda t: 3 * t - 1), max_size=20))
+def test_at_is_pointwise_call(f, xs):
+    xs = sorted(xs + list(f.breakpoints[::2]))
+    assert f.at(xs) == [f(x) for x in xs]
+
+
+def test_at_rejects_a_step_back_past_a_breakpoint():
+    f = PiecewiseLinear([0, 1, 2], [0, 1, 0])
+    assert f.at([F(3, 2), F(5, 4), 3, -1]) == [F(1, 2), F(3, 4), 0, 0]  # no breakpoint crossed
+    with pytest.raises(ValueError):
+        f.at([F(3, 2), F(1, 2)])
+
+
+@settings(max_examples=100)
+@given(pl_functions(), pl_functions())
+def test_binary_operations_match_slow_paths(f, g):
+    assert f.add(g).as_pairs() == ref_combine(f, g, lambda a, b: a + b).as_pairs()
+    assert f.sub(g).as_pairs() == ref_combine(f, g, lambda a, b: a - b).as_pairs()
+    assert f.le(g) == ref_le(f, g)
+    assert f.le(pl_max(f, g)) and pl_min(f, g).le(f)
+    assert pl_min(f, g).as_pairs() == ref_pick(f, g, min).as_pairs()
+    assert pl_max(f, g).as_pairs() == ref_pick(f, g, max).as_pairs()
+
+
+@settings(max_examples=100)
+@given(pl_functions(), st.data())
+def test_restrict_and_monotone_runs_on_subsegments(f, data):
+    lo, hi = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
+    g = f.restrict(lo, hi)
+    assert g.breakpoints == (lo, *[b for b in f.breakpoints if lo < b < hi], hi)
+    assert list(g.values) == [f(x) for x in g.breakpoints]
+    runs = monotone_runs(f, lo, hi)
+    assert runs[0][0] == lo and runs[-1][1] == hi
+    for a, b in runs:  # each run is monotone on g's breakpoints inside it
+        vals = [f(x) for x in g.breakpoints if a <= x <= b]
+        assert vals == sorted(vals) or vals == sorted(vals, reverse=True)
+
+
+@st.composite
+def splices(draw):
+    """A function on [0, 1] and sorted, disjoint pieces that agree with it
+    at their ends (some pieces abut)."""
+    f = draw(pl_functions())
+    cuts = sorted(set(draw(st.lists(points, min_size=2, max_size=8))))
+    pieces = []
+    for a, b in zip(cuts, cuts[1:]):
+        if not draw(st.booleans()):
+            continue
+        inner = draw(pl_functions(a, b, max_inner=3))
+        pieces.append(PiecewiseLinear(
+            inner.breakpoints, (f(a), *inner.values[1:-1], f(b))
+        ))
+    return f, pieces
+
+
+@settings(max_examples=100)
+@given(splices())
+def test_splice_is_restrict_and_concat(case):
+    f, pieces = case
+    assert f.splice(pieces).as_pairs() == ref_splice(f, pieces).as_pairs()
+
+
+def test_splice_rejects_seams_and_overlaps():
+    f = PiecewiseLinear([0, 1], [0, 1])
+    good = PiecewiseLinear([F(1, 4), F(1, 2)], [F(1, 4), F(1, 2)])
+    assert f.splice([good]) == f
+    with pytest.raises(ValueError):  # f continues past the piece at 1/2
+        f.splice([PiecewiseLinear([F(1, 4), F(1, 2)], [F(1, 4), 0])])
+    with pytest.raises(ValueError):  # two abutting pieces disagree at 1/2
+        f.splice([good, PiecewiseLinear([F(1, 2), 1], [0, 1])])
+    with pytest.raises(ValueError):  # overlapping pieces
+        f.splice([good, PiecewiseLinear([F(3, 8), 1], [F(3, 8), 1])])
+    with pytest.raises(ValueError):  # a piece outside the domain
+        f.splice([PiecewiseLinear([F(1, 2), 2], [F(1, 2), 1])])
+    # pieces at the domain's ends: no seam to check there
+    assert f.splice([PiecewiseLinear([0, 1], [5, 6])]).as_pairs() == ((0, 5), (1, 6))
+
+
+@settings(max_examples=100)
+@given(
+    pl_functions(value=st.sampled_from([F(0), F(1, 2), F(1)])),
+    st.lists(st.tuples(points, points), max_size=4),
+)
+def test_first_sloped_segment_matches_midpoint_test(f, raw):
+    pairs = [(min(a, b), max(a, b)) for a, b in raw if a != b]
+    S = IntervalSet.from_pairs(pairs)
+    seg = first_sloped_segment(f, S)
+    expected = ref_first_sloped_segment(f, pairs)
+    assert (None if seg is None else (seg.lo, seg.hi)) == expected

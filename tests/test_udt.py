@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,11 @@ def one_stage():
 @pytest.fixture(scope="module")
 def two_stages():
     return build_udt_lip1(fat_cantor_system(2), WITNESS, 2, collar=F(27, 64))
+
+
+def _digest(f):
+    """SHA-256 of the exact breakpoint/value pairs, as "x:v" joined by spaces."""
+    return hashlib.sha256(" ".join(f"{x}:{v}" for x, v in f.as_pairs()).encode()).hexdigest()
 
 
 def _assert_stage_flags(res):
@@ -45,6 +51,14 @@ class TestOneStage:
     def test_breakpoint_count(self, one_stage):
         assert [len(f.breakpoints) for f in one_stage.stages] == [448]
 
+    def test_stage_and_radius_digests(self, one_stage):
+        assert [_digest(f) for f in one_stage.stages] == [
+            "537c5ed27c2864f2c5ae9c41023a583681fd97b35a74ec4b52e0461eb610a435",
+        ]
+        assert [_digest(r) for r in one_stage.radii] == [
+            "83d7d9029946894ae4dd550418ea54375bee452db7d5d9d6dd9f7b195be01053",
+        ]
+
 
 class TestTwoStages:
     def test_stage_flags(self, two_stages):
@@ -56,6 +70,16 @@ class TestTwoStages:
 
     def test_breakpoint_counts(self, two_stages):
         assert [len(f.breakpoints) for f in two_stages.stages] == [30, 210]
+
+    def test_stage_and_radius_digests(self, two_stages):
+        assert [_digest(f) for f in two_stages.stages] == [
+            "bacf07cb9641da7ef4401c7cf9c0eb26e6a9a3c47b4fb36e10cfb4c0ab592b02",
+            "14874d7acb35db23bbbacf60571080b8ed4e7db28cde047806916d61fc76489c",
+        ]
+        assert [_digest(r) for r in two_stages.radii] == [
+            "82e9c5b6b182d8733d9cae58cd6fa02eb03d68bdd19d81b74034ee36d3bc3e65",
+            "6796beeef377941b54c8cf1e4d7e7f9837c137c7ed60bcf4cd2b5abc8d2aad89",
+        ]
 
     def test_persistence_detects_a_moved_stage(self, two_stages):
         f1, f2 = two_stages.stages
