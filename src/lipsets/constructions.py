@@ -8,7 +8,6 @@ reports with exact certificates.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,6 +29,7 @@ from .pcw import (
     build_signed_integral,
     first_sloped_segment,
     geometric_grid,
+    ramp_to,
 )
 
 
@@ -320,29 +320,22 @@ class SmallLipBlock:
 def small_lip_blocks(
     E: IntervalSet, epsilon: RationalLike, window: Interval
 ) -> list[SmallLipBlock]:
-    """ε-grid blocks of the window with their exact balance points.
+    """The ε-grid blocks of the window that carry E-mass, in order, with
+    their exact balance points.
 
-    Only the blocks that E's components overlap with positive length carry
-    mass; every other block is emitted at its midpoint without a query.
+    Block k is [kε, (k+1)ε] ∩ window; a component [lo, hi] of E inside the
+    window overlaps blocks floor(lo/ε) to ceil(hi/ε) - 1 with positive
+    length, and no other block has mass.
     """
     eps = rat(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    bounds = {window.lo, window.hi}
-    k = -(-window.lo // eps)  # smallest integer k with k*eps >= lo
-    while k * eps < window.hi:
-        if window.lo < k * eps:
-            bounds.add(k * eps)
-        k += 1
-    cuts = sorted(bounds)
-    loaded: set[int] = set()  # indices i of the blocks [cuts[i], cuts[i+1]] with mass
+    loaded: set[int] = set()
     for iv in E.clip(window):
-        loaded.update(range(bisect_right(cuts, iv.lo) - 1, bisect_left(cuts, iv.hi)))
+        loaded.update(range(iv.lo // eps, -(-iv.hi // eps)))
     blocks = []
-    for i, (a, b) in enumerate(zip(cuts, cuts[1:])):
-        if i not in loaded:
-            blocks.append(SmallLipBlock(a, b, (a + b) / 2, Fraction(0), Fraction(0)))
-            continue
+    for k in sorted(loaded):
+        a, b = max(window.lo, k * eps), min(window.hi, (k + 1) * eps)
         x = balance_point(E, a, b, 0, 0)
         blocks.append(SmallLipBlock(a, b, x, E.mass(a, x), E.mass(x, b)))
     return blocks
@@ -356,21 +349,17 @@ def build_small_lip(
     0 <= f <= ε exactly; slope +1 on the first half of each block's E-mass,
     -1 on the second half, 0 off E; f vanishes at block boundaries.
     """
-    eps = rat(epsilon)
-    blocks = small_lip_blocks(E, eps, window)
-    plus_parts, minus_parts = [], []
-    for blk in blocks:
-        if blk.left_mass > 0:
-            plus_parts.extend(
-                E.clip(Interval(blk.lo, blk.balance)).intervals
-            )
-        if blk.right_mass > 0:
-            minus_parts.extend(
-                E.clip(Interval(blk.balance, blk.hi)).intervals
-            )
-    plus = IntervalSet(plus_parts)
-    minus = IntervalSet(minus_parts)
-    return build_signed_integral(plus, minus, window.lo, window)
+    xs, vs = [window.lo], [Fraction(0)]
+    for blk in small_lip_blocks(E, epsilon, window):
+        if blk.lo > xs[-1]:
+            xs.append(blk.lo)
+            vs.append(Fraction(0))
+        ramp_to(xs, vs, E, Fraction(1), blk.balance)
+        ramp_to(xs, vs, E, Fraction(-1), blk.hi)
+    if window.hi > xs[-1]:
+        xs.append(window.hi)
+        vs.append(Fraction(0))
+    return PiecewiseLinear(xs, vs).simplify()
 
 
 # -- the lip-1 sum -------------------------------------------------------------------

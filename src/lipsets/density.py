@@ -157,9 +157,11 @@ def level_set(
     Structure used: points off E are never members (their small-radius ratio
     is 0), so E^{γ,δ} ⊆ E, and a point whose distance to the far end of its
     component is ≥ δ is always a member (that side's ratio is 1 at every
-    r ≤ δ).  Only the remaining middle zones are sampled, at spacing ≤
-    resolution, with exact membership tests; the margin is the largest
-    sampled cell, 0 when no sampling was needed.
+    r ≤ δ).  Only the remaining middle zone of a component [c0, c1],
+    [max(c0, c1-δ), min(c1, c0+δ)], is sampled, at spacing ≤ resolution,
+    with exact membership tests; it is one nondegenerate interval, empty
+    once c1 - c0 ≥ 2δ.  The margin is the largest sampled cell, 0 when no
+    sampling was needed.
     """
     gamma, delta, resolution = rat(gamma), rat(delta), rat(resolution)
     if resolution <= 0:
@@ -169,45 +171,28 @@ def level_set(
     pieces: list[Interval] = []
     margin = Fraction(0)
     for comp in E.clip(window):
-        c0, c1 = comp.lo, comp.hi
-        # right-stretch >= delta on [c0, c1-delta]; left-stretch on [c0+delta, c1]
-        sure: list[Interval] = []
-        if c1 - delta > c0:
-            sure.append(Interval(c0, c1 - delta))
-        if c0 + delta < c1:
-            sure.append(Interval(c0 + delta, c1))
-        covered = IntervalSet(sure) if sure else IntervalSet.empty()
-        if not covered.is_empty and covered.measure() == comp.length:
+        lo, hi = max(comp.lo, comp.hi - delta), min(comp.hi, comp.lo + delta)
+        if lo >= hi:
             pieces.append(comp)
             continue
-        pieces.extend(covered.intervals)
-        gaps = (
-            covered.complement_within(comp)
-            if not covered.is_empty
-            else IntervalSet([comp], allow_degenerate=True)
-        )
-        for gap in gaps:
-            if gap.is_degenerate:
-                grid = [gap.lo]
-                member = [level_set_membership(E, gap.lo, gamma, delta).member]
-                if member[0]:
-                    pieces.append(Interval.point(gap.lo))
-                continue
-            n_cells = max(1, -(-(gap.length) // resolution))
-            step = gap.length / n_cells
-            grid = [gap.lo + i * step for i in range(int(n_cells) + 1)]
-            member = [
-                level_set_membership(E, p, gamma, delta).member for p in grid
-            ]
-            margin = max(margin, step)
-            for i in range(len(grid) - 1):
-                if member[i] and member[i + 1]:
-                    pieces.append(Interval(grid[i], grid[i + 1]))
-            for i, p in enumerate(grid):
-                if member[i] and not (
-                    (i > 0 and member[i - 1]) or (i + 1 < len(member) and member[i + 1])
-                ):
-                    pieces.append(Interval.point(p))
+        # right-stretch >= delta on [c0, lo]; left-stretch on [hi, c1]
+        if comp.lo < lo:
+            pieces.append(Interval(comp.lo, lo))
+        if hi < comp.hi:
+            pieces.append(Interval(hi, comp.hi))
+        n_cells = max(1, -(-(hi - lo) // resolution))
+        step = (hi - lo) / n_cells
+        grid = [lo + i * step for i in range(n_cells + 1)]
+        member = [level_set_membership(E, p, gamma, delta).member for p in grid]
+        margin = max(margin, step)
+        for i in range(len(grid) - 1):
+            if member[i] and member[i + 1]:
+                pieces.append(Interval(grid[i], grid[i + 1]))
+        for i, p in enumerate(grid):
+            if member[i] and not (
+                (i > 0 and member[i - 1]) or (i + 1 < len(member) and member[i + 1])
+            ):
+                pieces.append(Interval.point(p))
     approx = IntervalSet(pieces, allow_degenerate=True)
     return LevelSetResult(approx, margin, gamma, delta, window)
 
@@ -247,8 +232,13 @@ def _sided_max(E, x, r):
     return right, RIGHT
 
 
+def _centered(E, x, r):
+    return centered_ratio(E, x, r), BOTH
+
+
 def _strict_witness(E, x, eps, threshold, value_at):
-    """Exact r ∈ (0, eps) with value_at(r) > threshold, or None.
+    """(r, best): r ∈ (0, eps) with value_at(r) > threshold, or None, and
+    best, the first candidate radius at which value_at is largest.
 
     value_at must be piecewise of the form c/r + b between consecutive
     candidate radii; the sup over (0, eps] is attained at a candidate, and a
@@ -261,53 +251,82 @@ def _strict_witness(E, x, eps, threshold, value_at):
         v = value_at(r)
         if best_v is None or v > best_v:
             best_r, best_v = r, v
-    if best_v is None or best_v <= threshold:
-        return None
+    if best_v <= threshold:
+        return None, best_r
     if best_r < eps:
-        return best_r
+        return best_r, best_r
     # sup only at the open right end: value_at is continuous there, so some
     # r slightly inside still exceeds the threshold; bisect toward eps.
     inner = [r for r in cands if r < eps]
     lo = inner[-1] if inner else eps / 2
     if value_at(lo) > threshold:
-        return lo
+        return lo, best_r
     step = eps - lo
     for _ in range(64):
         step /= 2
         r = eps - step
         if value_at(r) > threshold:
-            return r
-    return None
+            return r, best_r
+    return None, best_r
+
+
+def _weak_report(E, x, epsilon, ratio_and_side) -> DensityReport:
+    """Holds with the witness radius of _strict_witness, else fails at the
+    candidate radius with the largest ratio; ratio_and_side(E, x, r)."""
+    x, eps = rat(x), rat(epsilon)
+    if not (0 < eps < 1):
+        raise ValueError("epsilon must be in (0,1)")
+    r, best = _strict_witness(
+        E, x, eps, 1 - eps, lambda rr: ratio_and_side(E, x, rr)[0]
+    )
+    verdict, r = (FAILS, best) if r is None else (HOLDS, r)
+    value, side = ratio_and_side(E, x, r)
+    return DensityReport(x, verdict, r, value, side)
 
 
 def check_weakly_dense_at(E: IntervalSet, x: RationalLike, epsilon: RationalLike) -> DensityReport:
     """Is there r ∈ (0, ε) with max one-sided ratio > 1 - ε?  Exact."""
-    x, eps = rat(x), rat(epsilon)
-    if not (0 < eps < 1):
-        raise ValueError("epsilon must be in (0,1)")
-    r = _strict_witness(E, x, eps, 1 - eps, lambda rr: _sided_max(E, x, rr)[0])
-    if r is not None:
-        value, side = _sided_max(E, x, r)
-        return DensityReport(x, HOLDS, r, value, side)
-    cands = _endpoint_distances(E, x, eps) + [eps]
-    best = max(cands, key=lambda rr: _sided_max(E, x, rr)[0])
-    value, side = _sided_max(E, x, best)
-    return DensityReport(x, FAILS, best, value, side)
+    return _weak_report(E, x, epsilon, _sided_max)
 
 
 def check_weakly_center_dense_at(
     E: IntervalSet, x: RationalLike, epsilon: RationalLike
 ) -> DensityReport:
     """Same as check_weakly_dense_at but for intervals centered at x."""
-    x, eps = rat(x), rat(epsilon)
-    if not (0 < eps < 1):
-        raise ValueError("epsilon must be in (0,1)")
-    r = _strict_witness(E, x, eps, 1 - eps, lambda rr: centered_ratio(E, x, rr))
-    if r is not None:
-        return DensityReport(x, HOLDS, r, centered_ratio(E, x, r), BOTH)
-    cands = _endpoint_distances(E, x, eps) + [eps]
-    best = max(cands, key=lambda rr: centered_ratio(E, x, rr))
-    return DensityReport(x, FAILS, best, centered_ratio(E, x, best), BOTH)
+    return _weak_report(E, x, epsilon, _centered)
+
+
+def _grid_report(E, x, r_grid, tolerance, row_at) -> DensityReport:
+    """Rows row_at(E, x, r) = (row, ratio) along a strictly descending grid
+    of positive radii; holds-at-scale when the worst ratio is >= 1 - tolerance,
+    and the worst radius (the first on ties) is reported."""
+    x, tol = rat(x), rat(tolerance)
+    grid = [rat(r) for r in r_grid]
+    if not grid or any(r <= 0 for r in grid):
+        raise ValueError("grid must be positive")
+    if any(a <= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly descending")
+    rows = []
+    worst = None
+    for r in grid:
+        row, ratio = row_at(E, x, r)
+        rows.append(row)
+        if worst is None or ratio < worst[1]:
+            worst = (r, ratio)
+    verdict = HOLDS_AT_SCALE if worst[1] >= 1 - tol else FAILS
+    return DensityReport(x, verdict, worst[0], worst[1], None, tuple(rows))
+
+
+def _one_sided_row(E, x, r):
+    left = one_sided_ratio(E, x, r, LEFT)
+    right = one_sided_ratio(E, x, r, RIGHT)
+    m = max(left, right)
+    return (r, left, right, m), m
+
+
+def _worst_window_row(E, x, r):
+    ratio, t = worst_window_ratio(E, x, r)
+    return (r, ratio, t), ratio
 
 
 def check_strongly_one_sided_dense_at(
@@ -321,24 +340,7 @@ def check_strongly_one_sided_dense_at(
     A finite-scale check, not a limit claim: the verdict is holds-at-scale
     when every grid radius achieves ratio >= 1 - tolerance.
     """
-    x, tol = rat(x), rat(tolerance)
-    grid = [rat(r) for r in r_grid]
-    if not grid or any(r <= 0 for r in grid):
-        raise ValueError("grid must be positive")
-    if any(a <= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly descending")
-    rows = []
-    worst = None
-    for r in grid:
-        left = one_sided_ratio(E, x, r, LEFT)
-        right = one_sided_ratio(E, x, r, RIGHT)
-        m = max(left, right)
-        rows.append((r, left, right, m))
-        if worst is None or m < worst[1]:
-            worst = (r, m)
-    verdict = HOLDS_AT_SCALE if worst[1] >= 1 - tol else FAILS
-    side = None
-    return DensityReport(x, verdict, worst[0], worst[1], side, tuple(rows))
+    return _grid_report(E, x, r_grid, tolerance, _one_sided_row)
 
 
 def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tuple[Fraction, Fraction]:
@@ -367,20 +369,9 @@ def check_strongly_dense_at(
     r_grid: Sequence[RationalLike],
     tolerance: RationalLike = Fraction(1, 16),
 ) -> DensityReport:
-    """Worst-window density at each grid radius (Lebesgue density at scale)."""
-    x, tol = rat(x), rat(tolerance)
-    grid = [rat(r) for r in r_grid]
-    if not grid or any(r <= 0 for r in grid):
-        raise ValueError("grid must be positive")
-    rows = []
-    worst = None
-    for r in grid:
-        ratio, t = worst_window_ratio(E, x, r)
-        rows.append((r, ratio, t))
-        if worst is None or ratio < worst[1]:
-            worst = (r, ratio, t)
-    verdict = HOLDS_AT_SCALE if worst[1] >= 1 - tol else FAILS
-    return DensityReport(x, verdict, worst[0], worst[1], None, tuple(rows))
+    """Worst-window density at each radius of a strictly descending grid
+    (Lebesgue density at scale)."""
+    return _grid_report(E, x, r_grid, tolerance, _worst_window_row)
 
 
 # -- UDT witnesses -------------------------------------------------------------

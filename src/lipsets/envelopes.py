@@ -3,10 +3,12 @@
 envelope_refine replaces a monotone function by a (1-δ)-slope zigzag with the
 same block increments, strictly inside an envelope; envelope_flatten rebuilds
 a function so that it is exactly flat on a closed set H while keeping its
-endpoint values and a (1-δ) contraction against φ.  Both operate on an active
-compact segment and leave the function untouched (hence already flat where it
-needs to be) outside it; both verify their preconditions exactly and raise
-with an exact witness instead of assuming them.
+endpoint values and a (1-δ) contraction against the cumulative measure
+Φ(x) = |E ∩ (-∞, x]|.  Both operate on an active compact segment and leave
+the function untouched (hence already flat where it needs to be) outside it;
+both verify their preconditions exactly and raise with an exact witness
+instead of assuming them.  Both read Φ from E's own mass index, and both
+build their new pieces with `pcw.ramp_to`.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ from typing import Optional
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 from .constructions import balance_point
-from .pcw import (
-    PiecewiseLinear,
-    build_phi,
-    first_sloped_segment,
-    merged_breakpoints,
-    monotone_runs,
-    pl_min,
-)
+from .pcw import PiecewiseLinear, first_sloped_segment, monotone_runs, pl_min, ramp_to
 
 
 class PreconditionError(ValueError):
@@ -60,11 +55,14 @@ class Envelope:
     def admits(self, f: PiecewiseLinear) -> bool:
         return self.lower.le(f) and f.le(self.upper)
 
+    def margin(self, f: PiecewiseLinear) -> PiecewiseLinear:
+        """min(f - lower, upper - f) on the whole domain."""
+        return pl_min(f - self.lower, self.upper - f)
+
     def min_margin_on(self, f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact min over [lo, hi] of min(f - lower, upper - f)."""
-        low = (f - self.lower).restrict(lo, hi)
-        up = (self.upper - f).restrict(lo, hi)
-        return min(low.min_value(), up.min_value())
+        f, lower, upper = (g.restrict(lo, hi) for g in (f, self.lower, self.upper))
+        return min((f - lower).min_value(), (upper - f).min_value())
 
 
 @dataclass(frozen=True)
@@ -96,31 +94,31 @@ class Vicinity:
 
 
 def verify_contraction(
-    f: PiecewiseLinear, phi: PiecewiseLinear, factor: Fraction
+    f: PiecewiseLinear, E: IntervalSet, factor: Fraction
 ) -> Optional[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Exact check of |f(x)-f(y)| <= factor*|φ(x)-φ(y)| for all x, y.
+    """Exact check of |f(x)-f(y)| <= factor*|E ∩ [x, y]| for all x <= y.
 
-    Equivalent (φ nondecreasing) to the per-segment slope condition on the
-    breakpoint union.  Returns None when it holds, else a witness segment
-    (a, b, |Δf|, factor*Δφ)."""
-    xs = merged_breakpoints(f, phi)  # domains may differ
-    fs, ps = f.at(xs), phi.at(xs)
+    Equivalent to the same bound on each segment between consecutive points
+    of f's breakpoints and E's endpoints in f's domain (f is linear there
+    and E has constant density 0 or 1; f is constant off its domain).
+    Returns None when it holds, else a witness segment
+    (a, b, |Δf|, factor*|E ∩ [a, b]|)."""
+    xs = sorted({*f.breakpoints, *E.endpoints_in(f.domain.lo, f.domain.hi)})
+    fs, cum = f.at(xs), [E.cumulative(x) for x in xs]
     for k in range(1, len(xs)):
         df = abs(fs[k] - fs[k - 1])
-        dphi = ps[k] - ps[k - 1]
-        if dphi < 0:
-            raise ValueError("phi must be nondecreasing")
-        if df > factor * dphi:
-            return (xs[k - 1], xs[k], df, factor * dphi)
+        allowed = factor * (cum[k] - cum[k - 1])  # E.mass(xs[k - 1], xs[k])
+        if df > allowed:
+            return (xs[k - 1], xs[k], df, allowed)
     return None
 
 
-def _auto_segment(f: PiecewiseLinear, env: Envelope) -> tuple[Fraction, Fraction]:
-    lo, hi = f.domain.lo, f.domain.hi
+def _auto_segment(margin: PiecewiseLinear) -> tuple[Fraction, Fraction]:
+    lo, hi = margin.domain.lo, margin.domain.hi
     length = hi - lo
     for k in [64, 32, 16, 8, 4, 3]:
         c, d = lo + length / k, hi - length / k
-        if c < d and env.min_margin_on(f, c, d) > 0:
+        if c < d and margin.restrict(c, d).min_value() > 0:
             return c, d
     raise PreconditionError("no active segment with strict envelope margins")
 
@@ -180,14 +178,13 @@ def envelope_refine(
     epsilon: RationalLike,
     delta: RationalLike,
     segment: Optional[tuple[RationalLike, RationalLike]] = None,
-    phi: Optional[PiecewiseLinear] = None,
     division: str = "uniform",
     require_monotone: bool = True,
 ) -> RefineResult:
     """Zigzag refinement of f inside an envelope.
 
     On the active segment [c, d] the result g satisfies g(c) = f(c),
-    g(d) = f(d), g = K ± (1-δ)φ on each of 2n monotone pieces, and the
+    g(d) = f(d), g = K ± (1-δ)Φ on each of 2n monotone pieces, and the
     interior division points solve the exact balance equation
     (1-δ)(|E∩[c_{2i-2},c_{2i-1}]| - |E∩[c_{2i-1},c_{2i}]|) = f(c_{2i}) - f(c_{2i-2}).
     Outside the segment g = f.
@@ -216,15 +213,14 @@ def envelope_refine(
         raise ValueError("envelope domain mismatch")
     if not env.admits(f):
         raise PreconditionError("f is not inside the envelope")
-    if phi is None:
-        phi = build_phi(E, lo, f.domain)
-    witness = verify_contraction(f, phi, 1 - eps)
+    witness = verify_contraction(f, E, 1 - eps)
     if witness is not None:
         raise PreconditionError(
-            "increment precondition |Δf| <= (1-ε)|Δφ| fails", witness
+            "increment precondition |Δf| <= (1-ε)|E ∩ Δ| fails", witness
         )
+    margin = env.margin(f)
     if segment is None:
-        c, d = _auto_segment(f, env)
+        c, d = _auto_segment(margin)
     else:
         c, d = rat(segment[0]), rat(segment[1])
         if not (lo < c < d < hi):
@@ -236,7 +232,7 @@ def envelope_refine(
             raise PreconditionError(
                 "f is not monotone on the active segment", (a, m, b)
             )
-    gamma = env.min_margin_on(f, c, d)
+    gamma = margin.restrict(c, d).min_value()
     if gamma <= 0:
         raise PreconditionError("envelope is not strict on the segment")
     if division == "uniform":
@@ -249,7 +245,6 @@ def envelope_refine(
         step = (d - c) / n
         evens = [c + i * step for i in range(n + 1)]
     elif division == "adaptive":
-        margin = pl_min(f - env.lower, env.upper - f)
         evens = _adaptive_block_bounds(margin, c, d)
         n = len(evens) - 1
     else:
@@ -258,20 +253,12 @@ def envelope_refine(
     division: list[Fraction] = [evens[0]]
     xs: list[Fraction] = [c]
     vs: list[Fraction] = [f(c)]
-
-    def extend(a: Fraction, b: Fraction, sign: int):
-        base_x, base_v = xs[-1], vs[-1]
-        pts = [p for p in phi.breakpoints_in(a, b) if a < p < b] + [b]
-        for p in sorted(set(pts)):
-            xs.append(p)
-            vs.append(base_v + sign * (1 - delta) * (phi(p) - phi(a)))
-
     for a, b in zip(evens, evens[1:]):
         target = f(b) - f(a)
         mid = balance_point(E, a, b, target, delta)
         division.extend([mid, b])
-        extend(a, mid, +1)
-        extend(mid, b, -1)
+        ramp_to(xs, vs, E, 1 - delta, mid)
+        ramp_to(xs, vs, E, delta - 1, b)
 
     zig = PiecewiseLinear(xs, vs)
     assert zig(d) == f(d), "telescoping failure"
@@ -311,10 +298,9 @@ def envelope_flatten(
     epsilon: RationalLike,
     delta: RationalLike,
     segment: Optional[tuple[RationalLike, RationalLike]] = None,
-    phi: Optional[PiecewiseLinear] = None,
 ) -> FlattenResult:
     """Rebuild f with slope exactly 0 on H, same endpoint values, and the
-    (1-δ) contraction |g(x)-g(y)| <= (1-δ)|φ(x)-φ(y)|.
+    (1-δ) contraction |g(x)-g(y)| <= (1-δ)|E ∩ [x, y]|.
 
     The active segment is cut into cells on which f is linear with
     oscillation at most half the envelope margin; within each cell the
@@ -335,15 +321,14 @@ def envelope_flatten(
                                H.intersect(E))
     if not env.admits(f):
         raise PreconditionError("f is not inside the envelope")
-    if phi is None:
-        phi = build_phi(E, lo, f.domain)
-    witness = verify_contraction(f, phi, 1 - eps)
+    witness = verify_contraction(f, E, 1 - eps)
     if witness is not None:
         raise PreconditionError(
-            "increment precondition |Δf| <= (1-ε)|Δφ| fails", witness
+            "increment precondition |Δf| <= (1-ε)|E ∩ Δ| fails", witness
         )
+    margin = env.margin(f)
     if segment is None:
-        c, d = _auto_segment(f, env)
+        c, d = _auto_segment(margin)
     else:
         c, d = rat(segment[0]), rat(segment[1])
         if not (lo <= c < d <= hi):
@@ -366,13 +351,11 @@ def envelope_flatten(
         return FlattenResult(f, (c, d), Fraction(0), (), total,
                              (1 - eps) * total, eps, delta)
 
-    gamma_seg = env.min_margin_on(f, c, d)
-    if gamma_seg <= 0:
+    if margin.restrict(c, d).min_value() <= 0:
         raise PreconditionError("envelope is not strict on the segment")
 
     # cells: f linear on each, short enough for the ramp (amplitude <= the
     # cell's f-oscillation) to stay inside the locally available margin
-    margin = pl_min(f - env.lower, env.upper - f)
     m_slope = max([abs(s) for s in margin.slopes()] + [Fraction(0)])
     bounds = sorted({c, d} | {b for b in f.breakpoints if c < b < d})
     cells: list[tuple[Fraction, Fraction]] = []
@@ -404,7 +387,7 @@ def envelope_flatten(
             flat_until(q)
             continue
         scale = rise_cell / cell_mass  # |scale| <= 1-ε < 1-δ by contraction
-        sign = 1 if scale >= 0 else -1
+        ramp_slope = (1 - delta) if scale >= 0 else (delta - 1)
         h_in = H.clip(cell_iv)
         contiguous = (
             h_in.complement_within(cell_iv)
@@ -425,18 +408,14 @@ def envelope_flatten(
             v = E.locate(E.cumulative(comp.hi) - eta, rightmost=True)
             assert u < v
             flat_until(u)
-            for point in [z for z in phi.breakpoints_in(u, v) if u < z < v] + [v]:
-                prev = xs[-1]
-                base = vs[-1]
-                xs.append(point)
-                vs.append(base + sign * (1 - delta) * (phi(point) - phi(prev)))
+            ramp_to(xs, vs, E, ramp_slope, v)
             flat_until(comp.hi)
             comps.append(FlattenComponent(comp.lo, comp.hi, mass, rise, u, v))
         flat_until(q)
         assert vs[-1] == f(q), "cell endpoint mismatch"
 
     g = f.splice([PiecewiseLinear(xs, vs)])
-    post = verify_contraction(g, phi, 1 - delta)
+    post = verify_contraction(g, E, 1 - delta)
     if post is not None:
         raise AssertionError(f"flatten violated its own contraction: {post}")
     if env.min_margin_on(g, c, d) <= 0:

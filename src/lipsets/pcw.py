@@ -10,7 +10,10 @@ functions through it on sorted points (for two functions, on their
 `merged_breakpoints`), in one forward pass per function.
 `PiecewiseLinear.splice` is the only glue: it replaces a function on the
 domains of given pieces.  `first_sloped_segment` is the only check of slopes
-against a set.
+against a set.  `ramp_to` is the only ramp: it integrates slope·1_E from the
+last point of a breakpoint list, reading E's cumulative measure
+(`IntervalSet.cumulative`), and builds the refine and flatten zigzags and the
+small-lip sawtooth.
 """
 
 from __future__ import annotations
@@ -329,6 +332,22 @@ def build_signed_integral(
         run -= seg_slope(bps[i - 1], bps[i]) * (bps[i] - bps[i - 1])
         vals[i - 1] = run
     return PiecewiseLinear(bps, [vals[i] for i in range(len(bps))]).simplify()
+
+
+def ramp_to(
+    xs: list[Fraction], vs: list[Fraction], E: IntervalSet, slope: Fraction, b: Fraction
+) -> None:
+    """Extend the breakpoints xs and values vs from their last point (x0, v0)
+    to b > x0 with v0 + slope·|E ∩ [x0, p]|, at every endpoint p of E
+    strictly inside (x0, b) and then at b: slope on E, 0 off E."""
+    x0, v0 = xs[-1], vs[-1]
+    base = E.cumulative(x0)  # |E ∩ [x0, p]| = Φ(p) - Φ(x0)
+    for p in E.endpoints_in(x0, b):
+        if xs[-1] < p < b:  # a degenerate component gives p twice
+            xs.append(p)
+            vs.append(v0 + slope * (E.cumulative(p) - base))
+    xs.append(b)
+    vs.append(v0 + slope * (E.cumulative(b) - base))
 
 
 def build_phi(

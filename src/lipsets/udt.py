@@ -6,7 +6,7 @@ a target interval set standing in for E = ∩ G_n, and a witness prefix
 
   (i)    slope exactly 0 on F_n,
   (ii)   f_m = f_n exactly on F_n for m >= n,
-  (iii)  |f_n(x)-f_n(y)| <= (1 - 2^-3n)|φ(x)-φ(y)| exactly,
+  (iii)  |f_n(x)-f_n(y)| <= (1 - 2^-3n)|E ∩ [x, y]| exactly,
   (iv)   witness pairs (x, y) with |x-y| <= δ_n and ratio > (1-2^-2n)γ_n at
          sampled points of the level set inside the active regions,
   (v)    a piecewise-linear vicinity radius r_n <= min{2^-n, quadratic-margin
@@ -39,7 +39,7 @@ from .envelopes import (
     envelope_refine,
     verify_contraction,
 )
-from .pcw import PiecewiseLinear, build_phi, first_sloped_segment, monotone_runs, pl_max, pl_min
+from .pcw import PiecewiseLinear, first_sloped_segment, monotone_runs, pl_max, pl_min
 
 
 class WitnessSearchError(RuntimeError):
@@ -287,15 +287,14 @@ class UdtBuildResult:
 
 
 def _case_split_candidates(
-    f: PiecewiseLinear,
+    runs: Sequence[tuple[Fraction, Fraction]],
     x: Fraction,
     delta_n: Fraction,
-    region: tuple[Fraction, Fraction],
 ) -> list[Fraction]:
     """The proof's prescribed witness candidates x ± δ*, x ± 100 δ* with
-    δ* = (1/101) min{c - e, d - c, δ_n} from the monotone-run structure
-    around x, mirrored when x sits in the right half of its run."""
-    runs = monotone_runs(f, region[0], region[1])
+    δ* = (1/101) min{c - e, d - c, δ_n} from the monotone runs of f on its
+    region, around x, mirrored when x sits in the right half of its run."""
+    region = (runs[0][0], runs[-1][1])
     idx = next((i for i, (a, b) in enumerate(runs) if a <= x <= b), None)
     if idx is None:
         return []
@@ -331,18 +330,19 @@ def stage_witness_search(
     E: IntervalSet,
     x: Fraction,
     delta_n: Fraction,
-    region: tuple[Fraction, Fraction],
+    runs: Sequence[tuple[Fraction, Fraction]],
     target: Fraction,
 ) -> tuple[Optional[Fraction], Fraction]:
     """Witness y with |f(x)-f(y)|/|x-y| > target, 0 < |x-y| <= δ_n, y in the
-    region.
+    region: the hull of runs, the monotone runs of f on it
+    (`pcw.monotone_runs`).
 
     The proof's case-split candidates are tried first (max ratio, ties to
     the smaller |x-y|); if none beats the target, fall back to the exact
     maximizer over all breakpoint/endpoint candidates (the sup over y is
     attained there for piecewise-linear f)."""
-    lo = max(region[0], x - delta_n)
-    hi = min(region[1], x + delta_n)
+    lo = max(runs[0][0], x - delta_n)
+    hi = min(runs[-1][1], x + delta_n)
 
     def best_of(cands):
         fx = f(x)
@@ -360,15 +360,10 @@ def stage_witness_search(
                 best_ratio, best_y = ratio, y
         return best_y, best_ratio
 
-    y, ratio = best_of(_case_split_candidates(f, x, delta_n, region))
+    y, ratio = best_of(_case_split_candidates(runs, x, delta_n))
     if y is not None and ratio > target:
         return y, ratio
-    full = set(f.breakpoints_in(lo, hi))
-    full.update([lo, hi])
-    for e in E.endpoints():
-        if lo <= e <= hi:
-            full.add(e)
-    return best_of(full)
+    return best_of([lo, hi, *f.breakpoints_in(lo, hi), *E.endpoints_in(lo, hi)])
 
 
 def _sample_level_points(
@@ -428,7 +423,6 @@ def build_udt_lip1(
         raise ValueError("witness exhausted: need a prefix of length >= stages")
     E = system.target
     window = system.window
-    phi = build_phi(E, window.lo, window)
     rng = random.Random(seed)
 
     f_prev = PiecewiseLinear.constant(0, window)
@@ -488,8 +482,7 @@ def build_udt_lip1(
                     tube_hi.restrict(region.lo, region.hi),
                 )
                 res = envelope_flatten(
-                    f_loc, env_loc, E, h_loc, eps_prev, delta_prime,
-                    segment=(c0, d0), phi=phi,
+                    f_loc, env_loc, E, h_loc, eps_prev, delta_prime, segment=(c0, d0)
                 )
                 flattened.append(res.function)
             f_star = f_prev.splice(flattened)
@@ -530,7 +523,7 @@ def build_udt_lip1(
             # increment precondition, which envelope_refine still verifies
             res = envelope_refine(
                 f_loc, env_loc, E, eps_contract, delta_stage,
-                segment=(c0, d0), phi=phi, division="adaptive",
+                segment=(c0, d0), division="adaptive",
                 require_monotone=False,
             )
             refined.append(res.function)
@@ -540,7 +533,7 @@ def build_udt_lip1(
 
         # ---- diagnostics: (i) and (iii) ----
         factor = 1 - delta_stage
-        contraction_ok = verify_contraction(f_n, phi, factor) is None
+        contraction_ok = verify_contraction(f_n, E, factor) is None
         flat_ok = first_sloped_segment(f_n, F_n) is None
 
         # ---- (iv): witness search at sampled level-set points ----
@@ -548,19 +541,20 @@ def build_udt_lip1(
         failures: list[tuple[Fraction, Fraction]] = []
         stage_target = (1 - Fraction(1, 2 ** (2 * n))) * gamma_n
         tail_target = (1 - Fraction(1, 2 ** n)) * gamma_n
-        regions_n = [
-            (reg.lo, reg.hi) for reg in system.complement(n) if not reg.is_degenerate
-        ]
+        regions_n = [reg for reg in system.complement(n) if not reg.is_degenerate]
+        runs_of: dict[Interval, list[tuple[Fraction, Fraction]]] = {}
         samples = _sample_level_points(
             E, gamma_n, delta_n, active, samples_per_stage, rng
         )
         for x in samples:
-            region = next(
-                (r for r in regions_n if r[0] <= x <= r[1]), None
-            )
+            region = next((r for r in regions_n if r.contains(x)), None)
             if region is None:
                 continue
-            y, ratio = stage_witness_search(f_n, E, x, delta_n, region, stage_target)
+            if region not in runs_of:
+                runs_of[region] = monotone_runs(f_n, region.lo, region.hi)
+            y, ratio = stage_witness_search(
+                f_n, E, x, delta_n, runs_of[region], stage_target
+            )
             if y is not None and ratio > stage_target:
                 witnesses.append(
                     WitnessRecord(n, x, y, ratio, stage_target, tail_target)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,7 @@ from lipsets.constructions import (
 )
 from lipsets.density import FAILS, HOLDS
 from lipsets.pcw import (
+    build_signed_integral,
     check_increment_bound,
     local_lip_exact,
     m_ratio,
@@ -315,7 +318,8 @@ class TestSmallLip:
 
 
 def _blocks_by_walk(E, eps, window):
-    """Every ε-grid block of the window, each with its own mass query."""
+    """Every ε-grid block of the window with positive mass, each found by
+    its own mass query."""
     k = -(-window.lo // eps)
     inner = []
     while k * eps < window.hi:
@@ -325,9 +329,7 @@ def _blocks_by_walk(E, eps, window):
     cuts = [window.lo] + inner + [window.hi]
     out = []
     for a, b in zip(cuts, cuts[1:]):
-        if E.mass(a, b) == 0:
-            out.append(SmallLipBlock(a, b, (a + b) / 2, F(0), F(0)))
-        else:
+        if E.mass(a, b) > 0:
             x = balance_point(E, a, b, 0, 0)
             out.append(SmallLipBlock(a, b, x, E.mass(a, x), E.mass(x, b)))
     return out
@@ -349,7 +351,8 @@ class TestSmallLipBlocks:
         eps = F(1, 2 ** 10)
         blocks = small_lip_blocks(E, eps, W)
         assert blocks == _blocks_by_walk(E, eps, W)
-        assert len(blocks) == 3 * 2 ** 10
+        # the three components meet 1, 43 and 71 of the 3 * 2^10 blocks
+        assert len(blocks) == 1 + 43 + 71
         assert sum(b.left_mass + b.right_mass for b in blocks) == E.measure()
 
 
@@ -404,3 +407,105 @@ class TestLip1Sum:
         assert shards[0] == iset((0, 1), (2, 3))
         with pytest.raises(ValueError):
             split_into_bounded_shards(iset((0, 10)), 5)
+
+
+def _small_lip_by_signed_integral(E, eps, window):
+    """The sawtooth as ∫(1_{E+} - 1_{E-}): E+ and E- clipped from E on the
+    two halves of every block, then integrated from the window's left end."""
+    plus, minus = [], []
+    for blk in small_lip_blocks(E, eps, window):
+        plus.extend(E.clip(Interval(blk.lo, blk.balance)).intervals)
+        minus.extend(E.clip(Interval(blk.balance, blk.hi)).intervals)
+    return build_signed_integral(IntervalSet(plus), IntervalSet(minus), window.lo, window)
+
+
+class TestSmallLipRamp:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dyadic_sets(),
+        st.sampled_from([F(1, 4), F(1, 3), F(1, 2), 1, F(1, 2 ** 6)]),
+        st.sampled_from([W01, W, Interval(F(-1, 3), F(4, 3)), Interval(F(1, 4), F(5, 8))]),
+    )
+    def test_equals_signed_integral(self, E, eps, window):
+        f = build_small_lip(E, eps, window)
+        assert f.as_pairs() == _small_lip_by_signed_integral(E, eps, window).as_pairs()
+
+    def test_degenerate_component_inside_a_ramp(self):
+        # {3/8} carries no mass: the ramp passes it without a breakpoint
+        E = IntervalSet.from_pairs([(0, F(1, 4)), (F(3, 8), F(3, 8)), (F(1, 2), 1)],
+                                   allow_degenerate=True)
+        f = build_small_lip(E, 1, W01)
+        assert f.as_pairs() == ((0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)),
+                                (F(5, 8), F(3, 8)), (1, 0))
+
+
+# -- SHA-256 pins of the lip1-builds benchmark inputs (seed 301) ----------------------
+
+
+def _digest(f):
+    """SHA-256 of the exact breakpoint/value pairs, as "x:v" joined by spaces."""
+    return hashlib.sha256(" ".join(f"{x}:{v}" for x, v in f.as_pairs()).encode()).hexdigest()
+
+
+def _random_set(rng, n):
+    """n components, one per cell of [0, 1], each half its cell long at a
+    random offset in the cell's middle half, endpoints on the 2^-16 grid."""
+    units = 2 ** 16
+    pairs = []
+    for k in range(n):
+        lo, hi = k * units // n, (k + 1) * units // n
+        p = lo + (hi - lo) // 8 + rng.randrange((hi - lo) // 4)
+        pairs.append((F(p, units), F(p + (hi - lo) // 2, units)))
+    return IntervalSet.from_pairs(pairs)
+
+
+def _sharded_set(rng, per_shard, narrow):
+    """4 shards of per_shard components; shard k starts at k/4 and spans
+    3/16, or with narrow shard 2 ends 2^-12 before shard 3."""
+    pairs = []
+    for k in range(4):
+        span = F(1, 4) - F(1, 2 ** 12) if narrow and k == 1 else F(3, 16)
+        cell = span / per_shard
+        for i in range(per_shard):
+            offset = 0 if i == 0 else F(1, 2) if i == per_shard - 1 else F(rng.randrange(1, 2 ** 11), 2 ** 12)
+            lo = F(k, 4) + cell * (i + offset)
+            pairs.append((lo, lo + cell / 2))
+    return IntervalSet.from_pairs(pairs)
+
+
+@pytest.fixture(scope="module")
+def lip1_inputs():
+    """The sets of the lip1-builds benchmark workload at seed 301, drawn in
+    its order: five sawtooth sets, then the two sharded sums."""
+    rng = random.Random(301)
+    saws = [(_random_set(rng, n), eps) for n, eps in
+            [(10, F(1, 16)), (20, F(1, 32)), (40, F(1, 32)), (70, F(1, 64)), (100, F(1, 64))]]
+    sums = [_sharded_set(rng, 4, False), _sharded_set(rng, 8, True)]
+    return saws, sums
+
+
+class TestLip1BuildPins:
+    # digests of the outputs before the sawtooth was built with pcw.ramp_to
+    def test_small_lip_digests(self, lip1_inputs):
+        saws, _ = lip1_inputs
+        assert [_digest(build_small_lip(E, eps, W01)) for E, eps in saws] == SAW_DIGESTS
+
+    def test_lip1_sum_digests(self, lip1_inputs):
+        _, sums = lip1_inputs
+        results = [build_lip1_sum(split_into_bounded_shards(E, F(1, 4)), W01) for E in sums]
+        assert [_digest(res.function) for res in results] == SUM_DIGESTS
+        # ε_n = 2^-n min(1, gap): gaps 1/16, 2^-12 and 1/16 between the shards
+        assert [p.epsilon for p in results[1].parts] == [1, F(1, 64), F(1, 2 ** 15), F(1, 256)]
+
+
+SAW_DIGESTS = [
+    "ecf8a68c27d36d3c211719f2d6dd795cda789e27c9b423d90b8fee4006b13b47",
+    "9db779a4f28f0f793ebf4bda531ba4e910da2090acffa8380f13c6106df74640",
+    "a1a4043232cbb82012d2121986435626096e12ddc75889611d506a151a44a1ba",
+    "b6e2e756505f12c10b8f843ebcee81f78894485740e377569df3e480983f624d",
+    "a80f13e0970669b1ee6a4137bd9d7998100efdeb22fd1791a711278d82aa3842",
+]
+SUM_DIGESTS = [
+    "84ac1a9ef667ce3ff5a626d8971538904209a83351eccd289cbdc74a159cfeeb",
+    "a81dd456d3e60d332929b359f2f959ffb6228b37c6156baaa334114cab9afe40",
+]

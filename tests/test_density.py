@@ -257,6 +257,35 @@ class TestLevelSet:
         with pytest.raises(ValueError):
             level_set(iset((0, 1)), F(1, 2), F(1, 4), Interval.point(0), F(1, 16))
 
+    @pytest.mark.parametrize("length, zone", [
+        (F(1, 24), (F(0), F(1, 24))),  # below δ: the whole component
+        (F(1, 16), (F(0), F(1, 16))),  # δ
+        (F(3, 32), (F(1, 32), F(1, 16))),  # between δ and 2δ: [c1 - δ, c0 + δ]
+        (F(1, 8), None),  # 2δ: every point is a member
+        (F(5, 32), None),  # above 2δ
+    ])
+    def test_component_lengths_around_delta(self, length, zone):
+        # only the middle zone [max(c0, c1-δ), min(c1, c0+δ)] of a component
+        # is sampled, at ceil(|zone| / resolution) equal cells, and the
+        # result is the sure parts plus the members on that grid
+        delta, resolution, gamma = F(1, 16), F(1, 64), F(3, 4)
+        E = iset((0, length))
+        res = level_set(E, gamma, delta, Interval(F(-1), F(1)), resolution)
+        if zone is None:
+            assert res.approximation == E and res.margin == 0
+            return
+        lo, hi = zone
+        n = -(-(hi - lo) // resolution)
+        grid = [lo + i * (hi - lo) / n for i in range(n + 1)]
+        member = [level_set_membership(E, p, gamma, delta).member for p in grid]
+        pieces = [iv for iv in (Interval(0, lo), Interval(hi, length)) if not iv.is_degenerate]
+        pieces += [Interval(p, q) for p, q, mp, mq in zip(grid, grid[1:], member, member[1:])
+                   if mp and mq]
+        pieces += [Interval.point(p) for p, m in zip(grid, member) if m]
+        expected = IntervalSet(pieces, allow_degenerate=True)
+        assert res.approximation == expected
+        assert res.margin == (hi - lo) / n
+
     def test_short_component_sampled_with_margin(self):
         # component shorter than delta: middle zone must be sampled
         E = iset((0, F(1, 8)))
@@ -291,6 +320,15 @@ class TestWeaklyDense:
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):
             check_weakly_dense_at(iset((0, 1)), 0, F(3, 2))
+
+    def test_failure_reported_at_the_best_radius(self):
+        # E = [0, 1/8], x = 3/16: both ratios peak at r = 3/16 (the far end
+        # of E), inside (0, ε), below the threshold 3/4
+        E, x, eps = iset((0, F(1, 8))), F(3, 16), F(1, 4)
+        rep = check_weakly_dense_at(E, x, eps)
+        assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == (FAILS, F(3, 16), F(2, 3), LEFT)
+        rep = check_weakly_center_dense_at(E, x, eps)
+        assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == (FAILS, F(3, 16), F(1, 3), BOTH)
 
 
 class TestStronglyOneSided:
@@ -372,6 +410,18 @@ class TestStronglyDense:
     def test_boundary_fails(self):
         rep = check_strongly_dense_at(iset((0, 1)), 0, [F(1, 4)])
         assert rep.verdict == FAILS
+
+    def test_first_worst_radius_on_a_tie(self):
+        grid = [F(1, 4), F(1, 8)]
+        for check in (check_strongly_dense_at, check_strongly_one_sided_dense_at):
+            rep = check(iset((0, 1)), F(1, 2), grid)
+            assert (rep.worst_r, rep.ratio) == (F(1, 4), 1)
+
+    def test_grid_validation(self):
+        with pytest.raises(ValueError):
+            check_strongly_dense_at(iset((0, 1)), 0, [F(1, 8), F(1, 4)])
+        with pytest.raises(ValueError):
+            check_strongly_dense_at(iset((0, 1)), 0, [F(1, 4), F(1, 4)])
 
 
 class TestUDTWitness:

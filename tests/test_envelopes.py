@@ -15,7 +15,13 @@ from lipsets.envelopes import (
     envelope_refine,
     verify_contraction,
 )
-from lipsets.pcw import PiecewiseLinear, build_phi, check_increment_bound, first_sloped_segment
+from lipsets.pcw import (
+    PiecewiseLinear,
+    build_phi,
+    check_increment_bound,
+    first_sloped_segment,
+    pl_min,
+)
 
 from oracles import ref_contraction_witness, ref_vicinity_contains, ref_vicinity_is_inside
 from strategies import pl_functions, points
@@ -101,16 +107,24 @@ class TestVerifyContraction:
         E = iset((0, F(1, 2)))
         phi = build_phi(E, 0, W01)
         f = phi.scale(F(7, 8))
-        assert verify_contraction(f, phi, F(7, 8)) is None
+        assert verify_contraction(f, E, F(7, 8)) is None
 
     def test_witness_on_violation(self):
         E = iset((0, F(1, 2)))
         phi = build_phi(E, 0, W01)
         f = phi  # slope 1 > 7/8 on E-part
-        w = verify_contraction(f, phi, F(7, 8))
+        w = verify_contraction(f, E, F(7, 8))
         assert w is not None
         a, b, df, allowed = w
         assert df > allowed
+        assert allowed == F(7, 8) * E.mass(a, b)
+
+    def test_linear_across_a_gap(self):
+        # over [0, 1] the rise 7/16 is (7/8)|E ∩ [0, 1]|, but f also rises
+        # across the gap [1/4, 3/4] of E, which carries no mass
+        E = iset((0, F(1, 4)), (F(3, 4), 1))
+        f = PiecewiseLinear([0, 1], [0, F(7, 16)])
+        assert verify_contraction(f, E, F(7, 8)) == (F(1, 4), F(3, 4), F(7, 32), 0)
 
 
 # -- the one-sweep checks against the slow paths they replaced ------------------------
@@ -119,15 +133,34 @@ nonneg = st.integers(0, 32).map(lambda k: F(k, 16))
 small = st.integers(-8, 8).map(lambda k: F(k, 16))
 
 
+wide = st.integers(-8, 24).map(lambda k: F(k, 16))  # [-1/2, 3/2]
+
+
 @settings(max_examples=100)
-@given(pl_functions(value=nonneg), st.sampled_from([F(1, 4), F(7, 8), F(1)]), st.data())
-def test_verify_contraction_on_unequal_domains(steps, factor, data):
-    # φ on [0, 1] is nondecreasing, f lives on a subsegment [a, b]
-    rises = [F(0), *steps.values[1:]]
-    phi = PiecewiseLinear(steps.breakpoints, [sum(rises[:k + 1]) for k in range(len(rises))])
+@given(st.lists(st.tuples(wide, wide), max_size=5), st.sampled_from([F(1, 4), F(7, 8), F(1)]),
+       st.data())
+def test_verify_contraction_on_unequal_domains(pairs, factor, data):
+    # E may reach past the window [0, 1] of φ; f lives on a subsegment [a, b]
+    E = IntervalSet.from_pairs([(min(p, q), max(p, q)) for p, q in pairs if p != q])
+    phi = build_phi(E, 0, W01)
     a, b = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
-    f = data.draw(st.one_of(pl_functions(a, b), st.just(phi.restrict(a, b).scale(factor))))
-    assert verify_contraction(f, phi, factor) == ref_contraction_witness(f, phi, factor)
+    # φ scaled by the factor is the tightest contraction; 1/64 more fails
+    # wherever [a, b] holds E-mass
+    tight = phi.restrict(a, b).scale(factor)
+    f = data.draw(st.one_of(pl_functions(a, b), st.just(tight), st.just(tight.scale(F(65, 64)))))
+    assert verify_contraction(f, E, factor) == ref_contraction_witness(f, phi, factor)
+
+
+@settings(max_examples=100)
+@given(pl_functions(), pl_functions(value=nonneg), pl_functions(value=nonneg),
+       st.lists(points, min_size=2, max_size=2, unique=True))
+def test_margin_restricts_to_min_margin_on(f, below, above, window):
+    # one margin function serves every window the lemmas read it on
+    env = Envelope(f - below, f + above)
+    lo, hi = sorted(window)
+    margin = env.margin(f)
+    assert margin == pl_min(below, above)
+    assert margin.restrict(lo, hi).min_value() == env.min_margin_on(f, lo, hi)
 
 
 @settings(max_examples=100)
@@ -183,6 +216,22 @@ class TestEnvelopeRefine:
             right = E.intersect(iset((m, b))).measure()
             assert (1 - delta) * (left - right) == f(b) - f(a)
 
+    def test_pieces_follow_phi(self):
+        # g = K ± (1-δ)φ on each monotone piece, checked at the breakpoints
+        # of g and φ in the piece
+        E = iset((0, F(1, 4)), (F(5, 16), F(3, 8)), (F(3, 8) + F(1, 64), F(5, 8)), (F(3, 4), 1))
+        phi = build_phi(E, 0, W01)
+        f = phi.scale(F(1, 2))
+        env = Envelope(f.shift(-F(1, 8)), f.shift(F(1, 8)))
+        delta = F(1, 16)
+        res = envelope_refine(f, env, E, F(1, 4), delta, segment=(F(1, 8), F(7, 8)),
+                              division="adaptive")
+        g, pts = res.function, res.division_points
+        for k, (a, b) in enumerate(zip(pts, pts[1:])):
+            sign = 1 if k % 2 == 0 else -1
+            for x in [a, b, *g.breakpoints_in(a, b), *phi.breakpoints_in(a, b)]:
+                assert g(x) - g(a) == sign * (1 - delta) * (phi(x) - phi(a))
+
     def test_strict_containment(self):
         E = iset((0, 1))
         f = PiecewiseLinear.constant(0, W01)
@@ -237,7 +286,6 @@ class TestEnvelopeRefine:
 
     def test_monotone_opt_out(self):
         E = iset((0, 1))
-        phi = build_phi(E, 0, W01)
         tent = PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0])
         env = const_env(W01, 2)
         delta = F(1, 4)
@@ -245,7 +293,7 @@ class TestEnvelopeRefine:
         g, (c, d) = res.function, res.segment
         assert g(c) == tent(c) and g(d) == tent(d)
         assert env.min_margin_on(g, c, d) > 0
-        assert verify_contraction(g, phi, 1 - delta) is None
+        assert verify_contraction(g, E, 1 - delta) is None
 
     def test_increment_bound_of_output(self):
         E = iset((0, F(1, 2)), (F(5, 8), 1))
@@ -289,7 +337,7 @@ class TestEnvelopeFlatten:
         assert first_sloped_segment(g, H) is None
         c, d = res.segment
         assert g(c) == f(c) and g(d) == f(d)
-        assert verify_contraction(g, phi, 1 - delta) is None
+        assert verify_contraction(g, E, 1 - delta) is None
         assert res.gamma_scale < 1 - delta
         assert (1 - delta) * res.selected_mass > res.required_mass
 
@@ -339,4 +387,4 @@ def test_refine_random_admissible(E, scale_frac):
     g, (c, d) = res.function, res.segment
     assert g(c) == f(c) and g(d) == f(d)
     assert env.min_margin_on(g, c, d) > 0
-    assert verify_contraction(g, phi, 1 - delta) is None
+    assert verify_contraction(g, E, 1 - delta) is None

@@ -19,6 +19,7 @@ from lipsets.pcw import (
     monotone_runs,
     pl_max,
     pl_min,
+    ramp_to,
 )
 
 from oracles import (
@@ -150,6 +151,30 @@ class TestBuildPhi:
             E.intersect(iset((lo, hi))).measure() if lo < hi else F(0)
         )
         assert phi(hi) - phi(lo) == expected
+
+
+class TestRamp:
+    @settings(max_examples=150)
+    @given(small_sets(), rationals, rationals, st.sampled_from([F(1), F(-7, 8), F(0)]))
+    def test_matches_phi_at_its_breakpoints(self, E, x0, b, slope):
+        # the ramp is v0 + slope·(φ(p) - φ(x0)) at φ's breakpoints inside
+        # (x0, b) and at b, the per-point loop it replaced
+        if not x0 < b:
+            return
+        phi = build_phi(E, 0, window=Interval(F(-5), F(5)))
+        xs, vs = [F(-5), x0], [F(0), F(3)]
+        ramp_to(xs, vs, E, slope, b)
+        expected = [x0, *(p for p in phi.breakpoints if x0 < p < b), b]
+        assert xs[1:] == expected
+        assert vs[1:] == [3 + slope * (phi(p) - phi(x0)) for p in expected]
+
+    def test_degenerate_component_once(self):
+        E = IntervalSet.from_pairs([(0, 1), (2, 2), (3, 4)], allow_degenerate=True)
+        xs, vs = [F(-1)], [F(0)]
+        ramp_to(xs, vs, E, F(1), F(7, 2))
+        assert xs == [-1, 0, 1, 2, 3, F(7, 2)]
+        assert vs == [0, 0, 1, 1, 1, F(3, 2)]
+        PiecewiseLinear(xs, vs)  # strictly increasing breakpoints
 
 
 class TestMRatio:

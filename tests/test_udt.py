@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from lipsets.density import UDTWitness
-from lipsets.udt import UdtBuildResult, build_udt_lip1, fat_cantor_system
+from lipsets.intervals import IntervalSet
+from lipsets.pcw import PiecewiseLinear, monotone_runs
+from lipsets.udt import UdtBuildResult, build_udt_lip1, fat_cantor_system, stage_witness_search
 
 F = Fraction
 
@@ -50,6 +52,31 @@ class TestOneStage:
 
     def test_breakpoint_count(self, one_stage):
         assert [len(f.breakpoints) for f in one_stage.stages] == [448]
+
+    def test_witness_search_fallback_scans_every_candidate(self, one_stage):
+        # an unreachable target forces the fallback: the best ratio over the
+        # window ends and every breakpoint and E-endpoint within δ_n of x,
+        # ties to the smaller gap, then to the smaller y
+        f, E = one_stage.stages[0], one_stage.system.target
+        delta_n = WITNESS.deltas[0]
+        for region in one_stage.system.complement(1):
+            runs = monotone_runs(f, region.lo, region.hi)
+            for k in range(1, 8):
+                x = region.lo + region.length * F(k, 8)
+                lo, hi = max(region.lo, x - delta_n), min(region.hi, x + delta_n)
+                cands = sorted(y for y in {lo, hi, *f.breakpoints, *E.endpoints()}
+                               if lo <= y <= hi and y != x)
+                best = max(cands, key=lambda y: (abs(f(y) - f(x)) / abs(y - x), -abs(y - x)))
+                ratio = abs(f(best) - f(x)) / abs(best - x)
+                assert stage_witness_search(f, E, x, delta_n, runs, F(10 ** 6)) == (best, ratio)
+
+    def test_witness_search_fallback_reads_e_endpoints(self):
+        # on a linear piece every y has the same ratio and the smaller gap
+        # wins: E's endpoint 1/2, not a breakpoint of f, is the witness
+        f = PiecewiseLinear([0, 1], [0, 1])
+        E = IntervalSet.from_pairs([(F(1, 2), 1)])
+        y, ratio = stage_witness_search(f, E, F(3, 8), F(1, 4), [(F(0), F(1))], F(2))
+        assert (y, ratio) == (F(1, 2), 1)
 
     def test_stage_and_radius_digests(self, one_stage):
         assert [_digest(f) for f in one_stage.stages] == [
