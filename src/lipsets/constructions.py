@@ -29,6 +29,7 @@ from .pcw import (
     build_signed_integral,
     first_sloped_segment,
     geometric_grid,
+    pl_sum,
     ramp_to,
 )
 
@@ -294,7 +295,8 @@ def balance_point(
         raise ValueError("need r < s")
     if not 0 <= delta < 1:
         raise ValueError("delta must be in [0,1)")
-    A = E.mass(r, s)
+    phi_r = E.cumulative(r)
+    A = E.cumulative(s) - phi_r
     tau = target / (1 - delta)
     if A == 0:
         if target != 0:
@@ -302,7 +304,7 @@ def balance_point(
         return (r + s) / 2
     if abs(tau) >= A:
         raise ValueError("unsolvable target (precondition violated)")
-    return E.locate(E.cumulative(r) + (A + tau) / 2)
+    return E.locate(phi_r + (A + tau) / 2)
 
 
 # -- the small-lip sawtooth ---------------------------------------------------------
@@ -325,7 +327,10 @@ def small_lip_blocks(
 
     Block k is [kε, (k+1)ε] ∩ window; a component [lo, hi] of E inside the
     window overlaps blocks floor(lo/ε) to ceil(hi/ε) - 1 with positive
-    length, and no other block has mass.
+    length, and no other block has mass.  A block [a, b] with mass
+    A = |E ∩ [a, b]| balances at `balance_point(E, a, b, 0, 0)`, the
+    leftmost t with Φ(t) = Φ(a) + A/2, so by the balance equation its left
+    and right masses are both A/2: two Φ reads and one `locate` per block.
     """
     eps = rat(epsilon)
     if eps <= 0:
@@ -336,8 +341,9 @@ def small_lip_blocks(
     blocks = []
     for k in sorted(loaded):
         a, b = max(window.lo, k * eps), min(window.hi, (k + 1) * eps)
-        x = balance_point(E, a, b, 0, 0)
-        blocks.append(SmallLipBlock(a, b, x, E.mass(a, x), E.mass(x, b)))
+        phi_a = E.cumulative(a)
+        half = (E.cumulative(b) - phi_a) / 2
+        blocks.append(SmallLipBlock(a, b, E.locate(phi_a + half), half, half))
     return blocks
 
 
@@ -392,7 +398,7 @@ def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumRes
 
     Parts must be pairwise disjoint up to endpoints.  A part at distance 0
     from the earlier union forces ε_n = 0 and is skipped with a warning
-    entry in the diagnostics.
+    entry in the diagnostics.  The f_n are summed once, by `pcw.pl_sum`.
     """
     if not parts:
         raise ValueError("need at least one part")
@@ -400,7 +406,7 @@ def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumRes
         for j in range(i + 1, len(parts)):
             if parts[i].intersect(parts[j]).measure() != 0:
                 raise ValueError(f"parts {i+1} and {j+1} overlap with positive measure")
-    total = PiecewiseLinear.constant(0, window)
+    terms: list[PiecewiseLinear] = []
     diags: list[Lip1Part] = []
     earlier: Optional[IntervalSet] = None
     for n, part in enumerate(parts, start=1):
@@ -416,11 +422,11 @@ def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumRes
             diags.append(Lip1Part(n, None, dist, Fraction(0), True, True))
         else:
             f_n = build_small_lip(part, eps, window)
-            total = total + f_n
+            terms.append(f_n)
             constant_off = first_sloped_segment(f_n, part.complement_within(f_n.domain)) is None
             diags.append(Lip1Part(n, eps, dist, f_n.sup_norm(), constant_off, False))
         earlier = part if earlier is None else earlier.union(part)
-    return Lip1SumResult(total.simplify(), tuple(diags), window)
+    return Lip1SumResult(pl_sum(terms), tuple(diags), window)
 
 
 def split_into_bounded_shards(S: IntervalSet, max_len: RationalLike) -> list[IntervalSet]:

@@ -210,10 +210,7 @@ class IntervalSet:
         """
         x = rat(x)
         ends, cum = self._mass_index()
-        p = bisect_right(ends, x)
-        if p & 1:  # lo_j <= x < hi_j with j = p // 2
-            return cum[p >> 1] + (x - ends[p - 1])
-        return cum[p >> 1]
+        return _phi(ends, cum, bisect_right(ends, x), x)
 
     def mass(self, a: RationalLike, b: RationalLike) -> Fraction:
         """|E ∩ [a, b]| = Φ(b) - Φ(a), in O(log n); 0 when a == b.
@@ -247,6 +244,26 @@ class IntervalSet:
             j = bisect_left(cum, m) - 1
         # cum[j] <= m <= cum[j + 1]: the solution lies in component j
         return ends[2 * j] + (m - cum[j])
+
+    def masses_from(self, x0: RationalLike, b: RationalLike) -> list[tuple[Fraction, Fraction]]:
+        """[(p, |E ∩ [x0, p]|)] for every endpoint p of E with x0 < p < b,
+        in order and each once (a degenerate component gives one p), then
+        for p = b.  One bisect locates x0 in the mass index; the rest is a
+        forward walk over it, in O(log n + k) for x0 < b."""
+        x0, b = rat(x0), rat(b)
+        ends, cum = self._mass_index()
+        i = bisect_right(ends, x0)
+        base = _phi(ends, cum, i, x0)
+        out = []
+        last = x0
+        while i < len(ends) and ends[i] < b:
+            p = ends[i]
+            if p != last:
+                out.append((p, cum[(i + 1) >> 1] - base))  # Φ(lo_j) = cum[j], Φ(hi_j) = cum[j + 1]
+                last = p
+            i += 1
+        out.append((b, _phi(ends, cum, i, b) - base))
+        return out
 
     def endpoints_in(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
         """The endpoints e with lo <= e <= hi, in order, in O(log n + k)."""
@@ -341,6 +358,14 @@ class IntervalSet:
         if any(iv.is_degenerate for iv in self._intervals):
             obj["allow_degenerate"] = True
         return obj
+
+
+def _phi(ends: list[Fraction], cum: list[Fraction], i: int, x: Fraction) -> Fraction:
+    """Φ(x) from the mass index, for x whose bisect position among the
+    endpoints is i (either side of an endpoint equal to x)."""
+    if i & 1:  # lo_j <= x <= hi_j with j = i // 2
+        return cum[i >> 1] + (x - ends[i - 1])
+    return cum[i >> 1]
 
 
 def canonicalize(raw: Sequence[Interval], allow_degenerate: bool = False) -> IntervalSet:

@@ -7,13 +7,15 @@ functions we build are constant off their active window).
 `PiecewiseLinear.at` is the only sweep: `add`, `sub`, `le`, `pl_min`,
 `pl_max`, `monotone_runs` and `envelopes.verify_contraction` evaluate their
 functions through it on sorted points (for two functions, on their
-`merged_breakpoints`), in one forward pass per function.
+`merged_breakpoints`), in one forward pass per function.  Beside it,
+`pl_sum` is the n-ary sum: it merges the slope changes of all its terms
+and integrates them once, without a sweep per term.
 `PiecewiseLinear.splice` is the only glue: it replaces a function on the
 domains of given pieces.  `first_sloped_segment` is the only check of slopes
 against a set.  `ramp_to` is the only ramp: it integrates slope·1_E from the
-last point of a breakpoint list, reading E's cumulative measure
-(`IntervalSet.cumulative`), and builds the refine and flatten zigzags and the
-small-lip sawtooth.
+last point of a breakpoint list, reading E's cumulative measure with one
+bisect per call (`IntervalSet.masses_from`), and builds the refine and
+flatten zigzags and the small-lip sawtooth.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from typing import Iterable, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
@@ -259,6 +262,42 @@ def pl_max(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
     return _pick(f, g, max)
 
 
+def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
+    """Σ fs on their common domain (ValueError if the domains differ), with
+    a breakpoint only where the sum's slope changes, so already simplified.
+
+    Each function's slope changes are heap-merged and integrated from the
+    left end in one pass, in O(N log n) for N breakpoints in n functions."""
+    if not fs:
+        raise ValueError("need at least one function")
+    lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
+    if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
+        raise ValueError("domain mismatch")
+    slope = Fraction(0)
+    events = []  # per function: (x, slope change at x) where the slope changes
+    for f in fs:
+        ss = f.slopes()
+        slope += ss[0]
+        events.append((x, s1 - s0) for x, s0, s1 in zip(f.breakpoints[1:-1], ss, ss[1:])
+                      if s0 != s1)
+    xs, vs = [lo], [sum((f.values[0] for f in fs), Fraction(0))]
+    x, before = lo, slope  # before: the slope on (xs[-1], x)
+    for p, change in merge(*events):
+        if p != x:
+            if slope != before:
+                vs.append(vs[-1] + before * (x - xs[-1]))
+                xs.append(x)
+                before = slope
+            x = p
+        slope += change
+    if slope != before:
+        vs.append(vs[-1] + before * (x - xs[-1]))
+        xs.append(x)
+    vs.append(vs[-1] + slope * (hi - xs[-1]))
+    xs.append(hi)
+    return PiecewiseLinear(xs, vs)
+
+
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Maximal intervals of [lo, hi] on which f is monotone (zero slopes
     extend the current run)."""
@@ -284,11 +323,22 @@ def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[
 
 def first_sloped_segment(f: PiecewiseLinear, S: IntervalSet) -> Optional[Interval]:
     """The first segment of f on which f has nonzero slope and S positive
-    mass, or None: None exactly when f' = 0 almost everywhere on S."""
+    mass, or None: None exactly when f' = 0 almost everywhere on S.
+
+    One forward walk over the segments and S's components together."""
     bps, vals = f.breakpoints, f.values
+    comps = [iv for iv in S if iv.lo < iv.hi]  # degenerate components carry no mass
+    j = 0
     for k in range(len(bps) - 1):
-        if vals[k] != vals[k + 1] and S.mass(bps[k], bps[k + 1]) != 0:
-            return Interval(bps[k], bps[k + 1])
+        if vals[k] == vals[k + 1]:
+            continue
+        a, b = bps[k], bps[k + 1]
+        while j < len(comps) and comps[j].hi <= a:
+            j += 1
+        if j == len(comps):
+            return None
+        if comps[j].lo < b:  # comps[j], the first to end after a, starts before b
+            return Interval(a, b)
     return None
 
 
@@ -339,15 +389,12 @@ def ramp_to(
 ) -> None:
     """Extend the breakpoints xs and values vs from their last point (x0, v0)
     to b > x0 with v0 + slope·|E ∩ [x0, p]|, at every endpoint p of E
-    strictly inside (x0, b) and then at b: slope on E, 0 off E."""
-    x0, v0 = xs[-1], vs[-1]
-    base = E.cumulative(x0)  # |E ∩ [x0, p]| = Φ(p) - Φ(x0)
-    for p in E.endpoints_in(x0, b):
-        if xs[-1] < p < b:  # a degenerate component gives p twice
-            xs.append(p)
-            vs.append(v0 + slope * (E.cumulative(p) - base))
-    xs.append(b)
-    vs.append(v0 + slope * (E.cumulative(b) - base))
+    strictly inside (x0, b) and then at b: slope on E, 0 off E.  One bisect
+    per call (`IntervalSet.masses_from`)."""
+    v0 = vs[-1]
+    for p, m in E.masses_from(xs[-1], b):
+        xs.append(p)
+        vs.append(v0 + slope * m)
 
 
 def build_phi(

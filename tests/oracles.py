@@ -6,7 +6,8 @@ membership are minimized over dense radius grids.
 
 The `ref_*` functions at the end are the slow paths that the one-sweep
 piecewise-linear algebra replaced: they evaluate a function one point at a
-time through its `__call__` and glue with `restrict` and `concat`.
+time through its `__call__` and glue with `restrict` and `concat`, or
+read E's cumulative measure with one bisect per point.
 """
 
 from __future__ import annotations
@@ -172,6 +173,19 @@ def ref_first_sloped_segment(f, pairs):
         if any(min(hi, b) > max(lo, a) for lo, hi in pairs):
             return (a, b)
     return None
+
+
+def ref_ramp_to(xs, vs, E, slope, b):
+    """The ramp with one Φ bisect per point: v0 + slope·(Φ(p) - Φ(x0)) at
+    every endpoint p of E strictly inside (x0, b), each once, then at b."""
+    x0, v0 = xs[-1], vs[-1]
+    base = E.cumulative(x0)
+    for p in E.endpoints_in(x0, b):
+        if xs[-1] < p < b:
+            xs.append(p)
+            vs.append(v0 + slope * (E.cumulative(p) - base))
+    xs.append(b)
+    vs.append(v0 + slope * (E.cumulative(b) - base))
 
 
 def ref_vicinity_contains(center, radius, g):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from lipsets.constructions import (
 )
 from lipsets.density import FAILS, HOLDS
 from lipsets.pcw import (
+    PiecewiseLinear,
     build_signed_integral,
     check_increment_bound,
     local_lip_exact,
@@ -407,6 +409,40 @@ class TestLip1Sum:
         assert shards[0] == iset((0, 1), (2, 3))
         with pytest.raises(ValueError):
             split_into_bounded_shards(iset((0, 10)), 5)
+
+
+def _lip1_sum_by_sequential_add(res, parts):
+    """Σ f_n as a running total over the whole window, one add per part,
+    simplified at the end."""
+    fs = [build_small_lip(part, p.epsilon, res.window)
+          for part, p in zip(parts, res.parts) if not p.skipped]
+    return reduce(PiecewiseLinear.add, fs, PiecewiseLinear.constant(0, res.window)).simplify()
+
+
+class TestLip1SumInterleaved:
+    @pytest.mark.parametrize("parts", [
+        # part 1 on both sides of part 2: f_1 is a plateau of height 1/8
+        # under f_2's blocks
+        [iset((0, F(1, 8)), (F(7, 8), 1)), iset((F(3, 8), F(5, 8)))],
+        [iset((0, F(1, 8)), (F(7, 8), 1)), iset((F(3, 8), F(13, 32)), (F(9, 16), F(5, 8))),
+         iset((F(1, 4), F(9, 32)), (F(23, 32), F(3, 4)))],
+        # part 3 inside part 2's hull, whose blocks carry its own mass
+        [iset((-1, F(-1, 2))), iset((0, F(1, 4)), (F(3, 4), 1)), iset((F(3, 8), F(5, 8)))],
+    ])
+    def test_equals_sequential_add(self, parts):
+        res = build_lip1_sum(parts, W)
+        assert not res.skipped_parts
+        assert res.function.as_pairs() == _lip1_sum_by_sequential_add(res, parts).as_pairs()
+
+    def test_plateau_under_a_later_part(self):
+        parts = [iset((0, F(1, 8)), (F(7, 8), 1)), iset((F(3, 8), F(5, 8)))]
+        res = build_lip1_sum(parts, W01)
+        assert res.parts[1].epsilon == F(1, 16)  # 2^-2 · d = 1/4
+        f1 = build_small_lip(parts[0], 1, W01)
+        assert f1(F(3, 8)) == f1(F(1, 2)) == F(1, 8)
+        # the sum is f_1's plateau plus f_2's sawtooth of height 1/32
+        assert res.function(F(3, 8) + F(1, 32)) == F(1, 8) + F(1, 32)
+        assert res.function.as_pairs() == _lip1_sum_by_sequential_add(res, parts).as_pairs()
 
 
 def _small_lip_by_signed_integral(E, eps, window):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from lipsets.pcw import (
     monotone_runs,
     pl_max,
     pl_min,
+    pl_sum,
     ramp_to,
 )
 
@@ -28,6 +30,7 @@ from oracles import (
     ref_first_sloped_segment,
     ref_le,
     ref_pick,
+    ref_ramp_to,
     ref_splice,
 )
 from strategies import pl_functions, points
@@ -153,6 +156,17 @@ class TestBuildPhi:
         assert phi(hi) - phi(lo) == expected
 
 
+eighths = st.integers(-16, 16).map(lambda k: F(k, 8))
+sixteenths = st.integers(-34, 34).map(lambda k: F(k, 16))  # even: on the 1/8 grid
+
+
+def sets_with_points():
+    """Sets on the 1/8 grid of [-2, 2], degenerate components allowed."""
+    return st.lists(st.tuples(eighths, eighths), max_size=5).map(
+        lambda ps: IntervalSet.from_pairs([(min(a, b), max(a, b)) for a, b in ps],
+                                          allow_degenerate=True))
+
+
 class TestRamp:
     @settings(max_examples=150)
     @given(small_sets(), rationals, rationals, st.sampled_from([F(1), F(-7, 8), F(0)]))
@@ -174,6 +188,36 @@ class TestRamp:
         ramp_to(xs, vs, E, F(1), F(7, 2))
         assert xs == [-1, 0, 1, 2, 3, F(7, 2)]
         assert vs == [0, 0, 1, 1, 1, F(3, 2)]
+        PiecewiseLinear(xs, vs)  # strictly increasing breakpoints
+
+    @settings(max_examples=200)
+    @given(sets_with_points(), sixteenths, sixteenths,
+           st.sampled_from([F(1), F(-1), F(-7, 8), F(3, 2), F(0)]))
+    def test_matches_per_point_ramp(self, E, x0, b, slope):
+        # x0 and b fall on endpoints, inside components and in gaps
+        if not x0 < b:
+            return
+        xs, vs = [F(-3), x0], [F(0), F(5, 4)]
+        ref_xs, ref_vs = list(xs), list(vs)
+        ramp_to(xs, vs, E, slope, b)
+        ref_ramp_to(ref_xs, ref_vs, E, slope, b)
+        assert (xs, vs) == (ref_xs, ref_vs)
+
+    @pytest.mark.parametrize("x0, b", [
+        (F(0), F(3)),          # both on endpoints
+        (F(1, 2), F(5, 2)),    # both in gaps
+        (F(1), F(7, 2)),       # x0 on an endpoint, b inside a component
+        (F(3, 2), F(2)),       # x0 in a gap, b on a degenerate component
+        (F(-1), F(5)),         # both outside E's hull
+    ])
+    @pytest.mark.parametrize("slope", [F(1), F(-3, 4)])
+    def test_endpoints_gaps_and_degenerate_components(self, x0, b, slope):
+        E = IntervalSet.from_pairs([(0, F(1, 4)), (1, 1), (2, 2), (3, 4)], allow_degenerate=True)
+        xs, vs = [x0], [F(1)]
+        ref_xs, ref_vs = [x0], [F(1)]
+        ramp_to(xs, vs, E, slope, b)
+        ref_ramp_to(ref_xs, ref_vs, E, slope, b)
+        assert (xs, vs) == (ref_xs, ref_vs)
         PiecewiseLinear(xs, vs)  # strictly increasing breakpoints
 
 
@@ -408,3 +452,39 @@ def test_first_sloped_segment_matches_midpoint_test(f, raw):
     seg = first_sloped_segment(f, S)
     expected = ref_first_sloped_segment(f, pairs)
     assert (None if seg is None else (seg.lo, seg.hi)) == expected
+
+
+def test_first_sloped_segment_degenerate_and_touching_components():
+    f = PiecewiseLinear([0, 1, 2, 3], [0, 1, 1, 0])  # sloped, flat, sloped
+    point = lambda x: IntervalSet([Interval.point(x)], allow_degenerate=True)
+    # a degenerate component inside a sloped segment carries no mass
+    assert first_sloped_segment(f, point(F(1, 2))) is None
+    assert first_sloped_segment(f, point(F(1, 2)).union(iset((F(5, 4), F(7, 4))))) is None
+    assert first_sloped_segment(f, point(F(1, 2)).union(iset((F(5, 2), 4)))) == Interval(F(2), F(3))
+    # components that touch a sloped segment only at an endpoint
+    assert first_sloped_segment(f, iset((1, 2))) is None
+    assert first_sloped_segment(f, iset((-1, 0), (3, 4))) is None
+    assert first_sloped_segment(f, iset((-1, 0), (1, 2), (3, 4))) is None
+    assert first_sloped_segment(f, iset((-1, F(1, 64)))) == Interval(F(0), F(1))
+    assert first_sloped_segment(f, iset((F(63, 64), 2))) == Interval(F(0), F(1))
+
+
+@settings(max_examples=150)
+@given(st.lists(pl_functions(), min_size=1, max_size=5))
+def test_pl_sum_is_sequential_add_simplified(fs):
+    total = pl_sum(fs)
+    assert total.as_pairs() == reduce(PiecewiseLinear.add, fs).simplify().as_pairs()
+    assert total.as_pairs() == total.simplify().as_pairs()
+
+
+def test_pl_sum_cancelling_slopes_and_domains():
+    up = PiecewiseLinear([0, F(1, 2), 1], [0, 1, 1])
+    down = PiecewiseLinear([0, F(1, 2), 1], [0, -1, -1])
+    assert pl_sum([up, down]).as_pairs() == ((0, 0), (1, 0))
+    assert pl_sum([up, up, down]).as_pairs() == up.as_pairs()
+    with pytest.raises(ValueError):
+        pl_sum([up, PiecewiseLinear([0, 2], [0, 1])])
+    with pytest.raises(ValueError):
+        pl_sum([up, PiecewiseLinear([F(-1), 1], [0, 1])])
+    with pytest.raises(ValueError):
+        pl_sum([])

@@ -6,6 +6,7 @@ import pytest
 from lipsets.density import UDTWitness
 from lipsets.intervals import IntervalSet
 from lipsets.pcw import PiecewiseLinear, monotone_runs
+from lipsets import udt
 from lipsets.udt import UdtBuildResult, build_udt_lip1, fat_cantor_system, stage_witness_search
 
 F = Fraction
@@ -85,6 +86,22 @@ class TestOneStage:
         assert [_digest(r) for r in one_stage.radii] == [
             "83d7d9029946894ae4dd550418ea54375bee452db7d5d9d6dd9f7b195be01053",
         ]
+
+
+def test_refine_is_called_without_the_monotone_hypothesis(monkeypatch):
+    # every stage refines a zigzag, which is not monotone from stage 2 on:
+    # the builder must waive the refine lemma's monotonicity hypothesis
+    calls = []
+    refine = udt.envelope_refine
+
+    def recording_refine(*args, **kwargs):
+        calls.append(kwargs)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(udt, "envelope_refine", recording_refine)
+    build_udt_lip1(fat_cantor_system(1), WITNESS, 1)
+    assert calls
+    assert all(kwargs.get("require_monotone", True) is False for kwargs in calls)
 
 
 class TestTwoStages:
