@@ -202,7 +202,6 @@ def level_set(
 HOLDS = "holds"
 FAILS = "fails"
 HOLDS_AT_SCALE = "holds-at-scale"
-INCONCLUSIVE = "inconclusive-at-resolution"
 
 
 @dataclass(frozen=True)

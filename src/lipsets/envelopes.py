@@ -7,8 +7,11 @@ endpoint values and a (1-δ) contraction against the cumulative measure
 Φ(x) = |E ∩ (-∞, x]|.  Both operate on an active compact segment and leave
 the function untouched (hence already flat where it needs to be) outside it;
 both verify their preconditions exactly and raise with an exact witness
-instead of assuming them.  Both read Φ from E's own mass index, and both
-build their new pieces with `pcw.ramp_to`.
+instead of assuming them.  The preconditions they share (0 < δ < ε <= 1,
+the envelope on f's domain, f inside it, and the increment bound
+|Δf| <= (1-ε)|E ∩ Δ|) and the choice of the active segment form one frame,
+`_lemma_frame`; each lemma adds only its own checks.  Both read Φ from E's
+own mass index, and both build their new pieces with `pcw.ramp_to`.
 """
 
 from __future__ import annotations
@@ -113,13 +116,39 @@ def verify_contraction(
     return None
 
 
-def _auto_segment(margin: PiecewiseLinear) -> tuple[Fraction, Fraction]:
-    lo, hi = margin.domain.lo, margin.domain.hi
+def _lemma_frame(
+    f: PiecewiseLinear,
+    env: Envelope,
+    E: IntervalSet,
+    epsilon: RationalLike,
+    delta: RationalLike,
+    segment: Optional[tuple[RationalLike, RationalLike]],
+) -> tuple[Fraction, Fraction, PiecewiseLinear, tuple[Fraction, Fraction]]:
+    """Verify the preconditions refine and flatten share (see the module
+    docstring; the increment bound raises with its exact witness) and return
+    (ε, δ, env.margin(f), (c, d)), the segment auto-chosen when none is
+    given.  Each lemma checks where a given segment may lie."""
+    eps, delta = rat(epsilon), rat(delta)
+    if not (0 < delta < eps <= 1):
+        raise ValueError("need 0 < delta < epsilon <= 1")
+    if env.domain != f.domain:
+        raise ValueError("envelope domain mismatch")
+    if not env.admits(f):
+        raise PreconditionError("f is not inside the envelope")
+    witness = verify_contraction(f, E, 1 - eps)
+    if witness is not None:
+        raise PreconditionError(
+            "increment precondition |Δf| <= (1-ε)|E ∩ Δ| fails", witness
+        )
+    margin = env.margin(f)
+    if segment is not None:
+        return eps, delta, margin, (rat(segment[0]), rat(segment[1]))
+    lo, hi = f.domain.lo, f.domain.hi
     length = hi - lo
     for k in [64, 32, 16, 8, 4, 3]:
         c, d = lo + length / k, hi - length / k
         if c < d and margin.restrict(c, d).min_value() > 0:
-            return c, d
+            return eps, delta, margin, (c, d)
     raise PreconditionError("no active segment with strict envelope margins")
 
 
@@ -138,20 +167,16 @@ def _adaptive_block_bounds(
     margin: PiecewiseLinear,
     c: Fraction,
     d: Fraction,
+    L: Fraction,
     extra_slope: Fraction = Fraction(0),
-    slope_bound: Optional[Fraction] = None,
 ) -> list[Fraction]:
     """Block boundaries sized by the local margin.
 
     Each block [p, q] satisfies (q - p)(2 + L + s) <= margin(p), where L
-    bounds the margin's own slopes and s the function's; that keeps a
-    zigzag or ramp of amplitude <= 2(q - p) strictly inside the margin over
-    the whole block (the margin loses at most L(q - p) across it)."""
-    L = (
-        slope_bound
-        if slope_bound is not None
-        else max([abs(s) for s in margin.slopes()] + [Fraction(0)])
-    )
+    is the margin's largest absolute slope and s bounds the function's; that
+    keeps a zigzag or ramp of amplitude <= 2(q - p) strictly inside the
+    margin over the whole block (the margin loses at most L(q - p) across
+    it)."""
     denom = 2 * (2 + L + extra_slope)  # halved steps leave room to merge slivers
     out = [c]
     p = c
@@ -205,26 +230,9 @@ def envelope_refine(
     staged builder refines zigzag stage functions and passes
     require_monotone=False.
     """
-    eps, delta = rat(epsilon), rat(delta)
-    if not (0 < delta < eps <= 1):
-        raise ValueError("need 0 < delta < epsilon <= 1")
-    lo, hi = f.domain.lo, f.domain.hi
-    if env.domain != f.domain:
-        raise ValueError("envelope domain mismatch")
-    if not env.admits(f):
-        raise PreconditionError("f is not inside the envelope")
-    witness = verify_contraction(f, E, 1 - eps)
-    if witness is not None:
-        raise PreconditionError(
-            "increment precondition |Δf| <= (1-ε)|E ∩ Δ| fails", witness
-        )
-    margin = env.margin(f)
-    if segment is None:
-        c, d = _auto_segment(margin)
-    else:
-        c, d = rat(segment[0]), rat(segment[1])
-        if not (lo < c < d < hi):
-            raise ValueError("segment must be strictly inside the domain")
+    eps, delta, margin, (c, d) = _lemma_frame(f, env, E, epsilon, delta, segment)
+    if not (f.domain.lo < c < d < f.domain.hi):
+        raise ValueError("segment must be strictly inside the domain")
     if require_monotone:
         runs = monotone_runs(f, c, d)
         if len(runs) > 1:
@@ -245,7 +253,7 @@ def envelope_refine(
         step = (d - c) / n
         evens = [c + i * step for i in range(n + 1)]
     elif division == "adaptive":
-        evens = _adaptive_block_bounds(margin, c, d)
+        evens = _adaptive_block_bounds(margin, c, d, max(map(abs, margin.slopes())))
         n = len(evens) - 1
     else:
         raise ValueError("division must be 'uniform' or 'adaptive'")
@@ -310,29 +318,12 @@ def envelope_flatten(
     stays inside the envelope.  H-parts outside the segment must already be
     flat for f.
     """
-    eps, delta = rat(epsilon), rat(delta)
-    if not (0 < delta < eps <= 1):
-        raise ValueError("need 0 < delta < epsilon <= 1")
-    lo, hi = f.domain.lo, f.domain.hi
-    if env.domain != f.domain:
-        raise ValueError("envelope domain mismatch")
+    eps, delta, margin, (c, d) = _lemma_frame(f, env, E, epsilon, delta, segment)
+    if not (f.domain.lo <= c < d <= f.domain.hi):
+        raise ValueError("segment must lie inside the domain")
     if H.intersect(E).measure() != 0:
         raise PreconditionError("H meets E with positive measure",
                                H.intersect(E))
-    if not env.admits(f):
-        raise PreconditionError("f is not inside the envelope")
-    witness = verify_contraction(f, E, 1 - eps)
-    if witness is not None:
-        raise PreconditionError(
-            "increment precondition |Δf| <= (1-ε)|E ∩ Δ| fails", witness
-        )
-    margin = env.margin(f)
-    if segment is None:
-        c, d = _auto_segment(margin)
-    else:
-        c, d = rat(segment[0]), rat(segment[1])
-        if not (lo <= c < d <= hi):
-            raise ValueError("segment must lie inside the domain")
 
     # H outside the active segment: f must already be flat there
     outside = H.clip(f.domain).intersect(
@@ -344,9 +335,8 @@ def envelope_flatten(
             "f is not flat on an H-part outside the active segment", seg
         )
 
-    seg_iv = Interval(c, d)
     total = E.mass(c, d)
-    if H.clip(seg_iv).is_empty:
+    if H.clip(Interval(c, d)).is_empty:
         # nothing to flatten: the identity path is permitted
         return FlattenResult(f, (c, d), Fraction(0), (), total,
                              (1 - eps) * total, eps, delta)
@@ -356,14 +346,12 @@ def envelope_flatten(
 
     # cells: f linear on each, short enough for the ramp (amplitude <= the
     # cell's f-oscillation) to stay inside the locally available margin
-    m_slope = max([abs(s) for s in margin.slopes()] + [Fraction(0)])
+    m_slope = max(map(abs, margin.slopes()))
     bounds = sorted({c, d} | {b for b in f.breakpoints if c < b < d})
     cells: list[tuple[Fraction, Fraction]] = []
     for p, q in zip(bounds, bounds[1:]):
         slope = abs(f(q) - f(p)) / (q - p)
-        sub = _adaptive_block_bounds(
-            margin, p, q, extra_slope=slope, slope_bound=m_slope
-        )
+        sub = _adaptive_block_bounds(margin, p, q, m_slope, extra_slope=slope)
         cells.extend(zip(sub, sub[1:]))
 
     comps: list[FlattenComponent] = []
@@ -376,7 +364,6 @@ def envelope_flatten(
             vs.append(vs[-1])
 
     for p, q in cells:
-        cell_iv = Interval(p, q)
         cell_mass = E.mass(p, q)
         rise_cell = f(q) - f(p)
         if cell_mass == 0:
@@ -388,13 +375,7 @@ def envelope_flatten(
             continue
         scale = rise_cell / cell_mass  # |scale| <= 1-ε < 1-δ by contraction
         ramp_slope = (1 - delta) if scale >= 0 else (delta - 1)
-        h_in = H.clip(cell_iv)
-        contiguous = (
-            h_in.complement_within(cell_iv)
-            if not h_in.is_empty
-            else IntervalSet([cell_iv])
-        )
-        for comp in contiguous:
+        for comp in H.complement_within(Interval(p, q)):  # clips H to the cell
             mass = E.mass(comp.lo, comp.hi)
             rise = scale * mass
             if mass == 0 or rise == 0:

@@ -169,18 +169,13 @@ class IntervalSet:
         return Interval(self._intervals[0].lo, self._intervals[-1].hi)
 
     def contains(self, x: RationalLike) -> bool:
+        """x ∈ E, by one bisect on the mass index's endpoints: an odd
+        position means lo_j < x <= hi_j, an even one that x is in E only if
+        it is the next lo."""
         x = rat(x)
-        lo, hi = 0, len(self._intervals) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            iv = self._intervals[mid]
-            if x < iv.lo:
-                hi = mid - 1
-            elif x > iv.hi:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        ends, _ = self._mass_index()
+        i = bisect_left(ends, x)
+        return i & 1 == 1 or (i < len(ends) and ends[i] == x)
 
     # -- measure and algebra ----------------------------------------------
 

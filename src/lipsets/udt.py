@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, rat
@@ -153,39 +154,14 @@ def quadratic_margin(
     """
     a, b = region.lo, region.hi
     c, d = segment
-    mid = (c + d) / 2
-    dom = region
-    cap_fn = PiecewiseLinear.constant(cap, dom)
-    pieces = [cap_fn]
-    if left_is_f:
-        best = None
-        for t in (c, mid, d):
-            # tangent of (x-a)^2 at t: slope 2(t-a), value (t-a)^2 at t
-            line = PiecewiseLinear(
-                [a, b],
-                [
-                    (t - a) * (2 * a - t - a),
-                    (t - a) * (2 * b - t - a),
-                ],
-            )
-            best = line if best is None else pl_max(best, line)
-        pieces.append(best)
-    if right_is_f:
-        best = None
-        for t in (c, mid, d):
-            line = PiecewiseLinear(
-                [a, b],
-                [
-                    (b - t) * (b + t - 2 * a),
-                    (b - t) * (b + t - 2 * b),
-                ],
-            )
-            best = line if best is None else pl_max(best, line)
-        pieces.append(best)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = pl_min(out, p)
-    return pl_max(out, PiecewiseLinear.constant(0, dom))
+    out = PiecewiseLinear.constant(cap, region)
+    for p, touches_f in ((a, left_is_f), (b, right_is_f)):
+        if touches_f:
+            # tangent of (x-p)^2 at t: (t-p)(2x-t-p), slope 2(t-p), value (t-p)^2 at t
+            lines = [PiecewiseLinear([a, b], [(t - p) * (2 * x - t - p) for x in (a, b)])
+                     for t in (c, (c + d) / 2, d)]
+            out = pl_min(out, reduce(pl_max, lines))
+    return pl_max(out, PiecewiseLinear.constant(0, region))
 
 
 def _positive_zone(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -232,7 +208,7 @@ class StageDiagnostics:
     active_segments: tuple[tuple[Fraction, Fraction], ...]
     witnesses: tuple[WitnessRecord, ...]
     witness_failures: tuple[tuple[Fraction, Fraction], ...]  # (x, best ratio)
-    cauchy_step: Optional[Fraction]  # ‖f_n - f_{n-1}‖
+    cauchy_step: Fraction  # ‖f_n - f_{n-1}‖
     radius_sup: Fraction
     radius_zero_on_closed: bool
     radius_within_margin: bool
@@ -468,15 +444,11 @@ def build_udt_lip1(
                 nonflat = [
                     comp
                     for comp in h_loc
-                    if first_sloped_segment(
-                        f_loc, IntervalSet([comp], allow_degenerate=True)
-                    ) is not None
+                    if first_sloped_segment(f_loc, IntervalSet([comp])) is not None
                 ]
-                if nonflat:
-                    hull_lo = min(cp.lo for cp in nonflat)
-                    hull_hi = max(cp.hi for cp in nonflat)
-                    c0 = min(c0, (zone[0] + hull_lo) / 2)
-                    d0 = max(d0, (hull_hi + zone[1]) / 2)
+                if nonflat:  # h_loc's components are sorted and disjoint
+                    c0 = min(c0, (zone[0] + nonflat[0].lo) / 2)
+                    d0 = max(d0, (nonflat[-1].hi + zone[1]) / 2)
                 env_loc = Envelope(
                     tube_lo.restrict(region.lo, region.hi),
                     tube_hi.restrict(region.lo, region.hi),
@@ -584,7 +556,6 @@ def build_udt_lip1(
             if not comp.is_degenerate
         )
         radius_within = r_n.le(eps_margin)
-        cauchy = (f_n - f_prev).sup_norm() if n >= 1 else None
         gaps = [abs(rec.x - rec.y) for rec in witnesses]
         diags.append(
             StageDiagnostics(
@@ -595,7 +566,7 @@ def build_udt_lip1(
                 active_segments=tuple(active),
                 witnesses=tuple(witnesses),
                 witness_failures=tuple(failures),
-                cauchy_step=cauchy,
+                cauchy_step=(f_n - f_prev).sup_norm(),
                 radius_sup=r_n.sup_norm(),
                 radius_zero_on_closed=radius_zero,
                 radius_within_margin=radius_within,
@@ -612,12 +583,11 @@ def build_udt_lip1(
 def _v_notch(window: Interval, lo: Fraction, hi: Fraction, cap: Fraction) -> PiecewiseLinear:
     """Piecewise-linear function equal to cap on [lo, hi], rising with unit
     slope away from it; used to pin the radius near a witness pair."""
+    # window.lo <= lo < hi <= window.hi: a witness pair lies in the window with x != y
     xs = [window.lo]
-    vs = [cap + max(Fraction(0), lo - window.lo)]
-    for x, v in ((lo, cap), (hi, cap), (window.hi, cap + max(Fraction(0), window.hi - hi))):
+    vs = [cap + lo - window.lo]
+    for x, v in ((lo, cap), (hi, cap), (window.hi, cap + window.hi - hi)):
         if x > xs[-1]:
             xs.append(x)
             vs.append(v)
-    if len(xs) < 2:
-        return PiecewiseLinear.constant(cap, window)
     return PiecewiseLinear(xs, vs)

@@ -372,6 +372,43 @@ class TestEnvelopeFlatten:
                              segment=(F(5, 8), F(7, 8)))
 
 
+# both lemmas on the same arguments; flatten's H is empty, so only the
+# preconditions they share can fail
+SEG = (F(1, 4), F(3, 4))
+LEMMAS = (
+    lambda f, env, E, eps, delta: envelope_refine(f, env, E, eps, delta, segment=SEG),
+    lambda f, env, E, eps, delta: envelope_flatten(
+        f, env, E, IntervalSet.empty(), eps, delta, segment=SEG),
+)
+E01 = iset((0, 1))
+ZERO = PiecewiseLinear.constant(0, W01)
+PHI = build_phi(E01, 0, W01)
+SHARED_BAD_INPUTS = {
+    "delta-not-below-epsilon": (ZERO, const_env(W01, 1), F(1, 4), F(1, 4), ValueError),
+    "envelope-on-another-domain": (ZERO, const_env(Interval(F(0), F(2)), 1), F(1, 2), F(1, 4),
+                                   ValueError),
+    "f-outside-the-envelope": (PiecewiseLinear.constant(2, W01), const_env(W01, 1), F(1, 2),
+                               F(1, 4), PreconditionError),
+    "increment-violation": (PHI, const_env(W01, 2), F(1, 2), F(1, 4), PreconditionError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_BAD_INPUTS))
+def test_refine_and_flatten_reject_shared_preconditions_alike(case):
+    f, env, eps, delta, kind = SHARED_BAD_INPUTS[case]
+    raised = []
+    for lemma in LEMMAS:
+        with pytest.raises(kind) as info:
+            lemma(f, env, E01, eps, delta)
+        raised.append(info.value)
+    r, fl = raised
+    assert type(r) is type(fl) and str(r) == str(fl)
+    if case == "increment-violation":
+        assert r.witness == fl.witness == verify_contraction(f, E01, 1 - eps)
+        a, b, df, allowed = r.witness
+        assert df == abs(f(b) - f(a)) > allowed == (1 - eps) * E01.mass(a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dyadic_sets(min_mass=True),

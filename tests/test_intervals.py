@@ -327,3 +327,34 @@ def test_clip_at_touching_windows_and_points():
     assert IntervalSet.empty().clip(Interval(F(0), F(1))).is_empty
     with pytest.raises(ValueError):  # as IntervalSet([window]) would
         s.clip(Interval.point(F(1, 3)))
+
+
+# -- membership by bisect --------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(window_pairs, st.lists(grid_points, max_size=3))
+def test_contains_matches_a_scan(pairs, points):
+    # degenerate components at the drawn points, unless a pair absorbs them;
+    # no pairs and no points give the empty set
+    s = IntervalSet(
+        [Interval(p, q) for p, q in pairs] + [Interval.point(p) for p in points],
+        allow_degenerate=True,
+    )
+    tiny = F(1, 2 ** (GRID_M + 2))
+    ends = s.endpoints()
+    gaps = [(a + b) / 2 for a, b in zip(ends[1::2], ends[2::2])]
+    probes = {-1, 2, *gaps, *(e + k * tiny for e in ends for k in (-1, 0, 1))}
+    for x in probes:
+        assert s.contains(x) == any(iv.lo <= x <= iv.hi for iv in s), x
+
+
+def test_contains_at_points_and_gaps():
+    s = IntervalSet([Interval.point(0), Interval(F(1, 4), F(1, 2)), Interval.point(F(5, 8))],
+                    allow_degenerate=True)
+    inside = [0, F(1, 4), F(3, 8), F(1, 2), F(5, 8)]
+    outside = [F(-1, 8), F(1, 8), F(9, 16), F(3, 4)]
+    assert all(s.contains(x) for x in inside)
+    assert not any(s.contains(x) for x in outside)
+    assert s.contains("1/3") and not s.contains(1)
+    assert not IntervalSet.empty().contains(0)

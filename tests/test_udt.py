@@ -4,10 +4,16 @@ from fractions import Fraction
 import pytest
 
 from lipsets.density import UDTWitness
-from lipsets.intervals import IntervalSet
+from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import PiecewiseLinear, monotone_runs
 from lipsets import udt
-from lipsets.udt import UdtBuildResult, build_udt_lip1, fat_cantor_system, stage_witness_search
+from lipsets.udt import (
+    UdtBuildResult,
+    build_udt_lip1,
+    fat_cantor_system,
+    quadratic_margin,
+    stage_witness_search,
+)
 
 F = Fraction
 
@@ -134,3 +140,28 @@ class TestTwoStages:
         )
         assert f2(comp.midpoint) != moved.stages[1](comp.midpoint)
         assert not moved.persistence_ok()
+
+
+@pytest.mark.parametrize("left_is_f", [False, True])
+@pytest.mark.parametrize("right_is_f", [False, True])
+@pytest.mark.parametrize(
+    "segment, cap",
+    [((F(1, 4), F(3, 4)), F(1)), ((F(3, 16), F(1, 2)), F(1, 64)), ((F(9, 64), F(55, 64)), F(1, 8))],
+)
+def test_quadratic_margin_is_a_positive_minorant(left_is_f, right_is_f, segment, cap):
+    region = Interval(F(1, 8), F(7, 8))
+    a, b = region.lo, region.hi
+    c, d = segment
+    q = quadratic_margin(region, segment, left_is_f, right_is_f, cap)
+    assert q.domain == region
+
+    f_ends = [p for p, touches_f in ((a, left_is_f), (b, right_is_f)) if touches_f]
+
+    def bound(x):  # min(cap, squared distance to each region end that touches F)
+        return min([cap] + [(x - p) ** 2 for p in f_ends])
+
+    grid = [a + k * (b - a) / 192 for k in range(193)]  # the 1/256 grid of [1/8, 7/8]
+    for x in sorted({*q.breakpoints, *grid}):
+        assert 0 <= q(x) <= bound(x), x
+    assert q.restrict(c, d).min_value() > 0
+    assert all(q(p) == 0 for p in f_ends)
