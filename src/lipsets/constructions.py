@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
@@ -22,6 +23,7 @@ from .density import (
     check_strongly_one_sided_dense_at,
     check_weakly_center_dense_at,
     check_weakly_dense_at,
+    window_starts,
 )
 from .pcw import (
     PiecewiseLinear,
@@ -178,18 +180,11 @@ def worst_imbalance(
     x, r = rat(x), rat(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    cands = {x - r, x}
-    for S in (t.e1, t.em1):
-        for e in S.endpoints_in(x - r, x + r):
-            for u in (e, e - r):
-                if x - r <= u <= x:
-                    cands.add(u)
-    best = None
-    for u in sorted(cands):
-        h = abs(t.e1.mass(u, u + r) - t.em1.mass(u, u + r)) / r
-        if best is None or h > best[0]:
-            best = (h, u)
-    return best
+    return max(
+        ((abs(t.e1.mass(u, u + r) - t.em1.mass(u, u + r)) / r, u)
+         for u in window_starts(x, r, t.e1, t.em1)),
+        key=itemgetter(0),
+    )
 
 
 @dataclass(frozen=True)

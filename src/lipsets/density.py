@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
@@ -245,11 +246,7 @@ def _strict_witness(E, x, eps, threshold, value_at):
     affine piece (the value function is continuous in r).
     """
     cands = _endpoint_distances(E, x, eps) + [eps]
-    best_r, best_v = None, None
-    for r in cands:
-        v = value_at(r)
-        if best_v is None or v > best_v:
-            best_r, best_v = r, v
+    best_v, best_r = max(((value_at(r), r) for r in cands), key=itemgetter(0))
     if best_v <= threshold:
         return None, best_r
     if best_r < eps:
@@ -349,17 +346,15 @@ def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tupl
     x, r = rat(x), rat(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    cands = {x - r, x}
-    for e in E.endpoints_in(x - r, x + r):
-        for t in (e, e - r):
-            if x - r <= t <= x:
-                cands.add(t)
-    best = None
-    for t in sorted(cands):
-        m = E.mass(t, t + r) / r
-        if best is None or m < best[0]:
-            best = (m, t)
-    return best
+    return min(((E.mass(t, t + r) / r, t) for t in window_starts(x, r, E)), key=itemgetter(0))
+
+
+def window_starts(x: Fraction, r: Fraction, *sets: IntervalSet) -> list[Fraction]:
+    """Sorted left ends t ∈ [x - r, x] where the sets' masses in [t, t + r] ∋ x
+    can kink: x - r, x, and e, e - r for each endpoint e in [x - r, x + r]."""
+    lo = x - r
+    ends = [e for S in sets for e in S.endpoints_in(lo, x + r)]
+    return sorted({lo, x, *(t for t in (*ends, *(e - r for e in ends)) if lo <= t <= x)})
 
 
 def check_strongly_dense_at(

@@ -11,7 +11,8 @@ instead of assuming them.  The preconditions they share (0 < δ < ε <= 1,
 the envelope on f's domain, f inside it, and the increment bound
 |Δf| <= (1-ε)|E ∩ Δ|) and the choice of the active segment form one frame,
 `_lemma_frame`; each lemma adds only its own checks.  Both read Φ from E's
-own mass index, and both build their new pieces with `pcw.ramp_to`.
+own mass index, and both build their new pieces with `pcw.ramp_to`.  Admission
+is read off the margin, and every tube test compares values on the merged grid.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Optional
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 from .constructions import balance_point
-from .pcw import PiecewiseLinear, first_sloped_segment, monotone_runs, pl_min, ramp_to
+from .pcw import PiecewiseLinear, common_domain, first_sloped_segment, merged_breakpoints
+from .pcw import monotone_runs, pl_min, ramp_to
 
 
 class PreconditionError(ValueError):
@@ -56,16 +58,18 @@ class Envelope:
         return self.lower.domain
 
     def admits(self, f: PiecewiseLinear) -> bool:
-        return self.lower.le(f) and f.le(self.upper)
+        """lower <= f <= upper, i.e. a margin >= 0 on the whole domain."""
+        return self.min_margin_on(f, *common_domain(f, self.lower)) >= 0
 
     def margin(self, f: PiecewiseLinear) -> PiecewiseLinear:
         """min(f - lower, upper - f) on the whole domain."""
         return pl_min(f - self.lower, self.upper - f)
 
     def min_margin_on(self, f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Fraction:
-        """Exact min over [lo, hi] of min(f - lower, upper - f)."""
-        f, lower, upper = (g.restrict(lo, hi) for g in (f, self.lower, self.upper))
-        return min((f - lower).min_value(), (upper - f).min_value())
+        """Exact min over [lo, hi] of min(f - lower, upper - f), which is
+        concave between grid points, so its min is at one."""
+        fs, ls, us = _grid_values((f, self.lower, self.upper), lo, hi)
+        return min(min(v - l, u - v) for v, l, u in zip(fs, ls, us))
 
 
 @dataclass(frozen=True)
@@ -82,18 +86,25 @@ class Vicinity:
             raise ValueError("radius must be nonnegative")
 
     def contains(self, g: PiecewiseLinear) -> bool:
-        """|g - c| <= r, checked as g - c <= r and c - g <= r."""
-        diff = g - self.center
-        return diff.le(self.radius) and diff.scale(-1).le(self.radius)
-
-    def envelope(self) -> Envelope:
-        return Envelope(self.center - self.radius, self.center + self.radius)
+        """|g - c| <= r at the grid points: exact, as |g - c| - r is convex between them."""
+        gs, cs, rs = _grid_values((g, self.center, self.radius), *common_domain(g, self.center))
+        return all(abs(a - b) <= r for a, b, r in zip(gs, cs, rs))
 
     def is_inside(self, other: "Vicinity") -> bool:
         """Sufficient exact check for {g : |g-c| <= r} ⊆ {g : |g-c'| <= r'}:
-        |c - c'| + r <= r', checked as r + (c - c') <= r' and r - (c - c') <= r'."""
-        diff = self.center - other.center
-        return (self.radius + diff).le(other.radius) and (self.radius - diff).le(other.radius)
+        |c - c'| + r <= r' at the grid points: exact, as it is convex between them."""
+        fs = (self.center, self.radius, other.center, other.radius)
+        cs, rs, cs2, rs2 = _grid_values(fs, *common_domain(self.center, other.center))
+        return all(abs(a - b) + r <= r2 for a, r, b, r2 in zip(cs, rs, cs2, rs2))
+
+
+def _grid_values(fs: tuple[PiecewiseLinear, ...], lo: RationalLike, hi: RationalLike):
+    """Each of fs at merged_breakpoints(fs, lo, hi); ValueError unless lo < hi in every domain."""
+    lo, hi = rat(lo), rat(hi)
+    if not all(f.domain.lo <= lo < hi <= f.domain.hi for f in fs):
+        raise ValueError("window outside domain")
+    xs = merged_breakpoints(fs, lo, hi)
+    return [f.at(xs) for f in fs]
 
 
 def verify_contraction(
@@ -133,14 +144,14 @@ def _lemma_frame(
         raise ValueError("need 0 < delta < epsilon <= 1")
     if env.domain != f.domain:
         raise ValueError("envelope domain mismatch")
-    if not env.admits(f):
+    margin = env.margin(f)
+    if margin.min_value() < 0:
         raise PreconditionError("f is not inside the envelope")
     witness = verify_contraction(f, E, 1 - eps)
     if witness is not None:
         raise PreconditionError(
             "increment precondition |Δf| <= (1-ε)|E ∩ Δ| fails", witness
         )
-    margin = env.margin(f)
     if segment is not None:
         return eps, delta, margin, (rat(segment[0]), rat(segment[1]))
     lo, hi = f.domain.lo, f.domain.hi

@@ -4,18 +4,18 @@ The carrier for every construction: rational breakpoints and values, linear
 interpolation in between, clamp-to-constant outside the domain (all the
 functions we build are constant off their active window).
 
-`PiecewiseLinear.at` is the only sweep: `add`, `sub`, `le`, `pl_min`,
-`pl_max`, `monotone_runs` and `envelopes.verify_contraction` evaluate their
-functions through it on sorted points (for two functions, on their
-`merged_breakpoints`), in one forward pass per function.  Beside it,
-`pl_sum` is the n-ary sum: it merges the slope changes of all its terms
-and integrates them once, without a sweep per term.
-`PiecewiseLinear.splice` is the only glue: it replaces a function on the
-domains of given pieces.  `first_sloped_segment` is the only check of slopes
-against a set.  `ramp_to` is the only ramp: it integrates slope·1_E from the
-last point of a breakpoint list, reading E's cumulative measure with one
-bisect per call (`IntervalSet.masses_from`), and builds the refine and
-flatten zigzags and the small-lip sawtooth.
+`PiecewiseLinear.at` is the only sweep and `merged_breakpoints(fs, lo, hi)` the
+only evaluation grid: each f in fs is linear between grid points, so comparing
+values there is exact.  `add`, `sub`, `le`, `pl_min`, `pl_max`,
+`monotone_runs`, `envelopes.verify_contraction` and the envelope and vicinity
+checks evaluate through `at`, one forward pass per function.  `pl_sum` merges
+the slope changes of n terms and integrates once.  `PiecewiseLinear.splice` is
+the only glue, `first_sloped_segment` the only check of slopes against a set.
+`ramp_to` integrates slope·1_E from the last point of a breakpoint list with
+one bisect into E's mass index, and builds the refine and flatten zigzags and
+the small-lip sawtooth.  `build_signed_integral`, a second integrator kept on
+purpose, cuts a window at two sets' endpoints; it serves `build_phi` and
+`build_ternary_integral`, and the tests check the sawtooth against it.
 """
 
 from __future__ import annotations
@@ -137,9 +137,7 @@ class PiecewiseLinear:
     # -- algebra ------------------------------------------------------------
 
     def _merged_breakpoints(self, other: "PiecewiseLinear") -> list[Fraction]:
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch")
-        return merged_breakpoints(self, other)
+        return merged_breakpoints((self, other), *common_domain(self, other))
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         bps = self._merged_breakpoints(other)
@@ -231,10 +229,18 @@ class PiecewiseLinear:
         return list(self.breakpoints[i:j])
 
 
-def merged_breakpoints(f: PiecewiseLinear, g: PiecewiseLinear) -> list[Fraction]:
-    """The sorted union of the breakpoints of f and g (any domains)."""
-    both = sorted(f.breakpoints + g.breakpoints)  # two sorted runs: one merge
-    return [both[0], *(b for a, b in zip(both, both[1:]) if a != b)]
+def common_domain(*fs: PiecewiseLinear) -> tuple[Fraction, Fraction]:
+    """The ends (lo, hi) of the domain all of fs share; ValueError if they differ."""
+    lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
+    if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
+        raise ValueError("domain mismatch")
+    return lo, hi
+
+
+def merged_breakpoints(fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """lo, the distinct breakpoints of fs strictly inside (lo, hi), and hi."""
+    inner = sorted([b for f in fs for b in f.breakpoints_in(lo, hi)])  # sorted runs: one merge
+    return [lo, *(b for a, b in zip([lo, *inner], inner) if a != b != hi), hi]
 
 
 def _pick(f: PiecewiseLinear, g: PiecewiseLinear, choose) -> PiecewiseLinear:
@@ -270,9 +276,7 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     left end in one pass, in O(N log n) for N breakpoints in n functions."""
     if not fs:
         raise ValueError("need at least one function")
-    lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
-    if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
-        raise ValueError("domain mismatch")
+    lo, hi = common_domain(*fs)
     slope = Fraction(0)
     events = []  # per function: (x, slope change at x) where the slope changes
     for f in fs:
@@ -301,8 +305,7 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Maximal intervals of [lo, hi] on which f is monotone (zero slopes
     extend the current run)."""
-    bps = f.breakpoints
-    xs = [lo, *bps[bisect_right(bps, lo):bisect_left(bps, hi)], hi]
+    xs = merged_breakpoints((f,), lo, hi)
     fs = f.at(xs)
     runs: list[tuple[Fraction, Fraction]] = []
     start = xs[0]

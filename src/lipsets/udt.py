@@ -165,25 +165,19 @@ def quadratic_margin(
 
 
 def _positive_zone(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """Largest interval inside [lo, hi] on which f > 0 except at its ends."""
+    """Longest run of segments [x_i, x_{i+1}] of f on [lo, hi] with v_i > 0 or v_i + v_{i+1} > 0."""
     g = f.restrict(lo, hi)
-    xs = list(g.breakpoints)
+    xs, vs = g.breakpoints, g.values
     zones: list[tuple[Fraction, Fraction]] = []
     start: Optional[Fraction] = None
     for i, x in enumerate(xs):
-        positive_right = (
-            i + 1 < len(xs) and (g(x) > 0 or g((x + xs[i + 1]) / 2) > 0)
-        )
-        if positive_right and start is None:
-            start = x
-        if not positive_right and start is not None:
+        if i + 1 < len(xs) and (vs[i] > 0 or vs[i] + vs[i + 1] > 0):
+            if start is None:
+                start = x
+        elif start is not None:
             zones.append((start, x))
             start = None
-    if start is not None:
-        zones.append((start, xs[-1]))
-    if not zones:
-        return None
-    return max(zones, key=lambda z: z[1] - z[0])
+    return max(zones, key=lambda z: z[1] - z[0], default=None)
 
 
 # -- stage records ---------------------------------------------------------------

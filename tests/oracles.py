@@ -7,7 +7,8 @@ membership are minimized over dense radius grids.
 The `ref_*` functions at the end are the slow paths that the one-sweep
 piecewise-linear algebra replaced: they evaluate a function one point at a
 time through its `__call__` and glue with `restrict` and `concat`, or
-read E's cumulative measure with one bisect per point.
+read E's cumulative measure with one bisect per point, or compare a tube
+through intermediate functions built on the breakpoint union.
 """
 
 from __future__ import annotations
@@ -186,6 +187,43 @@ def ref_ramp_to(xs, vs, E, slope, b):
             vs.append(v0 + slope * (E.cumulative(p) - base))
     xs.append(b)
     vs.append(v0 + slope * (E.cumulative(b) - base))
+
+
+def ref_min_margin_on(env, f, lo, hi):
+    """min(f - lower, upper - f) over [lo, hi]: each function restricted,
+    both differences built on the breakpoint union, then a min per point."""
+    f, lower, upper = (g.restrict(lo, hi) for g in (f, env.lower, env.upper))
+    below = ref_combine(f, lower, operator.sub)
+    above = ref_combine(upper, f, operator.sub)
+    return min(min(below(x), above(x)) for x in ref_union(below, above))
+
+
+def ref_admits(env, f):
+    """lower <= f <= upper as two pointwise comparisons."""
+    return ref_le(env.lower, f) and ref_le(f, env.upper)
+
+
+def ref_positive_zone(f, lo, hi):
+    """The longest run of segments of f on [lo, hi] on which f is positive at
+    the left end or at the midpoint, each evaluated through __call__."""
+    g = f.restrict(lo, hi)
+    xs = list(g.breakpoints)
+    zones = []
+    start = None
+    for i, x in enumerate(xs):
+        positive_right = (
+            i + 1 < len(xs) and (g(x) > 0 or g((x + xs[i + 1]) / 2) > 0)
+        )
+        if positive_right and start is None:
+            start = x
+        if not positive_right and start is not None:
+            zones.append((start, x))
+            start = None
+    if start is not None:
+        zones.append((start, xs[-1]))
+    if not zones:
+        return None
+    return max(zones, key=lambda z: z[1] - z[0])
 
 
 def ref_vicinity_contains(center, radius, g):

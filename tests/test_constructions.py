@@ -34,6 +34,8 @@ from lipsets.pcw import (
     m_ratio,
 )
 
+from oracles import brute_one_sided_measure
+
 F = Fraction
 
 
@@ -176,6 +178,29 @@ class TestTernary:
         assert ratio == 1
         violating = [x for x, rows in rep.balance_entries if rows[-1][1] > rep.tolerance]
         assert F(1, 2) in violating
+
+    @settings(max_examples=100)
+    @given(dyadic_sets(), dyadic_sets(), dyadic, st.integers(1, 32))
+    def test_worst_imbalance_against_all_endpoints(self, A, B, x, rk):
+        # direct scan, as for worst_window_ratio: every window [u, u + r] ∋ x
+        # starting at x - r, x, an endpoint of E1 or E-1 or one minus r, each
+        # mass clipped from the pairs; the leftmost start wins a tie
+        em1 = B.intersect(A.complement_within(W01))
+        t = TernaryDecomposition(A, A.union(em1).complement_within(W01), em1, W01)
+        r = F(rk, 32)
+        p1, pm1 = ([(iv.lo, iv.hi) for iv in S] for S in (t.e1, t.em1))
+
+        def imbalance(u):
+            return abs(brute_one_sided_measure(p1, u, r, "right")
+                       - brute_one_sided_measure(pm1, u, r, "right")) / r
+
+        starts = {x - r, x} | {
+            u for e in t.e1.endpoints() + t.em1.endpoints() for u in (e, e - r) if x - r <= u <= x
+        }
+        expected = max(((imbalance(u), u) for u in starts), key=lambda p: (p[0], -p[1]))
+        assert worst_imbalance(t, x, r) == expected
+        # no window start on the 1/16 grid of [x - r, x] is worse
+        assert all(imbalance(x - r + k * r / 16) <= expected[0] for k in range(17))
 
     def test_normalize_fixed_point(self):
         E = iset((0, 1))

@@ -23,7 +23,13 @@ from lipsets.pcw import (
     pl_min,
 )
 
-from oracles import ref_contraction_witness, ref_vicinity_contains, ref_vicinity_is_inside
+from oracles import (
+    ref_admits,
+    ref_contraction_witness,
+    ref_min_margin_on,
+    ref_vicinity_contains,
+    ref_vicinity_is_inside,
+)
 from strategies import pl_functions, points
 
 F = Fraction
@@ -173,6 +179,49 @@ def test_vicinity_checks_match_abs_formulation(c, r, h, h2, extra):
     w = Vicinity(c + h2, r + extra)
     assert v.is_inside(w) == ref_vicinity_is_inside(v, w)
     assert w.is_inside(v) == ref_vicinity_is_inside(w, v)
+
+
+@settings(max_examples=100)
+@given(pl_functions(), pl_functions(value=nonneg), pl_functions(value=nonneg),
+       pl_functions(value=small), st.lists(points, min_size=2, max_size=2, unique=True))
+def test_tube_checks_on_asymmetric_envelopes(f, below, above, h, window):
+    # g = f + h may leave the envelope [f - below, f + above] on either side
+    env = Envelope(f - below, f + above)
+    g = f + h
+    lo, hi = sorted(window)
+    assert env.admits(g) == ref_admits(env, g)
+    assert env.admits(f)
+    assert env.min_margin_on(g, lo, hi) == ref_min_margin_on(env, g, lo, hi)
+
+
+HALF = Interval(F(0), F(1, 2))
+
+
+def test_tube_checks_reject_other_domains():
+    c, r = PiecewiseLinear.constant(0, W01), PiecewiseLinear.constant(1, W01)
+    v = Vicinity(c, r)
+    for dom in (HALF, Interval(F(0), F(2))):  # inside and around [0, 1]
+        other = Vicinity(PiecewiseLinear.constant(0, dom), PiecewiseLinear.constant(1, dom))
+        with pytest.raises(ValueError):
+            v.contains(other.center)
+        with pytest.raises(ValueError):
+            v.is_inside(other)
+        with pytest.raises(ValueError):
+            other.is_inside(v)
+        with pytest.raises(ValueError):
+            const_env(W01, 1).admits(other.center)
+
+
+@pytest.mark.parametrize("env_domain, lo, hi", [
+    (W01, F(-1, 8), F(1, 2)),
+    (W01, F(1, 2), F(9, 8)),
+    (W01, F(1, 2), F(1, 2)),
+    (W01, F(3, 4), F(1, 4)),
+    (Interval(F(-1), F(2)), F(1, 2), F(3, 2)),  # inside the envelope, not inside f's domain
+])
+def test_min_margin_on_rejects_bad_windows(env_domain, lo, hi):
+    with pytest.raises(ValueError):
+        const_env(env_domain, 1).min_margin_on(ZERO, lo, hi)
 
 
 class TestEnvelopeRefine:
@@ -390,6 +439,10 @@ SHARED_BAD_INPUTS = {
     "f-outside-the-envelope": (PiecewiseLinear.constant(2, W01), const_env(W01, 1), F(1, 2),
                                F(1, 4), PreconditionError),
     "increment-violation": (PHI, const_env(W01, 2), F(1, 2), F(1, 4), PreconditionError),
+    # PHI leaves the envelope and breaks the increment bound: the envelope is
+    # checked first
+    "outside-and-increment-violation": (PHI, const_env(W01, F(1, 4)), F(1, 2), F(1, 4),
+                                        PreconditionError),
 }
 
 
@@ -403,6 +456,8 @@ def test_refine_and_flatten_reject_shared_preconditions_alike(case):
         raised.append(info.value)
     r, fl = raised
     assert type(r) is type(fl) and str(r) == str(fl)
+    if "outside" in case:
+        assert str(r) == "f is not inside the envelope"
     if case == "increment-violation":
         assert r.witness == fl.witness == verify_contraction(f, E01, 1 - eps)
         a, b, df, allowed = r.witness

@@ -17,6 +17,7 @@ from lipsets.pcw import (
     lip_sweep,
     local_lip_exact,
     m_ratio,
+    merged_breakpoints,
     monotone_runs,
     pl_max,
     pl_min,
@@ -385,6 +386,16 @@ def test_binary_operations_match_slow_paths(f, g):
     assert f.le(pl_max(f, g)) and pl_min(f, g).le(f)
     assert pl_min(f, g).as_pairs() == ref_pick(f, g, min).as_pairs()
     assert pl_max(f, g).as_pairs() == ref_pick(f, g, max).as_pairs()
+
+
+@settings(max_examples=100)
+@given(st.lists(st.one_of(pl_functions(), pl_functions(F(1, 4), F(3, 4))),
+                min_size=1, max_size=4),
+       st.lists(points, min_size=2, max_size=2, unique=True))
+def test_merged_breakpoints_is_the_filtered_union(fs, window):
+    lo, hi = sorted(window)
+    inner = sorted(set(b for f in fs for b in f.breakpoints))
+    assert merged_breakpoints(fs, lo, hi) == [lo, *[b for b in inner if lo < b < hi], hi]
 
 
 @settings(max_examples=100)

@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipsets.density import UDTWitness
 from lipsets.intervals import Interval, IntervalSet
@@ -14,6 +16,9 @@ from lipsets.udt import (
     quadratic_margin,
     stage_witness_search,
 )
+
+from oracles import ref_positive_zone
+from strategies import pl_functions, points
 
 F = Fraction
 
@@ -165,3 +170,15 @@ def test_quadratic_margin_is_a_positive_minorant(left_is_f, right_is_f, segment,
         assert 0 <= q(x) <= bound(x), x
     assert q.restrict(c, d).min_value() > 0
     assert all(q(p) == 0 for p in f_ends)
+
+
+# values of both signs, with runs of zeros and segments whose ends cancel
+signed = st.sampled_from([F(-1, 4), F(-1, 8), F(0), F(0), F(1, 8), F(1, 4)])
+
+
+@settings(max_examples=200)
+@given(pl_functions(max_inner=12, value=signed),
+       st.lists(points, min_size=2, max_size=2, unique=True))
+def test_positive_zone_reads_breakpoint_values(f, window):
+    lo, hi = sorted(window)
+    assert udt._positive_zone(f, lo, hi) == ref_positive_zone(f, lo, hi)
