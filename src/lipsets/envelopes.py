@@ -17,6 +17,7 @@ is read off the margin, and every tube test compares values on the merged grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -181,13 +182,18 @@ def _adaptive_block_bounds(
     L: Fraction,
     extra_slope: Fraction = Fraction(0),
 ) -> list[Fraction]:
-    """Block boundaries sized by the local margin.
+    """Block boundaries sized by the local margin, snapped to dyadic grids.
 
     Each block [p, q] satisfies (q - p)(2 + L + s) <= margin(p), where L
     is the margin's largest absolute slope and s bounds the function's; that
     keeps a zigzag or ramp of amplitude <= 2(q - p) strictly inside the
     margin over the whole block (the margin loses at most L(q - p) across
-    it)."""
+    it).  With step = margin(p) / (2(2 + L + s)), half that bound, q is the
+    largest point of the grid 2^-m Z at or below p + step, where
+    m = 3 + bit_length(⌊1/step⌋) makes 2^-m < step/8.
+    Every block end but d thus has a denominator of at most 2^m, and
+    (7/8)·step < q - p <= step; the last block, which absorbs a sliver
+    shorter than step/2, has q - p < (3/2)·step."""
     denom = 2 * (2 + L + extra_slope)  # halved steps leave room to merge slivers
     out = [c]
     p = c
@@ -196,7 +202,8 @@ def _adaptive_block_bounds(
         step = margin(p) / denom
         if step <= 0:
             raise PreconditionError("margin vanished inside the active segment")
-        q = min(d, p + step)
+        scale = 2 ** (3 + (step.denominator // step.numerator).bit_length())
+        q = min(d, Fraction(math.floor((p + step) * scale), scale))
         if d - q < step / 2:
             q = d
         out.append(q)
@@ -228,8 +235,13 @@ def envelope_refine(
     division="uniform" divides [c, d] into n equal blocks with
     (d-c)/n < γ/(3L) (γ the minimal margin, L a slope bound); "adaptive"
     sizes blocks by the local margin instead, which the staged builder needs
-    when the margin varies over orders of magnitude.  Both finish with the
-    same exact checks.
+    when the margin varies over orders of magnitude.  With
+    step = margin(p)/(2(2 + L)), an adaptive block starting at p ends at the
+    largest point at or below p + step of the dyadic grid 2^-m Z with
+    2^-m < step/8, so its length lies in ((7/8)·step, step] (the last one
+    absorbs a sliver and stays below (3/2)·step) and its end carries no
+    denominator of the margin (`_adaptive_block_bounds`).  Both divisions
+    finish with the same exact checks.
 
     Monotonicity of f on [c, d] is the lemma's hypothesis; with
     require_monotone (the default) it is verified once the segment is

@@ -20,6 +20,13 @@ envelope (envelope_refine).  Quadratic margins d(x, F_n)^2 are replaced by
 exact piecewise-linear tangent minorants, which is strictly harder.  A
 piecewise-linear stage function keeps an exactly flat collar next to each
 F_n endpoint, so witnesses are sampled from the recorded active regions.
+
+Refine blocks and flatten cells end on dyadic grids: a block [p, q] whose
+local margin allows q - p <= 2·step ends at the largest point of the grid
+2^-m Z at or below p + step, with 2^-m < step/8, so (7/8)·step < q - p <= step
+(the last block of a segment absorbs a sliver and stays below (3/2)·step).
+Block ends then carry no denominator of the margin, and the denominators of
+the stage functions do not compound from stage to stage.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from .envelopes import (
     envelope_refine,
     verify_contraction,
 )
-from .pcw import PiecewiseLinear, first_sloped_segment, monotone_runs, pl_max, pl_min
+from .pcw import PiecewiseLinear, first_sloped_segment, merged_breakpoints, monotone_runs
+from .pcw import pl_max, pl_min
 
 
 class WitnessSearchError(RuntimeError):
@@ -221,18 +229,21 @@ class UdtBuildResult:
         return Vicinity(self.stages[n - 1], self.radii[n - 1])
 
     def persistence_ok(self) -> bool:
-        """(ii) f_m = f_n on F_n and (vi) tail witness ratios, all stages."""
+        """(ii) f_m = f_n on F_n and (vi) tail witness ratios, all stages.
+
+        Both stages are linear between the points of the merged grid of a
+        component of F_n, so f_m = f_n on it when their values agree there."""
         for n in range(1, len(self.stages) + 1):
             f_n = self.stages[n - 1]
             F_n = self.system.closed_at(n)
             for m in range(n, len(self.stages) + 1):
                 f_m = self.stages[m - 1]
                 if m > n:  # f_n - f_n = 0: nothing to check at m = n
-                    diff = f_m - f_n
                     for comp in F_n:
                         if comp.is_degenerate:
                             continue
-                        if diff.restrict(comp.lo, comp.hi).sup_norm() != 0:
+                        xs = merged_breakpoints((f_m, f_n), comp.lo, comp.hi)
+                        if f_m.at(xs) != f_n.at(xs):
                             return False
                 for rec in self.diagnostics[n - 1].witnesses:
                     gap = abs(rec.x - rec.y)
@@ -241,11 +252,14 @@ class UdtBuildResult:
         return True
 
     def vicinity_chain_ok(self) -> bool:
-        """(v)/(vii): f_m ∈ U_n for m >= n, U_{n+1} ⊆ U_n, r_n = 0 on F_n."""
+        """(v)/(vii): f_m ∈ U_n for m > n and U_{n+1} ⊆ U_n.
+
+        m = n needs no check: |f_n - f_n| = 0 <= r_n, as building U_n
+        raises on a negative radius."""
         N = len(self.stages)
         for n in range(1, N + 1):
             U_n = self.vicinity(n)
-            for m in range(n, N + 1):
+            for m in range(n + 1, N + 1):
                 if not U_n.contains(self.stages[m - 1]):
                     return False
             if n < N and not self.vicinity(n + 1).is_inside(U_n):

@@ -11,6 +11,7 @@ from lipsets.envelopes import (
     PreconditionError,
     RefineResult,
     Vicinity,
+    _adaptive_block_bounds,
     envelope_flatten,
     envelope_refine,
     verify_contraction,
@@ -480,3 +481,41 @@ def test_refine_random_admissible(E, scale_frac):
     assert g(c) == f(c) and g(d) == f(d)
     assert env.min_margin_on(g, c, d) > 0
     assert verify_contraction(g, E, 1 - delta) is None
+
+
+def _assert_dyadic_blocks(margin, c, d, s):
+    """Every block end but d lies on the grid of its step: spacing h, the
+    largest 2^-k below step/8 with k >= 3.  Every block but the last has
+    (7/8)·step < q - p <= step, and the last q - p < (3/2)·step."""
+    L = max(map(abs, margin.slopes()))
+    bounds = _adaptive_block_bounds(margin, c, d, L, s)
+    assert bounds[0] == c and bounds[-1] == d
+    for p, q in zip(bounds, bounds[1:]):
+        step = margin(p) / (2 * (2 + L + s))
+        if q == d:
+            assert 0 < q - p < F(3, 2) * step
+            continue
+        h = F(1, 8)
+        while not h < step / 8:
+            h /= 2
+        assert (q / h).denominator == 1, (p, q, step)
+        assert F(7, 8) * step < q - p <= step, (p, q, step)
+
+
+@pytest.mark.parametrize("margin, c, d, s", [
+    (PiecewiseLinear([0, F(1, 3), 1], [F(1, 7), F(2, 3), F(1, 5)]), F(1, 5), F(5, 7), F(0)),
+    (PiecewiseLinear([0, F(1, 3), 1], [F(1, 7), F(2, 3), F(1, 5)]), F(1, 5), F(5, 7), F(3, 2)),
+    (PiecewiseLinear([-1, 0, 2], [F(1, 1000), F(3, 7), F(1, 3)]), F(-2, 3), F(5, 3), F(1, 3)),
+    (PiecewiseLinear.constant(F(5, 3), Interval(F(0), F(1))), F(1, 9), F(8, 9), F(0)),
+    (PiecewiseLinear.constant(F(9), Interval(F(0), F(6))), F(1, 3), F(17, 3), F(0)),
+])
+def test_adaptive_blocks_end_on_dyadic_grids(margin, c, d, s):
+    _assert_dyadic_blocks(margin, c, d, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pl_functions(value=st.integers(4, 32).map(lambda k: F(k, 51))),
+       st.lists(points, min_size=2, max_size=2, unique=True),
+       st.sampled_from([F(0), F(1, 3), F(5, 2)]))
+def test_adaptive_blocks_end_on_dyadic_grids_on_random_margins(margin, window, s):
+    _assert_dyadic_blocks(margin, *sorted(window), s)

@@ -63,7 +63,7 @@ class TestOneStage:
         assert one_stage.vicinity_chain_ok()
 
     def test_breakpoint_count(self, one_stage):
-        assert [len(f.breakpoints) for f in one_stage.stages] == [448]
+        assert [len(f.breakpoints) for f in one_stage.stages] == [468]
 
     def test_witness_search_fallback_scans_every_candidate(self, one_stage):
         # an unreachable target forces the fallback: the best ratio over the
@@ -92,10 +92,10 @@ class TestOneStage:
 
     def test_stage_and_radius_digests(self, one_stage):
         assert [_digest(f) for f in one_stage.stages] == [
-            "537c5ed27c2864f2c5ae9c41023a583681fd97b35a74ec4b52e0461eb610a435",
+            "97efaffd92cff14749f63735767919cae08138cc50b90d6e1417b605b3eff1bd",
         ]
         assert [_digest(r) for r in one_stage.radii] == [
-            "83d7d9029946894ae4dd550418ea54375bee452db7d5d9d6dd9f7b195be01053",
+            "36c79cf09e818bc12b7696ccbde9afa43a6c444c73064b5d88eaa53da53cd801",
         ]
 
 
@@ -124,17 +124,38 @@ class TestTwoStages:
         assert two_stages.vicinity_chain_ok()
 
     def test_breakpoint_counts(self, two_stages):
-        assert [len(f.breakpoints) for f in two_stages.stages] == [30, 210]
+        assert [len(f.breakpoints) for f in two_stages.stages] == [30, 218]
 
     def test_stage_and_radius_digests(self, two_stages):
         assert [_digest(f) for f in two_stages.stages] == [
-            "bacf07cb9641da7ef4401c7cf9c0eb26e6a9a3c47b4fb36e10cfb4c0ab592b02",
-            "14874d7acb35db23bbbacf60571080b8ed4e7db28cde047806916d61fc76489c",
+            "a57381c1665af0c936f13c1635da25af64a7fa043c192ff84bad840de0d95462",
+            "3976a848c4451acabede87e100c78784f5f95a4febb767c9545bbf07324fc6cb",
         ]
         assert [_digest(r) for r in two_stages.radii] == [
-            "82e9c5b6b182d8733d9cae58cd6fa02eb03d68bdd19d81b74034ee36d3bc3e65",
-            "6796beeef377941b54c8cf1e4d7e7f9837c137c7ed60bcf4cd2b5abc8d2aad89",
+            "f72dd5456df0766da7fa8e8a12863256b8e7771112b6477a669dd9441646b38e",
+            "c253402f3b6b7a22b8b8353cde60d2b47954bf7da432326bac27e3a5098def5e",
         ]
+
+    def test_vicinity_chain_detects_a_stage_leaving_its_tube(self, two_stages):
+        f1, f2 = two_stages.stages
+        moved = UdtBuildResult(
+            two_stages.system, two_stages.witness, (f1, f2.shift(1)),
+            two_stages.radii, two_stages.diagnostics,
+        )
+        assert not moved.vicinity(1).contains(moved.stages[1])
+        assert not moved.vicinity_chain_ok()
+
+    def test_vicinity_chain_detects_a_tube_not_inside_the_last(self, two_stages):
+        # r_2 = 1 widens U_2 past U_1 while f_2 stays in U_1
+        r1, _ = two_stages.radii
+        wide = UdtBuildResult(
+            two_stages.system, two_stages.witness, two_stages.stages,
+            (r1, PiecewiseLinear.constant(1, two_stages.system.window)),
+            two_stages.diagnostics,
+        )
+        assert wide.vicinity(1).contains(wide.stages[1])
+        assert not wide.vicinity(2).is_inside(wide.vicinity(1))
+        assert not wide.vicinity_chain_ok()
 
     def test_persistence_detects_a_moved_stage(self, two_stages):
         f1, f2 = two_stages.stages
@@ -145,6 +166,58 @@ class TestTwoStages:
         )
         assert f2(comp.midpoint) != moved.stages[1](comp.midpoint)
         assert not moved.persistence_ok()
+
+    def test_persistence_detects_a_bump_inside_a_component(self, two_stages):
+        # f_2 + a tent that is 0 at both ends of a component of F_1: only
+        # the grid points strictly inside the component see it
+        f1, f2 = two_stages.stages
+        comp = two_stages.system.closed_at(1).intervals[0]
+        w = two_stages.system.window
+        tent = PiecewiseLinear([w.lo, comp.lo, comp.midpoint, comp.hi, w.hi],
+                               [0, 0, F(1, 2 ** 20), 0, 0])
+        bumped = UdtBuildResult(
+            two_stages.system, two_stages.witness, (f1, f2 + tent),
+            two_stages.radii, two_stages.diagnostics,
+        )
+        assert bumped.stages[1](comp.lo) == f1(comp.lo)
+        assert bumped.stages[1](comp.hi) == f1(comp.hi)
+        assert not bumped.persistence_ok()
+
+
+@pytest.mark.parametrize("fixture", ["one_stage", "two_stages"])
+def test_stage_denominators_stay_small(fixture, request):
+    # dyadic block ends keep every stage value within 32 denominator bits
+    for f in request.getfixturevalue(fixture).stages:
+        assert max(v.denominator.bit_length() for v in (*f.breakpoints, *f.values)) <= 32
+
+
+@pytest.mark.parametrize("fixture, levels, stage, collar", [
+    ("one_stage", 1, 1, F(1, 8)), ("two_stages", 2, 2, F(27, 64))])
+def test_strict_build_raises_on_a_missing_witness(fixture, levels, stage, collar,
+                                                  monkeypatch, request):
+    # every fat-Cantor stage realises any witness prefix (its stage targets
+    # stay below the zigzag slope 1 - 2^-3n), so the search is made to miss
+    # at the given stage: it reports its best ratio but no witness
+    search = udt.stage_witness_search
+    target = (1 - F(1, 2 ** (2 * stage))) * WITNESS.gammas[stage - 1]
+
+    def missing_search(f, E, x, delta_n, runs, stage_target):
+        y, ratio = search(f, E, x, delta_n, runs, stage_target)
+        return (None, ratio) if stage_target == target else (y, ratio)
+
+    monkeypatch.setattr(udt, "stage_witness_search", missing_search)
+    first = request.getfixturevalue(fixture).diagnostics[stage - 1].witnesses[0]
+    with pytest.raises(udt.WitnessSearchError) as info:
+        build_udt_lip1(fat_cantor_system(levels), WITNESS, stage, collar=collar)
+    err = info.value
+    assert (err.stage, err.point, err.best_ratio, err.target) == (
+        stage, first.x, first.ratio, target)
+
+    lax = build_udt_lip1(fat_cantor_system(levels), WITNESS, stage, collar=collar,
+                         strict=False)
+    diag = lax.diagnostics[stage - 1]
+    assert not diag.witnesses
+    assert diag.witness_failures[0] == (first.x, first.ratio)
 
 
 @pytest.mark.parametrize("left_is_f", [False, True])
