@@ -5,6 +5,17 @@ interval systems) stores its endpoints and measures as `fractions.Fraction`,
 so every set operation here is exact.  Open/half-open distinctions are
 collapsed to closed intervals: all downstream formulas are measure-based and
 Lebesgue measure ignores endpoints.
+
+Reads of the cumulative measure Φ are bisects into a sorted index of
+Fractions, filtered by floats.  Each index entry e carries the key
+float(e), and a query x bisects the keys with float(x).  The conversion
+is correctly rounded, hence monotone: e <= x implies float(e) <= float(x),
+so float(e) < float(x) implies e < x and float(e) > float(x) implies e > x.
+Only the run of keys equal to float(x) is left open, and an exact bisect
+on its Fractions settles it; that run is usually empty or one entry.  A
+value beyond the float range maps to ±inf, which keeps the order, and one
+too small maps to ±0.0, which ties with 0.  Positions, and so every output,
+are those of an exact bisect.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -87,7 +99,10 @@ class IntervalSet:
 
     Mass queries go through a prefix-sum index over the components, built on
     the first such query and cached (the set is immutable); sets that are
-    never queried never pay for it.
+    never queried never pay for it.  The index holds a float key for each
+    endpoint and each prefix sum, and every bisect into it compares keys
+    first and Fractions only where a key ties with the query's (see the
+    module docstring): exact positions at float speed.
     """
 
     __slots__ = ("_intervals", "_index")
@@ -173,8 +188,8 @@ class IntervalSet:
         position means lo_j < x <= hi_j, an even one that x is in E only if
         it is the next lo."""
         x = rat(x)
-        ends, _ = self._mass_index()
-        i = bisect_left(ends, x)
+        ends, _, keys, _ = self._mass_index()
+        i = _position(keys, ends, x, bisect_left)
         return i & 1 == 1 or (i < len(ends) and ends[i] == x)
 
     # -- measure and algebra ----------------------------------------------
@@ -182,9 +197,10 @@ class IntervalSet:
     def measure(self) -> Fraction:
         return sum((iv.length for iv in self._intervals), Fraction(0))
 
-    def _mass_index(self) -> tuple[list[Fraction], list[Fraction]]:
-        """(endpoints, cum): the sorted endpoints lo_0, hi_0, lo_1, ... and
-        cum[j] = total length of the first j components."""
+    def _mass_index(self) -> tuple[list[Fraction], list[Fraction], list[float], list[float]]:
+        """(ends, cum, end_keys, cum_keys): the sorted endpoints lo_0, hi_0,
+        lo_1, ..., cum[j] = total length of the first j components, and the
+        float key of each entry of both lists."""
         try:
             return self._index
         except AttributeError:
@@ -193,8 +209,12 @@ class IntervalSet:
         cum = [Fraction(0)]
         for iv in self._intervals:
             cum.append(cum[-1] + iv.length)
-        self._index = (ends, cum)
+        self._index = (ends, cum, [_key(e) for e in ends], [_key(c) for c in cum])
         return self._index
+
+    def _phi_at(self, x: Fraction) -> Fraction:
+        ends, cum, keys, _ = self._mass_index()
+        return _phi(ends, cum, _position(keys, ends, x, bisect_right), x)
 
     def cumulative(self, x: RationalLike) -> Fraction:
         """Φ(x) = |E ∩ (-∞, x]|, in O(log n).
@@ -203,9 +223,7 @@ class IntervalSet:
         nondecreasing, with slope 1 on E and 0 off E, and the function φ
         of `pcw.build_phi` is Φ(x) - Φ(basepoint).
         """
-        x = rat(x)
-        ends, cum = self._mass_index()
-        return _phi(ends, cum, bisect_right(ends, x), x)
+        return self._phi_at(rat(x))
 
     def mass(self, a: RationalLike, b: RationalLike) -> Fraction:
         """|E ∩ [a, b]| = Φ(b) - Φ(a), in O(log n); 0 when a == b.
@@ -216,7 +234,7 @@ class IntervalSet:
         a, b = rat(a), rat(b)
         if a > b:
             raise ValueError(f"mass window with a > b: [{a}, {b}]")
-        return self.cumulative(b) - self.cumulative(a)
+        return self._phi_at(b) - self._phi_at(a)
 
     def locate(self, m: RationalLike, rightmost: bool = False) -> Fraction:
         """Inverse of Φ: the leftmost t with Φ(t) = m (0 < m <= |E|), or
@@ -228,42 +246,43 @@ class IntervalSet:
         solution set is empty or unbounded.
         """
         m = rat(m)
-        ends, cum = self._mass_index()
+        ends, cum, _, cum_keys = self._mass_index()
         if rightmost:
             if not 0 <= m < cum[-1]:
                 raise ValueError(f"no rightmost t with Φ(t) = {m}")
-            j = bisect_right(cum, m) - 1
+            j = _position(cum_keys, cum, m, bisect_right) - 1
         else:
             if not 0 < m <= cum[-1]:
                 raise ValueError(f"no leftmost t with Φ(t) = {m}")
-            j = bisect_left(cum, m) - 1
+            j = _position(cum_keys, cum, m, bisect_left) - 1
         # cum[j] <= m <= cum[j + 1]: the solution lies in component j
         return ends[2 * j] + (m - cum[j])
 
     def masses_from(self, x0: RationalLike, b: RationalLike) -> list[tuple[Fraction, Fraction]]:
         """[(p, |E ∩ [x0, p]|)] for every endpoint p of E with x0 < p < b,
         in order and each once (a degenerate component gives one p), then
-        for p = b.  One bisect locates x0 in the mass index; the rest is a
-        forward walk over it, in O(log n + k) for x0 < b."""
+        for p = b, for x0 <= b.  Two bisects locate x0 and b in the mass
+        index; the rest is a forward walk over it, in O(log n + k)."""
         x0, b = rat(x0), rat(b)
-        ends, cum = self._mass_index()
-        i = bisect_right(ends, x0)
+        ends, cum, keys, _ = self._mass_index()
+        i = _position(keys, ends, x0, bisect_right)
+        stop = _position(keys, ends, b, bisect_left)
         base = _phi(ends, cum, i, x0)
         out = []
         last = x0
-        while i < len(ends) and ends[i] < b:
+        for i in range(i, stop):
             p = ends[i]
             if p != last:
                 out.append((p, cum[(i + 1) >> 1] - base))  # Φ(lo_j) = cum[j], Φ(hi_j) = cum[j + 1]
                 last = p
-            i += 1
-        out.append((b, _phi(ends, cum, i, b) - base))
+        out.append((b, _phi(ends, cum, stop, b) - base))
         return out
 
     def endpoints_in(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
         """The endpoints e with lo <= e <= hi, in order, in O(log n + k)."""
-        ends, _ = self._mass_index()
-        return ends[bisect_left(ends, rat(lo)):bisect_right(ends, rat(hi))]
+        ends, _, keys, _ = self._mass_index()
+        start = _position(keys, ends, rat(lo), bisect_left)
+        return ends[start:_position(keys, ends, rat(hi), bisect_right)]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         allow = any(iv.is_degenerate for iv in self._intervals + other._intervals)
@@ -294,10 +313,10 @@ class IntervalSet:
         if window.is_degenerate:
             raise ValueError(f"degenerate clip window {window}")
         a, b = window.lo, window.hi
-        ends, _ = self._mass_index()
+        ends, _, keys, _ = self._mass_index()
         # components j with hi_j > a and lo_j < b; ends = lo_0, hi_0, lo_1, ...
-        first = bisect_right(ends, a) // 2
-        stop = (bisect_left(ends, b) + 1) // 2
+        first = _position(keys, ends, a, bisect_right) // 2
+        stop = (_position(keys, ends, b, bisect_left) + 1) // 2
         out = []
         for iv in self._intervals[first:stop]:
             lo, hi = max(iv.lo, a), min(iv.hi, b)
@@ -353,6 +372,25 @@ class IntervalSet:
         if any(iv.is_degenerate for iv in self._intervals):
             obj["allow_degenerate"] = True
         return obj
+
+
+def _key(x: Fraction) -> float:
+    """float(x), correctly rounded, with ±inf beyond the float range."""
+    try:
+        return x.numerator / x.denominator
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
+def _position(keys: list[float], exact: list[Fraction], x: Fraction, bisect) -> int:
+    """bisect(exact, x) for bisect_left or bisect_right, with keys[i] the
+    key of exact[i].  Entries whose key is below or above x's key are below
+    or above x; only the run of keys equal to x's is bisected exactly."""
+    k = _key(x)
+    lo = bisect_left(keys, k)
+    if lo == len(keys) or keys[lo] != k:
+        return lo
+    return bisect(exact, x, lo, bisect_right(keys, k, lo))
 
 
 def _phi(ends: list[Fraction], cum: list[Fraction], i: int, x: Fraction) -> Fraction:

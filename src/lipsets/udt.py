@@ -252,19 +252,15 @@ class UdtBuildResult:
         return True
 
     def vicinity_chain_ok(self) -> bool:
-        """(v)/(vii): f_m ∈ U_n for m > n and U_{n+1} ⊆ U_n.
+        """(v)/(vii): f_m ∈ U_n for m >= n and U_{n+1} ⊆ U_n.
 
-        m = n needs no check: |f_n - f_n| = 0 <= r_n, as building U_n
-        raises on a negative radius."""
-        N = len(self.stages)
-        for n in range(1, N + 1):
-            U_n = self.vicinity(n)
-            for m in range(n + 1, N + 1):
-                if not U_n.contains(self.stages[m - 1]):
-                    return False
-            if n < N and not self.vicinity(n + 1).is_inside(U_n):
-                return False
-        return True
+        Only U_{n+1} ⊆ U_n is checked, by `is_inside`; f_m ∈ U_n follows.
+        f_m ∈ U_m, as |f_m - f_m| = 0 <= r_m and building U_m raises on a
+        negative radius.  And is_inside gives |c_{k+1} - c_k| + r_{k+1} <= r_k,
+        so |g - c_{k+1}| <= r_{k+1} implies |g - c_k| <= r_k by the triangle
+        inequality: U_m ⊆ U_{m-1} ⊆ ... ⊆ U_n, and f_m ∈ U_n by induction."""
+        tubes = [self.vicinity(n) for n in range(1, len(self.stages) + 1)]
+        return all(inner.is_inside(outer) for outer, inner in zip(tubes, tubes[1:]))
 
 
 # -- witness search ----------------------------------------------------------------

@@ -9,11 +9,17 @@ piecewise-linear algebra replaced: they evaluate a function one point at a
 time through its `__call__` and glue with `restrict` and `concat`, or
 read E's cumulative measure with one bisect per point, or compare a tube
 through intermediate functions built on the breakpoint union.
+
+`ref_cumulative`, `ref_mass`, `ref_contains`, `ref_locate`,
+`ref_masses_from`, `ref_endpoints_in` and `ref_clip` are the readers of E's
+mass index without the float filter: each builds the endpoint and
+prefix-sum lists from E's components and bisects them on Fractions only.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 
@@ -103,6 +109,86 @@ def brute_m_ratio(f_eval, x, r, samples=512):
         if v > best:
             best = v
     return best / r
+
+
+# -- exact-bisect readers of the mass index ------------------------------------
+
+
+def ref_index(E):
+    """(ends, cum): E's endpoints lo_0, hi_0, lo_1, ... and cum[j], the
+    total length of its first j components."""
+    ends = [e for iv in E for e in (iv.lo, iv.hi)]
+    cum = [Fraction(0)]
+    for iv in E:
+        cum.append(cum[-1] + (iv.hi - iv.lo))
+    return ends, cum
+
+
+def _ref_phi(ends, cum, i, x):
+    """Φ(x) for x whose bisect position among the endpoints is i."""
+    if i & 1:
+        return cum[i >> 1] + (x - ends[i - 1])
+    return cum[i >> 1]
+
+
+def ref_cumulative(E, x):
+    ends, cum = ref_index(E)
+    return _ref_phi(ends, cum, bisect_right(ends, x), x)
+
+
+def ref_mass(E, a, b):
+    if a > b:
+        raise ValueError(f"mass window with a > b: [{a}, {b}]")
+    return ref_cumulative(E, b) - ref_cumulative(E, a)
+
+
+def ref_contains(E, x):
+    ends, _ = ref_index(E)
+    i = bisect_left(ends, x)
+    return i & 1 == 1 or (i < len(ends) and ends[i] == x)
+
+
+def ref_locate(E, m, rightmost=False):
+    ends, cum = ref_index(E)
+    if rightmost:
+        if not 0 <= m < cum[-1]:
+            raise ValueError(f"no rightmost t with Φ(t) = {m}")
+        j = bisect_right(cum, m) - 1
+    else:
+        if not 0 < m <= cum[-1]:
+            raise ValueError(f"no leftmost t with Φ(t) = {m}")
+        j = bisect_left(cum, m) - 1
+    return ends[2 * j] + (m - cum[j])
+
+
+def ref_masses_from(E, x0, b):
+    ends, cum = ref_index(E)
+    i = bisect_right(ends, x0)
+    base = _ref_phi(ends, cum, i, x0)
+    out = []
+    last = x0
+    while i < len(ends) and ends[i] < b:
+        p = ends[i]
+        if p != last:
+            out.append((p, cum[(i + 1) >> 1] - base))
+            last = p
+        i += 1
+    out.append((b, _ref_phi(ends, cum, i, b) - base))
+    return out
+
+
+def ref_endpoints_in(E, lo, hi):
+    ends, _ = ref_index(E)
+    return ends[bisect_left(ends, lo):bisect_right(ends, hi)]
+
+
+def ref_clip(E, a, b):
+    """The (lo, hi) pairs of E ∩ [a, b] with lo < hi, for a < b."""
+    ends, _ = ref_index(E)
+    first = bisect_right(ends, a) // 2
+    stop = (bisect_left(ends, b) + 1) // 2
+    pairs = [(max(iv.lo, a), min(iv.hi, b)) for iv in E.intervals[first:stop]]
+    return [(lo, hi) for lo, hi in pairs if lo < hi]
 
 
 # -- slow paths of the piecewise-linear algebra --------------------------------

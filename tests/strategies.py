@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import PiecewiseLinear
 
 F = Fraction
@@ -20,3 +21,35 @@ def pl_functions(draw, lo=F(0), hi=F(1), max_inner=8, value=values):
     xs = sorted({lo, hi, *inner})
     vs = draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
     return PiecewiseLinear(xs, vs)
+
+
+# Points whose floats collide: runs spaced 2^-70 around 1/3 and 2/3, far
+# below the float spacing of 2^-54 there, then 0, a point that underflows to
+# -0.0 and one past the float range.
+TIE_STEP = F(1, 2 ** 70)
+TIE_POINTS = sorted(
+    [c + k * TIE_STEP for c in (F(1, 3), F(2, 3)) for k in range(-4, 5)]
+    + [F(0), -F(1, 10 ** 400), F(10 ** 400) + F(1, 3)]
+)
+
+
+@st.composite
+def float_tie_sets(draw):
+    """An IntervalSet with endpoints from TIE_POINTS: consecutive pairs of a
+    drawn subset, plus up to two degenerate components."""
+    ends = sorted(draw(st.sets(st.sampled_from(TIE_POINTS), max_size=12)))
+    singles = draw(st.lists(st.sampled_from(TIE_POINTS), max_size=2))
+    return IntervalSet(
+        [Interval(a, b) for a, b in zip(ends[::2], ends[1::2])]
+        + [Interval.point(p) for p in singles],
+        allow_degenerate=True,
+    )
+
+
+def near_and_between(points, offset=F(1, 2 ** 200)):
+    """The points, each ± offset, and the midpoint of each consecutive pair."""
+    xs = sorted(set(points))
+    return sorted(
+        {*xs, *(x + s * offset for x in xs for s in (-1, 1)),
+         *((a + b) / 2 for a, b in zip(xs, xs[1:]))}
+    )

@@ -12,8 +12,17 @@ from oracles import (
     cells_intersect,
     cells_measure,
     cells_union,
+    ref_clip,
+    ref_contains,
+    ref_cumulative,
+    ref_endpoints_in,
+    ref_index,
+    ref_locate,
+    ref_mass,
+    ref_masses_from,
     to_cells,
 )
+from strategies import TIE_POINTS, float_tie_sets, near_and_between
 
 F = Fraction
 
@@ -273,11 +282,18 @@ def test_mass_of_reversed_window_rejected():
 
 def test_index_keeps_equality_and_hash():
     s, t = iset((0, F(1, 3)), (F(1, 2), 1)), iset((0, F(1, 3)), (F(1, 2), 1))
-    h = hash(s)
+    h, j = hash(s), s.to_json()
+    assert not hasattr(s, "_index")  # built on the first mass query only
     assert s.mass(F(1, 4), F(3, 4)) == F(1, 3)
+    assert hasattr(s, "_index") and not hasattr(t, "_index")
     assert s == t and t == s
     assert hash(s) == h == hash(t)
+    assert s.to_json() == j == t.to_json()
     assert s != iset((0, 1))
+    # set algebra, comparison and serialization build no index
+    u = s.union(t).intersect(iset((0, 1))).clip(Interval(F(0), F(1, 2)))
+    assert u != s and isinstance(hash(u), int) and u.to_json() != j and u.measure() == F(1, 3)
+    assert not hasattr(u, "_index")
 
 
 def test_json_round_trip():
@@ -358,3 +374,65 @@ def test_contains_at_points_and_gaps():
     assert not any(s.contains(x) for x in outside)
     assert s.contains("1/3") and not s.contains(1)
     assert not IntervalSet.empty().contains(0)
+
+
+# -- the float filter at float ties ------------------------------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_tie_sets(), st.data())
+def test_float_ties_match_exact_bisects(s, data):
+    # queries on, between and 2^-200 off the endpoints: most share their
+    # float with an endpoint, so the filter must settle them exactly
+    xs = near_and_between([*TIE_POINTS, *s.endpoints()])
+    for x in xs:
+        assert s.cumulative(x) == ref_cumulative(s, x), x
+        assert s.contains(x) == ref_contains(s, x), x
+    windows = data.draw(st.lists(st.tuples(st.sampled_from(xs), st.sampled_from(xs)),
+                                 min_size=1, max_size=12))
+    for a, b in windows:
+        assert _outcome(s.mass, a, b) == _outcome(ref_mass, s, a, b)
+        a, b = min(a, b), max(a, b)
+        assert s.masses_from(a, b) == ref_masses_from(s, a, b)
+        assert s.endpoints_in(a, b) == ref_endpoints_in(s, a, b)
+        if a < b:
+            assert [(iv.lo, iv.hi) for iv in s.clip(Interval(a, b))] == ref_clip(s, a, b)
+    _, cum = ref_index(s)
+    for m in near_and_between(cum):
+        for rightmost in (False, True):
+            assert _outcome(s.locate, m, rightmost) == _outcome(ref_locate, s, m, rightmost)
+
+
+def test_float_ties_at_a_hand_made_set():
+    # three components inside one float of 1/3, a degenerate component at
+    # -10^-400 (float -0.0, equal to the key of 0) and one past the float range
+    t, tiny, huge = F(1, 2 ** 70), F(1, 10 ** 400), F(10 ** 400)
+    third = F(1, 3)
+    s = IntervalSet(
+        [Interval.point(-tiny), Interval(0, third - 3 * t), Interval(third - t, third + t),
+         Interval(third + 2 * t, third + 4 * t), Interval(huge, huge + 1)],
+        allow_degenerate=True,
+    )
+    assert float(third - 3 * t) == float(third + 4 * t)
+    assert s.contains(-tiny) and not s.contains(-tiny / 2) and s.contains(0)
+    assert s.contains(third) and not s.contains(third + 3 * t / 2)
+    assert not s.contains(third + t + F(1, 2 ** 200)) and s.contains(third + 2 * t)
+    assert s.cumulative(third + 3 * t) == third - 3 * t + 2 * t + t
+    assert s.mass(third - 2 * t, third + 3 * t) == 3 * t
+    assert s.endpoints_in(third - t, third + 2 * t) == [third - t, third + t, third + 2 * t]
+    assert s.clip(Interval(third, huge + F(1, 2))) == IntervalSet.from_pairs(
+        [(third, third + t), (third + 2 * t, third + 4 * t), (huge, huge + F(1, 2))])
+    total = s.measure()
+    assert s.locate(total) == huge + 1
+    assert s.locate(total - F(1, 2)) == huge + F(1, 2)
+    assert s.locate(third - t, rightmost=True) == third + 2 * t
+    assert s.masses_from(third, huge + 2) == [
+        (third + t, t), (third + 2 * t, t), (third + 4 * t, 3 * t),
+        (huge, 3 * t), (huge + 1, 3 * t + 1), (huge + 2, 3 * t + 1)]
