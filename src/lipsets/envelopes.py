@@ -1,18 +1,22 @@
-"""Envelope and vicinity types plus the two refinement lemmas.
+"""The tube type plus the two refinement lemmas.
 
-envelope_refine replaces a monotone function by a (1-δ)-slope zigzag with the
-same block increments, strictly inside an envelope; envelope_flatten rebuilds
-a function so that it is exactly flat on a closed set H while keeping its
-endpoint values and a (1-δ) contraction against the cumulative measure
-Φ(x) = |E ∩ (-∞, x]|.  Both operate on an active compact segment and leave
-the function untouched (hence already flat where it needs to be) outside it;
-both verify their preconditions exactly and raise with an exact witness
-instead of assuming them.  The preconditions they share (0 < δ < ε <= 1,
-the envelope on f's domain, f inside it, and the increment bound
-|Δf| <= (1-ε)|E ∩ Δ|) and the choice of the active segment form one frame,
-`_lemma_frame`; each lemma adds only its own checks.  Both read Φ from E's
-own mass index, and both build their new pieces with `pcw.ramp_to`.  Admission
-is read off the margin, and every tube test compares values on the merged grid.
+An `Envelope(center, radius)` is the tube {g : |g - center| <= radius}; one
+type serves the lemmas, the staged builder and its vicinity chain.  Every
+tube test compares values on the merged grid of the functions involved.
+
+envelope_refine replaces the tube's center f, a monotone function, by a
+(1-δ)-slope zigzag with the same block increments, strictly inside the tube;
+envelope_flatten rebuilds f so that it is exactly flat on a closed set H
+while keeping its endpoint values and a (1-δ) contraction against the
+cumulative measure Φ(x) = |E ∩ (-∞, x]|.  Both operate on an active compact
+segment and leave the function untouched (hence already flat where it needs
+to be) outside it; both verify their preconditions exactly and raise with an
+exact witness instead of assuming them.  The preconditions they share
+(0 < δ < ε <= 1 and the increment bound |Δf| <= (1-ε)|E ∩ Δ|) form one
+frame, `_lemma_frame`; each lemma adds only its own checks.  f lies in its
+own tube, and the margin the lemmas fit their blocks into is the radius.
+Both read Φ from E's own mass index, and both build their new pieces with
+`pcw.ramp_to`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional
 from .intervals import Interval, IntervalSet, RationalLike, rat
 from .constructions import balance_point
 from .pcw import PiecewiseLinear, common_domain, first_sloped_segment, merged_breakpoints
-from .pcw import monotone_runs, pl_min, ramp_to
+from .pcw import monotone_runs, ramp_to
 
 
 class PreconditionError(ValueError):
@@ -38,44 +42,12 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class Envelope:
-    """Pointwise bounds (lower, upper) around a function.
+    """Tube of functions around a center: {g : |g - center| <= radius}.
 
     Strict inequality is required only on the active segment of a refine or
-    flatten call; elsewhere lower = f = upper is legal (the collars of the
-    staged construction pin the function there).
+    flatten call; elsewhere radius = 0 is legal (the collars of the staged
+    construction pin the function there).
     """
-
-    lower: PiecewiseLinear
-    upper: PiecewiseLinear
-
-    def __post_init__(self):
-        if self.lower.domain != self.upper.domain:
-            raise ValueError("envelope bounds must share a domain")
-        if not self.lower.le(self.upper):
-            raise ValueError("envelope lower bound exceeds upper bound")
-
-    @property
-    def domain(self) -> Interval:
-        return self.lower.domain
-
-    def admits(self, f: PiecewiseLinear) -> bool:
-        """lower <= f <= upper, i.e. a margin >= 0 on the whole domain."""
-        return self.min_margin_on(f, *common_domain(f, self.lower)) >= 0
-
-    def margin(self, f: PiecewiseLinear) -> PiecewiseLinear:
-        """min(f - lower, upper - f) on the whole domain."""
-        return pl_min(f - self.lower, self.upper - f)
-
-    def min_margin_on(self, f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Fraction:
-        """Exact min over [lo, hi] of min(f - lower, upper - f), which is
-        concave between grid points, so its min is at one."""
-        fs, ls, us = _grid_values((f, self.lower, self.upper), lo, hi)
-        return min(min(v - l, u - v) for v, l, u in zip(fs, ls, us))
-
-
-@dataclass(frozen=True)
-class Vicinity:
-    """Tube of functions around a center: {g : |g - center| <= radius}."""
 
     center: PiecewiseLinear
     radius: PiecewiseLinear
@@ -91,12 +63,18 @@ class Vicinity:
         gs, cs, rs = _grid_values((g, self.center, self.radius), *common_domain(g, self.center))
         return all(abs(a - b) <= r for a, b, r in zip(gs, cs, rs))
 
-    def is_inside(self, other: "Vicinity") -> bool:
+    def is_inside(self, other: "Envelope") -> bool:
         """Sufficient exact check for {g : |g-c| <= r} ⊆ {g : |g-c'| <= r'}:
         |c - c'| + r <= r' at the grid points: exact, as it is convex between them."""
         fs = (self.center, self.radius, other.center, other.radius)
         cs, rs, cs2, rs2 = _grid_values(fs, *common_domain(self.center, other.center))
         return all(abs(a - b) + r <= r2 for a, r, b, r2 in zip(cs, rs, cs2, rs2))
+
+    def min_margin_on(self, g: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Fraction:
+        """Exact min over [lo, hi] of r - |g - c|, which is concave between
+        grid points, so its min is at one."""
+        gs, cs, rs = _grid_values((g, self.center, self.radius), lo, hi)
+        return min(r - abs(a - b) for a, b, r in zip(gs, cs, rs))
 
 
 def _grid_values(fs: tuple[PiecewiseLinear, ...], lo: RationalLike, hi: RationalLike):
@@ -129,39 +107,25 @@ def verify_contraction(
 
 
 def _lemma_frame(
-    f: PiecewiseLinear,
-    env: Envelope,
+    tube: Envelope,
     E: IntervalSet,
     epsilon: RationalLike,
     delta: RationalLike,
-    segment: Optional[tuple[RationalLike, RationalLike]],
-) -> tuple[Fraction, Fraction, PiecewiseLinear, tuple[Fraction, Fraction]]:
+    segment: tuple[RationalLike, RationalLike],
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Verify the preconditions refine and flatten share (see the module
     docstring; the increment bound raises with its exact witness) and return
-    (ε, δ, env.margin(f), (c, d)), the segment auto-chosen when none is
-    given.  Each lemma checks where a given segment may lie."""
+    (ε, δ, c, d) for the segment [c, d].  Each lemma checks where the
+    segment may lie."""
     eps, delta = rat(epsilon), rat(delta)
     if not (0 < delta < eps <= 1):
         raise ValueError("need 0 < delta < epsilon <= 1")
-    if env.domain != f.domain:
-        raise ValueError("envelope domain mismatch")
-    margin = env.margin(f)
-    if margin.min_value() < 0:
-        raise PreconditionError("f is not inside the envelope")
-    witness = verify_contraction(f, E, 1 - eps)
+    witness = verify_contraction(tube.center, E, 1 - eps)
     if witness is not None:
         raise PreconditionError(
             "increment precondition |Δf| <= (1-ε)|E ∩ Δ| fails", witness
         )
-    if segment is not None:
-        return eps, delta, margin, (rat(segment[0]), rat(segment[1]))
-    lo, hi = f.domain.lo, f.domain.hi
-    length = hi - lo
-    for k in [64, 32, 16, 8, 4, 3]:
-        c, d = lo + length / k, hi - length / k
-        if c < d and margin.restrict(c, d).min_value() > 0:
-            return eps, delta, margin, (c, d)
-    raise PreconditionError("no active segment with strict envelope margins")
+    return eps, delta, rat(segment[0]), rat(segment[1])
 
 
 @dataclass(frozen=True)
@@ -171,7 +135,7 @@ class RefineResult:
     division_points: tuple[Fraction, ...]  # c_0, c_1, ..., c_{2n}
     epsilon: Fraction
     delta: Fraction
-    margin: Fraction  # γ of the uniform-continuity bound
+    margin: Fraction  # min of the tube's radius on the segment
     blocks: int
 
 
@@ -215,16 +179,14 @@ def _adaptive_block_bounds(
 
 
 def envelope_refine(
-    f: PiecewiseLinear,
-    env: Envelope,
+    tube: Envelope,
     E: IntervalSet,
     epsilon: RationalLike,
     delta: RationalLike,
-    segment: Optional[tuple[RationalLike, RationalLike]] = None,
-    division: str = "uniform",
+    segment: tuple[RationalLike, RationalLike],
     require_monotone: bool = True,
 ) -> RefineResult:
-    """Zigzag refinement of f inside an envelope.
+    """Zigzag refinement of the tube's center f strictly inside the tube.
 
     On the active segment [c, d] the result g satisfies g(c) = f(c),
     g(d) = f(d), g = K ± (1-δ)Φ on each of 2n monotone pieces, and the
@@ -232,28 +194,27 @@ def envelope_refine(
     (1-δ)(|E∩[c_{2i-2},c_{2i-1}]| - |E∩[c_{2i-1},c_{2i}]|) = f(c_{2i}) - f(c_{2i-2}).
     Outside the segment g = f.
 
-    division="uniform" divides [c, d] into n equal blocks with
-    (d-c)/n < γ/(3L) (γ the minimal margin, L a slope bound); "adaptive"
-    sizes blocks by the local margin instead, which the staged builder needs
-    when the margin varies over orders of magnitude.  With
-    step = margin(p)/(2(2 + L)), an adaptive block starting at p ends at the
-    largest point at or below p + step of the dyadic grid 2^-m Z with
-    2^-m < step/8, so its length lies in ((7/8)·step, step] (the last one
-    absorbs a sliver and stays below (3/2)·step) and its end carries no
-    denominator of the margin (`_adaptive_block_bounds`).  Both divisions
-    finish with the same exact checks.
+    Blocks are sized by the local radius, which the staged builder needs
+    when it varies over orders of magnitude.  With
+    step = radius(p)/(2(2 + L)), L the radius's largest absolute slope, a
+    block starting at p ends at the largest point at or below p + step of
+    the dyadic grid 2^-m Z with 2^-m < step/8, so its length lies in
+    ((7/8)·step, step] (the last one absorbs a sliver and stays below
+    (3/2)·step) and its end carries no denominator of the radius
+    (`_adaptive_block_bounds`).  The result is checked exactly to lie
+    strictly inside the tube on [c, d].
 
     Monotonicity of f on [c, d] is the lemma's hypothesis; with
-    require_monotone (the default) it is verified once the segment is
-    resolved, and a violation raises PreconditionError whose witness is
-    three breakpoints a < m < b with f(m) - f(a) and f(b) - f(m) of strictly
-    opposite signs.  Zero slopes are allowed, and off [c, d] the result is f
-    itself, so monotonicity there plays no part.  The construction itself
-    uses only the increment precondition, which is always verified; the
-    staged builder refines zigzag stage functions and passes
-    require_monotone=False.
+    require_monotone (the default) it is verified, and a violation raises
+    PreconditionError whose witness is three breakpoints a < m < b with
+    f(m) - f(a) and f(b) - f(m) of strictly opposite signs.  Zero slopes are
+    allowed, and off [c, d] the result is f itself, so monotonicity there
+    plays no part.  The construction itself uses only the increment
+    precondition, which is always verified; the staged builder refines
+    zigzag stage functions and passes require_monotone=False.
     """
-    eps, delta, margin, (c, d) = _lemma_frame(f, env, E, epsilon, delta, segment)
+    f, radius = tube.center, tube.radius
+    eps, delta, c, d = _lemma_frame(tube, E, epsilon, delta, segment)
     if not (f.domain.lo < c < d < f.domain.hi):
         raise ValueError("segment must be strictly inside the domain")
     if require_monotone:
@@ -263,40 +224,26 @@ def envelope_refine(
             raise PreconditionError(
                 "f is not monotone on the active segment", (a, m, b)
             )
-    gamma = margin.restrict(c, d).min_value()
+    gamma = radius.restrict(c, d).min_value()
     if gamma <= 0:
         raise PreconditionError("envelope is not strict on the segment")
-    if division == "uniform":
-        L = max(
-            [Fraction(1)]
-            + [abs(s) for s in env.lower.slopes()]
-            + [abs(s) for s in env.upper.slopes()]
-        )
-        n = int((3 * L * (d - c)) // gamma) + 1
-        step = (d - c) / n
-        evens = [c + i * step for i in range(n + 1)]
-    elif division == "adaptive":
-        evens = _adaptive_block_bounds(margin, c, d, max(map(abs, margin.slopes())))
-        n = len(evens) - 1
-    else:
-        raise ValueError("division must be 'uniform' or 'adaptive'")
+    evens = _adaptive_block_bounds(radius, c, d, max(map(abs, radius.slopes())))
+    f_evens = f.at(evens)
 
-    division: list[Fraction] = [evens[0]]
+    division: list[Fraction] = [c]
     xs: list[Fraction] = [c]
-    vs: list[Fraction] = [f(c)]
-    for a, b in zip(evens, evens[1:]):
-        target = f(b) - f(a)
-        mid = balance_point(E, a, b, target, delta)
+    vs: list[Fraction] = [f_evens[0]]
+    for a, b, fa, fb in zip(evens, evens[1:], f_evens, f_evens[1:]):
+        mid = balance_point(E, a, b, fb - fa, delta)
         division.extend([mid, b])
         ramp_to(xs, vs, E, 1 - delta, mid)
         ramp_to(xs, vs, E, delta - 1, b)
 
-    zig = PiecewiseLinear(xs, vs)
-    assert zig(d) == f(d), "telescoping failure"
-    g = f.splice([zig])
-    if env.min_margin_on(g, c, d) <= 0:
+    assert vs[-1] == f_evens[-1], "telescoping failure"
+    g = f.splice([PiecewiseLinear(xs, vs)])
+    if tube.min_margin_on(g, c, d) <= 0:
         raise PreconditionError("refined function escapes the envelope")
-    return RefineResult(g, (c, d), tuple(division), eps, delta, gamma, n)
+    return RefineResult(g, (c, d), tuple(division), eps, delta, gamma, len(evens) - 1)
 
 
 @dataclass(frozen=True)
@@ -322,26 +269,26 @@ class FlattenResult:
 
 
 def envelope_flatten(
-    f: PiecewiseLinear,
-    env: Envelope,
+    tube: Envelope,
     E: IntervalSet,
     H: IntervalSet,
     epsilon: RationalLike,
     delta: RationalLike,
-    segment: Optional[tuple[RationalLike, RationalLike]] = None,
+    segment: tuple[RationalLike, RationalLike],
 ) -> FlattenResult:
-    """Rebuild f with slope exactly 0 on H, same endpoint values, and the
-    (1-δ) contraction |g(x)-g(y)| <= (1-δ)|E ∩ [x, y]|.
+    """Rebuild the tube's center f with slope exactly 0 on H, same endpoint
+    values, and the (1-δ) contraction |g(x)-g(y)| <= (1-δ)|E ∩ [x, y]|.
 
     The active segment is cut into cells on which f is linear with
-    oscillation at most half the envelope margin; within each cell the
+    oscillation at most half the tube's radius; within each cell the
     E-mass of the intervals contiguous to H (all of them, so the selected
     mass equals the cell total and (1-δ)·selected > (1-ε)·total is
     certified) is re-ramped so that g matches f at every cell boundary and
-    stays inside the envelope.  H-parts outside the segment must already be
+    stays inside the tube.  H-parts outside the segment must already be
     flat for f.
     """
-    eps, delta, margin, (c, d) = _lemma_frame(f, env, E, epsilon, delta, segment)
+    f, radius = tube.center, tube.radius
+    eps, delta, c, d = _lemma_frame(tube, E, epsilon, delta, segment)
     if not (f.domain.lo <= c < d <= f.domain.hi):
         raise ValueError("segment must lie inside the domain")
     if H.intersect(E).measure() != 0:
@@ -364,31 +311,32 @@ def envelope_flatten(
         return FlattenResult(f, (c, d), Fraction(0), (), total,
                              (1 - eps) * total, eps, delta)
 
-    if margin.restrict(c, d).min_value() <= 0:
+    if radius.restrict(c, d).min_value() <= 0:
         raise PreconditionError("envelope is not strict on the segment")
 
     # cells: f linear on each, short enough for the ramp (amplitude <= the
-    # cell's f-oscillation) to stay inside the locally available margin
-    m_slope = max(map(abs, margin.slopes()))
+    # cell's f-oscillation) to stay inside the locally available radius
+    r_slope = max(map(abs, radius.slopes()))
     bounds = sorted({c, d} | {b for b in f.breakpoints if c < b < d})
-    cells: list[tuple[Fraction, Fraction]] = []
-    for p, q in zip(bounds, bounds[1:]):
-        slope = abs(f(q) - f(p)) / (q - p)
-        sub = _adaptive_block_bounds(margin, p, q, m_slope, extra_slope=slope)
-        cells.extend(zip(sub, sub[1:]))
+    f_bounds = f.at(bounds)
+    ends = [c]
+    for p, q, fp, fq in zip(bounds, bounds[1:], f_bounds, f_bounds[1:]):
+        slope = abs(fq - fp) / (q - p)
+        ends.extend(_adaptive_block_bounds(radius, p, q, r_slope, extra_slope=slope)[1:])
+    f_ends = f.at(ends)
 
     comps: list[FlattenComponent] = []
     xs: list[Fraction] = [c]
-    vs: list[Fraction] = [f(c)]
+    vs: list[Fraction] = [f_ends[0]]
 
     def flat_until(p: Fraction):
         if p > xs[-1]:
             xs.append(p)
             vs.append(vs[-1])
 
-    for p, q in cells:
+    for p, q, fp, fq in zip(ends, ends[1:], f_ends, f_ends[1:]):
         cell_mass = E.mass(p, q)
-        rise_cell = f(q) - f(p)
+        rise_cell = fq - fp
         if cell_mass == 0:
             if rise_cell != 0:
                 raise PreconditionError(
@@ -416,15 +364,15 @@ def envelope_flatten(
             flat_until(comp.hi)
             comps.append(FlattenComponent(comp.lo, comp.hi, mass, rise, u, v))
         flat_until(q)
-        assert vs[-1] == f(q), "cell endpoint mismatch"
+        assert vs[-1] == fq, "cell endpoint mismatch"
 
     g = f.splice([PiecewiseLinear(xs, vs)])
     post = verify_contraction(g, E, 1 - delta)
     if post is not None:
         raise AssertionError(f"flatten violated its own contraction: {post}")
-    if env.min_margin_on(g, c, d) <= 0:
+    if tube.min_margin_on(g, c, d) <= 0:
         raise PreconditionError("flattened function escapes the envelope")
-    gamma_scale = (f(d) - f(c)) / total if total else Fraction(0)
+    gamma_scale = (f_ends[-1] - f_ends[0]) / total if total else Fraction(0)
     return FlattenResult(
         g,
         (c, d),

@@ -15,9 +15,12 @@ a target interval set standing in for E = ∩ G_n, and a witness prefix
   (vi)   later stages keep witness ratios above (1-2^-n)γ_n.
 
 Each stage flattens the previous function on the new F-parts inside an
-r-positive segment (envelope_flatten), then re-zigzags inside the margin
-envelope (envelope_refine).  Quadratic margins d(x, F_n)^2 are replaced by
-exact piecewise-linear tangent minorants, which is strictly harder.  A
+r-positive segment, within the tube Envelope(f_{n-1}, r_{n-1}/3)
+(envelope_flatten), then re-zigzags the result within the tube around it
+whose radius is the margin (envelope_refine).  The vicinity U_n is the tube
+Envelope(f_n, r_n), so one type serves both lemmas and the chain
+U_{n+1} ⊆ U_n.  Quadratic margins d(x, F_n)^2 are replaced by exact
+piecewise-linear tangent minorants, which is strictly harder.  A
 piecewise-linear stage function keeps an exactly flat collar next to each
 F_n endpoint, so witnesses are sampled from the recorded active regions.
 
@@ -42,7 +45,6 @@ from .density import UDTWitness, level_set_membership
 from .envelopes import (
     Envelope,
     PreconditionError,
-    Vicinity,
     envelope_flatten,
     envelope_refine,
     verify_contraction,
@@ -225,8 +227,8 @@ class UdtBuildResult:
     radii: tuple[PiecewiseLinear, ...]
     diagnostics: tuple[StageDiagnostics, ...]
 
-    def vicinity(self, n: int) -> Vicinity:
-        return Vicinity(self.stages[n - 1], self.radii[n - 1])
+    def vicinity(self, n: int) -> Envelope:
+        return Envelope(self.stages[n - 1], self.radii[n - 1])
 
     def persistence_ok(self) -> bool:
         """(ii) f_m = f_n on F_n and (vi) tail witness ratios, all stages.
@@ -391,11 +393,12 @@ def build_udt_lip1(
 ) -> UdtBuildResult:
     """Run the staged construction for the given number of stages.
 
-    Stage 1 refines the zero function inside the quadratic-margin envelope
-    (δ = 2^-3, ε = 1); stage n >= 2 first flattens f_{n-1} on the new closed
-    parts inside the vicinity tube of radius r_{n-1}/3 (ε = 2^-3(n-1),
-    δ' = midpoint of (2^-3n, 2^-3(n-1))), then refines inside
-    min{quadratic margin, r_{n-1}/3} with δ = 2^-3n.
+    Stage 1 refines the zero function within the tube whose radius is the
+    quadratic margin (δ = 2^-3, ε = 1); stage n >= 2 first flattens f_{n-1}
+    on the new closed parts within the tube Envelope(f_{n-1}, r_{n-1}/3)
+    (ε = 2^-3(n-1), δ' = midpoint of (2^-3n, 2^-3(n-1))), then refines the
+    result within the tube around it of radius
+    min{quadratic margin, r_{n-1}/3}, with δ = 2^-3n.
     """
     if stages < 1 or stages > system.depth:
         raise ValueError("stages must be between 1 and the system depth")
@@ -425,7 +428,6 @@ def build_udt_lip1(
         else:
             eps_prev = Fraction(1, 2 ** (3 * (n - 1)))
             delta_prime = (delta_stage + eps_prev) / 2
-            tube_lo, tube_hi = f_prev - r_third, f_prev + r_third
             flattened: list[PiecewiseLinear] = []
             for region in system.complement(n - 1):
                 if region.is_degenerate:
@@ -453,12 +455,9 @@ def build_udt_lip1(
                 if nonflat:  # h_loc's components are sorted and disjoint
                     c0 = min(c0, (zone[0] + nonflat[0].lo) / 2)
                     d0 = max(d0, (nonflat[-1].hi + zone[1]) / 2)
-                env_loc = Envelope(
-                    tube_lo.restrict(region.lo, region.hi),
-                    tube_hi.restrict(region.lo, region.hi),
-                )
                 res = envelope_flatten(
-                    f_loc, env_loc, E, h_loc, eps_prev, delta_prime, segment=(c0, d0)
+                    Envelope(f_loc, r_third.restrict(region.lo, region.hi)),
+                    E, h_loc, eps_prev, delta_prime, segment=(c0, d0),
                 )
                 flattened.append(res.function)
             f_star = f_prev.splice(flattened)
@@ -494,13 +493,11 @@ def build_udt_lip1(
             if E.mass(c0, d0) == 0:
                 continue
             f_loc = f_star.restrict(region.lo, region.hi)
-            env_loc = Envelope(f_loc - qmargin, f_loc + qmargin)
             # f_star is already a zigzag; the construction needs only the
             # increment precondition, which envelope_refine still verifies
             res = envelope_refine(
-                f_loc, env_loc, E, eps_contract, delta_stage,
-                segment=(c0, d0), division="adaptive",
-                require_monotone=False,
+                Envelope(f_loc, qmargin), E, eps_contract, delta_stage,
+                segment=(c0, d0), require_monotone=False,
             )
             refined.append(res.function)
             active.append((c0, d0))

@@ -275,18 +275,28 @@ def ref_ramp_to(xs, vs, E, slope, b):
     vs.append(v0 + slope * (E.cumulative(b) - base))
 
 
-def ref_min_margin_on(env, f, lo, hi):
-    """min(f - lower, upper - f) over [lo, hi]: each function restricted,
+def ref_min_margin_on(tube, g, lo, hi):
+    """min over [lo, hi] of r - |g - c|: each function restricted, |g - c|
+    built as max(g - c, c - g), r - |g - c| on the breakpoint union, then a
+    min over its breakpoints."""
+    g, c, r = (f.restrict(lo, hi) for f in (g, tube.center, tube.radius))
+    diff = ref_combine(g, c, operator.sub)
+    margin = ref_combine(r, ref_pick(diff, diff.scale(-1), max), operator.sub)
+    return min(margin(x) for x in margin.breakpoints)
+
+
+def ref_band_margin_on(lower, upper, g, lo, hi):
+    """min(g - lower, upper - g) over [lo, hi]: each function restricted,
     both differences built on the breakpoint union, then a min per point."""
-    f, lower, upper = (g.restrict(lo, hi) for g in (f, env.lower, env.upper))
-    below = ref_combine(f, lower, operator.sub)
-    above = ref_combine(upper, f, operator.sub)
+    g, lower, upper = (f.restrict(lo, hi) for f in (g, lower, upper))
+    below = ref_combine(g, lower, operator.sub)
+    above = ref_combine(upper, g, operator.sub)
     return min(min(below(x), above(x)) for x in ref_union(below, above))
 
 
-def ref_admits(env, f):
-    """lower <= f <= upper as two pointwise comparisons."""
-    return ref_le(env.lower, f) and ref_le(f, env.upper)
+def ref_between(lower, g, upper):
+    """lower <= g <= upper as two pointwise comparisons."""
+    return ref_le(lower, g) and ref_le(g, upper)
 
 
 def ref_positive_zone(f, lo, hi):

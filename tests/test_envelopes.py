@@ -10,7 +10,6 @@ from lipsets.envelopes import (
     FlattenResult,
     PreconditionError,
     RefineResult,
-    Vicinity,
     _adaptive_block_bounds,
     envelope_flatten,
     envelope_refine,
@@ -21,11 +20,11 @@ from lipsets.pcw import (
     build_phi,
     check_increment_bound,
     first_sloped_segment,
-    pl_min,
 )
 
 from oracles import (
-    ref_admits,
+    ref_band_margin_on,
+    ref_between,
     ref_contraction_witness,
     ref_min_margin_on,
     ref_vicinity_contains,
@@ -41,13 +40,13 @@ def iset(*pairs):
 
 
 W01 = Interval(F(0), F(1))
+ZERO = PiecewiseLinear.constant(0, W01)
+WIDE = (F(1, 64), F(63, 64))
 
 
-def const_env(domain, radius):
-    return Envelope(
-        PiecewiseLinear.constant(-radius, domain),
-        PiecewiseLinear.constant(radius, domain),
-    )
+def tube(center, radius):
+    """The tube of constant radius around center."""
+    return Envelope(center, PiecewiseLinear.constant(radius, center.domain))
 
 
 dyadic = st.integers(0, 16).map(lambda k: F(k, 16))
@@ -65,46 +64,26 @@ def dyadic_sets(min_mass=False):
 
 
 class TestEnvelopeType:
-    def test_order_validated(self):
-        lo = PiecewiseLinear.constant(1, W01)
-        up = PiecewiseLinear.constant(0, W01)
-        with pytest.raises(ValueError):
-            Envelope(lo, up)
-
     def test_min_margin(self):
-        env = const_env(W01, F(1, 4))
-        f = PiecewiseLinear.constant(0, W01)
-        assert env.min_margin_on(f, F(1, 8), F(7, 8)) == F(1, 4)
+        env = tube(ZERO, F(1, 4))
+        assert env.min_margin_on(ZERO, F(1, 8), F(7, 8)) == F(1, 4)
+        # r - |g - c| is least where g = x/2 is farthest from the center
+        g = PiecewiseLinear([0, 1], [0, F(1, 2)])
+        assert env.min_margin_on(g, F(1, 8), F(3, 8)) == F(1, 4) - F(3, 16)
+        assert env.min_margin_on(g, F(1, 8), F(7, 8)) == F(1, 4) - F(7, 16)
 
-    def test_admits(self):
-        env = const_env(W01, F(1, 4))
-        assert env.admits(PiecewiseLinear.constant(F(1, 4), W01))
-        assert not env.admits(PiecewiseLinear.constant(F(1, 2), W01))
-
-
-class TestVicinity:
     def test_membership(self):
-        v = Vicinity(
-            PiecewiseLinear.constant(0, W01), PiecewiseLinear.constant(F(1, 8), W01)
-        )
+        v = tube(ZERO, F(1, 8))
         assert v.contains(PiecewiseLinear.constant(F(1, 8), W01))
         assert not v.contains(PiecewiseLinear.constant(F(1, 4), W01))
 
     def test_nonnegative_radius(self):
         with pytest.raises(ValueError):
-            Vicinity(
-                PiecewiseLinear.constant(0, W01),
-                PiecewiseLinear.constant(-1, W01),
-            )
+            tube(ZERO, -1)
 
     def test_nesting(self):
-        big = Vicinity(
-            PiecewiseLinear.constant(0, W01), PiecewiseLinear.constant(F(1, 2), W01)
-        )
-        small = Vicinity(
-            PiecewiseLinear.constant(F(1, 8), W01),
-            PiecewiseLinear.constant(F(1, 4), W01),
-        )
+        big = tube(ZERO, F(1, 2))
+        small = tube(PiecewiseLinear.constant(F(1, 8), W01), F(1, 4))
         assert small.is_inside(big)
         assert not big.is_inside(small)
 
@@ -159,58 +138,57 @@ def test_verify_contraction_on_unequal_domains(pairs, factor, data):
 
 
 @settings(max_examples=100)
-@given(pl_functions(), pl_functions(value=nonneg), pl_functions(value=nonneg),
-       st.lists(points, min_size=2, max_size=2, unique=True))
-def test_margin_restricts_to_min_margin_on(f, below, above, window):
-    # one margin function serves every window the lemmas read it on
-    env = Envelope(f - below, f + above)
-    lo, hi = sorted(window)
-    margin = env.margin(f)
-    assert margin == pl_min(below, above)
-    assert margin.restrict(lo, hi).min_value() == env.min_margin_on(f, lo, hi)
+@given(pl_functions(), pl_functions(value=nonneg), pl_functions(value=small),
+       pl_functions(value=small), pl_functions(value=nonneg))
+def test_vicinity_checks_match_abs_formulation(c, r, h, h2, extra):
+    v = Envelope(c, r)
+    g = c + h
+    assert v.contains(g) == ref_vicinity_contains(c, r, g)
+    w = Envelope(c + h2, r + extra)
+    assert v.is_inside(w) == ref_vicinity_is_inside(v, w)
+    assert w.is_inside(v) == ref_vicinity_is_inside(w, v)
 
 
 @settings(max_examples=100)
 @given(pl_functions(), pl_functions(value=nonneg), pl_functions(value=small),
-       pl_functions(value=small), pl_functions(value=nonneg))
-def test_vicinity_checks_match_abs_formulation(c, r, h, h2, extra):
-    v = Vicinity(c, r)
-    g = c + h
-    assert v.contains(g) == ref_vicinity_contains(c, r, g)
-    w = Vicinity(c + h2, r + extra)
-    assert v.is_inside(w) == ref_vicinity_is_inside(v, w)
-    assert w.is_inside(v) == ref_vicinity_is_inside(w, v)
+       st.lists(points, min_size=2, max_size=2, unique=True))
+def test_margin_restricts_to_min_margin_on(c, r, h, window):
+    # at its center a tube's margin is its radius, on every window the
+    # lemmas read it on; g = c + h may leave the tube on either side
+    env = Envelope(c, r)
+    lo, hi = sorted(window)
+    assert env.min_margin_on(c, lo, hi) == r.restrict(lo, hi).min_value()
+    assert env.min_margin_on(c + h, lo, hi) == ref_min_margin_on(env, c + h, lo, hi)
 
 
 @settings(max_examples=100)
 @given(pl_functions(), pl_functions(value=nonneg), pl_functions(value=nonneg),
        pl_functions(value=small), st.lists(points, min_size=2, max_size=2, unique=True))
 def test_tube_checks_on_asymmetric_envelopes(f, below, above, h, window):
-    # g = f + h may leave the envelope [f - below, f + above] on either side
-    env = Envelope(f - below, f + above)
+    # the band [f - below, f + above] is the tube around its midline with
+    # half its width as radius; g = f + h may leave it on either side
+    lower, upper = f - below, f + above
+    env = Envelope((lower + upper).scale(F(1, 2)), (upper - lower).scale(F(1, 2)))
     g = f + h
     lo, hi = sorted(window)
-    assert env.admits(g) == ref_admits(env, g)
-    assert env.admits(f)
-    assert env.min_margin_on(g, lo, hi) == ref_min_margin_on(env, g, lo, hi)
+    assert env.contains(g) == ref_between(lower, g, upper)
+    assert env.contains(f)
+    assert env.min_margin_on(g, lo, hi) == ref_band_margin_on(lower, upper, g, lo, hi)
 
 
 HALF = Interval(F(0), F(1, 2))
 
 
 def test_tube_checks_reject_other_domains():
-    c, r = PiecewiseLinear.constant(0, W01), PiecewiseLinear.constant(1, W01)
-    v = Vicinity(c, r)
+    v = tube(ZERO, 1)
     for dom in (HALF, Interval(F(0), F(2))):  # inside and around [0, 1]
-        other = Vicinity(PiecewiseLinear.constant(0, dom), PiecewiseLinear.constant(1, dom))
+        other = tube(PiecewiseLinear.constant(0, dom), 1)
         with pytest.raises(ValueError):
             v.contains(other.center)
         with pytest.raises(ValueError):
             v.is_inside(other)
         with pytest.raises(ValueError):
             other.is_inside(v)
-        with pytest.raises(ValueError):
-            const_env(W01, 1).admits(other.center)
 
 
 @pytest.mark.parametrize("env_domain, lo, hi", [
@@ -222,16 +200,16 @@ def test_tube_checks_reject_other_domains():
 ])
 def test_min_margin_on_rejects_bad_windows(env_domain, lo, hi):
     with pytest.raises(ValueError):
-        const_env(env_domain, 1).min_margin_on(ZERO, lo, hi)
+        tube(PiecewiseLinear.constant(0, env_domain), 1).min_margin_on(ZERO, lo, hi)
 
 
 class TestEnvelopeRefine:
     def test_zero_function_zigzag(self):
         E = iset((0, 1))
         f = PiecewiseLinear.constant(0, W01)
-        env = const_env(W01, F(1, 4))
+        env = tube(f, F(1, 4))
         delta = F(1, 8)
-        res = envelope_refine(f, env, E, 1, delta, segment=(F(1, 8), F(7, 8)))
+        res = envelope_refine(env, E, 1, delta, segment=(F(1, 8), F(7, 8)))
         g = res.function
         # returns to 0 at every even division point, peaks with slopes ±(1-δ)
         for i in range(0, len(res.division_points), 2):
@@ -245,8 +223,8 @@ class TestEnvelopeRefine:
     def test_empty_mass_keeps_f(self):
         E = iset((2, 3))  # no mass inside the window
         f = PiecewiseLinear.constant(F(1, 16), W01)
-        env = const_env(W01, F(1, 4))
-        res = envelope_refine(f, env, E, 1, F(1, 8), segment=(F(1, 4), F(3, 4)))
+        env = tube(f, F(1, 4))
+        res = envelope_refine(env, E, 1, F(1, 8), segment=(F(1, 4), F(3, 4)))
         assert res.function == f
 
     def test_endpoint_equality_and_ci_eq(self):
@@ -254,9 +232,9 @@ class TestEnvelopeRefine:
         phi = build_phi(E, 0, W01)
         eps = F(1, 4)
         f = phi.scale(1 - eps)
-        env = Envelope(f.shift(-F(1, 8)), f.shift(F(1, 8)))
+        env = tube(f, F(1, 8))
         delta = F(1, 16)
-        res = envelope_refine(f, env, E, eps, delta, segment=(F(1, 8), F(7, 8)))
+        res = envelope_refine(env, E, eps, delta, segment=(F(1, 8), F(7, 8)))
         g, (c, d) = res.function, res.segment
         assert g(c) == f(c) and g(d) == f(d)
         pts = res.division_points
@@ -272,10 +250,9 @@ class TestEnvelopeRefine:
         E = iset((0, F(1, 4)), (F(5, 16), F(3, 8)), (F(3, 8) + F(1, 64), F(5, 8)), (F(3, 4), 1))
         phi = build_phi(E, 0, W01)
         f = phi.scale(F(1, 2))
-        env = Envelope(f.shift(-F(1, 8)), f.shift(F(1, 8)))
+        env = tube(f, F(1, 8))
         delta = F(1, 16)
-        res = envelope_refine(f, env, E, F(1, 4), delta, segment=(F(1, 8), F(7, 8)),
-                              division="adaptive")
+        res = envelope_refine(env, E, F(1, 4), delta, segment=(F(1, 8), F(7, 8)))
         g, pts = res.function, res.division_points
         for k, (a, b) in enumerate(zip(pts, pts[1:])):
             sign = 1 if k % 2 == 0 else -1
@@ -285,31 +262,31 @@ class TestEnvelopeRefine:
     def test_strict_containment(self):
         E = iset((0, 1))
         f = PiecewiseLinear.constant(0, W01)
-        env = const_env(W01, F(1, 4))
-        res = envelope_refine(f, env, E, 1, F(1, 8), segment=(F(1, 8), F(7, 8)))
+        env = tube(f, F(1, 4))
+        res = envelope_refine(env, E, 1, F(1, 8), segment=(F(1, 8), F(7, 8)))
         c, d = res.segment
         assert env.min_margin_on(res.function, c, d) > 0
 
     def test_increment_precondition_enforced(self):
         E = iset((0, 1))
         phi = build_phi(E, 0, W01)
-        env = const_env(W01, 2)
+        env = tube(phi, 2)
         with pytest.raises(PreconditionError):
-            envelope_refine(phi, env, E, F(1, 2), F(1, 4), segment=(F(1, 4), F(3, 4)))
+            envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 4), F(3, 4)))
 
     def test_monotone_required(self):
         E = iset((0, 1))
         tent = PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0])
-        env = const_env(W01, 2)
+        env = tube(tent, 2)
         with pytest.raises(PreconditionError):
-            envelope_refine(tent, env, E, F(1, 2), F(1, 4))
+            envelope_refine(env, E, F(1, 2), F(1, 4), segment=WIDE)
 
     def test_monotone_witness(self):
         E = iset((0, 1))
         tent = PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0])
-        env = const_env(W01, 2)
+        env = tube(tent, 2)
         with pytest.raises(PreconditionError) as info:
-            envelope_refine(tent, env, E, F(1, 2), F(1, 4))
+            envelope_refine(env, E, F(1, 2), F(1, 4), segment=WIDE)
         a, m, b = info.value.witness
         assert 0 < a < m < b < 1 and m == F(1, 2)
         left = (tent(m) - tent(a)) / (m - a)
@@ -319,9 +296,9 @@ class TestEnvelopeRefine:
     def test_monotone_witness_across_plateau(self):
         E = iset((0, 1))
         f = PiecewiseLinear([0, F(1, 4), F(1, 2), 1], [0, F(1, 8), F(1, 8), 0])
-        env = const_env(W01, 2)
+        env = tube(f, 2)
         with pytest.raises(PreconditionError) as info:
-            envelope_refine(f, env, E, F(1, 2), F(1, 4), segment=(F(1, 8), F(7, 8)))
+            envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 8), F(7, 8)))
         a, m, b = info.value.witness
         assert F(1, 8) <= a < m < b <= F(7, 8)
         assert (f(m) - f(a)) * (f(b) - f(m)) < 0
@@ -329,27 +306,41 @@ class TestEnvelopeRefine:
     def test_monotone_checked_on_segment_only(self):
         E = iset((0, 1))
         f = PiecewiseLinear([0, F(1, 8), 1], [0, F(1, 16), 0])  # peak off segment
-        env = const_env(W01, 2)
-        res = envelope_refine(f, env, E, F(1, 2), F(1, 4), segment=(F(1, 4), F(3, 4)))
+        env = tube(f, 2)
+        res = envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 4), F(3, 4)))
         c, d = res.segment
         assert res.function(c) == f(c) and res.function(d) == f(d)
 
     def test_monotone_opt_out(self):
         E = iset((0, 1))
         tent = PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0])
-        env = const_env(W01, 2)
+        env = tube(tent, 2)
         delta = F(1, 4)
-        res = envelope_refine(tent, env, E, F(1, 2), delta, require_monotone=False)
+        res = envelope_refine(env, E, F(1, 2), delta, segment=WIDE, require_monotone=False)
         g, (c, d) = res.function, res.segment
         assert g(c) == tent(c) and g(d) == tent(d)
         assert env.min_margin_on(g, c, d) > 0
         assert verify_contraction(g, E, 1 - delta) is None
 
+    def test_margin_is_the_radius(self):
+        # blocks are sized by the radius alone: the refine margin is its
+        # minimum on the segment, whatever the center
+        E = iset((0, F(1, 2)), (F(5, 8), 1))
+        f = build_phi(E, 0, W01).scale(F(1, 2))
+        radius = PiecewiseLinear([0, F(1, 3), 1], [F(1, 16), F(1, 4), F(1, 32)])
+        env = Envelope(f, radius)
+        res = envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 8), F(7, 8)))
+        assert res.margin == radius.restrict(F(1, 8), F(7, 8)).min_value()
+        assert res.division_points[0::2] == tuple(
+            _adaptive_block_bounds(radius, F(1, 8), F(7, 8), max(map(abs, radius.slopes()))))
+        assert res.blocks == len(res.division_points) // 2
+        assert env.min_margin_on(res.function, F(1, 8), F(7, 8)) > 0
+
     def test_increment_bound_of_output(self):
         E = iset((0, F(1, 2)), (F(5, 8), 1))
         f = build_phi(E, 0, W01).scale(F(1, 2))
-        env = Envelope(f.shift(-F(1, 4)), f.shift(F(1, 4)))
-        res = envelope_refine(f, env, E, F(1, 2), F(1, 4), segment=(F(1, 16), F(15, 16)))
+        env = tube(f, F(1, 4))
+        res = envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 16), F(15, 16)))
         pairs = [(F(i, 13), F(j, 13)) for i in range(13) for j in range(i + 1, 13)]
         assert check_increment_bound(res.function, E, pairs).all_ok
 
@@ -358,9 +349,9 @@ class TestEnvelopeFlatten:
     def test_identity_when_h_empty(self):
         E = iset((0, 1))
         f = build_phi(E, 0, W01).scale(F(1, 2))
-        env = Envelope(f.shift(-F(1, 4)), f.shift(F(1, 4)))
+        env = tube(f, F(1, 4))
         res = envelope_flatten(
-            f, env, E, IntervalSet.empty(), F(1, 2), F(1, 4),
+            env, E, IntervalSet.empty(), F(1, 2), F(1, 4),
             segment=(F(1, 8), F(7, 8))
         )
         assert res.function == f
@@ -369,9 +360,9 @@ class TestEnvelopeFlatten:
         E = iset((0, F(1, 4)))
         phi = build_phi(E, 0, W01)
         f = PiecewiseLinear.constant(F(1, 10), W01)
-        env = const_env(W01, F(1, 2))
+        env = tube(f, F(1, 2))
         H = iset((F(1, 2), F(5, 8)))
-        res = envelope_flatten(f, env, E, H, F(1, 2), F(1, 4), segment=(F(3, 8), F(7, 8)))
+        res = envelope_flatten(env, E, H, F(1, 2), F(1, 4), segment=(F(3, 8), F(7, 8)))
         assert res.function == f  # f already flat; identity survives
 
     def test_ramps_flat_on_h(self):
@@ -379,10 +370,10 @@ class TestEnvelopeFlatten:
         phi = build_phi(E, 0, W01)
         eps = F(1, 4)
         f = phi.scale(1 - eps)
-        env = Envelope(f.shift(-F(1, 2)), f.shift(F(1, 2)))
+        env = tube(f, F(1, 2))
         H = iset((F(7, 16), F(9, 16)))
         delta = F(1, 8)
-        res = envelope_flatten(f, env, E, H, eps, delta, segment=(F(1, 16), F(15, 16)))
+        res = envelope_flatten(env, E, H, eps, delta, segment=(F(1, 16), F(15, 16)))
         g = res.function
         assert first_sloped_segment(g, H) is None
         c, d = res.segment
@@ -396,9 +387,9 @@ class TestEnvelopeFlatten:
         phi = build_phi(E, 0, W01)
         eps = F(1, 4)
         f = phi.scale(-(1 - eps))  # decreasing
-        env = Envelope(f.shift(-F(1, 2)), f.shift(F(1, 2)))
+        env = tube(f, F(1, 2))
         H = iset((F(7, 16), F(9, 16)))
-        res = envelope_flatten(f, env, E, H, eps, F(1, 8), segment=(F(1, 16), F(15, 16)))
+        res = envelope_flatten(env, E, H, eps, F(1, 8), segment=(F(1, 16), F(15, 16)))
         g = res.function
         assert first_sloped_segment(g, H) is None
         assert g(res.segment[0]) == f(res.segment[0])
@@ -407,62 +398,90 @@ class TestEnvelopeFlatten:
     def test_h_meets_e_rejected(self):
         E = iset((0, 1))
         f = PiecewiseLinear.constant(0, W01)
-        env = const_env(W01, 1)
+        env = tube(f, 1)
         with pytest.raises(PreconditionError):
-            envelope_flatten(f, env, E, iset((F(1, 4), F(1, 2))), F(1, 2), F(1, 4))
+            envelope_flatten(env, E, iset((F(1, 4), F(1, 2))), F(1, 2), F(1, 4), segment=WIDE)
 
     def test_nonflat_h_outside_segment_rejected(self):
         E = iset((0, F(1, 2)))
         phi = build_phi(E, 0, W01)
         f = phi.scale(F(1, 2))
-        env = Envelope(f.shift(-1), f.shift(1))
+        env = tube(f, 1)
         H = iset((F(1, 8), F(1, 4)))  # inside E-sloped zone, outside segment
         with pytest.raises(PreconditionError):
-            envelope_flatten(f, env, E, H, F(1, 2), F(1, 4),
+            envelope_flatten(env, E, H, F(1, 2), F(1, 4),
                              segment=(F(5, 8), F(7, 8)))
 
 
 # both lemmas on the same arguments; flatten's H is empty, so only the
-# preconditions they share can fail
+# preconditions they share can fail.  Each case builds its tube inside the
+# check, since a malformed tube is rejected when it is built.
 SEG = (F(1, 4), F(3, 4))
 LEMMAS = (
-    lambda f, env, E, eps, delta: envelope_refine(f, env, E, eps, delta, segment=SEG),
-    lambda f, env, E, eps, delta: envelope_flatten(
-        f, env, E, IntervalSet.empty(), eps, delta, segment=SEG),
+    lambda env, E, eps, delta: envelope_refine(env, E, eps, delta, segment=SEG),
+    lambda env, E, eps, delta: envelope_flatten(
+        env, E, IntervalSet.empty(), eps, delta, segment=SEG),
 )
 E01 = iset((0, 1))
-ZERO = PiecewiseLinear.constant(0, W01)
 PHI = build_phi(E01, 0, W01)
 SHARED_BAD_INPUTS = {
-    "delta-not-below-epsilon": (ZERO, const_env(W01, 1), F(1, 4), F(1, 4), ValueError),
-    "envelope-on-another-domain": (ZERO, const_env(Interval(F(0), F(2)), 1), F(1, 2), F(1, 4),
-                                   ValueError),
-    "f-outside-the-envelope": (PiecewiseLinear.constant(2, W01), const_env(W01, 1), F(1, 2),
-                               F(1, 4), PreconditionError),
-    "increment-violation": (PHI, const_env(W01, 2), F(1, 2), F(1, 4), PreconditionError),
-    # PHI leaves the envelope and breaks the increment bound: the envelope is
-    # checked first
-    "outside-and-increment-violation": (PHI, const_env(W01, F(1, 4)), F(1, 2), F(1, 4),
-                                        PreconditionError),
+    "delta-not-below-epsilon": (lambda: tube(ZERO, 1), F(1, 4), F(1, 4), ValueError),
+    # center on [0, 1], radius on [0, 2]
+    "envelope-on-another-domain": (
+        lambda: Envelope(ZERO, PiecewiseLinear.constant(1, Interval(F(0), F(2)))),
+        F(1, 2), F(1, 4), ValueError),
+    "negative-radius": (lambda: tube(ZERO, -1), F(1, 2), F(1, 4), ValueError),
+    "increment-violation": (lambda: tube(PHI, 2), F(1, 2), F(1, 4), PreconditionError),
+    # PHI breaks the increment bound too: the radius is checked first
+    "negative-radius-and-increment-violation": (lambda: tube(PHI, -F(1, 4)), F(1, 2), F(1, 4),
+                                                ValueError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_BAD_INPUTS))
 def test_refine_and_flatten_reject_shared_preconditions_alike(case):
-    f, env, eps, delta, kind = SHARED_BAD_INPUTS[case]
+    make_tube, eps, delta, kind = SHARED_BAD_INPUTS[case]
     raised = []
     for lemma in LEMMAS:
         with pytest.raises(kind) as info:
-            lemma(f, env, E01, eps, delta)
+            lemma(make_tube(), E01, eps, delta)
         raised.append(info.value)
     r, fl = raised
     assert type(r) is type(fl) and str(r) == str(fl)
-    if "outside" in case:
-        assert str(r) == "f is not inside the envelope"
+    if "negative-radius" in case:
+        assert str(r) == "radius must be nonnegative"
+    if case == "envelope-on-another-domain":
+        assert str(r) == "center and radius must share a domain"
     if case == "increment-violation":
+        f = PHI
         assert r.witness == fl.witness == verify_contraction(f, E01, 1 - eps)
         a, b, df, allowed = r.witness
         assert df == abs(f(b) - f(a)) > allowed == (1 - eps) * E01.mass(a, b)
+
+
+# radius 0 at an interior point of SEG and at its left end
+TOUCHING_RADII = (
+    PiecewiseLinear([0, F(1, 2), 1], [1, 0, 1]),
+    PiecewiseLinear([0, F(1, 4), 1], [F(1, 4), 0, F(3, 4)]),
+)
+
+
+@pytest.mark.parametrize("radius", TOUCHING_RADII)
+def test_refine_and_flatten_reject_a_radius_touching_zero(radius):
+    # E leaves a gap for H, so flatten passes its own checks and reaches
+    # the strictness check: H meets the segment
+    E = iset((0, F(1, 4)), (F(3, 4), 1))
+    H = iset((F(3, 8), F(5, 8)))
+    env = Envelope(ZERO, radius)
+    for call in (lambda: envelope_refine(env, E, F(1, 2), F(1, 4), segment=SEG),
+                 lambda: envelope_flatten(env, E, H, F(1, 2), F(1, 4), segment=SEG)):
+        with pytest.raises(PreconditionError, match="envelope is not strict on the segment"):
+            call()
+    # with the radius lifted off 0 both lemmas go through
+    lifted = Envelope(ZERO, radius.shift(F(1, 64)))
+    envelope_refine(lifted, E, F(1, 2), F(1, 4), segment=SEG)
+    assert first_sloped_segment(
+        envelope_flatten(lifted, E, H, F(1, 2), F(1, 4), segment=SEG).function, H) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,8 +494,8 @@ def test_refine_random_admissible(E, scale_frac):
     delta = F(1, 16)
     phi = build_phi(E, 0, W01)
     f = phi.scale((1 - eps) * scale_frac)
-    env = Envelope(f.shift(-F(1, 8)), f.shift(F(1, 8)))
-    res = envelope_refine(f, env, E, eps, delta, segment=(F(1, 8), F(7, 8)))
+    env = tube(f, F(1, 8))
+    res = envelope_refine(env, E, eps, delta, segment=(F(1, 8), F(7, 8)))
     g, (c, d) = res.function, res.segment
     assert g(c) == f(c) and g(d) == f(d)
     assert env.min_margin_on(g, c, d) > 0
