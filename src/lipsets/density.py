@@ -79,18 +79,19 @@ def _endpoint_distances(E: IntervalSet, x: Fraction, bound: Fraction) -> list[Fr
     return sorted(d for d in ds if 0 < d < bound)
 
 
-def _sided_masses(E: IntervalSet, x: Fraction, r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    return r, one_sided_measure(E, x, r, LEFT), one_sided_measure(E, x, r, RIGHT)
-
-
 def _ratio_candidates(
     E: IntervalSet, x: Fraction, delta: Fraction
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """(r, left mass, right mass), ascending in r, at the radii where
     inf/sup of max(left,right)/r over (0, δ] can occur: piece endpoints plus
-    in-piece crossings of the two one-sided curves.  Each side's mass is
-    evaluated once per radius."""
-    rows = [_sided_masses(E, x, r) for r in _endpoint_distances(E, x, delta) + [delta]]
+    in-piece crossings of the two one-sided curves.  Φ(x) is read once, and
+    each radius r > 0 reads Φ(x - r) and Φ(x + r) once each."""
+    phi_x = E.cumulative(x)
+
+    def sided_masses(r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        return r, phi_x - E.cumulative(x - r), E.cumulative(x + r) - phi_x
+
+    rows = [sided_masses(r) for r in _endpoint_distances(E, x, delta) + [delta]]
     out = rows[:1]
     for (r_a, left_a, right_a), (r_b, left_b, right_b) in zip(rows, rows[1:]):
         # both masses are affine in r on [r_a, r_b]; left = right at most once
@@ -99,7 +100,7 @@ def _ratio_candidates(
         if bl != br:
             cross = ((left_a - bl * r_a) - (right_a - br * r_a)) / (br - bl)
             if r_a < cross < r_b:
-                out.append(_sided_masses(E, x, cross))
+                out.append(sided_masses(cross))
         out.append((r_b, left_b, right_b))
     return out
 

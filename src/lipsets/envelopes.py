@@ -96,7 +96,8 @@ def verify_contraction(
     and E has constant density 0 or 1; f is constant off its domain).
     Returns None when it holds, else a witness segment
     (a, b, |Δf|, factor*|E ∩ [a, b]|)."""
-    xs = sorted({*f.breakpoints, *E.endpoints_in(f.domain.lo, f.domain.hi)})
+    lo, hi = f.breakpoints[0], f.breakpoints[-1]
+    xs = merged_breakpoints((f,), lo, hi, extra=E.endpoints_in(lo, hi))
     fs, cum = f.at(xs), [E.cumulative(x) for x in xs]
     for k in range(1, len(xs)):
         df = abs(fs[k] - fs[k - 1])
@@ -157,24 +158,27 @@ def _adaptive_block_bounds(
     m = 3 + bit_length(⌊1/step⌋) makes 2^-m < step/8.
     Every block end but d thus has a denominator of at most 2^m, and
     (7/8)·step < q - p <= step; the last block, which absorbs a sliver
-    shorter than step/2, has q - p < (3/2)·step."""
+    shorter than step/2, has q - p < (3/2)·step.
+
+    A margin that is not positive on all of [c, d] raises PreconditionError
+    with the first point where it is least as witness.  A positive minimum
+    μ bounds every step below by μ/denom, so the loop ends."""
+    on_segment = margin.restrict(c, d)
+    least = on_segment.min_value()
+    if least <= 0:
+        raise PreconditionError("margin vanished inside the active segment",
+                                on_segment.breakpoints[on_segment.values.index(least)])
     denom = 2 * (2 + L + extra_slope)  # halved steps leave room to merge slivers
     out = [c]
     p = c
-    guard = 0
     while p < d:
         step = margin(p) / denom
-        if step <= 0:
-            raise PreconditionError("margin vanished inside the active segment")
         scale = 2 ** (3 + (step.denominator // step.numerator).bit_length())
         q = min(d, Fraction(math.floor((p + step) * scale), scale))
         if d - q < step / 2:
             q = d
         out.append(q)
         p = q
-        guard += 1
-        if guard > 2_000_000:
-            raise PreconditionError("adaptive division did not terminate")
     return out
 
 
@@ -317,7 +321,7 @@ def envelope_flatten(
     # cells: f linear on each, short enough for the ramp (amplitude <= the
     # cell's f-oscillation) to stay inside the locally available radius
     r_slope = max(map(abs, radius.slopes()))
-    bounds = sorted({c, d} | {b for b in f.breakpoints if c < b < d})
+    bounds = merged_breakpoints((f,), c, d)
     f_bounds = f.at(bounds)
     ends = [c]
     for p, q, fp, fq in zip(bounds, bounds[1:], f_bounds, f_bounds[1:]):

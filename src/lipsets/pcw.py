@@ -6,7 +6,14 @@ functions we build are constant off their active window).
 
 `PiecewiseLinear.at` is the only sweep and `merged_breakpoints(fs, lo, hi)` the
 only evaluation grid: each f in fs is linear between grid points, so comparing
-values there is exact.  `add`, `sub`, `le`, `pl_min`, `pl_max`,
+values there is exact.  Both order points by float keys, as E's mass index
+does (`intervals._key`): each function keeps the correctly rounded float of
+every breakpoint, the sweep advances and clamps on keys and the grid sorts
+(key, point) pairs, and two Fractions are compared only where their keys tie.
+The order, and so every output, is that of exact comparisons.  The sweep
+returns a breakpoint's own value at the breakpoint and a flat segment's value
+on it without arithmetic, and elsewhere interpolates as one integer fraction
+reduced once.  `add`, `sub`, `le`, `pl_min`, `pl_max`,
 `monotone_runs`, `envelopes.verify_contraction` and the envelope and vicinity
 checks evaluate through `at`, one forward pass per function.  `pl_sum` merges
 the slope changes of n terms and integrates once.  `PiecewiseLinear.splice` is
@@ -24,28 +31,43 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import merge
+from operator import itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
-from .intervals import Interval, IntervalSet, RationalLike, rat
+from .intervals import Interval, IntervalSet, RationalLike, _key, _position, rat
+
+ZERO = Fraction(0)
 
 
 class PiecewiseLinear:
     """Continuous piecewise-linear function with exact rational data."""
 
-    __slots__ = ("breakpoints", "values")
+    __slots__ = ("breakpoints", "values", "_keys")  # _keys[i] = _key(breakpoints[i])
 
     def __init__(self, breakpoints: Sequence[RationalLike], values: Sequence[RationalLike]):
-        bps = tuple(rat(b) for b in breakpoints)
-        vals = tuple(rat(v) for v in values)
+        bps = tuple(map(rat, breakpoints))
+        vals = tuple(map(rat, values))
         if len(bps) != len(vals):
             raise ValueError("breakpoints and values must have equal length")
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
+        keys = tuple(map(_key, bps))
+        if not all(map(lt, keys, keys[1:])) and not all(
+            k0 < k1 or k0 == k1 and a < b
+            for a, b, k0, k1 in zip(bps, bps[1:], keys, keys[1:])
+        ):
+            raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = bps
         self.values = vals
+        self._keys = keys
+
+    @classmethod
+    def _trusted(cls, bps: tuple, vals: tuple, keys: tuple) -> "PiecewiseLinear":
+        """A function from tuples already known to be valid: Fractions,
+        strictly increasing breakpoints with their keys, equal lengths."""
+        f = object.__new__(cls)
+        f.breakpoints, f.values, f._keys = bps, vals, keys
+        return f
 
     # -- basics -------------------------------------------------------------
 
@@ -59,48 +81,43 @@ class PiecewiseLinear:
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
-        bps = self.breakpoints
-        if x <= bps[0]:
-            return self.values[0]
-        if x >= bps[-1]:
-            return self.values[-1]
-        i = bisect_right(bps, x) - 1
-        x0, x1 = bps[i], bps[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+        bps, vals = self.breakpoints, self.values
+        i = _position(self._keys, bps, x, bisect_right)  # bps[i - 1] <= x < bps[i]
+        if i == 0:
+            return vals[0]
+        if i == len(bps):
+            return vals[-1]
+        return _interpolate(bps, vals, i, x)
 
     def at(self, xs: Iterable[Fraction]) -> list[Fraction]:
         """[self(x) for x in xs] for nondecreasing xs, in one forward pass
         over the breakpoints (clamped to the end values off the domain).
         Raises ValueError when xs steps back past a breakpoint."""
-        bps, vals = self.breakpoints, self.values
-        first, last = bps[0], bps[-1]
+        bps, vals, keys = self.breakpoints, self.values, self._keys
+        first, last, k_first, k_last = bps[0], bps[-1], keys[0], keys[-1]
         out = []
         i = 1  # bps[i - 1] < x for every x inside the domain seen so far
         for x in xs:
-            if x <= first:
+            k = _key(x)
+            if k < k_first or k == k_first and x <= first:
                 out.append(vals[0])
-            elif x >= last:
+            elif k > k_last or k == k_last and x >= last:
                 out.append(vals[-1])
             else:
-                while bps[i] < x:
+                # a grid point is often one of bps itself: `is` settles that tie
+                while keys[i] < k or keys[i] == k and bps[i] is not x and bps[i] < x:
                     i += 1
-                if x <= bps[i - 1]:
+                if k < keys[i - 1] or k == keys[i - 1] and x <= bps[i - 1]:
                     raise ValueError("xs must be nondecreasing")
-                x1, v1 = bps[i], vals[i]
-                if x == x1:
-                    out.append(v1)
+                if bps[i] is x or k == keys[i] and x == bps[i]:
+                    out.append(vals[i])
                 else:
-                    x0, v0 = bps[i - 1], vals[i - 1]
-                    out.append(v0 + (v1 - v0) * (x - x0) / (x1 - x0))
+                    out.append(_interpolate(bps, vals, i, x))
         return out
 
     def slopes(self) -> tuple[Fraction, ...]:
-        out = []
-        for i in range(len(self.breakpoints) - 1):
-            dx = self.breakpoints[i + 1] - self.breakpoints[i]
-            out.append((self.values[i + 1] - self.values[i]) / dx)
-        return tuple(out)
+        bps, vals = self.breakpoints, self.values
+        return tuple(_slope(bps, vals, i) for i in range(1, len(bps)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PiecewiseLinear):
@@ -120,19 +137,18 @@ class PiecewiseLinear:
     def simplify(self) -> "PiecewiseLinear":
         """Drop interior breakpoints where the slope does not change."""
         bps, vals = self.breakpoints, self.values
-        keep_b = [bps[0]]
-        keep_v = [vals[0]]
+        keep = [0]
+        s0 = _slope(bps, vals, 1)  # the slope into bps[i], the same from the last kept point
         for i in range(1, len(bps) - 1):
-            dx0 = bps[i] - keep_b[-1]
-            dx1 = bps[i + 1] - bps[i]
-            s0 = (vals[i] - keep_v[-1]) / dx0
-            s1 = (vals[i + 1] - vals[i]) / dx1
+            s1 = _slope(bps, vals, i + 1)
             if s0 != s1:
-                keep_b.append(bps[i])
-                keep_v.append(vals[i])
-        keep_b.append(bps[-1])
-        keep_v.append(vals[-1])
-        return PiecewiseLinear(keep_b, keep_v)
+                keep.append(i)
+            s0 = s1
+        if len(keep) == len(bps) - 1:
+            return self
+        keep.append(len(bps) - 1)
+        pick = itemgetter(*keep)
+        return PiecewiseLinear._trusted(pick(bps), pick(vals), pick(self._keys))
 
     # -- algebra ------------------------------------------------------------
 
@@ -149,11 +165,13 @@ class PiecewiseLinear:
 
     def scale(self, c: RationalLike) -> "PiecewiseLinear":
         c = rat(c)
-        return PiecewiseLinear(self.breakpoints, [c * v for v in self.values])
+        return PiecewiseLinear._trusted(self.breakpoints, tuple(c * v for v in self.values),
+                                        self._keys)
 
     def shift(self, c: RationalLike) -> "PiecewiseLinear":
         c = rat(c)
-        return PiecewiseLinear(self.breakpoints, [v + c for v in self.values])
+        return PiecewiseLinear._trusted(self.breakpoints, tuple(v + c for v in self.values),
+                                        self._keys)
 
     def __add__(self, other):
         return self.add(other)
@@ -168,10 +186,12 @@ class PiecewiseLinear:
         lo, hi = rat(lo), rat(hi)
         if not (self.domain.lo <= lo < hi <= self.domain.hi):
             raise ValueError("restriction outside domain")
-        i = bisect_right(self.breakpoints, lo)
-        j = bisect_left(self.breakpoints, hi)
-        return PiecewiseLinear(
-            [lo, *self.breakpoints[i:j], hi], [self(lo), *self.values[i:j], self(hi)]
+        bps, keys = self.breakpoints, self._keys
+        i = _position(keys, bps, lo, bisect_right)
+        j = _position(keys, bps, hi, bisect_left)
+        return PiecewiseLinear._trusted(
+            (lo, *bps[i:j], hi), (self(lo), *self.values[i:j], self(hi)),
+            (_key(lo), *keys[i:j], _key(hi)),
         )
 
     def concat(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
@@ -179,9 +199,10 @@ class PiecewiseLinear:
             raise ValueError("domains are not adjacent")
         if self.values[-1] != other.values[0]:
             raise ValueError("concat would be discontinuous")
-        bps = self.breakpoints + other.breakpoints[1:]
-        vals = self.values + other.values[1:]
-        return PiecewiseLinear(bps, vals)
+        return PiecewiseLinear._trusted(
+            self.breakpoints + other.breakpoints[1:], self.values + other.values[1:],
+            self._keys + other._keys[1:],
+        )
 
     def splice(self, pieces: Iterable["PiecewiseLinear"]) -> "PiecewiseLinear":
         """self with each piece in its place on the piece's domain, simplified.
@@ -201,13 +222,14 @@ class PiecewiseLinear:
             cursor = hi
         if cursor < end:
             parts.append(self.restrict(cursor, end))
-        xs, vs = list(parts[0].breakpoints), list(parts[0].values)
+        xs, vs, ks = list(parts[0].breakpoints), list(parts[0].values), list(parts[0]._keys)
         for g in parts[1:]:
             if vs[-1] != g.values[0]:
                 raise ValueError("splice would be discontinuous")
             xs.extend(g.breakpoints[1:])
             vs.extend(g.values[1:])
-        return PiecewiseLinear(xs, vs).simplify()
+            ks.extend(g._keys[1:])
+        return PiecewiseLinear._trusted(tuple(xs), tuple(vs), tuple(ks)).simplify()
 
     def sup_norm(self) -> Fraction:
         return max(abs(v) for v in self.values)
@@ -224,9 +246,36 @@ class PiecewiseLinear:
         return all(a <= b for a, b in zip(self.at(bps), other.at(bps)))
 
     def breakpoints_in(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
-        i = bisect_left(self.breakpoints, lo)
-        j = bisect_right(self.breakpoints, hi)
-        return list(self.breakpoints[i:j])
+        bps, keys = self.breakpoints, self._keys
+        i = _position(keys, bps, lo, bisect_left)
+        return list(bps[i:_position(keys, bps, hi, bisect_right)])
+
+
+def _interpolate(bps: tuple, vals: tuple, i: int, x: Fraction) -> Fraction:
+    """The value at x of the segment from bps[i - 1] to bps[i], which holds x:
+    v0 + (v1 - v0)(x - x0)/(x1 - x0) as one integer fraction that Fraction
+    reduces once, where five Fraction operations would reduce five times."""
+    v0, v1 = vals[i - 1], vals[i]
+    if v0 == v1:
+        return v0
+    x0, x1 = bps[i - 1], bps[i]
+    a, b, c, d = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+    e, f, g, h = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    p, q = x.numerator, x.denominator
+    run = q * (g * f - e * h)  # q·f·h·(x1 - x0) > 0
+    return Fraction(a * d * run + (c * b - a * d) * (p * f - e * q) * h, b * d * run)
+
+
+def _slope(bps: tuple, vals: tuple, i: int) -> Fraction:
+    """The slope of the segment from bps[i - 1] to bps[i], as one integer
+    fraction reduced once."""
+    v0, v1 = vals[i - 1], vals[i]
+    if v0 == v1:
+        return ZERO
+    x0, x1 = bps[i - 1], bps[i]
+    a, b, c, d = v0.numerator, v0.denominator, v1.numerator, v1.denominator
+    e, f, g, h = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+    return Fraction((c * b - a * d) * f * h, b * d * (g * f - e * h))
 
 
 def common_domain(*fs: PiecewiseLinear) -> tuple[Fraction, Fraction]:
@@ -237,10 +286,29 @@ def common_domain(*fs: PiecewiseLinear) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def merged_breakpoints(fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """lo, the distinct breakpoints of fs strictly inside (lo, hi), and hi."""
-    inner = sorted([b for f in fs for b in f.breakpoints_in(lo, hi)])  # sorted runs: one merge
-    return [lo, *(b for a, b in zip([lo, *inner], inner) if a != b != hi), hi]
+def merged_breakpoints(
+    fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()
+) -> list[Fraction]:
+    """lo, the distinct breakpoints of fs and points of extra strictly inside
+    (lo, hi), and hi; extra must lie inside [lo, hi].
+
+    Each function's keys are bisected for (lo, hi), and (key, point) pairs
+    are sorted and deduplicated, so points are compared only where keys tie."""
+    pairs = [(_key(x), x) for x in extra]
+    for f in fs:
+        bps, keys = f.breakpoints, f._keys
+        i = _position(keys, bps, lo, bisect_right)
+        j = _position(keys, bps, hi, bisect_left)
+        pairs += zip(keys[i:j], bps[i:j])
+    pairs.sort()  # sorted runs: one merge
+    out = [lo]
+    last, end = (_key(lo), lo), (_key(hi), hi)
+    for pair in pairs:
+        if pair != last and pair != end:
+            out.append(pair[1])
+            last = pair
+    out.append(hi)
+    return out
 
 
 def _pick(f: PiecewiseLinear, g: PiecewiseLinear, choose) -> PiecewiseLinear:
@@ -248,10 +316,11 @@ def _pick(f: PiecewiseLinear, g: PiecewiseLinear, choose) -> PiecewiseLinear:
     where f - g changes sign (there f = g), simplified."""
     bps = f._merged_breakpoints(g)
     fs, gs = f.at(bps), g.at(bps)
+    ds = [a - b for a, b in zip(fs, gs)]
     xs, vs = [bps[0]], [choose(fs[0], gs[0])]
     for k in range(1, len(bps)):
-        da, db = fs[k - 1] - gs[k - 1], fs[k] - gs[k]
-        if (da > 0 > db) or (da < 0 < db):
+        da, db = ds[k - 1], ds[k]
+        if da.numerator * db.numerator < 0:  # strict sign change
             t = da / (da - db)
             xs.append(bps[k - 1] + t * (bps[k] - bps[k - 1]))
             vs.append(fs[k - 1] + t * (fs[k] - fs[k - 1]))
@@ -282,17 +351,17 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     for f in fs:
         ss = f.slopes()
         slope += ss[0]
-        events.append((x, s1 - s0) for x, s0, s1 in zip(f.breakpoints[1:-1], ss, ss[1:])
-                      if s0 != s1)
+        events.append((k, x, s1 - s0) for k, x, s0, s1
+                      in zip(f._keys[1:-1], f.breakpoints[1:-1], ss, ss[1:]) if s0 != s1)
     xs, vs = [lo], [sum((f.values[0] for f in fs), Fraction(0))]
-    x, before = lo, slope  # before: the slope on (xs[-1], x)
-    for p, change in merge(*events):
-        if p != x:
+    x, k_x, before = lo, fs[0]._keys[0], slope  # before: the slope on (xs[-1], x)
+    for k_p, p, change in merge(*events):  # ordered by key, exactly on ties
+        if k_p != k_x or p != x:
             if slope != before:
                 vs.append(vs[-1] + before * (x - xs[-1]))
                 xs.append(x)
                 before = slope
-            x = p
+            x, k_x = p, k_p
         slope += change
     if slope != before:
         vs.append(vs[-1] + before * (x - xs[-1]))

@@ -14,6 +14,9 @@ through intermediate functions built on the breakpoint union.
 `ref_masses_from`, `ref_endpoints_in` and `ref_clip` are the readers of E's
 mass index without the float filter: each builds the endpoint and
 prefix-sum lists from E's components and bisects them on Fractions only.
+`ref_at`, `ref_merged_breakpoints` and `ref_simplify` are the sweep, the
+evaluation grid and `simplify` without float keys: they order points by
+Fraction comparisons only and interpolate on every segment.
 """
 
 from __future__ import annotations
@@ -189,6 +192,53 @@ def ref_clip(E, a, b):
     stop = (bisect_left(ends, b) + 1) // 2
     pairs = [(max(iv.lo, a), min(iv.hi, b)) for iv in E.intervals[first:stop]]
     return [(lo, hi) for lo, hi in pairs if lo < hi]
+
+
+# -- exact-only sweep, grid and simplify ----------------------------------------
+
+
+def ref_at(f, xs):
+    """f at nondecreasing xs in one forward pass, comparing Fractions only;
+    ValueError when xs steps back past a breakpoint."""
+    bps, vals = f.breakpoints, f.values
+    out = []
+    i = 1
+    for x in xs:
+        if x <= bps[0]:
+            out.append(vals[0])
+        elif x >= bps[-1]:
+            out.append(vals[-1])
+        else:
+            while bps[i] < x:
+                i += 1
+            if x <= bps[i - 1]:
+                raise ValueError("xs must be nondecreasing")
+            x0, x1, v0, v1 = bps[i - 1], bps[i], vals[i - 1], vals[i]
+            out.append(v1 if x == x1 else v0 + (v1 - v0) * (x - x0) / (x1 - x0))
+    return out
+
+
+def ref_merged_breakpoints(fs, lo, hi, extra=()):
+    """lo, the distinct breakpoints of fs and points of extra strictly inside
+    (lo, hi), and hi, by a sort of Fractions."""
+    inner = sorted({b for f in fs for b in f.breakpoints} | set(extra))
+    return [lo, *(b for b in inner if lo < b < hi), hi]
+
+
+def ref_simplify(f):
+    """f without the interior breakpoints where the slope does not change,
+    with two divisions per breakpoint."""
+    bps, vals = f.breakpoints, f.values
+    keep_b, keep_v = [bps[0]], [vals[0]]
+    for i in range(1, len(bps) - 1):
+        s0 = (vals[i] - keep_v[-1]) / (bps[i] - keep_b[-1])
+        s1 = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+        if s0 != s1:
+            keep_b.append(bps[i])
+            keep_v.append(vals[i])
+    keep_b.append(bps[-1])
+    keep_v.append(vals[-1])
+    return type(f)(keep_b, keep_v)
 
 
 # -- slow paths of the piecewise-linear algebra --------------------------------

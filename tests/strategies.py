@@ -46,6 +46,21 @@ def float_tie_sets(draw):
     )
 
 
+@st.composite
+def float_tie_functions(draw, domain=None, value=values):
+    """A piecewise-linear function with breakpoints from TIE_POINTS, on the
+    domain (lo, hi) if given (its ends need not be tie points), else on two
+    drawn tie points."""
+    if domain is None:
+        domain = sorted(draw(st.sets(st.sampled_from(TIE_POINTS), min_size=2, max_size=2)))
+    lo, hi = domain
+    candidates = [p for p in TIE_POINTS if lo < p < hi]
+    inner = draw(st.sets(st.sampled_from(candidates), max_size=8)) if candidates else ()
+    xs = [lo, *sorted(inner), hi]
+    vs = draw(st.lists(value, min_size=len(xs), max_size=len(xs)))
+    return PiecewiseLinear(xs, vs)
+
+
 def near_and_between(points, offset=F(1, 2 ** 200)):
     """The points, each ± offset, and the midpoint of each consecutive pair."""
     xs = sorted(set(points))

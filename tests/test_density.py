@@ -31,6 +31,7 @@ from lipsets.density import (
     suggest_udt_witness,
     witness_dominates,
     worst_window_ratio,
+    _ratio_candidates,
 )
 
 from oracles import brute_level_membership, brute_max_ratio, brute_one_sided_measure
@@ -94,6 +95,17 @@ class TestDensityRatio:
             )
         both = brute_one_sided_measure(pairs, x + r, 2 * r, LEFT)
         assert centered_ratio(E, x, r) == both / (2 * r)
+
+    @settings(max_examples=150)
+    @given(dyadic_sets(), dyadic, st.integers(1, 2 ** GRID_M))
+    def test_candidate_rows_match_clipping_oracle(self, E, x, dk):
+        # Φ(x) is read once per query; every row must still hold both masses
+        rows = _ratio_candidates(E, x, F(dk, 2 ** GRID_M))
+        pairs = [(iv.lo, iv.hi) for iv in E]
+        assert [r for r, _, _ in rows] == sorted({r for r, _, _ in rows})
+        for r, left, right in rows:
+            assert left == brute_one_sided_measure(pairs, x, r, LEFT)
+            assert right == brute_one_sided_measure(pairs, x, r, RIGHT)
 
     def test_nonpositive_radius_rejected(self):
         E = iset((0, 1))

@@ -30,7 +30,7 @@ from oracles import (
     ref_vicinity_contains,
     ref_vicinity_is_inside,
 )
-from strategies import pl_functions, points
+from strategies import TIE_POINTS, float_tie_functions, near_and_between, pl_functions, points
 
 F = Fraction
 
@@ -159,6 +159,22 @@ def test_margin_restricts_to_min_margin_on(c, r, h, window):
     lo, hi = sorted(window)
     assert env.min_margin_on(c, lo, hi) == r.restrict(lo, hi).min_value()
     assert env.min_margin_on(c + h, lo, hi) == ref_min_margin_on(env, c + h, lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_tie_functions(), st.data())
+def test_tube_checks_at_float_ties(c, data):
+    # center, radius and g = c + h with breakpoints that share their floats
+    domain = c.breakpoints[0], c.breakpoints[-1]
+    r = data.draw(float_tie_functions(domain=domain, value=nonneg))
+    g = c + data.draw(float_tie_functions(domain=domain, value=small))
+    env = Envelope(c, r)
+    assert env.contains(c)
+    assert env.contains(g) == ref_vicinity_contains(c, r, g)
+    probes = [x for x in near_and_between([*TIE_POINTS, *domain]) if c.domain.contains(x)]
+    lo, hi = sorted(data.draw(st.sets(st.sampled_from(probes), min_size=2, max_size=2)))
+    assert env.min_margin_on(c, lo, hi) == r.restrict(lo, hi).min_value()
+    assert env.min_margin_on(g, lo, hi) == ref_min_margin_on(env, g, lo, hi)
 
 
 @settings(max_examples=100)
@@ -482,6 +498,19 @@ def test_refine_and_flatten_reject_a_radius_touching_zero(radius):
     envelope_refine(lifted, E, F(1, 2), F(1, 4), segment=SEG)
     assert first_sloped_segment(
         envelope_flatten(lifted, E, H, F(1, 2), F(1, 4), segment=SEG).function, H) is None
+
+
+@pytest.mark.parametrize("margin, c, d, witness", [
+    (PiecewiseLinear([0, F(1, 2), 1], [1, 0, 1]), F(1, 4), F(3, 4), F(1, 2)),  # 0 inside
+    (TOUCHING_RADII[1], F(1, 4), F(3, 4), F(1, 4)),  # 0 at the left end
+    (PiecewiseLinear([0, 1], [F(1, 8), F(-1, 8)]), F(1, 4), F(3, 4), F(3, 4)),  # negative
+])
+def test_adaptive_blocks_reject_a_margin_that_is_not_positive(margin, c, d, witness):
+    # the least point on [c, d] is the witness, found before any block is
+    # cut, so the blocks never shrink toward a zero
+    with pytest.raises(PreconditionError, match="margin vanished") as err:
+        _adaptive_block_bounds(margin, c, d, F(2))
+    assert err.value.witness == witness
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,14 +27,19 @@ from lipsets.pcw import (
 
 from oracles import (
     brute_m_ratio,
+    ref_at,
     ref_combine,
     ref_first_sloped_segment,
     ref_le,
+    ref_merged_breakpoints,
     ref_pick,
     ref_ramp_to,
+    ref_simplify,
     ref_splice,
 )
-from strategies import pl_functions, points
+from strategies import (
+    TIE_POINTS, TIE_STEP, float_tie_functions, near_and_between, pl_functions, points,
+)
 
 F = Fraction
 
@@ -363,11 +368,21 @@ def test_monotone_runs_plateau_extends_run():
 # slow paths they replaced ------------------------------------------------------------
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
 @settings(max_examples=100)
-@given(pl_functions(), st.lists(points.map(lambda t: 3 * t - 1), max_size=20))
-def test_at_is_pointwise_call(f, xs):
+@given(pl_functions(), st.lists(points.map(lambda t: 3 * t - 1), max_size=20), st.randoms())
+def test_at_is_pointwise_call(f, xs, rnd):
     xs = sorted(xs + list(f.breakpoints[::2]))
-    assert f.at(xs) == [f(x) for x in xs]
+    assert f.at(xs) == [f(x) for x in xs] == ref_at(f, xs)
+    rnd.shuffle(xs)
+    assert _outcome(f.at, xs) == _outcome(ref_at, f, xs)
+    assert f.simplify().as_pairs() == ref_simplify(f).as_pairs()
 
 
 def test_at_rejects_a_step_back_past_a_breakpoint():
@@ -396,6 +411,9 @@ def test_merged_breakpoints_is_the_filtered_union(fs, window):
     lo, hi = sorted(window)
     inner = sorted(set(b for f in fs for b in f.breakpoints))
     assert merged_breakpoints(fs, lo, hi) == [lo, *[b for b in inner if lo < b < hi], hi]
+    extra = [b for b in near_and_between([lo, hi, *inner]) if lo <= b <= hi]
+    assert (merged_breakpoints(fs, lo, hi, extra=extra)
+            == ref_merged_breakpoints(fs, lo, hi, extra=extra))
 
 
 @settings(max_examples=100)
@@ -499,3 +517,57 @@ def test_pl_sum_cancelling_slopes_and_domains():
         pl_sum([up, PiecewiseLinear([F(-1), 1], [0, 1])])
     with pytest.raises(ValueError):
         pl_sum([])
+
+
+# -- the float-keyed sweep, grid and simplify at float ties ---------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(float_tie_functions(), st.data())
+def test_keyed_paths_match_exact_paths_at_float_ties(f, data):
+    # the tie points, and probes on, between and 2^-200 off the breakpoints:
+    # most share their float with a breakpoint, so the keys must defer to
+    # exact comparisons
+    domain = f.breakpoints[0], f.breakpoints[-1]
+    g = data.draw(float_tie_functions(domain=domain))
+    probes = sorted({*TIE_POINTS, *near_and_between(f.breakpoints)})
+    lo, hi = sorted(data.draw(st.sets(st.sampled_from(probes), min_size=2, max_size=2)))
+    unsorted = data.draw(st.lists(st.sampled_from(probes), max_size=12))
+    assert f.at(probes) == ref_at(f, probes) == [f(x) for x in probes]
+    assert _outcome(f.at, unsorted) == _outcome(ref_at, f, unsorted)
+    assert f.simplify().as_pairs() == ref_simplify(f).as_pairs()
+    # f again, with each probe in its domain as an extra collinear breakpoint
+    dense_xs = merged_breakpoints((f,), *domain, extra=[x for x in probes if f.domain.contains(x)])
+    dense = PiecewiseLinear(dense_xs, f.at(dense_xs))
+    assert dense.simplify().as_pairs() == ref_simplify(dense).as_pairs() == f.simplify().as_pairs()
+    extra = [x for x in probes if lo <= x <= hi]
+    assert merged_breakpoints((f, g), lo, hi) == ref_merged_breakpoints((f, g), lo, hi)
+    assert (merged_breakpoints((f, g), lo, hi, extra=extra)
+            == ref_merged_breakpoints((f, g), lo, hi, extra=extra))
+    assert f.add(g).as_pairs() == ref_combine(f, g, lambda a, b: a + b).as_pairs()
+    assert f.sub(g).as_pairs() == ref_combine(f, g, lambda a, b: a - b).as_pairs()
+    assert f.le(g) == ref_le(f, g) and g.le(f) == ref_le(g, f)
+    assert pl_min(f, g).as_pairs() == ref_pick(f, g, min).as_pairs()
+    assert pl_max(f, g).as_pairs() == ref_pick(f, g, max).as_pairs()
+    total = ref_combine(f, g, lambda a, b: a + b)
+    assert pl_sum([f, g]).as_pairs() == ref_simplify(total).as_pairs()
+
+
+def test_order_checks_inside_one_float():
+    # 1/3 and 1/3 ± 2^-70 share one float: the keys tie and the Fractions decide
+    third, t = F(1, 3), TIE_STEP
+    assert float(third - t) == float(third) == float(third + t)
+    f = PiecewiseLinear([0, third - t, third, third + t, 1], [0, 1, 0, 1, 0])
+    for bad in ([third, third], [third + t, third], [0, third, third - t, 1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewiseLinear(bad, [0] * len(bad))
+    assert f.at([third - t / 2, third, third + t / 2]) == [F(1, 2), 0, F(1, 2)]
+    assert f.at([third + t / 4, third + t / 2]) == [F(1, 4), F(1, 2)]  # no breakpoint crossed
+    for back in ([third + t / 2, third - t / 2], [third + t, third], [third, third - t]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            f.at(back)
+    # -0.0 and 0.0 tie too: -10^-400 sits below 0 though both keys compare equal
+    g = PiecewiseLinear([-F(1, 10 ** 400), 0, 1], [1, 0, 0])
+    assert g.at([-F(1, 10 ** 401), 0]) == [F(1, 10), 0]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseLinear([0, -F(1, 10 ** 400)], [0, 0])
