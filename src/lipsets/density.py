@@ -6,14 +6,18 @@ linear piece c + b·r the ratio c/r + b is monotone.  Every decision below
 reduces to evaluating exact ratios at those finitely many candidate radii
 (plus the rational crossings of the two one-sided ratio curves), so
 quantified statements over r ∈ (0, δ] are decided exactly.
+
+`_sided_masses` is the one reader of E's masses left and right of a point;
+ratios and report rows are functions of its rows.  A weak check whose best
+ratio is attained only at the open end r = ε solves its radius exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 
@@ -37,13 +41,48 @@ class DensityQuery:
             raise ValueError("radius must be positive")
 
 
-def one_sided_measure(E: IntervalSet, x: RationalLike, r: RationalLike, side: str) -> Fraction:
-    x, r = rat(x), rat(r)
+def _sided_masses(E: IntervalSet, x: RationalLike):
+    """r ↦ (r, |E ∩ [x - r, x]|, |E ∩ [x, x + r]|) for r > 0.  Φ(x) is read
+    here once, and each call reads Φ(x - r) and Φ(x + r) once each."""
+    x = rat(x)
+    phi_x = E.cumulative(x)
+
+    def masses(r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+        return r, phi_x - E.cumulative(x - r), E.cumulative(x + r) - phi_x
+
+    return masses
+
+
+def _row(E: IntervalSet, x: RationalLike, r: RationalLike) -> tuple[Fraction, Fraction, Fraction]:
+    r = rat(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    if side == LEFT:
-        return E.mass(x - r, x)
-    return E.mass(x, x + r)
+    return _sided_masses(E, x)(r)
+
+
+def _sided_max(row) -> tuple[Fraction, str]:
+    """The larger one-sided ratio of a row and its side, left on ties."""
+    r, left, right = row
+    return (left / r, LEFT) if left >= right else (right / r, RIGHT)
+
+
+def _centered(row) -> tuple[Fraction, str]:
+    r, left, right = row
+    return (left + right) / (2 * r), BOTH
+
+
+def _one_sided_row(row):
+    r, left, right = row
+    left, right = left / r, right / r
+    m = max(left, right)
+    return (r, left, right, m), m
+
+
+def one_sided_measure(E: IntervalSet, x: RationalLike, r: RationalLike, side: str) -> Fraction:
+    if side not in (LEFT, RIGHT):
+        raise ValueError(f"side must be left/right, got {side!r}")
+    _, left, right = _row(E, x, r)
+    return left if side == LEFT else right
 
 
 def one_sided_ratio(E: IntervalSet, x: RationalLike, r: RationalLike, side: str) -> Fraction:
@@ -52,12 +91,8 @@ def one_sided_ratio(E: IntervalSet, x: RationalLike, r: RationalLike, side: str)
 
 def density_ratio(E: IntervalSet, query: DensityQuery) -> Fraction:
     """Exact |(x-r,x) ∩ E|/r (resp. right, or the max of both sides)."""
-    if query.side == BOTH:
-        return max(
-            one_sided_ratio(E, query.point, query.radius, LEFT),
-            one_sided_ratio(E, query.point, query.radius, RIGHT),
-        )
-    return one_sided_ratio(E, query.point, query.radius, query.side)
+    r, left, right = _row(E, query.point, query.radius)
+    return {LEFT: left, RIGHT: right, BOTH: max(left, right)}[query.side] / r
 
 
 def max_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
@@ -65,10 +100,7 @@ def max_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
 
 
 def centered_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
-    x, r = rat(x), rat(r)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return E.mass(x - r, x + r) / (2 * r)
+    return _centered(_row(E, x, r))[0]
 
 
 # -- candidate radii ---------------------------------------------------------
@@ -84,13 +116,8 @@ def _ratio_candidates(
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """(r, left mass, right mass), ascending in r, at the radii where
     inf/sup of max(left,right)/r over (0, δ] can occur: piece endpoints plus
-    in-piece crossings of the two one-sided curves.  Φ(x) is read once, and
-    each radius r > 0 reads Φ(x - r) and Φ(x + r) once each."""
-    phi_x = E.cumulative(x)
-
-    def sided_masses(r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        return r, phi_x - E.cumulative(x - r), E.cumulative(x + r) - phi_x
-
+    in-piece crossings of the two one-sided curves; rows of _sided_masses."""
+    sided_masses = _sided_masses(E, x)
     rows = [sided_masses(r) for r in _endpoint_distances(E, x, delta) + [delta]]
     out = rows[:1]
     for (r_a, left_a, right_a), (r_b, left_b, right_b) in zip(rows, rows[1:]):
@@ -128,13 +155,8 @@ def level_set_membership(
     x, gamma, delta = rat(x), rat(gamma), rat(delta)
     if gamma <= 0 or delta <= 0:
         raise ValueError("gamma and delta must be positive")
-    worst = None
-    for r, left_mass, right_mass in _ratio_candidates(E, x, delta):
-        left, right = left_mass / r, right_mass / r
-        m = max(left, right)
-        if worst is None or m < worst[1]:
-            worst = (r, m, left, right)
-    r, m, left, right = worst
+    row = min(_ratio_candidates(E, x, delta), key=lambda row: max(row[1], row[2]) / row[0])
+    (r, left, right, m), _ = _one_sided_row(row)  # min takes the first on ties
     return MembershipCertificate(m >= gamma, r, m, left, right)
 
 
@@ -225,60 +247,47 @@ class DensityReport:
         }
 
 
-def _sided_max(E, x, r):
-    left = one_sided_ratio(E, x, r, LEFT)
-    right = one_sided_ratio(E, x, r, RIGHT)
-    if left >= right:
-        return left, LEFT
-    return right, RIGHT
+def _open_end_radius(lo_row, end_row, side: str, threshold: Fraction) -> Fraction:
+    """A radius in (lo, ε) whose ratio on `side` (BOTH: centered) exceeds
+    the threshold, as it does at ε, with no candidate radius in (lo, ε).
+    There the masses are affine in r, so g(r) = |E ∩ I_r| - threshold·|I_r|
+    is too: g > 0 midway between ε and lo, or the root of g if g(lo) < 0."""
+
+    def g(row):
+        r, left, right = row
+        if side == BOTH:
+            return left + right - 2 * threshold * r
+        return (left if side == LEFT else right) - threshold * r
+
+    lo, eps = lo_row[0], end_row[0]
+    g_lo, g_eps = g(lo_row), g(end_row)
+    if g_lo < 0:
+        lo += (eps - lo) * g_lo / (g_lo - g_eps)
+    return (lo + eps) / 2
 
 
-def _centered(E, x, r):
-    return centered_ratio(E, x, r), BOTH
+def _weak_report(E, x, epsilon, best_of) -> DensityReport:
+    """Is there r ∈ (0, ε) with best_of(row) = (ratio, side) and ratio > 1 - ε?
 
-
-def _strict_witness(E, x, eps, threshold, value_at):
-    """(r, best): r ∈ (0, eps) with value_at(r) > threshold, or None, and
-    best, the first candidate radius at which value_at is largest.
-
-    value_at must be piecewise of the form c/r + b between consecutive
-    candidate radii; the sup over (0, eps] is attained at a candidate, and a
-    sup attained only at r = eps is pushed strictly inside by solving the
-    affine piece (the value function is continuous in r).
+    Between candidate radii the ratio is c/r + b, so its sup over (0, ε] is
+    attained at a candidate.  Holds at the first best row, or, when the sup
+    is attained only at r = ε, at the exact radius of _open_end_radius on the
+    last piece; fails at the first best row otherwise.
     """
-    cands = _endpoint_distances(E, x, eps) + [eps]
-    best_v, best_r = max(((value_at(r), r) for r in cands), key=itemgetter(0))
-    if best_v <= threshold:
-        return None, best_r
-    if best_r < eps:
-        return best_r, best_r
-    # sup only at the open right end: value_at is continuous there, so some
-    # r slightly inside still exceeds the threshold; bisect toward eps.
-    inner = [r for r in cands if r < eps]
-    lo = inner[-1] if inner else eps / 2
-    if value_at(lo) > threshold:
-        return lo, best_r
-    step = eps - lo
-    for _ in range(64):
-        step /= 2
-        r = eps - step
-        if value_at(r) > threshold:
-            return r, best_r
-    return None, best_r
-
-
-def _weak_report(E, x, epsilon, ratio_and_side) -> DensityReport:
-    """Holds with the witness radius of _strict_witness, else fails at the
-    candidate radius with the largest ratio; ratio_and_side(E, x, r)."""
     x, eps = rat(x), rat(epsilon)
     if not (0 < eps < 1):
         raise ValueError("epsilon must be in (0,1)")
-    r, best = _strict_witness(
-        E, x, eps, 1 - eps, lambda rr: ratio_and_side(E, x, rr)[0]
-    )
-    verdict, r = (FAILS, best) if r is None else (HOLDS, r)
-    value, side = ratio_and_side(E, x, r)
-    return DensityReport(x, verdict, r, value, side)
+    masses = _sided_masses(E, x)
+    rows = [masses(r) for r in _endpoint_distances(E, x, eps) + [eps]]
+    value, side, row = max(((*best_of(row), row) for row in rows), key=itemgetter(0))
+    threshold = 1 - eps
+    if value <= threshold:
+        return DensityReport(x, FAILS, row[0], value, side)
+    if row[0] == eps:
+        lo_row = rows[-2] if len(rows) > 1 else (0, 0, 0)
+        row = masses(_open_end_radius(lo_row, row, side, threshold))
+        value, side = best_of(row)
+    return DensityReport(x, HOLDS, row[0], value, side)
 
 
 def check_weakly_dense_at(E: IntervalSet, x: RationalLike, epsilon: RationalLike) -> DensityReport:
@@ -293,32 +302,20 @@ def check_weakly_center_dense_at(
     return _weak_report(E, x, epsilon, _centered)
 
 
-def _grid_report(E, x, r_grid, tolerance, row_at) -> DensityReport:
-    """Rows row_at(E, x, r) = (row, ratio) along a strictly descending grid
-    of positive radii; holds-at-scale when the worst ratio is >= 1 - tolerance,
+def _grid_report(x, r_grid, tolerance, row_at) -> DensityReport:
+    """Rows row_at(r) = (row, ratio) along a strictly descending grid of
+    positive radii; holds-at-scale when the worst ratio is >= 1 - tolerance,
     and the worst radius (the first on ties) is reported."""
-    x, tol = rat(x), rat(tolerance)
+    tol = rat(tolerance)
     grid = [rat(r) for r in r_grid]
     if not grid or any(r <= 0 for r in grid):
         raise ValueError("grid must be positive")
     if any(a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly descending")
-    rows = []
-    worst = None
-    for r in grid:
-        row, ratio = row_at(E, x, r)
-        rows.append(row)
-        if worst is None or ratio < worst[1]:
-            worst = (r, ratio)
-    verdict = HOLDS_AT_SCALE if worst[1] >= 1 - tol else FAILS
-    return DensityReport(x, verdict, worst[0], worst[1], None, tuple(rows))
-
-
-def _one_sided_row(E, x, r):
-    left = one_sided_ratio(E, x, r, LEFT)
-    right = one_sided_ratio(E, x, r, RIGHT)
-    m = max(left, right)
-    return (r, left, right, m), m
+    rows, ratios = zip(*map(row_at, grid))
+    worst = ratios.index(min(ratios))
+    verdict = HOLDS_AT_SCALE if ratios[worst] >= 1 - tol else FAILS
+    return DensityReport(rat(x), verdict, grid[worst], ratios[worst], None, rows)
 
 
 def _worst_window_row(E, x, r):
@@ -337,7 +334,8 @@ def check_strongly_one_sided_dense_at(
     A finite-scale check, not a limit claim: the verdict is holds-at-scale
     when every grid radius achieves ratio >= 1 - tolerance.
     """
-    return _grid_report(E, x, r_grid, tolerance, _one_sided_row)
+    masses = _sided_masses(E, x)
+    return _grid_report(x, r_grid, tolerance, lambda r: _one_sided_row(masses(r)))
 
 
 def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tuple[Fraction, Fraction]:
@@ -366,7 +364,7 @@ def check_strongly_dense_at(
 ) -> DensityReport:
     """Worst-window density at each radius of a strictly descending grid
     (Lebesgue density at scale)."""
-    return _grid_report(E, x, r_grid, tolerance, _worst_window_row)
+    return _grid_report(x, r_grid, tolerance, lambda r: _worst_window_row(E, x, r))
 
 
 # -- UDT witnesses -------------------------------------------------------------

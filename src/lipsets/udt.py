@@ -404,6 +404,8 @@ def build_udt_lip1(
         raise ValueError("stages must be between 1 and the system depth")
     if witness.depth < stages:
         raise ValueError("witness exhausted: need a prefix of length >= stages")
+    if not 0 < collar < Fraction(1, 2):
+        raise ValueError("collar must lie in (0, 1/2)")
     E = system.target
     window = system.window
     rng = random.Random(seed)
@@ -479,8 +481,6 @@ def build_udt_lip1(
                     continue
             zlen = zone[1] - zone[0]
             c0, d0 = zone[0] + zlen * collar, zone[1] - zlen * collar
-            if not (region.lo <= c0 < d0 <= region.hi):
-                continue
             qmargin = quadratic_margin(
                 region, (c0, d0),
                 left_is_f=region.lo != window.lo,

@@ -17,6 +17,9 @@ prefix-sum lists from E's components and bisects them on Fractions only.
 `ref_at`, `ref_merged_breakpoints` and `ref_simplify` are the sweep, the
 evaluation grid and `simplify` without float keys: they order points by
 Fraction comparisons only and interpolate on every segment.
+
+`ref_weak_report` is the weak density check with one public ratio call per
+candidate radius instead of one reader of the sided masses.
 """
 
 from __future__ import annotations
@@ -383,3 +386,27 @@ def ref_vicinity_is_inside(inner, outer):
     diff = ref_combine(inner.center, outer.center, operator.sub)
     abs_diff = ref_pick(diff, diff.scale(-1), max)
     return ref_le(ref_combine(abs_diff, inner.radius, operator.add), outer.radius)
+
+
+# -- weak density checks, one ratio call per candidate --------------------------
+
+
+def ref_weak_report(E, x, eps, centered):
+    """(verdict, r, ratio, side) of the weak density check at x: the max of
+    `one_sided_ratio` left and right (left on ties), or `centered_ratio`, at
+    each distance from x to an endpoint of E inside (0, ε) and at ε; the
+    first best radius.  None where only r = ε beats 1 - ε (the open end,
+    whose witness radius lies inside the last piece)."""
+    from lipsets.density import centered_ratio, one_sided_ratio
+
+    def best_of(r):
+        if centered:
+            return centered_ratio(E, x, r), "both"
+        left, right = one_sided_ratio(E, x, r, "left"), one_sided_ratio(E, x, r, "right")
+        return (left, "left") if left >= right else (right, "right")
+
+    radii = sorted({abs(e - x) for e in E.endpoints() if 0 < abs(e - x) < eps}) + [eps]
+    value, side, r = max(((*best_of(r), r) for r in radii), key=operator.itemgetter(0))
+    if value <= 1 - eps:
+        return "fails", r, value, side
+    return None if r == eps else ("holds", r, value, side)

@@ -31,10 +31,17 @@ from lipsets.density import (
     suggest_udt_witness,
     witness_dominates,
     worst_window_ratio,
+    _one_sided_row,
     _ratio_candidates,
+    _sided_masses,
 )
 
-from oracles import brute_level_membership, brute_max_ratio, brute_one_sided_measure
+from oracles import (
+    brute_level_membership,
+    brute_max_ratio,
+    brute_one_sided_measure,
+    ref_weak_report,
+)
 
 F = Fraction
 
@@ -106,6 +113,27 @@ class TestDensityRatio:
         for r, left, right in rows:
             assert left == brute_one_sided_measure(pairs, x, r, LEFT)
             assert right == brute_one_sided_measure(pairs, x, r, RIGHT)
+
+    def test_side_must_be_left_or_right(self):
+        E = iset((0, 1))
+        for side in (BOTH, "up"):
+            with pytest.raises(ValueError, match="side"):
+                one_sided_measure(E, 1, F(1, 2), side)
+            with pytest.raises(ValueError, match="side"):
+                one_sided_ratio(E, 1, F(1, 2), side)
+
+    @settings(max_examples=150)
+    @given(dyadic_sets(), dyadic, st.integers(1, 2 ** GRID_M))
+    def test_one_sided_rows_match_per_side_ratios(self, E, x, rk):
+        r = F(rk, 2 ** GRID_M)
+        left, right = one_sided_ratio(E, x, r, LEFT), one_sided_ratio(E, x, r, RIGHT)
+        m = max(left, right)
+        assert _one_sided_row(_sided_masses(E, x)(r)) == ((r, left, right, m), m)
+        grid = [r / 2 ** k for k in range(3)]
+        rows = check_strongly_one_sided_dense_at(E, x, grid).details
+        assert rows == tuple(
+            (g, one_sided_ratio(E, x, g, LEFT), one_sided_ratio(E, x, g, RIGHT),
+             max_ratio(E, x, g)) for g in grid)
 
     def test_nonpositive_radius_rejected(self):
         E = iset((0, 1))
@@ -341,6 +369,58 @@ class TestWeaklyDense:
         assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == (FAILS, F(3, 16), F(2, 3), LEFT)
         rep = check_weakly_center_dense_at(E, x, eps)
         assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == (FAILS, F(3, 16), F(1, 3), BOTH)
+
+    @settings(max_examples=200)
+    @given(
+        dyadic_sets(),
+        dyadic,
+        st.fractions(min_value=F(1, 64), max_value=F(63, 64), max_denominator=64),
+    )
+    def test_reports_match_per_candidate_ratios(self, E, x, eps):
+        # outside the open end, verdict, radius, ratio and side are those of
+        # one ratio call per candidate; at the open end the witness is exact
+        for check, centered in ((check_weakly_dense_at, False),
+                                (check_weakly_center_dense_at, True)):
+            rep = check(E, x, eps)
+            expected = ref_weak_report(E, x, eps, centered)
+            if expected is not None:
+                assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == expected
+                continue
+            assert rep.verdict == HOLDS and 0 < rep.worst_r < eps
+            if centered:
+                assert rep.ratio == centered_ratio(E, x, rep.worst_r)
+            else:
+                assert rep.ratio == one_sided_ratio(E, x, rep.worst_r, rep.side)
+                assert rep.ratio == max_ratio(E, x, rep.worst_r)
+            assert rep.ratio > 1 - eps
+
+    @pytest.mark.parametrize("k", [10, 70, 200])
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_open_end_witness_is_solved_exactly(self, k, centered):
+        # s = 1/4 - 2^-k: the ratio on [s, 1/2] is 1 - s/r (both checks),
+        # above 1/2 only for r > 2s = 1/2 - 2^(1-k), so the sup 1/2 + 2^(1-k)
+        # is at the open end ε = 1/2, and every witness lies in (2s, ε), an
+        # interval 2^(1-k) wide; the reported one is its midpoint.
+        s, eps = F(1, 4) - F(1, 2 ** k), F(1, 2)
+        if centered:
+            E = iset((-1, -s), (s, 1))
+            rep = check_weakly_center_dense_at(E, 0, eps)
+            ratio = centered_ratio(E, 0, rep.worst_r)
+        else:
+            E = iset((s, 1))
+            rep = check_weakly_dense_at(E, 0, eps)
+            ratio = one_sided_ratio(E, 0, rep.worst_r, RIGHT)
+            assert rep.side == RIGHT
+        assert rep.verdict == HOLDS and 0 < rep.worst_r < eps
+        assert rep.worst_r == eps - F(1, 2 ** k)
+        assert rep.ratio == ratio > F(1, 2)
+
+    def test_open_end_without_an_inner_candidate(self):
+        # no endpoint within ε of x: the ratio is constant on (0, ε]
+        rep = check_weakly_dense_at(iset((0, 1)), F(1, 2), F(1, 8))
+        assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == (HOLDS, F(1, 16), 1, LEFT)
+        rep = check_weakly_center_dense_at(iset((0, 1)), F(1, 2), F(1, 8))
+        assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == (HOLDS, F(1, 16), 1, BOTH)
 
 
 class TestStronglyOneSided:

@@ -220,6 +220,14 @@ def test_strict_build_raises_on_a_missing_witness(fixture, levels, stage, collar
     assert diag.witness_failures[0] == (first.x, first.ratio)
 
 
+@pytest.mark.parametrize("collar", [F(0), F(1, 2), F(3, 4), F(-1, 8)])
+def test_collar_outside_zero_to_one_half_is_rejected(collar):
+    # a collar of 1/2 or more leaves no segment between the collars, and one
+    # of 0 or less puts the segment on the zone's ends
+    with pytest.raises(ValueError, match="collar"):
+        build_udt_lip1(fat_cantor_system(1), WITNESS, 1, collar=collar)
+
+
 @pytest.mark.parametrize("left_is_f", [False, True])
 @pytest.mark.parametrize("right_is_f", [False, True])
 @pytest.mark.parametrize(
