@@ -3,6 +3,8 @@
 An `Envelope(center, radius)` is the tube {g : |g - center| <= radius}; one
 type serves the lemmas, the staged builder and its vicinity chain.  Every
 tube test compares values on the merged grid of the functions involved.
+The staged builder uses only envelope_refine: each stage is already flat
+where the next must be, so envelope_flatten is the standalone lemma.
 
 envelope_refine replaces the tube's center f, a monotone function, by a
 (1-δ)-slope zigzag with the same block increments, strictly inside the tube;
@@ -95,13 +97,19 @@ def verify_contraction(
     of f's breakpoints and E's endpoints in f's domain (f is linear there
     and E has constant density 0 or 1; f is constant off its domain).
     Returns None when it holds, else a witness segment
-    (a, b, |Δf|, factor*|E ∩ [a, b]|)."""
+    (a, b, |Δf|, factor*|E ∩ [a, b]|).  One walk reads E's masses: the
+    marks of `E.masses_from` are grid points, and E covers all or none of
+    the span between two of them."""
     lo, hi = f.breakpoints[0], f.breakpoints[-1]
     xs = merged_breakpoints((f,), lo, hi, extra=E.endpoints_in(lo, hi))
-    fs, cum = f.at(xs), [E.cumulative(x) for x in xs]
+    fs = f.at(xs)
+    marks = iter(E.masses_from(lo, hi))
+    p1, m1 = lo, Fraction(0)
     for k in range(1, len(xs)):
+        if xs[k - 1] == p1:  # a mark: E covers all or none of the span to the next
+            (p0, m0), (p1, m1) = (p1, m1), next(marks)
         df = abs(fs[k] - fs[k - 1])
-        allowed = factor * (cum[k] - cum[k - 1])  # E.mass(xs[k - 1], xs[k])
+        allowed = factor * (xs[k] - xs[k - 1]) if m1 - m0 == p1 - p0 else Fraction(0)
         if df > allowed:
             return (xs[k - 1], xs[k], df, allowed)
     return None

@@ -14,22 +14,22 @@ a target interval set standing in for E = ∩ G_n, and a witness prefix
          pair, giving U_{n+1} ⊆ U_n and the Cauchy bound ‖f_{n+1}-f_n‖ <= 2^-n,
   (vi)   later stages keep witness ratios above (1-2^-n)γ_n.
 
-Each stage flattens the previous function on the new F-parts inside an
-r-positive segment, within the tube Envelope(f_{n-1}, r_{n-1}/3)
-(envelope_flatten), then re-zigzags the result within the tube around it
-whose radius is the margin (envelope_refine).  The vicinity U_n is the tube
-Envelope(f_n, r_n), so one type serves both lemmas and the chain
-U_{n+1} ⊆ U_n.  Quadratic margins d(x, F_n)^2 are replaced by exact
-piecewise-linear tangent minorants, which is strictly harder.  A
-piecewise-linear stage function keeps an exactly flat collar next to each
-F_n endpoint, so witnesses are sampled from the recorded active regions.
+Each stage makes one move: it re-zigzags f_{n-1} (f_0 = 0) within the tube
+around it whose radius is the margin (envelope_refine).  No stage flattens:
+E misses F_n and (iii) bounds the increments of f_{n-1} by E's mass, so
+f_{n-1} already has slope 0 on F_n, which the builder checks exactly.  The
+vicinity U_n is the tube Envelope(f_n, r_n), which also gives U_{n+1} ⊆ U_n.
+Quadratic margins d(x, F_n)^2 are replaced by exact piecewise-linear tangent
+minorants, which is strictly harder.  A piecewise-linear stage function
+keeps an exactly flat collar next to each F_n endpoint, so witnesses are
+sampled from the recorded active regions.
 
-Refine blocks and flatten cells end on dyadic grids: a block [p, q] whose
-local margin allows q - p <= 2·step ends at the largest point of the grid
-2^-m Z at or below p + step, with 2^-m < step/8, so (7/8)·step < q - p <= step
-(the last block of a segment absorbs a sliver and stays below (3/2)·step).
-Block ends then carry no denominator of the margin, and the denominators of
-the stage functions do not compound from stage to stage.
+Refine blocks end on dyadic grids: a block [p, q] whose local margin allows
+q - p <= 2·step ends at the largest point of the grid 2^-m Z at or below
+p + step, with 2^-m < step/8, so (7/8)·step < q - p <= step (the last block
+of a segment absorbs a sliver and stays below (3/2)·step).  Block ends then
+carry no denominator of the margin, and the denominators of the stage
+functions do not compound from stage to stage.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .density import UDTWitness, level_set_membership
 from .envelopes import (
     Envelope,
     PreconditionError,
-    envelope_flatten,
     envelope_refine,
     verify_contraction,
 )
@@ -394,11 +393,11 @@ def build_udt_lip1(
     """Run the staged construction for the given number of stages.
 
     Stage 1 refines the zero function within the tube whose radius is the
-    quadratic margin (δ = 2^-3, ε = 1); stage n >= 2 first flattens f_{n-1}
-    on the new closed parts within the tube Envelope(f_{n-1}, r_{n-1}/3)
-    (ε = 2^-3(n-1), δ' = midpoint of (2^-3n, 2^-3(n-1))), then refines the
-    result within the tube around it of radius
-    min{quadratic margin, r_{n-1}/3}, with δ = 2^-3n.
+    quadratic margin (δ = 2^-3, ε = 1).  Stage n >= 2 refines f_{n-1}
+    directly, checked flat on F_n, within the tube of radius
+    min{quadratic margin, r_{n-1}/3} (ε = 2^-3(n-1), which stage n-1
+    certified, and δ = 2^-3n).  r_{n-1}/3 budgets a second move that no
+    stage makes; it is kept as a conservative budget.
     """
     if stages < 1 or stages > system.depth:
         raise ValueError("stages must be between 1 and the system depth")
@@ -422,51 +421,14 @@ def build_udt_lip1(
         F_n = system.closed_at(n)
         r_third = None if r_prev is None else r_prev.scale(Fraction(1, 3))  # tube radius
 
-        # ---- flatten on the new closed parts (stage >= 2); each region
-        # reads f_prev only on itself, so the results are spliced once ----
-        if n == 1:
-            f_star = f_prev
-            eps_contract = Fraction(1)  # f_0 = 0 satisfies the ε = 1 bound
-        else:
-            eps_prev = Fraction(1, 2 ** (3 * (n - 1)))
-            delta_prime = (delta_stage + eps_prev) / 2
-            flattened: list[PiecewiseLinear] = []
-            for region in system.complement(n - 1):
-                if region.is_degenerate:
-                    continue
-                h_loc = F_n.clip(region)
-                if h_loc.is_empty:
-                    continue
-                f_loc = f_prev.restrict(region.lo, region.hi)
-                zone = _positive_zone(r_prev, region.lo, region.hi)
-                if zone is None:
-                    if first_sloped_segment(f_loc, h_loc) is None:
-                        continue
-                    raise PreconditionError(
-                        f"stage {n}: no r-positive zone in {region} but new "
-                        "closed parts need flattening"
-                    )
-                zlen = zone[1] - zone[0]
-                c0 = zone[0] + zlen * collar
-                d0 = zone[1] - zlen * collar
-                nonflat = [
-                    comp
-                    for comp in h_loc
-                    if first_sloped_segment(f_loc, IntervalSet([comp])) is not None
-                ]
-                if nonflat:  # h_loc's components are sorted and disjoint
-                    c0 = min(c0, (zone[0] + nonflat[0].lo) / 2)
-                    d0 = max(d0, (nonflat[-1].hi + zone[1]) / 2)
-                res = envelope_flatten(
-                    Envelope(f_loc, r_third.restrict(region.lo, region.hi)),
-                    E, h_loc, eps_prev, delta_prime, segment=(c0, d0),
-                )
-                flattened.append(res.function)
-            f_star = f_prev.splice(flattened)
-            eps_contract = delta_prime
+        # f_{n-1} must be flat on F_n, and stage n-1 certified ε (f_0 = 0: ε = 1)
+        sloped = first_sloped_segment(f_prev, F_n)
+        if sloped is not None:
+            raise PreconditionError(f"stage {n}: f_{n - 1} is not flat on F_{n}", sloped)
+        eps_contract = Fraction(1, 2 ** (3 * (n - 1)))
 
         # ---- margins and refine inside each complement region of F_n; each
-        # region reads f_star only on itself, so the results are spliced once ----
+        # region reads f_prev only on itself, so the results are spliced once ----
         margin_parts: list[PiecewiseLinear] = []
         refined: list[PiecewiseLinear] = []
         active: list[tuple[Fraction, Fraction]] = []
@@ -492,8 +454,8 @@ def build_udt_lip1(
             margin_parts.append(qmargin)
             if E.mass(c0, d0) == 0:
                 continue
-            f_loc = f_star.restrict(region.lo, region.hi)
-            # f_star is already a zigzag; the construction needs only the
+            f_loc = f_prev.restrict(region.lo, region.hi)
+            # f_prev is already a zigzag; the construction needs only the
             # increment precondition, which envelope_refine still verifies
             res = envelope_refine(
                 Envelope(f_loc, qmargin), E, eps_contract, delta_stage,
@@ -501,7 +463,7 @@ def build_udt_lip1(
             )
             refined.append(res.function)
             active.append((c0, d0))
-        f_n = f_star.splice(refined)
+        f_n = f_prev.splice(refined)
         eps_margin = PiecewiseLinear.constant(0, window).splice(margin_parts)
 
         # ---- diagnostics: (i) and (iii) ----

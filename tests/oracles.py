@@ -291,6 +291,19 @@ def ref_contraction_witness(f, phi, factor):
     return None
 
 
+def ref_contraction_by_bisects(f, E, factor):
+    """verify_contraction with one bisect of E's mass index per point of
+    its grid, the sorted union of f's breakpoints and E's endpoints in f's
+    domain: the first segment with |Δf| > factor·|E ∩ Δ|, or None."""
+    lo, hi = f.breakpoints[0], f.breakpoints[-1]
+    xs = sorted({*f.breakpoints, *ref_endpoints_in(E, lo, hi)})
+    for a, b in zip(xs, xs[1:]):
+        df, allowed = abs(f(b) - f(a)), factor * ref_mass(E, a, b)
+        if df > allowed:
+            return (a, b, df, allowed)
+    return None
+
+
 def ref_splice(f, pieces):
     """Each piece put in place one at a time by restrict and concat."""
     for piece in pieces:

@@ -25,6 +25,7 @@ from lipsets.pcw import (
 from oracles import (
     ref_band_margin_on,
     ref_between,
+    ref_contraction_by_bisects,
     ref_contraction_witness,
     ref_min_margin_on,
     ref_vicinity_contains,
@@ -135,6 +136,29 @@ def test_verify_contraction_on_unequal_domains(pairs, factor, data):
     tight = phi.restrict(a, b).scale(factor)
     f = data.draw(st.one_of(pl_functions(a, b), st.just(tight), st.just(tight.scale(F(65, 64)))))
     assert verify_contraction(f, E, factor) == ref_contraction_witness(f, phi, factor)
+
+
+sixteenths = st.integers(-4, 20).map(lambda k: F(k, 16))  # [-1/4, 5/4]
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(sixteenths, sixteenths), max_size=5),
+       st.lists(sixteenths, max_size=3), st.sampled_from([F(1, 4), F(7, 8), F(1)]),
+       st.data())
+def test_verify_contraction_walk_matches_bisects_on_degenerate_components(
+        pairs, singles, factor, data):
+    # degenerate components split the grid but carry no mass, and f's
+    # domain ends and breakpoints are drawn from E's endpoints and the
+    # quarters, so they land on E's endpoints
+    E = IntervalSet([Interval(min(p, q), max(p, q)) for p, q in pairs]
+                    + [Interval.point(s) for s in singles], allow_degenerate=True)
+    grid = sorted({*E.endpoints(), *(F(k, 4) for k in range(-1, 6))})
+    xs = sorted(data.draw(st.sets(st.sampled_from(grid), min_size=2, max_size=8)))
+    vs = data.draw(st.lists(small, min_size=len(xs), max_size=len(xs)))
+    f = PiecewiseLinear(xs, vs)
+    tight = build_phi(E, xs[0], Interval(xs[0], xs[-1])).scale(factor)
+    for g in (f, tight, tight.scale(F(65, 64))):
+        assert verify_contraction(g, E, factor) == ref_contraction_by_bisects(g, E, factor)
 
 
 @settings(max_examples=100)

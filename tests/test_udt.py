@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipsets.density import UDTWitness
+from lipsets.envelopes import PreconditionError
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import PiecewiseLinear, monotone_runs
-from lipsets import udt
+from lipsets import envelopes, udt
 from lipsets.udt import (
+    NestedClosedSystem,
     UdtBuildResult,
     build_udt_lip1,
     fat_cantor_system,
@@ -182,6 +184,47 @@ class TestTwoStages:
         assert bumped.stages[1](comp.lo) == f1(comp.lo)
         assert bumped.stages[1](comp.hi) == f1(comp.hi)
         assert not bumped.persistence_ok()
+
+
+def test_builder_never_flattens(monkeypatch, two_stages):
+    # f_{n-1} is already flat on F_n, so every stage is one refine: with
+    # flatten made to raise, the build is bit-identical to the pinned one
+    def no_flatten(*args, **kwargs):
+        raise AssertionError("envelope_flatten called")
+
+    monkeypatch.setattr(envelopes, "envelope_flatten", no_flatten)
+    assert not hasattr(udt, "envelope_flatten")
+    res = build_udt_lip1(fat_cantor_system(2), WITNESS, 2, collar=F(27, 64))
+    assert [_digest(f) for f in res.stages] == [_digest(f) for f in two_stages.stages]
+    assert [_digest(r) for r in res.radii] == [_digest(r) for r in two_stages.radii]
+
+
+def test_a_stage_sloped_on_the_next_closed_set_is_rejected():
+    # the target [0, 1] meets F_2's new part [1/8, 3/16], where f_1 rises
+    # with E: the witness is a segment of f_1 with nonzero slope that
+    # meets F_2 with positive length
+    F1 = IntervalSet.from_pairs([(F(7, 16), F(9, 16))])
+    F2 = F1.union(IntervalSet.from_pairs([(F(1, 8), F(3, 16))]))
+    window = Interval(F(0), F(1))
+    system = NestedClosedSystem((F1, F2), window, IntervalSet([window]))
+    with pytest.raises(PreconditionError, match="not flat") as info:
+        build_udt_lip1(system, WITNESS, 2, strict=False)
+    seg = info.value.witness
+    assert seg == Interval(F(31, 256), F(33, 256))
+    f1 = build_udt_lip1(system, WITNESS, 1, strict=False).stages[0]
+    assert f1(seg.lo) != f1(seg.hi)
+    assert F2.clip(seg).measure() > 0
+
+
+def test_default_collar_two_stage_build():
+    # the only tier-1 build with a 10^4-breakpoint stage; these counts are
+    # pinned from the builder that refines f_1 directly
+    res = build_udt_lip1(fat_cantor_system(2), WITNESS, 2, strict=False)
+    _assert_stage_flags(res)
+    assert [len(d.witnesses) for d in res.diagnostics] == [8, 8]
+    assert res.persistence_ok()
+    assert res.vicinity_chain_ok()
+    assert [len(f.breakpoints) for f in res.stages] == [458, 9355]
 
 
 @pytest.mark.parametrize("fixture", ["one_stage", "two_stages"])
