@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 from .density import (
@@ -26,13 +27,13 @@ from .density import (
     window_starts,
 )
 from .pcw import (
+    ZERO,
     PiecewiseLinear,
     build_phi,
     build_signed_integral,
     first_sloped_segment,
     geometric_grid,
     pl_sum,
-    ramp_to,
 )
 
 
@@ -314,6 +315,51 @@ class SmallLipBlock:
     right_mass: Fraction
 
 
+def _on_scale(x: Fraction, scale: int) -> int:
+    """x·scale, for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _integer_grid(
+    E: IntervalSet, eps: Fraction, window: Interval
+) -> tuple[IntervalSet, int, int, int, int]:
+    """(E ∩ window, D, ε·D, window.lo·D, window.hi·D) for the scale D = 2·lcm
+    of the denominators of ε, of the window's ends and of E's endpoints in
+    the window.  Every block edge, window end and endpoint is then an
+    integer on the scale, and so is half of every block's mass: the factor
+    2 makes the halves integers."""
+    clipped = E.clip(window)
+    scale = 2 * lcm(eps.denominator, window.lo.denominator, window.hi.denominator,
+                    *(x.denominator for iv in clipped for x in (iv.lo, iv.hi)))
+    return (clipped, scale, _on_scale(eps, scale),
+            _on_scale(window.lo, scale), _on_scale(window.hi, scale))
+
+
+def _pieces_by_block(
+    clipped: IntervalSet, step: int, scale: int
+) -> Iterator[tuple[int, list[tuple[int, int, Optional[Fraction], Optional[Fraction]]]]]:
+    """For each ε-block k = [k·step, (k+1)·step] that a component of
+    `clipped` overlaps with positive length, in order: (k, pieces).  The
+    pieces are those components clipped to the block, as (lo, hi, lo_end,
+    hi_end) with lo and hi integers on the scale, and lo_end (hi_end) the
+    component's own endpoint where the piece ends there, None where it ends
+    on a block edge.  One forward walk over the components."""
+    k_open, pieces = None, []
+    for iv in clipped:
+        lo, hi = _on_scale(iv.lo, scale), _on_scale(iv.hi, scale)
+        for k in range(lo // step, -(-hi // step)):
+            if k != k_open:
+                if pieces:
+                    yield k_open, pieces
+                k_open, pieces = k, []
+            a = k * step
+            b = a + step
+            pieces.append((lo if lo > a else a, hi if hi < b else b,
+                           iv.lo if lo >= a else None, iv.hi if hi <= b else None))
+    if pieces:
+        yield k_open, pieces
+
+
 def small_lip_blocks(
     E: IntervalSet, epsilon: RationalLike, window: Interval
 ) -> list[SmallLipBlock]:
@@ -324,21 +370,39 @@ def small_lip_blocks(
     window overlaps blocks floor(lo/ε) to ceil(hi/ε) - 1 with positive
     length, and no other block has mass.  A block [a, b] with mass
     A = |E ∩ [a, b]| balances at `balance_point(E, a, b, 0, 0)`, the
-    leftmost t with Φ(t) = Φ(a) + A/2, so by the balance equation its left
-    and right masses are both A/2: two Φ reads and one `locate` per block.
+    leftmost t with |E ∩ [a, t]| = A/2, so its left and right masses are
+    both A/2.
+
+    Everything is computed on one integer scale D (`_integer_grid`): one
+    forward walk over E ∩ window and the ε-grid together
+    (`_pieces_by_block`) sums each block's pieces and finds t as the leftmost
+    point where the running piece mass reaches A/2.  That is O(n + blocks)
+    integer operations for n components, on integers of about D's bit
+    length, so the cost grows with the bit length of the lcm.  A block's
+    ends, t and A/2 become Fractions once; a block end shared with the
+    previous block, and a t on a component's end, reuse that Fraction.
     """
     eps = rat(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    loaded: set[int] = set()
-    for iv in E.clip(window):
-        loaded.update(range(iv.lo // eps, -(-iv.hi // eps)))
+    clipped, scale, step, w_lo, w_hi = _integer_grid(E, eps, window)
     blocks = []
-    for k in sorted(loaded):
-        a, b = max(window.lo, k * eps), min(window.hi, (k + 1) * eps)
-        phi_a = E.cumulative(a)
-        half = (E.cumulative(b) - phi_a) / 2
-        blocks.append(SmallLipBlock(a, b, E.locate(phi_a + half), half, half))
+    b = hi = None  # the previous block's right edge, as integer and Fraction
+    for k, pieces in _pieces_by_block(clipped, step, scale):
+        a = k * step
+        lo = window.lo if a <= w_lo else hi if a == b else Fraction(a, scale)
+        b = a + step
+        hi = window.hi if b >= w_hi else Fraction(b, scale)
+        half = sum(q - p for p, q, _, _ in pieces) >> 1
+        rest = half
+        for p, q, _, q_end in pieces:
+            if q - p >= rest:
+                break
+            rest -= q - p
+        # t < b, since the right half carries mass: t == q is a component's end
+        t = p + rest
+        mass = Fraction(half, scale)
+        blocks.append(SmallLipBlock(lo, hi, q_end if t == q else Fraction(t, scale), mass, mass))
     return blocks
 
 
@@ -349,18 +413,45 @@ def build_small_lip(
 
     0 <= f <= ε exactly; slope +1 on the first half of each block's E-mass,
     -1 on the second half, 0 off E; f vanishes at block boundaries.
+
+    The blocks come from `small_lip_blocks`; a second walk over the same
+    pieces on the same integer scale D integrates the slopes and emits a
+    point only where the slope (-1, 0 or +1) changes, so the function is
+    already simplified.  The cost is O(n + blocks) integer operations, and
+    grows with the bit length of D as that of `small_lip_blocks` does.  Each
+    kept point becomes a Fraction once; points on a component's end, a
+    block's end or its balance point reuse that Fraction.
     """
-    xs, vs = [window.lo], [Fraction(0)]
-    for blk in small_lip_blocks(E, epsilon, window):
-        if blk.lo > xs[-1]:
-            xs.append(blk.lo)
-            vs.append(Fraction(0))
-        ramp_to(xs, vs, E, Fraction(1), blk.balance)
-        ramp_to(xs, vs, E, Fraction(-1), blk.hi)
-    if window.hi > xs[-1]:
-        xs.append(window.hi)
-        vs.append(Fraction(0))
-    return PiecewiseLinear(xs, vs).simplify()
+    blocks = small_lip_blocks(E, epsilon, window)
+    clipped, scale, step, w_lo, w_hi = _integer_grid(E, rat(epsilon), window)
+    xs: list[Fraction] = []
+    vs: list[Fraction] = []
+    # the pending point: the walk has reached `end` (the Fraction end_x) with
+    # value v.  The slope changes at every piece's start: a piece starts on
+    # slope ±1 after a gap, or on +1 right after the last block's -1
+    end, end_x, v = w_lo, window.lo, 0
+    for blk, (_, pieces) in zip(blocks, _pieces_by_block(clipped, step, scale)):
+        t = _on_scale(blk.balance, scale)
+        for p, q, p_end, q_end in pieces:
+            value = Fraction(v, scale) if v else ZERO
+            if p != end:  # a gap: the walk turns flat at end
+                xs.append(end_x)
+                vs.append(value)
+            xs.append(blk.lo if p_end is None else p_end)
+            vs.append(value)
+            if p < t < q:
+                xs.append(blk.balance)
+                vs.append(blk.left_mass)
+                v += 2 * t - p - q
+            else:
+                v += q - p if p < t else p - q
+            end, end_x = q, blk.hi if q_end is None else q_end
+    if end != w_hi:
+        xs.append(end_x)
+        vs.append(ZERO)
+    xs.append(window.hi)
+    vs.append(ZERO)
+    return PiecewiseLinear(xs, vs)
 
 
 # -- the lip-1 sum -------------------------------------------------------------------

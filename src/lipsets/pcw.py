@@ -19,9 +19,10 @@ checks evaluate through `at`, one forward pass per function.  `pl_sum` merges
 the slope changes of n terms and integrates once.  `PiecewiseLinear.splice` is
 the only glue, `first_sloped_segment` the only check of slopes against a set.
 `ramp_to` integrates slope·1_E from the last point of a breakpoint list with
-two bisects into E's mass index, and builds the refine and flatten zigzags and
-the small-lip sawtooth.  `build_signed_integral`, a second integrator kept on
-purpose, cuts a window at two sets' endpoints; it serves `build_phi` and
+two bisects into E's mass index; it serves the envelopes only, building the
+refine and flatten zigzags (the small-lip sawtooth walks its own integer
+grid in `constructions`).  `build_signed_integral`, a second integrator kept
+on purpose, cuts a window at two sets' endpoints; it serves `build_phi` and
 `build_ternary_integral`, and the tests check the sawtooth against it.
 """
 
@@ -462,7 +463,8 @@ def ramp_to(
     """Extend the breakpoints xs and values vs from their last point (x0, v0)
     to b > x0 with v0 + slope·|E ∩ [x0, p]|, at every endpoint p of E
     strictly inside (x0, b) and then at b: slope on E, 0 off E.  Two bisects
-    per call (`IntervalSet.masses_from`)."""
+    per call (`IntervalSet.masses_from`).  It serves the envelope lemmas
+    only."""
     v0 = vs[-1]
     for p, m in E.masses_from(xs[-1], b):
         xs.append(p)

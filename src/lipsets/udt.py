@@ -520,6 +520,8 @@ def build_udt_lip1(
         )
         radius_within = r_n.le(eps_margin)
         gaps = [abs(rec.x - rec.y) for rec in witnesses]
+        # ‖f_n - f_{n-1}‖ on the grid `sub` would use, without building f_n - f_{n-1}
+        xs = merged_breakpoints((f_n, f_prev), window.lo, window.hi)
         diags.append(
             StageDiagnostics(
                 stage=n,
@@ -529,7 +531,7 @@ def build_udt_lip1(
                 active_segments=tuple(active),
                 witnesses=tuple(witnesses),
                 witness_failures=tuple(failures),
-                cauchy_step=(f_n - f_prev).sup_norm(),
+                cauchy_step=max(abs(a - b) for a, b in zip(f_n.at(xs), f_prev.at(xs))),
                 radius_sup=r_n.sup_norm(),
                 radius_zero_on_closed=radius_zero,
                 radius_within_margin=radius_within,

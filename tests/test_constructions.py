@@ -57,6 +57,35 @@ def dyadic_sets():
     )
 
 
+# endpoints off the dyadic grid: denominators 3·2^k, 1000 and 77
+non_dyadic = st.sampled_from([3, 6, 12, 24, 48, 1000, 77]).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: F(n, d)))
+
+
+@st.composite
+def non_dyadic_sets(draw):
+    """Up to four components with non-dyadic endpoints in [0, 1], plus up to
+    one degenerate component, which may fall inside a ramp."""
+    pairs = draw(st.lists(st.tuples(non_dyadic, non_dyadic), max_size=4))
+    singles = draw(st.lists(non_dyadic, max_size=1))
+    return IntervalSet([Interval(min(a, b), max(a, b)) for a, b in pairs if a != b]
+                       + [Interval.point(p) for p in singles], allow_degenerate=True)
+
+
+def small_lip_inputs(dyadic_eps):
+    """(E, ε, window): a dyadic set with ε from dyadic_eps, or a non-dyadic
+    set with ε ∈ {2/7, 1/3} and a window whose ends lie off E's grids, one
+    inside [0, 1] and two wider than E's hull."""
+    windows = [W01, W, Interval(F(-1, 3), F(4, 3)), Interval(F(1, 4), F(5, 8))]
+    off_grid = [Interval(F(3, 11), F(9, 13)), Interval(F(-1, 5), F(8, 7)),
+                Interval(F(-7, 5), F(31, 13))]
+    return st.one_of(
+        st.tuples(dyadic_sets(), st.sampled_from(dyadic_eps), st.sampled_from(windows)),
+        st.tuples(non_dyadic_sets(), st.sampled_from([F(2, 7), F(1, 3)]),
+                  st.sampled_from(off_grid)),
+    )
+
+
 class TestMonotoneBuilder:
     def test_unit_slope_profile(self):
         f = build_monotone_lip1(iset((0, 1)), W01)
@@ -364,14 +393,18 @@ def _blocks_by_walk(E, eps, window):
 
 class TestSmallLipBlocks:
     # the walk over 3 * 2^10 blocks takes about 0.2 s, near the default deadline
-    @settings(max_examples=50, deadline=None)
-    @given(
-        dyadic_sets(),
-        st.sampled_from([F(1, 4), F(1, 3), F(1, 2), 1, F(1, 2 ** 10)]),
-        st.sampled_from([W01, W, Interval(F(-1, 3), F(4, 3)), Interval(F(1, 4), F(5, 8))]),
-    )
-    def test_equals_walk_over_every_block(self, E, eps, window):
+    @settings(max_examples=100, deadline=None)
+    @given(small_lip_inputs([F(1, 4), F(1, 3), F(1, 2), 1, F(1, 2 ** 10)]))
+    def test_equals_walk_over_every_block(self, inputs):
+        E, eps, window = inputs
         assert small_lip_blocks(E, eps, window) == _blocks_by_walk(E, eps, window)
+
+    def test_leftmost_balance_on_a_gap(self):
+        # half the mass is reached at 1/4, and Φ stays flat across the gap
+        E = iset((0, F(1, 4)), (F(1, 2), F(3, 4)), (F(5, 4), F(3, 2)), (F(7, 4), 2))
+        blocks = small_lip_blocks(E, 1, Interval(F(0), F(2)))
+        assert [b.balance for b in blocks] == [F(1, 4), F(3, 2)]
+        assert blocks == _blocks_by_walk(E, 1, Interval(F(0), F(2)))
 
     def test_fine_grid_with_sparse_mass(self):
         E = iset((F(1, 7), F(1, 7) + F(1, 2 ** 11)), (F(1, 3), F(3, 8)), (F(9, 10), F(31, 32)))
@@ -481,15 +514,14 @@ def _small_lip_by_signed_integral(E, eps, window):
 
 
 class TestSmallLipRamp:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        dyadic_sets(),
-        st.sampled_from([F(1, 4), F(1, 3), F(1, 2), 1, F(1, 2 ** 6)]),
-        st.sampled_from([W01, W, Interval(F(-1, 3), F(4, 3)), Interval(F(1, 4), F(5, 8))]),
-    )
-    def test_equals_signed_integral(self, E, eps, window):
+    @settings(max_examples=160, deadline=None)
+    @given(small_lip_inputs([F(1, 4), F(1, 3), F(1, 2), 1, F(1, 2 ** 6)]))
+    def test_equals_signed_integral(self, inputs):
+        E, eps, window = inputs
         f = build_small_lip(E, eps, window)
         assert f.as_pairs() == _small_lip_by_signed_integral(E, eps, window).as_pairs()
+        # points are emitted only where the slope changes
+        assert f.simplify() is f
 
     def test_degenerate_component_inside_a_ramp(self):
         # {3/8} carries no mass: the ramp passes it without a breakpoint

@@ -138,6 +138,12 @@ class TestTwoStages:
             "c253402f3b6b7a22b8b8353cde60d2b47954bf7da432326bac27e3a5098def5e",
         ]
 
+    def test_cauchy_step_is_the_sup_norm_of_the_difference(self, two_stages):
+        f_prev = PiecewiseLinear.constant(0, two_stages.system.window)
+        for f_n, diag in zip(two_stages.stages, two_stages.diagnostics):
+            assert diag.cauchy_step == (f_n - f_prev).sup_norm()
+            f_prev = f_n
+
     def test_vicinity_chain_detects_a_stage_leaving_its_tube(self, two_stages):
         f1, f2 = two_stages.stages
         moved = UdtBuildResult(
