@@ -7,18 +7,21 @@ The staged builder uses only envelope_refine: each stage is already flat
 where the next must be, so envelope_flatten is the standalone lemma.
 
 envelope_refine replaces the tube's center f, a monotone function, by a
-(1-δ)-slope zigzag with the same block increments, strictly inside the tube;
-envelope_flatten rebuilds f so that it is exactly flat on a closed set H
-while keeping its endpoint values and a (1-δ) contraction against the
-cumulative measure Φ(x) = |E ∩ (-∞, x]|.  Both operate on an active compact
-segment and leave the function untouched (hence already flat where it needs
-to be) outside it; both verify their preconditions exactly and raise with an
-exact witness instead of assuming them.  The preconditions they share
-(0 < δ < ε <= 1 and the increment bound |Δf| <= (1-ε)|E ∩ Δ|) form one
-frame, `_lemma_frame`; each lemma adds only its own checks.  f lies in its
-own tube, and the margin the lemmas fit their blocks into is the radius.
-Both read Φ from E's own mass index, and both build their new pieces with
-`pcw.ramp_to`.
+(1-δ)-slope zigzag with the same block increments, strictly inside the tube,
+reading the cumulative measure Φ(x) = |E ∩ (-∞, x]| from E's own mass index
+and building its pieces with `pcw.ramp_to`.  envelope_flatten asks for a
+function flat on a closed set H with |H ∩ E| = 0, with f's endpoint values
+and the (1-δ) contraction, and f itself is one: for x <= y in a component J
+of H, |f(x) - f(y)| <= (1-ε)|E ∩ [x, y]| <= (1-ε)|E ∩ J| = 0.  So flatten
+verifies its hypotheses and returns f.
+
+Both lemmas act on an active compact segment, verify their preconditions
+exactly and raise with an exact witness instead of assuming them.  The
+preconditions they share (0 < δ < ε <= 1 and the increment bound
+|Δf| <= (1-ε)|E ∩ Δ|) form one frame, `_lemma_frame`, and both require
+the tube to be strict on the segment (`_least_radius`); each lemma adds
+only its own checks.  f lies in its own tube, and the margin refine fits
+its blocks into is the radius.
 """
 
 from __future__ import annotations
@@ -28,10 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intervals import Interval, IntervalSet, RationalLike, rat
+from .intervals import IntervalSet, RationalLike, rat
 from .constructions import balance_point
-from .pcw import PiecewiseLinear, common_domain, first_sloped_segment, merged_breakpoints
-from .pcw import monotone_runs, ramp_to
+from .pcw import PiecewiseLinear, common_domain, merged_breakpoints, monotone_runs, ramp_to
 
 
 class PreconditionError(ValueError):
@@ -137,6 +139,17 @@ def _lemma_frame(
     return eps, delta, rat(segment[0]), rat(segment[1])
 
 
+def _least_radius(radius: PiecewiseLinear, c: Fraction, d: Fraction) -> Fraction:
+    """The least radius on [c, d], which both lemmas need positive; else
+    PreconditionError with the first point where the radius is least."""
+    on_segment = radius.restrict(c, d)
+    least = on_segment.min_value()
+    if least <= 0:
+        raise PreconditionError("envelope is not strict on the segment",
+                                on_segment.breakpoints[on_segment.values.index(least)])
+    return least
+
+
 @dataclass(frozen=True)
 class RefineResult:
     function: PiecewiseLinear
@@ -149,34 +162,24 @@ class RefineResult:
 
 
 def _adaptive_block_bounds(
-    margin: PiecewiseLinear,
-    c: Fraction,
-    d: Fraction,
-    L: Fraction,
-    extra_slope: Fraction = Fraction(0),
+    margin: PiecewiseLinear, c: Fraction, d: Fraction, L: Fraction
 ) -> list[Fraction]:
     """Block boundaries sized by the local margin, snapped to dyadic grids.
 
-    Each block [p, q] satisfies (q - p)(2 + L + s) <= margin(p), where L
-    is the margin's largest absolute slope and s bounds the function's; that
-    keeps a zigzag or ramp of amplitude <= 2(q - p) strictly inside the
-    margin over the whole block (the margin loses at most L(q - p) across
-    it).  With step = margin(p) / (2(2 + L + s)), half that bound, q is the
-    largest point of the grid 2^-m Z at or below p + step, where
-    m = 3 + bit_length(⌊1/step⌋) makes 2^-m < step/8.
+    Each block [p, q] satisfies (q - p)(2 + L) <= margin(p), where L is the
+    margin's largest absolute slope; that keeps a zigzag of amplitude
+    <= 2(q - p) strictly inside the margin over the whole block (the margin
+    loses at most L(q - p) across it).  With step = margin(p) / (2(2 + L)),
+    half that bound, q is the largest point of the grid 2^-m Z at or below
+    p + step, where m = 3 + bit_length(⌊1/step⌋) makes 2^-m < step/8.
     Every block end but d thus has a denominator of at most 2^m, and
     (7/8)·step < q - p <= step; the last block, which absorbs a sliver
     shorter than step/2, has q - p < (3/2)·step.
 
-    A margin that is not positive on all of [c, d] raises PreconditionError
-    with the first point where it is least as witness.  A positive minimum
-    μ bounds every step below by μ/denom, so the loop ends."""
-    on_segment = margin.restrict(c, d)
-    least = on_segment.min_value()
-    if least <= 0:
-        raise PreconditionError("margin vanished inside the active segment",
-                                on_segment.breakpoints[on_segment.values.index(least)])
-    denom = 2 * (2 + L + extra_slope)  # halved steps leave room to merge slivers
+    The caller has checked that the margin is positive on [c, d]
+    (`_least_radius`): a positive minimum μ bounds every step below by
+    μ/denom, so the loop ends."""
+    denom = 2 * (2 + L)  # halved steps leave room to merge slivers
     out = [c]
     p = c
     while p < d:
@@ -236,9 +239,7 @@ def envelope_refine(
             raise PreconditionError(
                 "f is not monotone on the active segment", (a, m, b)
             )
-    gamma = radius.restrict(c, d).min_value()
-    if gamma <= 0:
-        raise PreconditionError("envelope is not strict on the segment")
+    gamma = _least_radius(radius, c, d)
     evens = _adaptive_block_bounds(radius, c, d, max(map(abs, radius.slopes())))
     f_evens = f.at(evens)
 
@@ -259,25 +260,14 @@ def envelope_refine(
 
 
 @dataclass(frozen=True)
-class FlattenComponent:
-    lo: Fraction
-    hi: Fraction
-    mass: Fraction
-    rise: Fraction
-    ramp_lo: Optional[Fraction]
-    ramp_hi: Optional[Fraction]
-
-
-@dataclass(frozen=True)
 class FlattenResult:
     function: PiecewiseLinear
     segment: tuple[Fraction, Fraction]
-    gamma_scale: Fraction
-    components: tuple[FlattenComponent, ...]
-    selected_mass: Fraction
-    required_mass: Fraction  # (1-ε)|E∩[c,d]| certified < (1-δ)*selected
     epsilon: Fraction
     delta: Fraction
+    # always empty, as flatten rebuilds nothing; kept because the benchmark's
+    # tracer counts len(components)
+    components: tuple = ()
 
 
 def envelope_flatten(
@@ -288,110 +278,25 @@ def envelope_flatten(
     delta: RationalLike,
     segment: tuple[RationalLike, RationalLike],
 ) -> FlattenResult:
-    """Rebuild the tube's center f with slope exactly 0 on H, same endpoint
-    values, and the (1-δ) contraction |g(x)-g(y)| <= (1-δ)|E ∩ [x, y]|.
+    """A function with slope exactly 0 on H, the tube's center f off the
+    active segment [c, d] and at its ends, strictly inside the tube on it,
+    with the (1-δ) contraction |g(x)-g(y)| <= (1-δ)|E ∩ [x, y]|: f itself.
 
-    The active segment is cut into cells on which f is linear with
-    oscillation at most half the tube's radius; within each cell the
-    E-mass of the intervals contiguous to H (all of them, so the selected
-    mass equals the cell total and (1-δ)·selected > (1-ε)·total is
-    certified) is re-ramped so that g matches f at every cell boundary and
-    stays inside the tube.  H-parts outside the segment must already be
-    flat for f.
+    The lemma's hypotheses make f such a function, and all of them are
+    verified here.  The increment bound |Δf| <= (1-ε)|E ∩ Δ| holds on all
+    of f's domain (`_lemma_frame`) and |H ∩ E| = 0, so for x <= y in a
+    component J of H, |f(x) - f(y)| <= (1-ε)|E ∩ [x, y]| <= (1-ε)|E ∩ J| = 0:
+    f is flat on H, inside the segment and out of it, and 1-ε < 1-δ.
+    A positive measure of H ∩ E raises PreconditionError with H ∩ E as
+    witness, and a radius that is not positive somewhere on [c, d] raises it
+    with the first point where the radius is least (`_least_radius`).
     """
-    f, radius = tube.center, tube.radius
+    f = tube.center
     eps, delta, c, d = _lemma_frame(tube, E, epsilon, delta, segment)
     if not (f.domain.lo <= c < d <= f.domain.hi):
         raise ValueError("segment must lie inside the domain")
-    if H.intersect(E).measure() != 0:
-        raise PreconditionError("H meets E with positive measure",
-                               H.intersect(E))
-
-    # H outside the active segment: f must already be flat there
-    outside = H.clip(f.domain).intersect(
-        IntervalSet([Interval(c, d)]).complement_within(f.domain)
-    )
-    seg = first_sloped_segment(f, outside)
-    if seg is not None:
-        raise PreconditionError(
-            "f is not flat on an H-part outside the active segment", seg
-        )
-
-    total = E.mass(c, d)
-    if H.clip(Interval(c, d)).is_empty:
-        # nothing to flatten: the identity path is permitted
-        return FlattenResult(f, (c, d), Fraction(0), (), total,
-                             (1 - eps) * total, eps, delta)
-
-    if radius.restrict(c, d).min_value() <= 0:
-        raise PreconditionError("envelope is not strict on the segment")
-
-    # cells: f linear on each, short enough for the ramp (amplitude <= the
-    # cell's f-oscillation) to stay inside the locally available radius
-    r_slope = max(map(abs, radius.slopes()))
-    bounds = merged_breakpoints((f,), c, d)
-    f_bounds = f.at(bounds)
-    ends = [c]
-    for p, q, fp, fq in zip(bounds, bounds[1:], f_bounds, f_bounds[1:]):
-        slope = abs(fq - fp) / (q - p)
-        ends.extend(_adaptive_block_bounds(radius, p, q, r_slope, extra_slope=slope)[1:])
-    f_ends = f.at(ends)
-
-    comps: list[FlattenComponent] = []
-    xs: list[Fraction] = [c]
-    vs: list[Fraction] = [f_ends[0]]
-
-    def flat_until(p: Fraction):
-        if p > xs[-1]:
-            xs.append(p)
-            vs.append(vs[-1])
-
-    for p, q, fp, fq in zip(ends, ends[1:], f_ends, f_ends[1:]):
-        cell_mass = E.mass(p, q)
-        rise_cell = fq - fp
-        if cell_mass == 0:
-            if rise_cell != 0:
-                raise PreconditionError(
-                    "zero E-mass but f is not constant on a cell", (p, q)
-                )
-            flat_until(q)
-            continue
-        scale = rise_cell / cell_mass  # |scale| <= 1-ε < 1-δ by contraction
-        ramp_slope = (1 - delta) if scale >= 0 else (delta - 1)
-        for comp in H.complement_within(Interval(p, q)):  # clips H to the cell
-            mass = E.mass(comp.lo, comp.hi)
-            rise = scale * mass
-            if mass == 0 or rise == 0:
-                comps.append(
-                    FlattenComponent(comp.lo, comp.hi, mass, Fraction(0), None, None)
-                )
-                continue
-            # the ramp [u, v] leaves E-mass eta flat at each end of comp
-            eta = (mass - abs(rise) / (1 - delta)) / 2
-            u = E.locate(E.cumulative(comp.lo) + eta)
-            v = E.locate(E.cumulative(comp.hi) - eta, rightmost=True)
-            assert u < v
-            flat_until(u)
-            ramp_to(xs, vs, E, ramp_slope, v)
-            flat_until(comp.hi)
-            comps.append(FlattenComponent(comp.lo, comp.hi, mass, rise, u, v))
-        flat_until(q)
-        assert vs[-1] == fq, "cell endpoint mismatch"
-
-    g = f.splice([PiecewiseLinear(xs, vs)])
-    post = verify_contraction(g, E, 1 - delta)
-    if post is not None:
-        raise AssertionError(f"flatten violated its own contraction: {post}")
-    if tube.min_margin_on(g, c, d) <= 0:
-        raise PreconditionError("flattened function escapes the envelope")
-    gamma_scale = (f_ends[-1] - f_ends[0]) / total if total else Fraction(0)
-    return FlattenResult(
-        g,
-        (c, d),
-        gamma_scale,
-        tuple(comps),
-        total,
-        (1 - eps) * total,
-        eps,
-        delta,
-    )
+    meet = H.intersect(E)
+    if meet.measure() != 0:
+        raise PreconditionError("H meets E with positive measure", meet)
+    _least_radius(tube.radius, c, d)
+    return FlattenResult(f, (c, d), eps, delta)

@@ -236,26 +236,20 @@ class IntervalSet:
             raise ValueError(f"mass window with a > b: [{a}, {b}]")
         return self._phi_at(b) - self._phi_at(a)
 
-    def locate(self, m: RationalLike, rightmost: bool = False) -> Fraction:
-        """Inverse of Φ: the leftmost t with Φ(t) = m (0 < m <= |E|), or
-        with rightmost=True the rightmost one (0 <= m < |E|).
+    def locate(self, m: RationalLike) -> Fraction:
+        """Inverse of Φ: the leftmost t with Φ(t) = m, for 0 < m <= |E|.
 
         Φ is constant across a gap of E, so a value m reached at a gap has
-        the gap's left end as leftmost and its right end as rightmost
-        solution.  Raises ValueError outside those ranges, where the
-        solution set is empty or unbounded.
+        the gap's left end as solution, and t always lies in (lo, hi] of a
+        component.  Raises ValueError outside that range, where the solution
+        set is empty or unbounded.
         """
         m = rat(m)
         ends, cum, _, cum_keys = self._mass_index()
-        if rightmost:
-            if not 0 <= m < cum[-1]:
-                raise ValueError(f"no rightmost t with Φ(t) = {m}")
-            j = _position(cum_keys, cum, m, bisect_right) - 1
-        else:
-            if not 0 < m <= cum[-1]:
-                raise ValueError(f"no leftmost t with Φ(t) = {m}")
-            j = _position(cum_keys, cum, m, bisect_left) - 1
-        # cum[j] <= m <= cum[j + 1]: the solution lies in component j
+        if not 0 < m <= cum[-1]:
+            raise ValueError(f"no leftmost t with Φ(t) = {m}")
+        j = _position(cum_keys, cum, m, bisect_left) - 1
+        # cum[j] < m <= cum[j + 1]: the solution lies in component j
         return ends[2 * j] + (m - cum[j])
 
     def masses_from(self, x0: RationalLike, b: RationalLike) -> list[tuple[Fraction, Fraction]]:

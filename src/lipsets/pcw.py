@@ -19,11 +19,12 @@ checks evaluate through `at`, one forward pass per function.  `pl_sum` merges
 the slope changes of n terms and integrates once.  `PiecewiseLinear.splice` is
 the only glue, `first_sloped_segment` the only check of slopes against a set.
 `ramp_to` integrates slope·1_E from the last point of a breakpoint list with
-two bisects into E's mass index; it serves the envelopes only, building the
-refine and flatten zigzags (the small-lip sawtooth walks its own integer
-grid in `constructions`).  `build_signed_integral`, a second integrator kept
-on purpose, cuts a window at two sets' endpoints; it serves `build_phi` and
-`build_ternary_integral`, and the tests check the sawtooth against it.
+two bisects into E's mass index; it serves `envelopes.envelope_refine` only,
+building its zigzag (the small-lip sawtooth walks its own integer grid in
+`constructions`).  `build_signed_integral`, a second integrator kept on
+purpose, reads the two sets' cumulative measures at their endpoints in a
+window; it serves `build_phi` and `build_ternary_integral`, and the tests
+check the sawtooth against it.
 """
 
 from __future__ import annotations
@@ -425,36 +426,24 @@ def build_signed_integral(
     window: Interval,
     scale: RationalLike = 1,
 ) -> PiecewiseLinear:
-    """f(x) = scale * ∫_base^x (1_plus - 1_minus), exactly, on the window."""
+    """f(x) = scale * ∫_base^x (1_plus - 1_minus), exactly, on the window.
+
+    With D = Φ₊ - Φ₋, the difference of the two sets' cumulative measures,
+    f = scale·(D - D(base)), which is linear between the window's ends, the
+    basepoint and the sets' endpoints in the window; it is read there, one
+    `IntervalSet.cumulative` per set and point.  Where plus and minus
+    overlap the slopes cancel."""
     basepoint = rat(basepoint)
     scale = rat(scale)
     if not window.contains(basepoint):
         raise ValueError("basepoint outside window")
-    cut = set([window.lo, window.hi, basepoint])
+    cut = {window.lo, window.hi, basepoint}
     for s in (plus, minus):
-        for e in s.clip(window).endpoints():
-            cut.add(e)
+        cut.update(s.clip(window).endpoints())
     bps = sorted(cut)
-
-    def seg_slope(a: Fraction, b: Fraction) -> Fraction:
-        mid = (a + b) / 2
-        if plus.contains(mid):
-            return scale
-        if minus.contains(mid):
-            return -scale
-        return Fraction(0)
-
-    idx = bps.index(basepoint)
-    vals: dict[int, Fraction] = {idx: Fraction(0)}
-    run = Fraction(0)
-    for i in range(idx, len(bps) - 1):
-        run += seg_slope(bps[i], bps[i + 1]) * (bps[i + 1] - bps[i])
-        vals[i + 1] = run
-    run = Fraction(0)
-    for i in range(idx, 0, -1):
-        run -= seg_slope(bps[i - 1], bps[i]) * (bps[i] - bps[i - 1])
-        vals[i - 1] = run
-    return PiecewiseLinear(bps, [vals[i] for i in range(len(bps))]).simplify()
+    base = plus.cumulative(basepoint) - minus.cumulative(basepoint)
+    vals = [scale * (plus.cumulative(p) - minus.cumulative(p) - base) for p in bps]
+    return PiecewiseLinear(bps, vals).simplify()
 
 
 def ramp_to(
@@ -463,8 +452,7 @@ def ramp_to(
     """Extend the breakpoints xs and values vs from their last point (x0, v0)
     to b > x0 with v0 + slope·|E ∩ [x0, p]|, at every endpoint p of E
     strictly inside (x0, b) and then at b: slope on E, 0 off E.  Two bisects
-    per call (`IntervalSet.masses_from`).  It serves the envelope lemmas
-    only."""
+    per call (`IntervalSet.masses_from`).  It serves envelope_refine only."""
     v0 = vs[-1]
     for p, m in E.masses_from(xs[-1], b):
         xs.append(p)

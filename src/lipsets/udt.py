@@ -507,10 +507,10 @@ def build_udt_lip1(
         )
         for rec in witnesses:
             gap = abs(rec.x - rec.y)
-            cap = min(
-                (rec.ratio - rec.tail_target) * gap / 2,
-                Fraction(1, 2 ** (2 * n)) * gamma_n * gap / 2,
-            )
+            # a recorded ratio beats (1 - 2^-2n)γ_n, so ratio - tail_target
+            # > (2^-n - 2^-2n)γ_n >= 2^-2n·γ_n for n >= 1: the cap
+            # (ratio - tail_target)·gap/2 never binds below this one
+            cap = gamma_n * gap / 2 ** (2 * n + 1)
             r_n = pl_min(r_n, _v_notch(window, min(rec.x, rec.y), max(rec.x, rec.y), cap))
 
         radius_zero = all(

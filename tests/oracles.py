@@ -154,16 +154,11 @@ def ref_contains(E, x):
     return i & 1 == 1 or (i < len(ends) and ends[i] == x)
 
 
-def ref_locate(E, m, rightmost=False):
+def ref_locate(E, m):
     ends, cum = ref_index(E)
-    if rightmost:
-        if not 0 <= m < cum[-1]:
-            raise ValueError(f"no rightmost t with Φ(t) = {m}")
-        j = bisect_right(cum, m) - 1
-    else:
-        if not 0 < m <= cum[-1]:
-            raise ValueError(f"no leftmost t with Φ(t) = {m}")
-        j = bisect_left(cum, m) - 1
+    if not 0 < m <= cum[-1]:
+        raise ValueError(f"no leftmost t with Φ(t) = {m}")
+    j = bisect_left(cum, m) - 1
     return ends[2 * j] + (m - cum[j])
 
 

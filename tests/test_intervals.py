@@ -237,23 +237,17 @@ def test_locate_inverts_cumulative(pairs, k):
             assert s.cumulative(t) == m
             # leftmost: Φ increases just left of t, so t ∈ (lo, hi] of a component
             assert any(iv.lo < t <= iv.hi for iv in s)
-        if 0 <= m < total:
-            t = s.locate(m, rightmost=True)
-            assert s.cumulative(t) == m
-            assert any(iv.lo <= t < iv.hi for iv in s)
 
 
 def test_locate_at_a_gap_and_out_of_range():
     s = iset((0, F(1, 4)), (F(1, 2), 1))
     assert s.locate(F(1, 4)) == F(1, 4)
-    assert s.locate(F(1, 4), rightmost=True) == F(1, 2)
     assert s.locate(F(3, 4)) == 1
-    assert s.locate(0, rightmost=True) == 0
-    for m, rightmost in [(0, False), (F(3, 4), True), (1, False), (F(-1, 4), True)]:
+    for m in (0, 1, F(-1, 4)):
         with pytest.raises(ValueError):
-            s.locate(m, rightmost=rightmost)
+            s.locate(m)
     with pytest.raises(ValueError):
-        IntervalSet.empty().locate(0, rightmost=True)
+        IntervalSet.empty().locate(F(1, 4))
 
 
 def test_degenerate_components_carry_no_mass():
@@ -262,7 +256,6 @@ def test_degenerate_components_carry_no_mass():
     assert s.cumulative(F(3, 4)) == F(1, 4)
     assert s.mass(-1, 1) == F(1, 2)
     assert s.locate(F(1, 4)) == F(3, 4)
-    assert s.locate(0, rightmost=True) == F(1, 2)
     assert s.endpoints_in(0, F(1, 2)) == [0, 0, F(1, 2)]
 
 
@@ -406,8 +399,7 @@ def test_float_ties_match_exact_bisects(s, data):
             assert [(iv.lo, iv.hi) for iv in s.clip(Interval(a, b))] == ref_clip(s, a, b)
     _, cum = ref_index(s)
     for m in near_and_between(cum):
-        for rightmost in (False, True):
-            assert _outcome(s.locate, m, rightmost) == _outcome(ref_locate, s, m, rightmost)
+        assert _outcome(s.locate, m) == _outcome(ref_locate, s, m)
 
 
 def test_float_ties_at_a_hand_made_set():
@@ -432,7 +424,6 @@ def test_float_ties_at_a_hand_made_set():
     total = s.measure()
     assert s.locate(total) == huge + 1
     assert s.locate(total - F(1, 2)) == huge + F(1, 2)
-    assert s.locate(third - t, rightmost=True) == third + 2 * t
     assert s.masses_from(third, huge + 2) == [
         (third + t, t), (third + 2 * t, t), (third + 4 * t, 3 * t),
         (huge, 3 * t), (huge + 1, 3 * t + 1), (huge + 2, 3 * t + 1)]

@@ -149,6 +149,15 @@ class TestBuildPhi:
         assert f(F(1, 2)) == F(1, 2)
         assert f(1) == 0
 
+    def test_signed_integral_cancels_where_the_sets_overlap(self):
+        # 1_plus - 1_minus is 0 on the overlap [1/4, 1/2], so the rise 1/4
+        # on [0, 1/4] is undone on [1/2, 3/4]
+        f = build_signed_integral(
+            iset((0, F(1, 2))), iset((F(1, 4), F(3, 4))), 0, Interval(F(0), F(1))
+        )
+        assert f.as_pairs() == ((0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(3, 4), 0),
+                                (1, 0))
+
     @settings(max_examples=150)
     @given(small_sets(), rationals, rationals)
     def test_increment_identity(self, E, x, y):
