@@ -11,6 +11,7 @@ from lipsets.envelopes import (
     PreconditionError,
     RefineResult,
     _adaptive_block_bounds,
+    _least_radius,
     envelope_flatten,
     envelope_refine,
     verify_contraction,
@@ -527,6 +528,26 @@ def test_refine_and_flatten_reject_a_radius_touching_zero(radius):
     envelope_refine(lifted, E, F(1, 2), F(1, 4), segment=SEG)
     assert first_sloped_segment(
         envelope_flatten(lifted, E, H, F(1, 2), F(1, 4), segment=SEG).function, H) is None
+
+
+@pytest.mark.parametrize("margin, c, d, witness", [
+    (PiecewiseLinear([0, F(1, 2), 1], [1, 0, 1]), F(1, 4), F(3, 4), F(1, 2)),  # 0 inside
+    (PiecewiseLinear([0, F(1, 4), 1], [F(1, 4), 0, F(3, 4)]), F(1, 4), F(3, 4), F(1, 4)),  # 0 at the left end
+])
+def test_adaptive_blocks_reject_a_margin_that_is_not_positive(margin, c, d, witness, monkeypatch):
+    # the least point on [c, d] is the witness, found before any block is
+    # cut, so the blocks never shrink toward a zero
+    with pytest.raises(PreconditionError, match="envelope is not strict on the segment") as err:
+        _least_radius(margin, c, d)
+    assert err.value.witness == witness
+
+    def no_blocks(*args):
+        raise AssertionError("blocks cut on a margin that is not positive")
+
+    monkeypatch.setattr("lipsets.envelopes._adaptive_block_bounds", no_blocks)
+    with pytest.raises(PreconditionError, match="envelope is not strict on the segment") as err:
+        envelope_refine(Envelope(ZERO, margin), E01, F(1, 2), F(1, 4), segment=(c, d))
+    assert err.value.witness == witness
 
 
 @settings(max_examples=60, deadline=None)
