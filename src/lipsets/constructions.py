@@ -68,16 +68,13 @@ class MonotoneConditionsReport:
         )
 
 
-def _sample_points(
-    S: IntervalSet, window: Interval, step: Fraction, edge_margin: Optional[Fraction] = None
-) -> list[Fraction]:
+def _sample_points(S: IntervalSet, window: Interval, step: Fraction) -> list[Fraction]:
     """Interval endpoints of S plus a step-grid, all within the window.
 
-    Points within edge_margin of the window boundary are skipped: densities
+    Points within one step of the window boundary are skipped: densities
     there reflect the truncation, not the represented set.
     """
-    margin = step if edge_margin is None else edge_margin
-    lo, hi = window.lo + margin, window.hi - margin
+    lo, hi = window.lo + step, window.hi - step
     pts = {e for e in S.endpoints() if lo <= e <= hi}
     x = window.lo
     while x <= window.hi:

@@ -13,18 +13,20 @@ every breakpoint, the sweep advances and clamps on keys and the grid sorts
 The order, and so every output, is that of exact comparisons.  The sweep
 returns a breakpoint's own value at the breakpoint and a flat segment's value
 on it without arithmetic, and elsewhere interpolates as one integer fraction
-reduced once.  `add`, `sub`, `le`, `pl_min`, `pl_max`,
-`monotone_runs`, `envelopes.verify_contraction` and the envelope and vicinity
-checks evaluate through `at`, one forward pass per function.  `pl_sum` merges
-the slope changes of n terms and integrates once.  `PiecewiseLinear.splice` is
-the only glue, `first_sloped_segment` the only check of slopes against a set.
-`ramp_to` integrates slope·1_E from the last point of a breakpoint list with
-two bisects into E's mass index; it serves `envelopes.envelope_refine` only,
-building its zigzag (the small-lip sawtooth walks its own integer grid in
-`constructions`).  `build_signed_integral`, a second integrator kept on
-purpose, reads the two sets' cumulative measures at their endpoints in a
-window; it serves `build_phi` and `build_ternary_integral`, and the tests
-check the sawtooth against it.
+reduced once.  `add`, `sub`, `le`, `pl_min`, `pl_max`, `pl_sum`,
+`monotone_runs`, `PiecewiseLinear.__eq__`, `envelopes.verify_contraction` and
+the envelope and vicinity checks evaluate through `at`, one forward pass per
+function; `pl_sum` reads each of its terms on the one grid of all of them.
+`PiecewiseLinear.splice` is the only glue, `first_sloped_segment` the only
+check of slopes against a set, and `envelopes.verify_contraction` the only
+check of the increment bound |f(x) - f(y)| <= factor·|E ∩ [x, y]|, exact for
+every pair x <= y.  `ramp_to` integrates slope·1_E from the last point of a
+breakpoint list with two bisects into E's mass index; it serves
+`envelopes.envelope_refine` only, building its zigzag (the small-lip sawtooth
+walks its own integer grid in `constructions`).  `build_signed_integral`, a
+second integrator kept on purpose, reads the two sets' cumulative measures at
+their endpoints in a window; it serves `build_phi` and
+`build_ternary_integral`, and the tests check the sawtooth against it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import merge
 from operator import itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
@@ -122,12 +123,18 @@ class PiecewiseLinear:
         return tuple(_slope(bps, vals, i) for i in range(1, len(bps)))
 
     def __eq__(self, other) -> bool:
+        """Equal as functions on equal domains, whatever collinear
+        breakpoints either keeps: compared on the merged grid."""
         if not isinstance(other, PiecewiseLinear):
             return NotImplemented
-        return self.simplify().as_pairs() == other.simplify().as_pairs()
+        if self.domain != other.domain:
+            return False
+        bps = self._merged_breakpoints(other)
+        return self.at(bps) == other.at(bps)
 
     def __hash__(self):
-        return hash(self.simplify().as_pairs())
+        # equal functions share their domain's ends and their end values
+        return hash((self.breakpoints[0], self.breakpoints[-1], self.values[0], self.values[-1]))
 
     def as_pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(zip(self.breakpoints, self.values))
@@ -340,37 +347,12 @@ def pl_max(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
 
 
 def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
-    """Σ fs on their common domain (ValueError if the domains differ), with
-    a breakpoint only where the sum's slope changes, so already simplified.
-
-    Each function's slope changes are heap-merged and integrated from the
-    left end in one pass, in O(N log n) for N breakpoints in n functions."""
+    """Σ fs on their common domain (ValueError if the domains differ),
+    simplified: every term is read on the merged grid of all of them."""
     if not fs:
         raise ValueError("need at least one function")
-    lo, hi = common_domain(*fs)
-    slope = Fraction(0)
-    events = []  # per function: (x, slope change at x) where the slope changes
-    for f in fs:
-        ss = f.slopes()
-        slope += ss[0]
-        events.append((k, x, s1 - s0) for k, x, s0, s1
-                      in zip(f._keys[1:-1], f.breakpoints[1:-1], ss, ss[1:]) if s0 != s1)
-    xs, vs = [lo], [sum((f.values[0] for f in fs), Fraction(0))]
-    x, k_x, before = lo, fs[0]._keys[0], slope  # before: the slope on (xs[-1], x)
-    for k_p, p, change in merge(*events):  # ordered by key, exactly on ties
-        if k_p != k_x or p != x:
-            if slope != before:
-                vs.append(vs[-1] + before * (x - xs[-1]))
-                xs.append(x)
-                before = slope
-            x, k_x = p, k_p
-        slope += change
-    if slope != before:
-        vs.append(vs[-1] + before * (x - xs[-1]))
-        xs.append(x)
-    vs.append(vs[-1] + slope * (hi - xs[-1]))
-    xs.append(hi)
-    return PiecewiseLinear(xs, vs)
+    bps = merged_breakpoints(fs, *common_domain(*fs))
+    return PiecewiseLinear(bps, [sum(vs) for vs in zip(*(f.at(bps) for f in fs))]).simplify()
 
 
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -424,17 +406,15 @@ def build_signed_integral(
     minus: IntervalSet,
     basepoint: RationalLike,
     window: Interval,
-    scale: RationalLike = 1,
 ) -> PiecewiseLinear:
-    """f(x) = scale * ∫_base^x (1_plus - 1_minus), exactly, on the window.
+    """f(x) = ∫_base^x (1_plus - 1_minus), exactly, on the window.
 
     With D = Φ₊ - Φ₋, the difference of the two sets' cumulative measures,
-    f = scale·(D - D(base)), which is linear between the window's ends, the
+    f = D - D(base), which is linear between the window's ends, the
     basepoint and the sets' endpoints in the window; it is read there, one
     `IntervalSet.cumulative` per set and point.  Where plus and minus
     overlap the slopes cancel."""
     basepoint = rat(basepoint)
-    scale = rat(scale)
     if not window.contains(basepoint):
         raise ValueError("basepoint outside window")
     cut = {window.lo, window.hi, basepoint}
@@ -442,7 +422,7 @@ def build_signed_integral(
         cut.update(s.clip(window).endpoints())
     bps = sorted(cut)
     base = plus.cumulative(basepoint) - minus.cumulative(basepoint)
-    vals = [scale * (plus.cumulative(p) - minus.cumulative(p) - base) for p in bps]
+    vals = [plus.cumulative(p) - minus.cumulative(p) - base for p in bps]
     return PiecewiseLinear(bps, vals).simplify()
 
 
@@ -560,53 +540,3 @@ def geometric_grid(start: RationalLike, factor: RationalLike, count: int) -> lis
         out.append(r)
         r *= factor
     return out
-
-
-# -- increment-bound audit ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IncrementCheck:
-    a: Fraction
-    b: Fraction
-    increment: Fraction
-    allowance: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return self.increment <= self.allowance
-
-    @property
-    def excess(self) -> Fraction:
-        return max(Fraction(0), self.increment - self.allowance)
-
-    @property
-    def margin(self) -> Fraction:
-        return self.allowance - self.increment
-
-
-@dataclass(frozen=True)
-class IncrementReport:
-    checks: tuple[IncrementCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def violations(self) -> tuple[IncrementCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
-def check_increment_bound(
-    f: PiecewiseLinear,
-    E: IntervalSet,
-    pairs: Iterable[tuple[RationalLike, RationalLike]],
-) -> IncrementReport:
-    """Exact audit of |f(a)-f(b)| <= |[a,b] ∩ E| for each pair."""
-    checks = []
-    for a, b in pairs:
-        a, b = rat(a), rat(b)
-        allowance = E.mass(min(a, b), max(a, b))
-        checks.append(IncrementCheck(a, b, abs(f(a) - f(b)), allowance))
-    return IncrementReport(tuple(checks))

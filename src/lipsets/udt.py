@@ -392,12 +392,11 @@ def build_udt_lip1(
 ) -> UdtBuildResult:
     """Run the staged construction for the given number of stages.
 
-    Stage 1 refines the zero function within the tube whose radius is the
-    quadratic margin (δ = 2^-3, ε = 1).  Stage n >= 2 refines f_{n-1}
-    directly, checked flat on F_n, within the tube of radius
-    min{quadratic margin, r_{n-1}/3} (ε = 2^-3(n-1), which stage n-1
-    certified, and δ = 2^-3n).  r_{n-1}/3 budgets a second move that no
-    stage makes; it is kept as a conservative budget.
+    Stage n refines f_{n-1} directly, checked flat on F_n, within the tube
+    of radius min{quadratic margin, r_{n-1}/3} (ε = 2^-3(n-1), which stage
+    n-1 certified, and δ = 2^-3n).  Stage 1 is stage n with f_0 = 0 and
+    r_0/3 = 1, the quadratic margin's cap.  r_{n-1}/3 budgets a second move
+    that no stage makes; it is kept as a conservative budget.
     """
     if stages < 1 or stages > system.depth:
         raise ValueError("stages must be between 1 and the system depth")
@@ -410,7 +409,7 @@ def build_udt_lip1(
     rng = random.Random(seed)
 
     f_prev = PiecewiseLinear.constant(0, window)
-    r_prev: Optional[PiecewiseLinear] = None
+    r_third = PiecewiseLinear.constant(1, window)  # r_{n-1}/3, the tube's radius cap
     stage_fns: list[PiecewiseLinear] = []
     radii: list[PiecewiseLinear] = []
     diags: list[StageDiagnostics] = []
@@ -419,7 +418,6 @@ def build_udt_lip1(
         gamma_n, delta_n = witness.gammas[n - 1], witness.deltas[n - 1]
         delta_stage = Fraction(1, 2 ** (3 * n))
         F_n = system.closed_at(n)
-        r_third = None if r_prev is None else r_prev.scale(Fraction(1, 3))  # tube radius
 
         # f_{n-1} must be flat on F_n, and stage n-1 certified ε (f_0 = 0: ε = 1)
         sloped = first_sloped_segment(f_prev, F_n)
@@ -435,12 +433,9 @@ def build_udt_lip1(
         for region in system.complement(n):
             if region.is_degenerate:
                 continue
-            if r_prev is None:
-                zone = (region.lo, region.hi)
-            else:
-                zone = _positive_zone(r_prev, region.lo, region.hi)
-                if zone is None:
-                    continue
+            zone = _positive_zone(r_third, region.lo, region.hi)
+            if zone is None:
+                continue
             zlen = zone[1] - zone[0]
             c0, d0 = zone[0] + zlen * collar, zone[1] - zlen * collar
             qmargin = quadratic_margin(
@@ -449,8 +444,7 @@ def build_udt_lip1(
                 right_is_f=region.hi != window.hi,
                 cap=Fraction(1),
             )
-            if r_prev is not None:
-                qmargin = pl_min(qmargin, r_third.restrict(region.lo, region.hi))
+            qmargin = pl_min(qmargin, r_third.restrict(region.lo, region.hi))
             margin_parts.append(qmargin)
             if E.mass(c0, d0) == 0:
                 continue
@@ -540,7 +534,7 @@ def build_udt_lip1(
         )
         stage_fns.append(f_n)
         radii.append(r_n)
-        f_prev, r_prev = f_n, r_n
+        f_prev, r_third = f_n, r_n.scale(Fraction(1, 3))
 
     return UdtBuildResult(system, witness, tuple(stage_fns), tuple(radii), tuple(diags))
 

@@ -26,10 +26,10 @@ from lipsets.constructions import (
     worst_imbalance,
 )
 from lipsets.density import FAILS, HOLDS
+from lipsets.envelopes import verify_contraction
 from lipsets.pcw import (
     PiecewiseLinear,
     build_signed_integral,
-    check_increment_bound,
     local_lip_exact,
     m_ratio,
 )
@@ -367,10 +367,7 @@ class TestSmallLip:
         f = build_small_lip(E, eps, w)
         assert f.min_value() >= 0
         assert f.max_value() <= eps
-        rep = check_increment_bound(
-            f, E, [(F(k, 7), F(k + 2, 7)) for k in range(5)]
-        )
-        assert rep.all_ok
+        assert verify_contraction(f, E, 1) is None
 
 
 def _blocks_by_walk(E, eps, window):
@@ -457,8 +454,7 @@ class TestLip1Sum:
         w = Interval(F(-1), F(4))
         res = build_lip1_sum(parts, w)
         union = parts[0].union(parts[1])
-        pairs = [(F(k, 5) - 1, F(k, 5)) for k in range(0, 25)]
-        assert check_increment_bound(res.function, union, pairs).all_ok
+        assert verify_contraction(res.function, union, 1) is None
 
     def test_split_helper(self):
         S = iset((0, 1), (2, 3), (10, 11))

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipsets.envelopes import verify_contraction
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import (
-    IncrementReport,
     PiecewiseLinear,
     build_phi,
     build_signed_integral,
-    check_increment_bound,
     first_sloped_segment,
     geometric_grid,
     lip_sweep,
@@ -328,24 +327,21 @@ class TestIncrementBound:
     def test_phi_equality_on_full_block(self):
         E = iset((0, 1))
         phi = build_phi(E, 0)
-        rep = check_increment_bound(phi, E, [(0, 1), (F(1, 4), F(3, 4))])
-        assert rep.all_ok
-        assert all(c.margin == 0 for c in rep.checks)
+        assert verify_contraction(phi, E, 1) is None
+        # equality: any factor below 1 fails on the whole block
+        assert verify_contraction(phi, E, F(255, 256)) == (0, 1, 1, F(255, 256))
 
     def test_scaled_margin(self):
         E = iset((0, 1))
         delta = F(1, 8)
         f = build_phi(E, 0).scale(1 - delta)
-        rep = check_increment_bound(f, E, [(0, 1), (F(1, 8), F(5, 8))])
-        assert rep.all_ok
-        for c in rep.checks:
-            assert c.margin == delta * c.allowance
+        assert verify_contraction(f, E, 1 - delta) is None
+        assert verify_contraction(f, E, 1 - 2 * delta) == (0, 1, 1 - delta, 1 - 2 * delta)
 
     def test_violation_reported(self):
         f = PiecewiseLinear([0, 1], [0, 2])  # slope 2
-        rep = check_increment_bound(f, iset((0, 1)), [(0, 1)])
-        assert not rep.all_ok
-        assert rep.violations[0].excess == 1
+        a, b, increment, allowance = verify_contraction(f, iset((0, 1)), 1)
+        assert (a, b) == (0, 1) and increment - allowance == 1
 
     def test_segment_audit(self):
         # nonzero slope only inside E: no sloped segment meets the complement
@@ -354,6 +350,17 @@ class TestIncrementBound:
         assert first_sloped_segment(phi, E.complement_within(phi.domain)) is None
         g = PiecewiseLinear([-1, 0], [0, F(1, 2)])
         assert first_sloped_segment(g, E.complement_within(g.domain)) == Interval(F(-1), F(0))
+
+
+def test_equality_and_hash_ignore_collinear_breakpoints():
+    f = PiecewiseLinear([0, 1, 2], [0, 1, 0])
+    dense = PiecewiseLinear([0, F(1, 3), 1, F(3, 2), 2], [0, F(1, 3), 1, F(1, 2), 0])
+    assert f == dense and dense == f and hash(f) == hash(dense)
+    assert len({f, dense}) == 1
+    assert f != f.shift(F(1, 2)) and f != PiecewiseLinear([0, 1, 2], [0, F(1, 2), 0])
+    # the same values at every shared point, but on another domain
+    assert f != PiecewiseLinear([0, 1, 2, 3], [0, 1, 0, 0])
+    assert f != PiecewiseLinear([0, 1], [0, 1]) and f != "f"
 
 
 def test_slope_profile_recomputable():
@@ -560,6 +567,9 @@ def test_keyed_paths_match_exact_paths_at_float_ties(f, data):
     assert pl_max(f, g).as_pairs() == ref_pick(f, g, max).as_pairs()
     total = ref_combine(f, g, lambda a, b: a + b)
     assert pl_sum([f, g]).as_pairs() == ref_simplify(total).as_pairs()
+    # three terms on the n-ary grid, at the same ties
+    total3 = ref_combine(total, f, lambda a, b: a + b)
+    assert pl_sum([f, g, f]).as_pairs() == ref_simplify(total3).as_pairs()
 
 
 def test_order_checks_inside_one_float():
