@@ -14,7 +14,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .intervals import Interval, IntervalSet, RationalLike, rat
+from .intervals import Interval, IntervalSet, RationalLike, on_scale, rat
 from .density import (
     DensityReport,
     FAILS,
@@ -69,19 +69,22 @@ class MonotoneConditionsReport:
 
 
 def _sample_points(S: IntervalSet, window: Interval, step: Fraction) -> list[Fraction]:
-    """Interval endpoints of S plus a step-grid, all within the window.
+    """Interval endpoints of S plus the points window.lo + k·step of S, all
+    within the window.
 
     Points within one step of the window boundary are skipped: densities
-    there reflect the truncation, not the represented set.
+    there reflect the truncation, not the represented set.  The walk is on
+    the integer scale lcm(D_S, the denominators of the window's ends and of
+    the step): each component contributes the grid points it covers.
     """
-    lo, hi = window.lo + step, window.hi - step
-    pts = {e for e in S.endpoints() if lo <= e <= hi}
-    x = window.lo
-    while x <= window.hi:
-        if lo <= x <= hi and S.contains(x):
-            pts.add(x)
-        x += step
-    return sorted(pts)
+    scale = lcm(S.mass_scale, window.lo.denominator, window.hi.denominator, step.denominator)
+    w, k = on_scale(window.lo, scale), on_scale(step, scale)
+    lo, hi = w + k, on_scale(window.hi, scale) - k
+    pts = set(S.ends_on(scale, lo, hi))
+    for iv in S:
+        a, b = max(on_scale(iv.lo, scale), lo), min(on_scale(iv.hi, scale), hi)
+        pts.update(range(w - (w - a) // k * k, b + 1, k))  # the first grid point >= a
+    return [Fraction(u, scale) for u in sorted(pts)]
 
 
 def check_monotone_conditions(
@@ -174,15 +177,22 @@ def worst_imbalance(
     """max over windows I ∋ x, |I| = r of ||E1∩I| - |E-1∩I||/|I|.
 
     The signed mass of [u, u+r] is piecewise linear in u, so the max |·| is
-    attained at a kink; returns (ratio, window left end)."""
+    attained at a kink; returns (ratio, window left end).  Both sets are
+    read on one integer scale, and the windows compare integer masses."""
     x, r = rat(x), rat(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return max(
-        ((abs(t.e1.mass(u, u + r) - t.em1.mass(u, u + r)) / r, u)
-         for u in window_starts(x, r, t.e1, t.em1)),
-        key=itemgetter(0),
-    )
+    e1, em1 = t.e1, t.em1
+    scale = lcm(e1.mass_scale, em1.mass_scale, x.denominator, r.denominator)
+    R = on_scale(r, scale)
+
+    def imbalance(u: int) -> int:
+        return abs(e1.phi_on(scale, u + R) - e1.phi_on(scale, u)
+                   - em1.phi_on(scale, u + R) + em1.phi_on(scale, u))
+
+    worst, u = max(((imbalance(u), u) for u in window_starts(on_scale(x, scale), R, scale, e1, em1)),
+                   key=itemgetter(0))
+    return Fraction(worst, R), Fraction(u, scale)
 
 
 @dataclass(frozen=True)
@@ -312,11 +322,6 @@ class SmallLipBlock:
     right_mass: Fraction
 
 
-def _on_scale(x: Fraction, scale: int) -> int:
-    """x·scale, for a scale that x's denominator divides."""
-    return x.numerator * (scale // x.denominator)
-
-
 def _integer_grid(
     E: IntervalSet, eps: Fraction, window: Interval
 ) -> tuple[IntervalSet, int, int, int, int]:
@@ -328,8 +333,8 @@ def _integer_grid(
     clipped = E.clip(window)
     scale = 2 * lcm(eps.denominator, window.lo.denominator, window.hi.denominator,
                     *(x.denominator for iv in clipped for x in (iv.lo, iv.hi)))
-    return (clipped, scale, _on_scale(eps, scale),
-            _on_scale(window.lo, scale), _on_scale(window.hi, scale))
+    return (clipped, scale, on_scale(eps, scale),
+            on_scale(window.lo, scale), on_scale(window.hi, scale))
 
 
 def _pieces_by_block(
@@ -343,7 +348,7 @@ def _pieces_by_block(
     on a block edge.  One forward walk over the components."""
     k_open, pieces = None, []
     for iv in clipped:
-        lo, hi = _on_scale(iv.lo, scale), _on_scale(iv.hi, scale)
+        lo, hi = on_scale(iv.lo, scale), on_scale(iv.hi, scale)
         for k in range(lo // step, -(-hi // step)):
             if k != k_open:
                 if pieces:
@@ -428,7 +433,7 @@ def build_small_lip(
     # slope ±1 after a gap, or on +1 right after the last block's -1
     end, end_x, v = w_lo, window.lo, 0
     for blk, (_, pieces) in zip(blocks, _pieces_by_block(clipped, step, scale)):
-        t = _on_scale(blk.balance, scale)
+        t = on_scale(blk.balance, scale)
         for p, q, p_end, q_end in pieces:
             value = Fraction(v, scale) if v else ZERO
             if p != end:  # a gap: the walk turns flat at end

@@ -7,19 +7,28 @@ reduces to evaluating exact ratios at those finitely many candidate radii
 (plus the rational crossings of the two one-sided ratio curves), so
 quantified statements over r ∈ (0, δ] are decided exactly.
 
-`_sided_masses` is the one reader of E's masses left and right of a point;
-ratios and report rows are functions of its rows.  A weak check whose best
-ratio is attained only at the open end r = ε solves its radius exactly.
+`_integer_rows` is the one reader of E's masses left and right of a point.
+It reads E's mass index (`IntervalSet.phi_on`) on an integer scale S that
+D_E and the denominators of x and of every radius divide, so a row is three
+integers on S.  The weak, strongly one-sided and worst-window checks compute
+on S = lcm(D_E, den x, den ε or of the radii) and compare integers: rows of
+different radii by cross-multiplying, the windows of one radius by their
+masses.  Only the values a report carries become Fractions.
+`_sided_masses` is the Fraction view of the integer rows, for radii of any
+denominator; the public ratios and level-set membership read it.  A weak
+check whose best ratio is attained only at the open end r = ε solves its
+radius exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .intervals import Interval, IntervalSet, RationalLike, rat
+from .intervals import Interval, IntervalSet, RationalLike, on_scale, rat
 
 LEFT = "left"
 RIGHT = "right"
@@ -41,14 +50,30 @@ class DensityQuery:
             raise ValueError("radius must be positive")
 
 
+def _integer_rows(E: IntervalSet, x: Fraction, scale: int):
+    """R ↦ (R, left, right) with left = S·|E ∩ [x - R/S, x]| and right =
+    S·|E ∩ [x, x + R/S]|, integers on the scale S, which D_E and x's
+    denominator divide.  Φ(x) is read here once, and each call reads
+    Φ(x - r) and Φ(x + r) once each."""
+    u = on_scale(x, scale)
+    phi_x = E.phi_on(scale, u)
+
+    def row(R: int) -> tuple[int, int, int]:
+        return R, phi_x - E.phi_on(scale, u - R), E.phi_on(scale, u + R) - phi_x
+
+    return row
+
+
 def _sided_masses(E: IntervalSet, x: RationalLike):
-    """r ↦ (r, |E ∩ [x - r, x]|, |E ∩ [x, x + r]|) for r > 0.  Φ(x) is read
-    here once, and each call reads Φ(x - r) and Φ(x + r) once each."""
+    """r ↦ (r, |E ∩ [x - r, x]|, |E ∩ [x, x + r]|) for r > 0: the integer
+    row on the scale lcm(D_E, den x, den r), as Fractions."""
     x = rat(x)
-    phi_x = E.cumulative(x)
+    base = lcm(E.mass_scale, x.denominator)
 
     def masses(r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        return r, phi_x - E.cumulative(x - r), E.cumulative(x + r) - phi_x
+        scale = lcm(base, r.denominator)
+        _, left, right = _integer_rows(E, x, scale)(on_scale(r, scale))
+        return r, Fraction(left, scale), Fraction(right, scale)
 
     return masses
 
@@ -60,15 +85,17 @@ def _row(E: IntervalSet, x: RationalLike, r: RationalLike) -> tuple[Fraction, Fr
     return _sided_masses(E, x)(r)
 
 
-def _sided_max(row) -> tuple[Fraction, str]:
-    """The larger one-sided ratio of a row and its side, left on ties."""
+def _sided_max(row) -> tuple:
+    """(num, den, side): the larger one-sided ratio num/den of a row and its
+    side, left on ties."""
     r, left, right = row
-    return (left / r, LEFT) if left >= right else (right / r, RIGHT)
+    return (left, r, LEFT) if left >= right else (right, r, RIGHT)
 
 
-def _centered(row) -> tuple[Fraction, str]:
+def _centered(row) -> tuple:
+    """(num, den, BOTH): the centered ratio num/den of a row."""
     r, left, right = row
-    return (left + right) / (2 * r), BOTH
+    return left + right, 2 * r, BOTH
 
 
 def _one_sided_row(row):
@@ -100,15 +127,19 @@ def max_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
 
 
 def centered_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
-    return _centered(_row(E, x, r))[0]
+    num, den, _ = _centered(_row(E, x, r))
+    return num / den
 
 
 # -- candidate radii ---------------------------------------------------------
 
 
-def _endpoint_distances(E: IntervalSet, x: Fraction, bound: Fraction) -> list[Fraction]:
-    ds = {abs(e - x) for e in E.endpoints_in(x - bound, x + bound)}
-    return sorted(d for d in ds if 0 < d < bound)
+def _endpoint_distances(E: IntervalSet, x: Fraction, bound: Fraction, scale: int) -> list[int]:
+    """The distances d with 0 < d < bound from x to E's endpoints, sorted,
+    as integers on a scale that D_E and the denominators of x and the bound
+    divide."""
+    u, b = on_scale(x, scale), on_scale(bound, scale)
+    return sorted({d for d in (abs(e - u) for e in E.ends_on(scale, u - b, u + b)) if 0 < d < b})
 
 
 def _ratio_candidates(
@@ -118,7 +149,9 @@ def _ratio_candidates(
     inf/sup of max(left,right)/r over (0, δ] can occur: piece endpoints plus
     in-piece crossings of the two one-sided curves; rows of _sided_masses."""
     sided_masses = _sided_masses(E, x)
-    rows = [sided_masses(r) for r in _endpoint_distances(E, x, delta) + [delta]]
+    scale = lcm(E.mass_scale, x.denominator, delta.denominator)
+    rows = [sided_masses(Fraction(d, scale)) for d in _endpoint_distances(E, x, delta, scale)]
+    rows.append(sided_masses(delta))
     out = rows[:1]
     for (r_a, left_a, right_a), (r_b, left_b, right_b) in zip(rows, rows[1:]):
         # both masses are affine in r on [r_a, r_b]; left = right at most once
@@ -247,47 +280,61 @@ class DensityReport:
         }
 
 
-def _open_end_radius(lo_row, end_row, side: str, threshold: Fraction) -> Fraction:
+def _open_end_radius(lo_row, end_row, side: str, threshold: int, scale: int) -> Fraction:
     """A radius in (lo, ε) whose ratio on `side` (BOTH: centered) exceeds
-    the threshold, as it does at ε, with no candidate radius in (lo, ε).
-    There the masses are affine in r, so g(r) = |E ∩ I_r| - threshold·|I_r|
-    is too: g > 0 midway between ε and lo, or the root of g if g(lo) < 0."""
+    the threshold/scale, as it does at ε, with no candidate radius in
+    (lo, ε); rows are integers on the scale.  There the masses are affine in
+    r, so g(r) = scale·|E ∩ I_r| - threshold·|I_r| is too: g > 0 midway
+    between ε and lo, or the root of g if g(lo) < 0."""
 
     def g(row):
         r, left, right = row
         if side == BOTH:
-            return left + right - 2 * threshold * r
-        return (left if side == LEFT else right) - threshold * r
+            return scale * (left + right) - 2 * threshold * r
+        return scale * (left if side == LEFT else right) - threshold * r
 
     lo, eps = lo_row[0], end_row[0]
     g_lo, g_eps = g(lo_row), g(end_row)
-    if g_lo < 0:
-        lo += (eps - lo) * g_lo / (g_lo - g_eps)
-    return (lo + eps) / 2
+    if g_lo < 0:  # midway between ε and the root (ε·g_lo - lo·g_ε)/(g_lo - g_ε)
+        d = g_lo - g_eps
+        return Fraction(eps * g_lo - lo * g_eps + eps * d, 2 * scale * d)
+    return Fraction(lo + eps, 2 * scale)
 
 
 def _weak_report(E, x, epsilon, best_of) -> DensityReport:
-    """Is there r ∈ (0, ε) with best_of(row) = (ratio, side) and ratio > 1 - ε?
+    """Is there r ∈ (0, ε) with best_of(row) = (num, den, side) and ratio
+    num/den > 1 - ε?
 
     Between candidate radii the ratio is c/r + b, so its sup over (0, ε] is
     attained at a candidate.  Holds at the first best row, or, when the sup
     is attained only at r = ε, at the exact radius of _open_end_radius on the
-    last piece; fails at the first best row otherwise.
+    last piece; fails at the first best row otherwise.  Rows are integers on
+    S = lcm(D_E, den x, den ε), and ratios of different rows are compared
+    by cross-multiplying.
     """
     x, eps = rat(x), rat(epsilon)
     if not (0 < eps < 1):
         raise ValueError("epsilon must be in (0,1)")
-    masses = _sided_masses(E, x)
-    rows = [masses(r) for r in _endpoint_distances(E, x, eps) + [eps]]
-    value, side, row = max(((*best_of(row), row) for row in rows), key=itemgetter(0))
-    threshold = 1 - eps
-    if value <= threshold:
-        return DensityReport(x, FAILS, row[0], value, side)
-    if row[0] == eps:
+    scale = lcm(E.mass_scale, x.denominator, eps.denominator)
+    R = on_scale(eps, scale)
+    rows_at = _integer_rows(E, x, scale)
+    rows = [rows_at(d) for d in _endpoint_distances(E, x, eps, scale) + [R]]
+    best = None
+    for row in rows:
+        num, den, side = best_of(row)
+        if best is None or num * best[1] > best[0] * den:
+            best = num, den, side, row
+    num, den, side, row = best
+    threshold = scale - R  # 1 - ε = threshold/scale
+    if num * scale <= threshold * den:
+        return DensityReport(x, FAILS, Fraction(row[0], scale), Fraction(num, den), side)
+    if row[0] == R:
         lo_row = rows[-2] if len(rows) > 1 else (0, 0, 0)
-        row = masses(_open_end_radius(lo_row, row, side, threshold))
-        value, side = best_of(row)
-    return DensityReport(x, HOLDS, row[0], value, side)
+        r = _open_end_radius(lo_row, row, side, threshold, scale)
+        scale = lcm(scale, r.denominator)
+        row = _integer_rows(E, x, scale)(on_scale(r, scale))
+        num, den, side = best_of(row)
+    return DensityReport(x, HOLDS, Fraction(row[0], scale), Fraction(num, den), side)
 
 
 def check_weakly_dense_at(E: IntervalSet, x: RationalLike, epsilon: RationalLike) -> DensityReport:
@@ -302,25 +349,37 @@ def check_weakly_center_dense_at(
     return _weak_report(E, x, epsilon, _centered)
 
 
-def _grid_report(x, r_grid, tolerance, row_at) -> DensityReport:
-    """Rows row_at(r) = (row, ratio) along a strictly descending grid of
-    positive radii; holds-at-scale when the worst ratio is >= 1 - tolerance,
-    and the worst radius (the first on ties) is reported."""
-    tol = rat(tolerance)
+def _grid_report(E, x, r_grid, tolerance, row_at) -> DensityReport:
+    """Rows along a strictly descending grid of positive radii, computed on
+    the scale S = lcm(D_E, den x, the radii's denominators): row_at(E, x, S,
+    r, R) is the report row at r = R/S and the mass m of its ratio m/R.
+    Holds-at-scale when the worst ratio is >= 1 - tolerance, and the worst
+    radius (the first on ties) is reported."""
+    x, tol = rat(x), rat(tolerance)
     grid = [rat(r) for r in r_grid]
-    if not grid or any(r <= 0 for r in grid):
+    scale = lcm(E.mass_scale, x.denominator, *(r.denominator for r in grid))
+    Rs = [on_scale(r, scale) for r in grid]
+    if not Rs or min(Rs) <= 0:
         raise ValueError("grid must be positive")
-    if any(a <= b for a, b in zip(grid, grid[1:])):
+    if any(a <= b for a, b in zip(Rs, Rs[1:])):
         raise ValueError("grid must be strictly descending")
-    rows, ratios = zip(*map(row_at, grid))
-    worst = ratios.index(min(ratios))
-    verdict = HOLDS_AT_SCALE if ratios[worst] >= 1 - tol else FAILS
-    return DensityReport(rat(x), verdict, grid[worst], ratios[worst], None, rows)
+    rows = []
+    for i, (r, R) in enumerate(zip(grid, Rs)):
+        row, mass = row_at(E, x, scale, r, R)
+        rows.append(row)
+        if i == 0 or mass * worst[2] < worst[1] * R:
+            worst = i, mass, R
+    i, mass, R = worst
+    ratio = Fraction(mass, R)
+    verdict = HOLDS_AT_SCALE if ratio >= 1 - tol else FAILS
+    return DensityReport(x, verdict, grid[i], ratio, None, tuple(rows))
 
 
-def _worst_window_row(E, x, r):
-    ratio, t = worst_window_ratio(E, x, r)
-    return (r, ratio, t), ratio
+def _one_sided_grid_row(E, x, scale, r, R):
+    """((r, left ratio, right ratio, their max), the larger mass)."""
+    _, left, right = _integer_rows(E, x, scale)(R)
+    lf, rf = Fraction(left, R), Fraction(right, R)
+    return (r, lf, rf, lf if left >= right else rf), max(left, right)
 
 
 def check_strongly_one_sided_dense_at(
@@ -334,8 +393,7 @@ def check_strongly_one_sided_dense_at(
     A finite-scale check, not a limit claim: the verdict is holds-at-scale
     when every grid radius achieves ratio >= 1 - tolerance.
     """
-    masses = _sided_masses(E, x)
-    return _grid_report(x, r_grid, tolerance, lambda r: _one_sided_row(masses(r)))
+    return _grid_report(E, x, r_grid, tolerance, _one_sided_grid_row)
 
 
 def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tuple[Fraction, Fraction]:
@@ -345,15 +403,27 @@ def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tupl
     x, r = rat(x), rat(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return min(((E.mass(t, t + r) / r, t) for t in window_starts(x, r, E)), key=itemgetter(0))
+    scale = lcm(E.mass_scale, x.denominator, r.denominator)
+    (_, ratio, t), _ = _window_grid_row(E, x, scale, r, on_scale(r, scale))
+    return ratio, t
 
 
-def window_starts(x: Fraction, r: Fraction, *sets: IntervalSet) -> list[Fraction]:
-    """Sorted left ends t ∈ [x - r, x] where the sets' masses in [t, t + r] ∋ x
-    can kink: x - r, x, and e, e - r for each endpoint e in [x - r, x + r]."""
-    lo = x - r
-    ends = [e for S in sets for e in S.endpoints_in(lo, x + r)]
-    return sorted({lo, x, *(t for t in (*ends, *(e - r for e in ends)) if lo <= t <= x)})
+def _window_grid_row(E, x, scale, r, R):
+    """((r, ratio, t), mass): the least mass of E in a window [t, t + r] ∋ x,
+    the leftmost such t and the ratio mass/r, with the mass an integer on
+    the scale."""
+    mass, t = min(((E.phi_on(scale, t + R) - E.phi_on(scale, t), t)
+                   for t in window_starts(on_scale(x, scale), R, scale, E)), key=itemgetter(0))
+    return (r, Fraction(mass, R), Fraction(t, scale)), mass
+
+
+def window_starts(u: int, R: int, scale: int, *sets: IntervalSet) -> list[int]:
+    """Sorted left ends t ∈ [u - R, u] where the sets' masses in [t, t + R] ∋ u
+    can kink: u - R, u, and e, e - R for each endpoint e in [u - R, u + R];
+    all integers on a scale that every set's D divides."""
+    lo = u - R
+    ends = [e for S in sets for e in S.ends_on(scale, lo, u + R)]
+    return sorted({lo, u, *(t for t in (*ends, *(e - R for e in ends)) if lo <= t <= u)})
 
 
 def check_strongly_dense_at(
@@ -364,7 +434,7 @@ def check_strongly_dense_at(
 ) -> DensityReport:
     """Worst-window density at each radius of a strictly descending grid
     (Lebesgue density at scale)."""
-    return _grid_report(x, r_grid, tolerance, lambda r: _worst_window_row(E, x, r))
+    return _grid_report(E, x, r_grid, tolerance, _window_grid_row)
 
 
 # -- UDT witnesses -------------------------------------------------------------

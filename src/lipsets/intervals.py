@@ -6,16 +6,15 @@ so every set operation here is exact.  Open/half-open distinctions are
 collapsed to closed intervals: all downstream formulas are measure-based and
 Lebesgue measure ignores endpoints.
 
-Reads of the cumulative measure Φ are bisects into a sorted index of
-Fractions, filtered by floats.  Each index entry e carries the key
-float(e), and a query x bisects the keys with float(x).  The conversion
-is correctly rounded, hence monotone: e <= x implies float(e) <= float(x),
-so float(e) < float(x) implies e < x and float(e) > float(x) implies e > x.
-Only the run of keys equal to float(x) is left open, and an exact bisect
-on its Fractions settles it; that run is usually empty or one entry.  A
-value beyond the float range maps to ±inf, which keeps the order, and one
-too small maps to ±0.0, which ties with 0.  Positions, and so every output,
-are those of an exact bisect.
+Reads of the cumulative measure Φ go through one integer index.  With D_E
+the lcm of the denominators of E's endpoints, every endpoint e and every
+prefix mass is an integer on D_E, and a query x is placed among the
+endpoints by an integer bisect: e <= x exactly when e·D_E <= ⌊x·D_E⌋, and
+e < x exactly when e·D_E < ⌈x·D_E⌉.  `IntervalSet.phi_on` and
+`IntervalSet.ends_on` read the index on any integer scale S that D_E
+divides, as u ↦ S·Φ(u/S) and the endpoints as integers on S; the Fraction
+readers (`cumulative`, `mass`, `locate`, `masses_from`, ...) are built on
+the same bisects and turn only their results into Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -99,10 +98,9 @@ class IntervalSet:
 
     Mass queries go through a prefix-sum index over the components, built on
     the first such query and cached (the set is immutable); sets that are
-    never queried never pay for it.  The index holds a float key for each
-    endpoint and each prefix sum, and every bisect into it compares keys
-    first and Fractions only where a key ties with the query's (see the
-    module docstring): exact positions at float speed.
+    never queried never pay for it.  The index holds the endpoints and the
+    prefix sums as integers on the scale D_E (`mass_scale`), and every
+    bisect into it compares integers (see the module docstring).
     """
 
     __slots__ = ("_intervals", "_index")
@@ -188,33 +186,55 @@ class IntervalSet:
         position means lo_j < x <= hi_j, an even one that x is in E only if
         it is the next lo."""
         x = rat(x)
-        ends, _, keys, _ = self._mass_index()
-        i = _position(keys, ends, x, bisect_left)
-        return i & 1 == 1 or (i < len(ends) and ends[i] == x)
+        D, ends, _, _ = self._mass_index()
+        i = bisect_left(ends, _ceil_on(x, D))
+        return i & 1 == 1 or (i < len(ends) and ends[i] * x.denominator == x.numerator * D)
 
     # -- measure and algebra ----------------------------------------------
 
     def measure(self) -> Fraction:
         return sum((iv.length for iv in self._intervals), Fraction(0))
 
-    def _mass_index(self) -> tuple[list[Fraction], list[Fraction], list[float], list[float]]:
-        """(ends, cum, end_keys, cum_keys): the sorted endpoints lo_0, hi_0,
-        lo_1, ..., cum[j] = total length of the first j components, and the
-        float key of each entry of both lists."""
+    def _mass_index(self) -> tuple[int, list[int], list[int], list[Fraction]]:
+        """(D, ends, cum, fracs): D = D_E, the lcm of the denominators of
+        E's endpoints; ends the sorted endpoints lo_0, hi_0, lo_1, ... times
+        D; cum[j] = D · the total length of the first j components; fracs
+        the endpoints as Fractions."""
         try:
             return self._index
         except AttributeError:
             pass
-        ends = self.endpoints()
-        cum = [Fraction(0)]
-        for iv in self._intervals:
-            cum.append(cum[-1] + iv.length)
-        self._index = (ends, cum, [_key(e) for e in ends], [_key(c) for c in cum])
+        fracs = self.endpoints()
+        D = lcm(*(e.denominator for e in fracs))
+        ends = [on_scale(e, D) for e in fracs]
+        cum = [0]
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            cum.append(cum[-1] + (hi - lo))
+        self._index = (D, ends, cum, fracs)
         return self._index
 
-    def _phi_at(self, x: Fraction) -> Fraction:
-        ends, cum, keys, _ = self._mass_index()
-        return _phi(ends, cum, _position(keys, ends, x, bisect_right), x)
+    @property
+    def mass_scale(self) -> int:
+        """D_E: every endpoint of E and every mass between endpoints is an
+        integer over it (1 for the empty set)."""
+        return self._mass_index()[0]
+
+    def phi_on(self, scale: int, u: int) -> int:
+        """scale·Φ(u/scale) for an integer u, on a scale that D_E divides:
+        the one integer reader of the mass index."""
+        D, ends, cum, _ = self._mass_index()
+        m = scale // D
+        i = bisect_right(ends, u // m)  # e <= u/scale exactly when e·D <= ⌊u/m⌋
+        if i & 1:  # lo_j <= u/scale <= hi_j with j = i // 2
+            return m * (cum[i >> 1] - ends[i - 1]) + u
+        return m * cum[i >> 1]
+
+    def ends_on(self, scale: int, a: int, b: int) -> list[int]:
+        """The endpoints e with a <= e·scale <= b, in order, as the integers
+        e·scale, on a scale that D_E divides; in O(log n + k)."""
+        D, ends, _, _ = self._mass_index()
+        m = scale // D
+        return [m * e for e in ends[bisect_left(ends, -(-a // m)):bisect_right(ends, b // m)]]
 
     def cumulative(self, x: RationalLike) -> Fraction:
         """Φ(x) = |E ∩ (-∞, x]|, in O(log n).
@@ -223,7 +243,9 @@ class IntervalSet:
         nondecreasing, with slope 1 on E and 0 off E, and the function φ
         of `pcw.build_phi` is Φ(x) - Φ(basepoint).
         """
-        return self._phi_at(rat(x))
+        x = rat(x)
+        scale = lcm(self.mass_scale, x.denominator)
+        return Fraction(self.phi_on(scale, on_scale(x, scale)), scale)
 
     def mass(self, a: RationalLike, b: RationalLike) -> Fraction:
         """|E ∩ [a, b]| = Φ(b) - Φ(a), in O(log n); 0 when a == b.
@@ -234,7 +256,9 @@ class IntervalSet:
         a, b = rat(a), rat(b)
         if a > b:
             raise ValueError(f"mass window with a > b: [{a}, {b}]")
-        return self._phi_at(b) - self._phi_at(a)
+        scale = lcm(self.mass_scale, a.denominator, b.denominator)
+        return Fraction(self.phi_on(scale, on_scale(b, scale))
+                        - self.phi_on(scale, on_scale(a, scale)), scale)
 
     def locate(self, m: RationalLike) -> Fraction:
         """Inverse of Φ: the leftmost t with Φ(t) = m, for 0 < m <= |E|.
@@ -245,12 +269,13 @@ class IntervalSet:
         set is empty or unbounded.
         """
         m = rat(m)
-        ends, cum, _, cum_keys = self._mass_index()
-        if not 0 < m <= cum[-1]:
+        D, ends, cum, _ = self._mass_index()
+        if not 0 < m.numerator * D <= cum[-1] * m.denominator:
             raise ValueError(f"no leftmost t with Φ(t) = {m}")
-        j = _position(cum_keys, cum, m, bisect_left) - 1
-        # cum[j] < m <= cum[j + 1]: the solution lies in component j
-        return ends[2 * j] + (m - cum[j])
+        j = bisect_left(cum, _ceil_on(m, D)) - 1
+        # cum[j] < m·D <= cum[j + 1]: the solution lies in component j
+        scale = lcm(D, m.denominator)
+        return Fraction((scale // D) * (ends[2 * j] - cum[j]) + on_scale(m, scale), scale)
 
     def masses_from(self, x0: RationalLike, b: RationalLike) -> list[tuple[Fraction, Fraction]]:
         """[(p, |E ∩ [x0, p]|)] for every endpoint p of E with x0 < p < b,
@@ -258,25 +283,25 @@ class IntervalSet:
         for p = b, for x0 <= b.  Two bisects locate x0 and b in the mass
         index; the rest is a forward walk over it, in O(log n + k)."""
         x0, b = rat(x0), rat(b)
-        ends, cum, keys, _ = self._mass_index()
-        i = _position(keys, ends, x0, bisect_right)
-        stop = _position(keys, ends, b, bisect_left)
-        base = _phi(ends, cum, i, x0)
+        D, ends, cum, fracs = self._mass_index()
+        scale = lcm(D, x0.denominator, b.denominator)
+        m, u0, ub = scale // D, on_scale(x0, scale), on_scale(b, scale)
+        base = self.phi_on(scale, u0)
         out = []
-        last = x0
-        for i in range(i, stop):
+        last = None
+        for i in range(bisect_right(ends, u0 // m), bisect_left(ends, -(-ub // m))):
             p = ends[i]
-            if p != last:
-                out.append((p, cum[(i + 1) >> 1] - base))  # Φ(lo_j) = cum[j], Φ(hi_j) = cum[j + 1]
+            if p != last:  # Φ(lo_j) = cum[j], Φ(hi_j) = cum[j + 1]
+                out.append((fracs[i], Fraction(m * cum[(i + 1) >> 1] - base, scale)))
                 last = p
-        out.append((b, _phi(ends, cum, stop, b) - base))
+        out.append((b, Fraction(self.phi_on(scale, ub) - base, scale)))
         return out
 
     def endpoints_in(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
         """The endpoints e with lo <= e <= hi, in order, in O(log n + k)."""
-        ends, _, keys, _ = self._mass_index()
-        start = _position(keys, ends, rat(lo), bisect_left)
-        return ends[start:_position(keys, ends, rat(hi), bisect_right)]
+        D, ends, _, fracs = self._mass_index()
+        return fracs[bisect_left(ends, _ceil_on(rat(lo), D)):
+                     bisect_right(ends, _floor_on(rat(hi), D))]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         allow = any(iv.is_degenerate for iv in self._intervals + other._intervals)
@@ -307,10 +332,10 @@ class IntervalSet:
         if window.is_degenerate:
             raise ValueError(f"degenerate clip window {window}")
         a, b = window.lo, window.hi
-        ends, _, keys, _ = self._mass_index()
+        D, ends, _, _ = self._mass_index()
         # components j with hi_j > a and lo_j < b; ends = lo_0, hi_0, lo_1, ...
-        first = _position(keys, ends, a, bisect_right) // 2
-        stop = (_position(keys, ends, b, bisect_left) + 1) // 2
+        first = bisect_right(ends, _floor_on(a, D)) // 2
+        stop = (bisect_left(ends, _ceil_on(b, D)) + 1) // 2
         out = []
         for iv in self._intervals[first:stop]:
             lo, hi = max(iv.lo, a), min(iv.hi, b)
@@ -368,31 +393,19 @@ class IntervalSet:
         return obj
 
 
-def _key(x: Fraction) -> float:
-    """float(x), correctly rounded, with ±inf beyond the float range."""
-    try:
-        return x.numerator / x.denominator
-    except OverflowError:
-        return inf if x > 0 else -inf
+def on_scale(x: Fraction, scale: int) -> int:
+    """x·scale, for a scale that x's denominator divides."""
+    return x.numerator * (scale // x.denominator)
 
 
-def _position(keys: list[float], exact: list[Fraction], x: Fraction, bisect) -> int:
-    """bisect(exact, x) for bisect_left or bisect_right, with keys[i] the
-    key of exact[i].  Entries whose key is below or above x's key are below
-    or above x; only the run of keys equal to x's is bisected exactly."""
-    k = _key(x)
-    lo = bisect_left(keys, k)
-    if lo == len(keys) or keys[lo] != k:
-        return lo
-    return bisect(exact, x, lo, bisect_right(keys, k, lo))
+def _floor_on(x: Fraction, scale: int) -> int:
+    """⌊x·scale⌋."""
+    return x.numerator * scale // x.denominator
 
 
-def _phi(ends: list[Fraction], cum: list[Fraction], i: int, x: Fraction) -> Fraction:
-    """Φ(x) from the mass index, for x whose bisect position among the
-    endpoints is i (either side of an endpoint equal to x)."""
-    if i & 1:  # lo_j <= x <= hi_j with j = i // 2
-        return cum[i >> 1] + (x - ends[i - 1])
-    return cum[i >> 1]
+def _ceil_on(x: Fraction, scale: int) -> int:
+    """⌈x·scale⌉."""
+    return -(-x.numerator * scale // x.denominator)
 
 
 def canonicalize(raw: Sequence[Interval], allow_degenerate: bool = False) -> IntervalSet:

@@ -6,11 +6,14 @@ functions we build are constant off their active window).
 
 `PiecewiseLinear.at` is the only sweep and `merged_breakpoints(fs, lo, hi)` the
 only evaluation grid: each f in fs is linear between grid points, so comparing
-values there is exact.  Both order points by float keys, as E's mass index
-does (`intervals._key`): each function keeps the correctly rounded float of
-every breakpoint, the sweep advances and clamps on keys and the grid sorts
-(key, point) pairs, and two Fractions are compared only where their keys tie.
-The order, and so every output, is that of exact comparisons.  The sweep
+values there is exact.  Both order points by float keys of their own (`_key`;
+E's mass index bisects integers instead): each function keeps the correctly
+rounded float of every breakpoint, the sweep advances and clamps on keys and
+the grid sorts (key, point) pairs, and two Fractions are compared only where
+their keys tie.  The conversion is monotone, so a strict order of keys is
+the order of the points; a value beyond the float range keys as ±inf and one
+too small as ±0.0.  The order, and so every output, is that of exact
+comparisons.  The sweep
 returns a breakpoint's own value at the breakpoint and a flat segment's value
 on it without arithmetic, and elsewhere interpolates as one integer fraction
 reduced once.  `add`, `sub`, `le`, `pl_min`, `pl_max`, `pl_sum`,
@@ -34,12 +37,32 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from operator import itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
-from .intervals import Interval, IntervalSet, RationalLike, _key, _position, rat
+from .intervals import Interval, IntervalSet, RationalLike, rat
 
 ZERO = Fraction(0)
+
+
+def _key(x: Fraction) -> float:
+    """float(x), correctly rounded, with ±inf beyond the float range."""
+    try:
+        return x.numerator / x.denominator
+    except OverflowError:
+        return inf if x > 0 else -inf
+
+
+def _position(keys: Sequence[float], exact: Sequence[Fraction], x: Fraction, bisect) -> int:
+    """bisect(exact, x) for bisect_left or bisect_right, with keys[i] the
+    key of exact[i].  Entries whose key is below or above x's key are below
+    or above x; only the run of keys equal to x's is bisected exactly."""
+    k = _key(x)
+    lo = bisect_left(keys, k)
+    if lo == len(keys) or keys[lo] != k:
+        return lo
+    return bisect(exact, x, lo, bisect_right(keys, k, lo))
 
 
 class PiecewiseLinear:

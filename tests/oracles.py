@@ -12,14 +12,17 @@ through intermediate functions built on the breakpoint union.
 
 `ref_cumulative`, `ref_mass`, `ref_contains`, `ref_locate`,
 `ref_masses_from`, `ref_endpoints_in` and `ref_clip` are the readers of E's
-mass index without the float filter: each builds the endpoint and
+mass index without its integer scale: each builds the endpoint and
 prefix-sum lists from E's components and bisects them on Fractions only.
 `ref_at`, `ref_merged_breakpoints` and `ref_simplify` are the sweep, the
 evaluation grid and `simplify` without float keys: they order points by
 Fraction comparisons only and interpolate on every segment.
 
-`ref_weak_report` is the weak density check with one public ratio call per
-candidate radius instead of one reader of the sided masses.
+`ref_weak_report`, `ref_one_sided_rows`, `ref_worst_window_ratio`,
+`ref_worst_imbalance` and `ref_sample_points` are the density checks and
+the sampling of the condition checks in Fractions: every mass is a
+`ref_mass` difference of Fractions and every ratio a Fraction division,
+where the library compares integer rows on one scale.
 """
 
 from __future__ import annotations
@@ -396,21 +399,30 @@ def ref_vicinity_is_inside(inner, outer):
     return ref_le(ref_combine(abs_diff, inner.radius, operator.add), outer.radius)
 
 
-# -- weak density checks, one ratio call per candidate --------------------------
+# -- density checks in Fractions -------------------------------------------------
+
+
+def ref_sided_ratio(E, x, r, side):
+    """|E ∩ [x - r, x]|/r, |E ∩ [x, x + r]|/r, or for side "both" the
+    centered ratio |E ∩ [x - r, x + r]|/(2r), by `ref_mass`."""
+    if side == "left":
+        return ref_mass(E, x - r, x) / r
+    if side == "right":
+        return ref_mass(E, x, x + r) / r
+    return ref_mass(E, x - r, x + r) / (2 * r)
 
 
 def ref_weak_report(E, x, eps, centered):
     """(verdict, r, ratio, side) of the weak density check at x: the max of
-    `one_sided_ratio` left and right (left on ties), or `centered_ratio`, at
+    the left and right ratios (left on ties), or the centered ratio, at
     each distance from x to an endpoint of E inside (0, ε) and at ε; the
     first best radius.  None where only r = ε beats 1 - ε (the open end,
     whose witness radius lies inside the last piece)."""
-    from lipsets.density import centered_ratio, one_sided_ratio
 
     def best_of(r):
         if centered:
-            return centered_ratio(E, x, r), "both"
-        left, right = one_sided_ratio(E, x, r, "left"), one_sided_ratio(E, x, r, "right")
+            return ref_sided_ratio(E, x, r, "both"), "both"
+        left, right = ref_sided_ratio(E, x, r, "left"), ref_sided_ratio(E, x, r, "right")
         return (left, "left") if left >= right else (right, "right")
 
     radii = sorted({abs(e - x) for e in E.endpoints() if 0 < abs(e - x) < eps}) + [eps]
@@ -418,3 +430,47 @@ def ref_weak_report(E, x, eps, centered):
     if value <= 1 - eps:
         return "fails", r, value, side
     return None if r == eps else ("holds", r, value, side)
+
+
+def ref_one_sided_rows(E, x, grid):
+    """The rows (r, left ratio, right ratio, their max) of the strongly
+    one-sided check at each radius of the grid."""
+    rows = []
+    for r in grid:
+        left, right = ref_sided_ratio(E, x, r, "left"), ref_sided_ratio(E, x, r, "right")
+        rows.append((r, left, right, max(left, right)))
+    return tuple(rows)
+
+
+def _ref_window_starts(x, r, *sets):
+    lo = x - r
+    ends = [e for S in sets for e in ref_endpoints_in(S, lo, x + r)]
+    return sorted({lo, x, *(t for t in (*ends, *(e - r for e in ends)) if lo <= t <= x)})
+
+
+def ref_worst_window_ratio(E, x, r):
+    """(|E ∩ [t, t + r]|/r, t) least over the window starts t ∋ x, the
+    leftmost on ties."""
+    return min(((ref_mass(E, t, t + r) / r, t) for t in _ref_window_starts(x, r, E)),
+               key=operator.itemgetter(0))
+
+
+def ref_worst_imbalance(t, x, r):
+    """(||E1 ∩ I| - |E-1 ∩ I||/r, u) greatest over the windows I = [u, u + r]
+    ∋ x, the leftmost on ties."""
+    return max(((abs(ref_mass(t.e1, u, u + r) - ref_mass(t.em1, u, u + r)) / r, u)
+                for u in _ref_window_starts(x, r, t.e1, t.em1)), key=operator.itemgetter(0))
+
+
+def ref_sample_points(S, window, step):
+    """The endpoints of S in [window.lo + step, window.hi - step], plus the
+    grid points window.lo + k·step there that lie in S, by stepping the grid
+    in Fractions and one membership test per point."""
+    lo, hi = window.lo + step, window.hi - step
+    pts = {e for e in S.endpoints() if lo <= e <= hi}
+    x = window.lo
+    while x <= window.hi:
+        if lo <= x <= hi and ref_contains(S, x):
+            pts.add(x)
+        x += step
+    return sorted(pts)

@@ -46,6 +46,21 @@ def float_tie_sets(draw):
     )
 
 
+# endpoints off the dyadic grid: denominators 3·2^k, 1000 and 77
+non_dyadic = st.sampled_from([3, 6, 12, 24, 48, 1000, 77]).flatmap(
+    lambda d: st.integers(0, d).map(lambda n: F(n, d)))
+
+
+@st.composite
+def non_dyadic_sets(draw):
+    """Up to four components with non-dyadic endpoints in [0, 1], plus up to
+    one degenerate component, which may fall inside a ramp."""
+    pairs = draw(st.lists(st.tuples(non_dyadic, non_dyadic), max_size=4))
+    singles = draw(st.lists(non_dyadic, max_size=1))
+    return IntervalSet([Interval(min(a, b), max(a, b)) for a, b in pairs if a != b]
+                       + [Interval.point(p) for p in singles], allow_degenerate=True)
+
+
 @st.composite
 def float_tie_functions(draw, domain=None, value=values):
     """A piecewise-linear function with breakpoints from TIE_POINTS, on the

@@ -12,6 +12,7 @@ from lipsets.constructions import (
     Lip1SumResult,
     SmallLipBlock,
     TernaryDecomposition,
+    _sample_points,
     balance_point,
     build_lip1_sum,
     build_monotone_lip1,
@@ -34,7 +35,8 @@ from lipsets.pcw import (
     m_ratio,
 )
 
-from oracles import brute_one_sided_measure
+from oracles import brute_one_sided_measure, ref_sample_points, ref_worst_imbalance
+from strategies import TIE_POINTS, TIE_STEP, float_tie_sets, non_dyadic, non_dyadic_sets
 
 F = Fraction
 
@@ -57,21 +59,6 @@ def dyadic_sets():
     )
 
 
-# endpoints off the dyadic grid: denominators 3·2^k, 1000 and 77
-non_dyadic = st.sampled_from([3, 6, 12, 24, 48, 1000, 77]).flatmap(
-    lambda d: st.integers(0, d).map(lambda n: F(n, d)))
-
-
-@st.composite
-def non_dyadic_sets(draw):
-    """Up to four components with non-dyadic endpoints in [0, 1], plus up to
-    one degenerate component, which may fall inside a ramp."""
-    pairs = draw(st.lists(st.tuples(non_dyadic, non_dyadic), max_size=4))
-    singles = draw(st.lists(non_dyadic, max_size=1))
-    return IntervalSet([Interval(min(a, b), max(a, b)) for a, b in pairs if a != b]
-                       + [Interval.point(p) for p in singles], allow_degenerate=True)
-
-
 def small_lip_inputs(dyadic_eps):
     """(E, ε, window): a dyadic set with ε from dyadic_eps, or a non-dyadic
     set with ε ∈ {2/7, 1/3} and a window whose ends lie off E's grids, one
@@ -84,6 +71,17 @@ def small_lip_inputs(dyadic_eps):
         st.tuples(non_dyadic_sets(), st.sampled_from([F(2, 7), F(1, 3)]),
                   st.sampled_from(off_grid)),
     )
+
+
+# (sets, points, radii in (0, 1)) of three families: dyadic endpoints; the
+# float-tie points, 2^-70 apart and one beyond 10^400, so that D_E is large;
+# denominators 3·2^k, 1000 and 77
+SET_FAMILIES = {
+    "dyadic": (dyadic_sets(), dyadic, st.integers(1, 31).map(lambda k: F(k, 32))),
+    "float-tie": (float_tie_sets(), st.sampled_from(TIE_POINTS),
+                  st.sampled_from([TIE_STEP, 3 * TIE_STEP, F(1, 3) - TIE_STEP, F(1, 2)])),
+    "non-dyadic": (non_dyadic_sets(), non_dyadic, non_dyadic.filter(lambda r: 0 < r < 1)),
+}
 
 
 class TestMonotoneBuilder:
@@ -143,6 +141,24 @@ class TestMonotoneConditions:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             check_monotone_conditions(iset((0, 1)), "both", W, F(1, 8))
+
+    @pytest.mark.parametrize("family", ["dyadic", "float-tie", "non-dyadic"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sample_points_match_a_fraction_walk(self, family, data):
+        # the walk on the integer scale samples exactly the points of the
+        # Fraction grid walk; float-tie windows are a few steps of 2^-70 wide
+        windows, steps = {
+            "dyadic": ([W01, W, Interval(F(1, 4), F(5, 8))], [F(1, 32), F(1, 24), F(1, 8)]),
+            "float-tie": ([Interval(c - 8 * TIE_STEP, c + 8 * TIE_STEP) for c in (F(1, 3), F(2, 3))],
+                          [TIE_STEP, 3 * TIE_STEP]),
+            "non-dyadic": ([Interval(F(3, 11), F(9, 13)), Interval(F(-1, 5), F(8, 7))],
+                           [F(1, 30), F(1, 7), F(1, 32)]),
+        }[family]
+        S = data.draw(SET_FAMILIES[family][0])
+        window, step = data.draw(st.sampled_from(windows)), data.draw(st.sampled_from(steps))
+        for T in (S, S.clip(window), S.complement_within(window)):
+            assert _sample_points(T, window, step) == ref_sample_points(T, window, step)
 
 
 class TestTernary:
@@ -230,6 +246,20 @@ class TestTernary:
         assert worst_imbalance(t, x, r) == expected
         # no window start on the 1/16 grid of [x - r, x] is worse
         assert all(imbalance(x - r + k * r / 16) <= expected[0] for k in range(17))
+
+    @pytest.mark.parametrize("family", ["dyadic", "float-tie", "non-dyadic"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_worst_imbalance_matches_fraction_oracle(self, family, data):
+        # the components of a set from the family go alternately to E1 and
+        # E-1; x and r are drawn from the family's own grids
+        sets, points, radii = SET_FAMILIES[family]
+        comps = [iv for iv in data.draw(sets) if not iv.is_degenerate]
+        e1, em1 = IntervalSet(comps[::2]), IntervalSet(comps[1::2])
+        window = Interval(F(-1), F(10 ** 400 + 2))
+        t = TernaryDecomposition(e1, e1.union(em1).complement_within(window), em1, window)
+        x, r = data.draw(points), data.draw(radii)
+        assert worst_imbalance(t, x, r) == ref_worst_imbalance(t, x, r)
 
     def test_normalize_fixed_point(self):
         E = iset((0, 1))
@@ -597,4 +627,64 @@ SAW_DIGESTS = [
 SUM_DIGESTS = [
     "84ac1a9ef667ce3ff5a626d8971538904209a83351eccd289cbdc74a159cfeeb",
     "a81dd456d3e60d332929b359f2f959ffb6228b37c6156baaa334114cab9afe40",
+]
+
+
+# -- SHA-256 pins of the density checks ---------------------------------------------------
+
+
+def _report_digest(report):
+    """SHA-256 of a report's repr: every point, verdict, radius, ratio, side
+    and row, each Fraction in its canonical form."""
+    return hashlib.sha256(repr(report).encode()).hexdigest()
+
+
+def _slope_decomposition(f, window):
+    """The window split by the slope (+1, 0 or -1) of the sawtooth f."""
+    parts = {1: [], 0: [], -1: []}
+    pts = f.as_pairs()
+    for (a, u), (b, v) in zip(pts, pts[1:]):
+        parts[(v - u) / (b - a)].append(Interval(a, b))
+    return TernaryDecomposition(*(IntervalSet(parts[s]) for s in (1, 0, -1)), window)
+
+
+# denominators 3·2^k, 1000 and 77, and a resolution off the dyadic grid
+NON_DYADIC = IntervalSet.from_pairs([(F(1, 12), F(5, 24)), (F(1, 3), F(401, 1000)),
+                                     (F(37, 77), F(2, 3)), (F(17, 24), F(9, 10))])
+
+
+@pytest.fixture(scope="module")
+def density_inputs():
+    """(E, resolution, sawtooth ε) triples: three random sets on the 2^-16
+    grid (seed 303) at resolution 1/32, as the lip1-builds workload checks
+    them, and the non-dyadic set at resolution 1/24."""
+    rng = random.Random(303)
+    dyadic_sets = [(_random_set(rng, n), F(1, 32), F(1, 16)) for n in (10, 15, 20)]
+    return dyadic_sets + [(NON_DYADIC, F(1, 24), F(1, 3))]
+
+
+class TestDensityCheckPins:
+    def test_density_report_digests(self, density_inputs):
+        digests = []
+        for E, res, eps in density_inputs:
+            for mode in ("Lip1", "lip1"):
+                digests.append(_report_digest(check_monotone_conditions(E, mode, W01, res)))
+        for E, res, eps in density_inputs[::3]:  # the first random set and the non-dyadic one
+            t = _slope_decomposition(build_small_lip(E, eps, W01), W01)
+            digests.append(_report_digest(check_ternary(t, E, res)))
+        assert digests == DENSITY_DIGESTS
+
+
+# computed before the density checks moved onto integer rows
+DENSITY_DIGESTS = [
+    "746f3ed1fd0a8ec46ab8faf6b4547517b5d4e55637eddca72f4e94f4f09bca36",
+    "2230ad3277f5823bbb163e07f57bab114be8a8d036ec89e887b41e4580f90751",
+    "436caa31f2a33142939db3682e809255f0de3b191bf51dad61731757c994ddb1",
+    "9c7fb675d929463b6e6bee4c77a386b025da2f53dfb6b87b601b243804d8dc33",
+    "13e9eb357075acfd04a704832a6f964f743b19bd6dead0445d47bf9341635006",
+    "3adddd4122f5702c71ee7502b390599111b3da344674b95d93f9054fa3565ca3",
+    "f3899392cf8bdff97039379f661d5ce4cf28e765ec23cc065e5239e73bd6b3b4",
+    "cdcd1a8599ef3d91e161555771fdcf53eefcf2831ccb52e6a6d793aafd992552",
+    "7711ac4eb39c694ca5e6c54cab2bc7c94cf100591b3a31ae2c1492cb3ea1bbae",
+    "cc1b3e82303ff226994961a20796c773297b7ea702849c8c25158e55bcb196a4",
 ]

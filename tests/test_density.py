@@ -40,8 +40,12 @@ from oracles import (
     brute_level_membership,
     brute_max_ratio,
     brute_one_sided_measure,
+    ref_one_sided_rows,
+    ref_sided_ratio,
     ref_weak_report,
+    ref_worst_window_ratio,
 )
+from strategies import TIE_POINTS, TIE_STEP, float_tie_sets, non_dyadic, non_dyadic_sets
 
 F = Fraction
 
@@ -60,6 +64,82 @@ def dyadic_sets():
             [(min(a, b), max(a, b)) for a, b in ps if a != b]
         )
     )
+
+
+# (sets, points, radii in (0, 1)) of three families: dyadic endpoints; the
+# float-tie points, 2^-70 apart and one beyond 10^400, so that D_E is large;
+# denominators 3·2^k, 1000 and 77
+FAMILIES = {
+    "dyadic": (dyadic_sets(), dyadic,
+               st.integers(1, 2 ** GRID_M - 1).map(lambda k: F(k, 2 ** GRID_M))),
+    "float-tie": (float_tie_sets(), st.sampled_from(TIE_POINTS),
+                  st.sampled_from([TIE_STEP, 3 * TIE_STEP, F(1, 3) - TIE_STEP, F(1, 2),
+                                   F(2, 3) + 2 * TIE_STEP])),
+    "non-dyadic": (non_dyadic_sets(), non_dyadic, non_dyadic.filter(lambda r: 0 < r < 1)),
+}
+
+
+def _assert_weak_report(E, x, eps):
+    """Both weak checks against the Fraction oracle; at the open end, the
+    witness radius lies in (0, ε) and its ratio, recomputed by the oracle's
+    masses, beats 1 - ε.  Returns whether either check hit the open end."""
+    open_end = False
+    for check, centered in ((check_weakly_dense_at, False),
+                            (check_weakly_center_dense_at, True)):
+        rep = check(E, x, eps)
+        expected = ref_weak_report(E, x, eps, centered)
+        if expected is not None:
+            assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == expected
+            continue
+        open_end = True
+        assert rep.verdict == HOLDS and 0 < rep.worst_r < eps
+        assert rep.ratio == ref_sided_ratio(E, x, rep.worst_r, rep.side) > 1 - eps
+        if not centered:
+            other = RIGHT if rep.side == LEFT else LEFT
+            assert ref_sided_ratio(E, x, rep.worst_r, other) <= rep.ratio
+    return open_end
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_checks_match_fraction_oracles(family, data):
+    sets, points, radii = FAMILIES[family]
+    E, x, eps = data.draw(sets), data.draw(points), data.draw(radii)
+    grid = sorted(data.draw(st.sets(radii, min_size=1, max_size=4)), reverse=True)
+    _assert_weak_report(E, x, eps)
+    rep = check_strongly_one_sided_dense_at(E, x, grid)
+    rows = ref_one_sided_rows(E, x, grid)
+    worst = min(range(len(grid)), key=lambda i: rows[i][3])  # the first on ties
+    assert rep.details == rows
+    assert (rep.worst_r, rep.ratio) == (grid[worst], rows[worst][3])
+    rep = check_strongly_dense_at(E, x, grid)
+    windows = [ref_worst_window_ratio(E, x, r) for r in grid]
+    worst = min(range(len(grid)), key=lambda i: windows[i][0])
+    assert rep.details == tuple((r, *w) for r, w in zip(grid, windows))
+    assert (rep.worst_r, rep.ratio) == (grid[worst], windows[worst][0])
+    assert worst_window_ratio(E, x, eps) == ref_worst_window_ratio(E, x, eps)
+
+
+T = TIE_STEP
+
+
+@pytest.mark.parametrize("E, x, eps", [
+    # dyadic: the ratio of [s, 1] from 0 is 1 - s/r, its sup at r = ε = 1/2
+    (IntervalSet.from_pairs([(F(1, 4) - F(1, 2 ** 70), 1)]), F(0), F(1, 2)),
+    (IntervalSet.from_pairs([(-1, F(1, 4) - F(1, 2 ** 70) - 1), (F(1, 4) - F(1, 2 ** 70), 1)]),
+     F(0), F(1, 2)),
+    # float ties: [1/3 - 4t, 2/3 + 4t] seen from 0 up to ε = 2/3, and mirrored
+    (IntervalSet.from_pairs([(F(1, 3) - 4 * T, F(2, 3) + 4 * T)]), F(0), F(2, 3)),
+    (IntervalSet.from_pairs([(-F(2, 3) - 4 * T, -F(1, 3) + 4 * T),
+                             (F(1, 3) - 4 * T, F(2, 3) + 4 * T)]), F(0), F(2, 3)),
+    # non-dyadic: [1/3, 1] from 0 up to ε = 3/4, and mirrored
+    (IntervalSet.from_pairs([(F(1, 3), 1)]), F(0), F(3, 4)),
+    (IntervalSet.from_pairs([(-1, -F(1, 3)), (F(1, 3), 1)]), F(0), F(3, 4)),
+])
+def test_open_end_on_every_family(E, x, eps):
+    # the sup of both ratios is attained only at r = ε: the witness is solved
+    assert _assert_weak_report(E, x, eps)
 
 
 class TestDensityRatio:

@@ -369,7 +369,7 @@ def test_contains_at_points_and_gaps():
     assert not IntervalSet.empty().contains(0)
 
 
-# -- the float filter at float ties ------------------------------------------------
+# -- points closer than the float spacing, and a large D_E -------------------------
 
 
 def _outcome(fn, *args):
@@ -383,7 +383,8 @@ def _outcome(fn, *args):
 @given(float_tie_sets(), st.data())
 def test_float_ties_match_exact_bisects(s, data):
     # queries on, between and 2^-200 off the endpoints: most share their
-    # float with an endpoint, so the filter must settle them exactly
+    # float with an endpoint, and D_E carries 2^70, 3 and 10^400, so every
+    # bisect compares large integers
     xs = near_and_between([*TIE_POINTS, *s.endpoints()])
     for x in xs:
         assert s.cumulative(x) == ref_cumulative(s, x), x
@@ -404,7 +405,7 @@ def test_float_ties_match_exact_bisects(s, data):
 
 def test_float_ties_at_a_hand_made_set():
     # three components inside one float of 1/3, a degenerate component at
-    # -10^-400 (float -0.0, equal to the key of 0) and one past the float range
+    # -10^-400 (whose float is -0.0) and one past the float range
     t, tiny, huge = F(1, 2 ** 70), F(1, 10 ** 400), F(10 ** 400)
     third = F(1, 3)
     s = IntervalSet(
