@@ -2,7 +2,8 @@
 
 An `Envelope(center, radius)` is the tube {g : |g - center| <= radius}; one
 type serves the lemmas, the staged builder and its vicinity chain.  Every
-tube test compares values on the merged grid of the functions involved.
+tube test compares values on the merged grid (`pcw.grid_values`), and the
+increment bound walks f's sloped segments (`pcw.sloped_segments`).
 The staged builder uses only envelope_refine: each stage is already flat
 where the next must be, so envelope_flatten is the standalone lemma.
 
@@ -33,7 +34,7 @@ from typing import Optional
 
 from .intervals import IntervalSet, RationalLike, rat
 from .constructions import balance_point
-from .pcw import PiecewiseLinear, common_domain, merged_breakpoints, monotone_runs, ramp_to
+from .pcw import PiecewiseLinear, grid_values, monotone_runs, ramp_to, sloped_segments
 
 
 class PreconditionError(ValueError):
@@ -64,30 +65,21 @@ class Envelope:
 
     def contains(self, g: PiecewiseLinear) -> bool:
         """|g - c| <= r at the grid points: exact, as |g - c| - r is convex between them."""
-        gs, cs, rs = _grid_values((g, self.center, self.radius), *common_domain(g, self.center))
+        _, (gs, cs, rs) = grid_values((g, self.center, self.radius))
         return all(abs(a - b) <= r for a, b, r in zip(gs, cs, rs))
 
     def is_inside(self, other: "Envelope") -> bool:
         """Sufficient exact check for {g : |g-c| <= r} ⊆ {g : |g-c'| <= r'}:
         |c - c'| + r <= r' at the grid points: exact, as it is convex between them."""
         fs = (self.center, self.radius, other.center, other.radius)
-        cs, rs, cs2, rs2 = _grid_values(fs, *common_domain(self.center, other.center))
+        _, (cs, rs, cs2, rs2) = grid_values(fs)
         return all(abs(a - b) + r <= r2 for a, r, b, r2 in zip(cs, rs, cs2, rs2))
 
     def min_margin_on(self, g: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact min over [lo, hi] of r - |g - c|, which is concave between
         grid points, so its min is at one."""
-        gs, cs, rs = _grid_values((g, self.center, self.radius), lo, hi)
+        _, (gs, cs, rs) = grid_values((g, self.center, self.radius), lo, hi)
         return min(r - abs(a - b) for a, b, r in zip(gs, cs, rs))
-
-
-def _grid_values(fs: tuple[PiecewiseLinear, ...], lo: RationalLike, hi: RationalLike):
-    """Each of fs at merged_breakpoints(fs, lo, hi); ValueError unless lo < hi in every domain."""
-    lo, hi = rat(lo), rat(hi)
-    if not all(f.domain.lo <= lo < hi <= f.domain.hi for f in fs):
-        raise ValueError("window outside domain")
-    xs = merged_breakpoints(fs, lo, hi)
-    return [f.at(xs) for f in fs]
 
 
 def verify_contraction(
@@ -95,25 +87,26 @@ def verify_contraction(
 ) -> Optional[tuple[Fraction, Fraction, Fraction, Fraction]]:
     """Exact check of |f(x)-f(y)| <= factor*|E ∩ [x, y]| for all x <= y.
 
-    Equivalent to the same bound on each segment between consecutive points
-    of f's breakpoints and E's endpoints in f's domain (f is linear there
-    and E has constant density 0 or 1; f is constant off its domain).
-    Returns None when it holds, else a witness segment
-    (a, b, |Δf|, factor*|E ∩ [a, b]|).  One walk reads E's masses: the
-    marks of `E.masses_from` are grid points, and E covers all or none of
-    the span between two of them."""
-    lo, hi = f.breakpoints[0], f.breakpoints[-1]
-    xs = merged_breakpoints((f,), lo, hi, extra=E.endpoints_in(lo, hi))
-    fs = f.at(xs)
-    marks = iter(E.masses_from(lo, hi))
-    p1, m1 = lo, Fraction(0)
-    for k in range(1, len(xs)):
-        if xs[k - 1] == p1:  # a mark: E covers all or none of the span to the next
-            (p0, m0), (p1, m1) = (p1, m1), next(marks)
-        df = abs(fs[k] - fs[k - 1])
-        allowed = factor * (xs[k] - xs[k - 1]) if m1 - m0 == p1 - p0 else Fraction(0)
-        if df > allowed:
-            return (xs[k - 1], xs[k], df, allowed)
+    Equivalent to the same bound on each segment [a, b] of f, which is
+    linear there and constant off its domain.  A flat segment passes; a
+    sloped one passes exactly when a component J of E covers it and
+    |f(b) - f(a)| <= factor·(b - a), as f moves across any part of [a, b]
+    outside E (`pcw.sloped_segments`).  Returns None when the bound holds,
+    else the first failing span (p, q, |Δf|, factor*|E ∩ [p, q]|) between
+    f's breakpoints and E's endpoints: the first failing segment is cut there.
+    ValueError on a negative factor, for which flat segments could fail."""
+    if factor < 0:
+        raise ValueError("factor must be nonnegative")
+    for a, b, fa, fb, J in sloped_segments(f, E):
+        if J is not None and J.lo <= a and b <= J.hi and abs(fb - fa) <= factor * (b - a):
+            continue
+        xs = [a, *E.endpoints_in(a, b), b]
+        for p, q in zip(xs, xs[1:]):
+            if p < q:
+                df = abs(f(q) - f(p))
+                allowed = factor * (q - p) if E.mass(p, q) == q - p else Fraction(0)
+                if df > allowed:
+                    return (p, q, df, allowed)
     return None
 
 
@@ -142,11 +135,10 @@ def _lemma_frame(
 def _least_radius(radius: PiecewiseLinear, c: Fraction, d: Fraction) -> Fraction:
     """The least radius on [c, d], which both lemmas need positive; else
     PreconditionError with the first point where the radius is least."""
-    on_segment = radius.restrict(c, d)
-    least = on_segment.min_value()
+    xs, (rs,) = grid_values((radius,), c, d)
+    least = min(rs)
     if least <= 0:
-        raise PreconditionError("envelope is not strict on the segment",
-                                on_segment.breakpoints[on_segment.values.index(least)])
+        raise PreconditionError("envelope is not strict on the segment", xs[rs.index(least)])
     return least
 
 

@@ -4,32 +4,31 @@ The carrier for every construction: rational breakpoints and values, linear
 interpolation in between, clamp-to-constant outside the domain (all the
 functions we build are constant off their active window).
 
-`PiecewiseLinear.at` is the only sweep and `merged_breakpoints(fs, lo, hi)` the
-only evaluation grid: each f in fs is linear between grid points, so comparing
-values there is exact.  Both order points by float keys of their own (`_key`;
-E's mass index bisects integers instead): each function keeps the correctly
-rounded float of every breakpoint, the sweep advances and clamps on keys and
-the grid sorts (key, point) pairs, and two Fractions are compared only where
-their keys tie.  The conversion is monotone, so a strict order of keys is
-the order of the points; a value beyond the float range keys as ±inf and one
-too small as ±0.0.  The order, and so every output, is that of exact
-comparisons.  The sweep
-returns a breakpoint's own value at the breakpoint and a flat segment's value
-on it without arithmetic, and elsewhere interpolates as one integer fraction
-reduced once.  `add`, `sub`, `le`, `pl_min`, `pl_max`, `pl_sum`,
-`monotone_runs`, `PiecewiseLinear.__eq__`, `envelopes.verify_contraction` and
-the envelope and vicinity checks evaluate through `at`, one forward pass per
-function; `pl_sum` reads each of its terms on the one grid of all of them.
-`PiecewiseLinear.splice` is the only glue, `first_sloped_segment` the only
-check of slopes against a set, and `envelopes.verify_contraction` the only
-check of the increment bound |f(x) - f(y)| <= factor·|E ∩ [x, y]|, exact for
-every pair x <= y.  `ramp_to` integrates slope·1_E from the last point of a
-breakpoint list with two bisects into E's mass index; it serves
-`envelopes.envelope_refine` only, building its zigzag (the small-lip sawtooth
-walks its own integer grid in `constructions`).  `build_signed_integral`, a
-second integrator kept on purpose, reads the two sets' cumulative measures at
-their endpoints in a window; it serves `build_phi` and
-`build_ternary_integral`, and the tests check the sawtooth against it.
+Every read-only check reads functions one of two ways.
+`sloped_segments(f, S)` walks f's segments of nonzero slope together with the
+components of a set S; `first_sloped_segment`, the check of slopes against a
+set, and `envelopes.verify_contraction`, the check of the increment bound
+|f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, read it.
+`grid_values(fs, lo, hi)` reads each f in fs on their merged grid
+(`merged_breakpoints`) through the sweep `PiecewiseLinear.at`; each f is
+linear between grid points, so comparing values there is exact.  It serves
+`add`, `sub`, `le`, `pl_min`, `pl_max`, `pl_sum`, `monotone_runs`,
+`PiecewiseLinear.__eq__` and the tube, persistence and radius checks.
+
+The sweep and the grid order points by float keys (`_key`; E's mass index
+bisects integers instead): each function keeps the correctly rounded float of
+every breakpoint, and two Fractions are compared only where their keys tie.
+The conversion is monotone, so a strict order of keys is the order of the
+points (a value beyond the float range keys as ±inf, one too small as ±0.0),
+and every output is that of exact comparisons.  The sweep returns a
+breakpoint's own value at it and a flat segment's value without arithmetic,
+and elsewhere interpolates as one integer fraction reduced once.
+
+`PiecewiseLinear.splice` is the only glue.  `ramp_to` integrates slope·1_E
+from the last point of a breakpoint list with two bisects into E's mass index
+for `envelopes.envelope_refine`; `build_signed_integral`, a second integrator
+kept on purpose, reads two sets' cumulative measures at their endpoints in a
+window for `build_phi` and `build_ternary_integral`.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from operator import itemgetter, lt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
 
@@ -152,8 +151,8 @@ class PiecewiseLinear:
             return NotImplemented
         if self.domain != other.domain:
             return False
-        bps = self._merged_breakpoints(other)
-        return self.at(bps) == other.at(bps)
+        _, (a, b) = grid_values((self, other))
+        return a == b
 
     def __hash__(self):
         # equal functions share their domain's ends and their end values
@@ -184,16 +183,13 @@ class PiecewiseLinear:
 
     # -- algebra ------------------------------------------------------------
 
-    def _merged_breakpoints(self, other: "PiecewiseLinear") -> list[Fraction]:
-        return merged_breakpoints((self, other), *common_domain(self, other))
-
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        bps = self._merged_breakpoints(other)
-        return PiecewiseLinear(bps, [a + b for a, b in zip(self.at(bps), other.at(bps))])
+        bps, (fs, gs) = grid_values((self, other))
+        return PiecewiseLinear(bps, [a + b for a, b in zip(fs, gs)])
 
     def sub(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        bps = self._merged_breakpoints(other)
-        return PiecewiseLinear(bps, [a - b for a, b in zip(self.at(bps), other.at(bps))])
+        bps, (fs, gs) = grid_values((self, other))
+        return PiecewiseLinear(bps, [a - b for a, b in zip(fs, gs)])
 
     def scale(self, c: RationalLike) -> "PiecewiseLinear":
         c = rat(c)
@@ -274,8 +270,8 @@ class PiecewiseLinear:
 
     def le(self, other: "PiecewiseLinear") -> bool:
         """Exact pointwise self <= other (checked at the breakpoint union)."""
-        bps = self._merged_breakpoints(other)
-        return all(a <= b for a, b in zip(self.at(bps), other.at(bps)))
+        _, (fs, gs) = grid_values((self, other))
+        return all(a <= b for a, b in zip(fs, gs))
 
     def breakpoints_in(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
         bps, keys = self.breakpoints, self._keys
@@ -310,23 +306,12 @@ def _slope(bps: tuple, vals: tuple, i: int) -> Fraction:
     return Fraction((c * b - a * d) * f * h, b * d * (g * f - e * h))
 
 
-def common_domain(*fs: PiecewiseLinear) -> tuple[Fraction, Fraction]:
-    """The ends (lo, hi) of the domain all of fs share; ValueError if they differ."""
-    lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
-    if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
-        raise ValueError("domain mismatch")
-    return lo, hi
-
-
-def merged_breakpoints(
-    fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction, extra: Sequence[Fraction] = ()
-) -> list[Fraction]:
-    """lo, the distinct breakpoints of fs and points of extra strictly inside
-    (lo, hi), and hi; extra must lie inside [lo, hi].
+def merged_breakpoints(fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """lo, the distinct breakpoints of fs strictly inside (lo, hi), and hi.
 
     Each function's keys are bisected for (lo, hi), and (key, point) pairs
     are sorted and deduplicated, so points are compared only where keys tie."""
-    pairs = [(_key(x), x) for x in extra]
+    pairs = []
     for f in fs:
         bps, keys = f.breakpoints, f._keys
         i = _position(keys, bps, lo, bisect_right)
@@ -343,11 +328,28 @@ def merged_breakpoints(
     return out
 
 
+def grid_values(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None,
+                hi: Optional[RationalLike] = None) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """The merged grid of fs on [lo, hi] and each function's values on it.
+
+    By default [lo, hi] is the domain all of fs share (ValueError if they
+    differ); a given window must have lo < hi in every domain (ValueError)."""
+    if lo is None:
+        lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
+        if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
+            raise ValueError("domain mismatch")
+    else:
+        lo, hi = rat(lo), rat(hi)
+        if not all(f.breakpoints[0] <= lo < hi <= f.breakpoints[-1] for f in fs):
+            raise ValueError("window outside domain")
+    xs = merged_breakpoints(fs, lo, hi)
+    return xs, [f.at(xs) for f in fs]
+
+
 def _pick(f: PiecewiseLinear, g: PiecewiseLinear, choose) -> PiecewiseLinear:
     """choose(f, g) pointwise, on the breakpoint union plus every point
     where f - g changes sign (there f = g), simplified."""
-    bps = f._merged_breakpoints(g)
-    fs, gs = f.at(bps), g.at(bps)
+    bps, (fs, gs) = grid_values((f, g))
     ds = [a - b for a, b in zip(fs, gs)]
     xs, vs = [bps[0]], [choose(fs[0], gs[0])]
     for k in range(1, len(bps)):
@@ -374,49 +376,48 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     simplified: every term is read on the merged grid of all of them."""
     if not fs:
         raise ValueError("need at least one function")
-    bps = merged_breakpoints(fs, *common_domain(*fs))
-    return PiecewiseLinear(bps, [sum(vs) for vs in zip(*(f.at(bps) for f in fs))]).simplify()
+    bps, values = grid_values(fs)
+    return PiecewiseLinear(bps, [sum(vs) for vs in zip(*values)]).simplify()
 
 
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Maximal intervals of [lo, hi] on which f is monotone (zero slopes
     extend the current run)."""
-    xs = merged_breakpoints((f,), lo, hi)
-    fs = f.at(xs)
-    runs: list[tuple[Fraction, Fraction]] = []
-    start = xs[0]
-    direction = 0
-    for k in range(1, len(xs)):
-        a = xs[k - 1]
-        s = fs[k] - fs[k - 1]
-        sgn = 0 if s == 0 else (1 if s > 0 else -1)
-        if sgn != 0 and direction != 0 and sgn != direction:
+    xs, (fs,) = grid_values((f,), lo, hi)
+    runs, start, direction = [], xs[0], 0
+    for a, u, v in zip(xs, fs, fs[1:]):
+        sgn = (v > u) - (v < u)
+        if sgn and direction and sgn != direction:
             runs.append((start, a))
             start = a
-            direction = sgn
-        elif sgn != 0 and direction == 0:
-            direction = sgn
+        direction = sgn or direction
     runs.append((start, xs[-1]))
     return runs
 
 
+def sloped_segments(f: PiecewiseLinear, S: IntervalSet) -> Iterator[tuple]:
+    """(a, b, f(a), f(b), J) for each segment [a, b] of f with nonzero
+    slope, in order, where J is the first component of S of positive length
+    that ends after a, or None.  One forward walk over both; each reader
+    computes from the segment only what it needs."""
+    bps, vals = f.breakpoints, f.values
+    comps = (iv for iv in S if iv.lo < iv.hi)  # degenerate components carry no mass
+    J = next(comps, None)
+    for k in range(len(bps) - 1):
+        if vals[k] != vals[k + 1]:
+            a = bps[k]
+            while J is not None and J.hi <= a:
+                J = next(comps, None)
+            yield a, bps[k + 1], vals[k], vals[k + 1], J
+
+
 def first_sloped_segment(f: PiecewiseLinear, S: IntervalSet) -> Optional[Interval]:
     """The first segment of f on which f has nonzero slope and S positive
-    mass, or None: None exactly when f' = 0 almost everywhere on S.
-
-    One forward walk over the segments and S's components together."""
-    bps, vals = f.breakpoints, f.values
-    comps = [iv for iv in S if iv.lo < iv.hi]  # degenerate components carry no mass
-    j = 0
-    for k in range(len(bps) - 1):
-        if vals[k] == vals[k + 1]:
-            continue
-        a, b = bps[k], bps[k + 1]
-        while j < len(comps) and comps[j].hi <= a:
-            j += 1
-        if j == len(comps):
+    mass, or None: None exactly when f' = 0 almost everywhere on S."""
+    for a, b, _, _, J in sloped_segments(f, S):
+        if J is None:  # S has no component left
             return None
-        if comps[j].lo < b:  # comps[j], the first to end after a, starts before b
+        if J.lo < b:  # J, the first to end after a, starts before b
             return Interval(a, b)
     return None
 

@@ -20,7 +20,13 @@ E misses F_n and (iii) bounds the increments of f_{n-1} by E's mass, so
 f_{n-1} already has slope 0 on F_n, which the builder checks exactly.  The
 vicinity U_n is the tube Envelope(f_n, r_n), which also gives U_{n+1} ⊆ U_n.
 Quadratic margins d(x, F_n)^2 are replaced by exact piecewise-linear tangent
-minorants, which is strictly harder.  A piecewise-linear stage function
+minorants, tangent at the ends and the midpoint of the active segment
+[c, d].  Such a minorant is 0 on [p, (p + c)/2] next to each region end p
+that touches F, and since r_{n+1} <= r_n/3 that zone stays 0 at every later
+stage.  There every g in U_N equals f_N, whose slope on E is 0 or
+±(1 - 2^-3k) < 1: that part of E is frozen.  Its share |E ∩ {r_N = 0}|/|E|
+in the default-collar builds on `fat_cantor_system` is 0.0625, 0.125, 0.182
+and 0.235 for 1 to 4 stages.  A piecewise-linear stage function
 keeps an exactly flat collar next to each F_n endpoint, so witnesses are
 sampled from the recorded active regions.
 
@@ -48,7 +54,7 @@ from .envelopes import (
     envelope_refine,
     verify_contraction,
 )
-from .pcw import PiecewiseLinear, first_sloped_segment, merged_breakpoints, monotone_runs
+from .pcw import PiecewiseLinear, first_sloped_segment, grid_values, monotone_runs
 from .pcw import pl_max, pl_min
 
 
@@ -175,8 +181,7 @@ def quadratic_margin(
 
 def _positive_zone(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     """Longest run of segments [x_i, x_{i+1}] of f on [lo, hi] with v_i > 0 or v_i + v_{i+1} > 0."""
-    g = f.restrict(lo, hi)
-    xs, vs = g.breakpoints, g.values
+    xs, (vs,) = grid_values((f,), lo, hi)
     zones: list[tuple[Fraction, Fraction]] = []
     start: Optional[Fraction] = None
     for i, x in enumerate(xs):
@@ -241,11 +246,10 @@ class UdtBuildResult:
                 f_m = self.stages[m - 1]
                 if m > n:  # f_n - f_n = 0: nothing to check at m = n
                     for comp in F_n:
-                        if comp.is_degenerate:
-                            continue
-                        xs = merged_breakpoints((f_m, f_n), comp.lo, comp.hi)
-                        if f_m.at(xs) != f_n.at(xs):
-                            return False
+                        if not comp.is_degenerate:
+                            _, (a, b) = grid_values((f_m, f_n), comp.lo, comp.hi)
+                            if a != b:
+                                return False
                 for rec in self.diagnostics[n - 1].witnesses:
                     gap = abs(rec.x - rec.y)
                     if not abs(f_m(rec.x) - f_m(rec.y)) > rec.tail_target * gap:
@@ -508,14 +512,14 @@ def build_udt_lip1(
             r_n = pl_min(r_n, _v_notch(window, min(rec.x, rec.y), max(rec.x, rec.y), cap))
 
         radius_zero = all(
-            r_n.restrict(comp.lo, comp.hi).sup_norm() == 0
-            for comp in F_n
-            if not comp.is_degenerate
+            v == 0
+            for comp in F_n if not comp.is_degenerate
+            for v in grid_values((r_n,), comp.lo, comp.hi)[1][0]
         )
         radius_within = r_n.le(eps_margin)
         gaps = [abs(rec.x - rec.y) for rec in witnesses]
         # ‖f_n - f_{n-1}‖ on the grid `sub` would use, without building f_n - f_{n-1}
-        xs = merged_breakpoints((f_n, f_prev), window.lo, window.hi)
+        _, (now, before) = grid_values((f_n, f_prev))
         diags.append(
             StageDiagnostics(
                 stage=n,
@@ -525,7 +529,7 @@ def build_udt_lip1(
                 active_segments=tuple(active),
                 witnesses=tuple(witnesses),
                 witness_failures=tuple(failures),
-                cauchy_step=max(abs(a - b) for a, b in zip(f_n.at(xs), f_prev.at(xs))),
+                cauchy_step=max(abs(a - b) for a, b in zip(now, before)),
                 radius_sup=r_n.sup_norm(),
                 radius_zero_on_closed=radius_zero,
                 radius_within_margin=radius_within,

@@ -219,10 +219,10 @@ def ref_at(f, xs):
     return out
 
 
-def ref_merged_breakpoints(fs, lo, hi, extra=()):
-    """lo, the distinct breakpoints of fs and points of extra strictly inside
-    (lo, hi), and hi, by a sort of Fractions."""
-    inner = sorted({b for f in fs for b in f.breakpoints} | set(extra))
+def ref_merged_breakpoints(fs, lo, hi):
+    """lo, the distinct breakpoints of fs strictly inside (lo, hi), and hi,
+    by a sort of Fractions."""
+    inner = sorted({b for f in fs for b in f.breakpoints})
     return [lo, *(b for b in inner if lo < b < hi), hi]
 
 
@@ -324,6 +324,18 @@ def ref_first_sloped_segment(f, pairs):
         if any(min(hi, b) > max(lo, a) for lo, hi in pairs):
             return (a, b)
     return None
+
+
+def ref_sloped_segments(f, S):
+    """(a, b, f(a), f(b), J) for each segment of f whose ends differ, with J
+    found by a linear scan of S: its first component of positive length
+    ending after a, or None."""
+    out = []
+    for a, b in zip(f.breakpoints, f.breakpoints[1:]):
+        if f(a) != f(b):
+            J = next((iv for iv in S if iv.lo < iv.hi and iv.hi > a), None)
+            out.append((a, b, f(a), f(b), J))
+    return out
 
 
 def ref_ramp_to(xs, vs, E, slope, b):

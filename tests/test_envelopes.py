@@ -113,6 +113,11 @@ class TestVerifyContraction:
         f = PiecewiseLinear([0, 1], [0, F(7, 16)])
         assert verify_contraction(f, E, F(7, 8)) == (F(1, 4), F(3, 4), F(7, 32), 0)
 
+    def test_negative_factor_rejected(self):
+        # a flat segment would break |Δf| <= factor·|E ∩ Δ| under E
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_contraction(PiecewiseLinear.constant(0, W01), iset((0, 1)), -F(1, 8))
+
 
 # -- the one-sweep checks against the slow paths they replaced ------------------------
 
@@ -420,7 +425,7 @@ class TestEnvelopeFlatten:
         assert verify_contraction(g, E, 1 - delta) is None
         assert res.function == f
 
-    def test_descending_cells(self):
+    def test_decreasing_center_returned_unchanged(self):
         E = iset((F(1, 8), F(3, 8)), (F(5, 8), F(7, 8)))
         phi = build_phi(E, 0, W01)
         eps = F(1, 4)
@@ -428,27 +433,21 @@ class TestEnvelopeFlatten:
         env = tube(f, F(1, 2))
         H = iset((F(7, 16), F(9, 16)))
         res = envelope_flatten(env, E, H, eps, F(1, 8), segment=(F(1, 16), F(15, 16)))
-        g = res.function
-        assert first_sloped_segment(g, H) is None
-        assert g(res.segment[0]) == f(res.segment[0])
-        assert g(res.segment[1]) == f(res.segment[1])
+        assert res.function == f
+        assert first_sloped_segment(res.function, H) is None
 
     def test_h_meets_e_rejected(self):
-        E = iset((0, 1))
-        f = PiecewiseLinear.constant(0, W01)
-        env = tube(f, 1)
-        with pytest.raises(PreconditionError):
-            envelope_flatten(env, E, iset((F(1, 4), F(1, 2))), F(1, 2), F(1, 4), segment=WIDE)
-
-    def test_nonflat_h_outside_segment_rejected(self):
-        E = iset((0, F(1, 2)))
-        phi = build_phi(E, 0, W01)
-        f = phi.scale(F(1, 2))
-        env = tube(f, 1)
-        H = iset((F(1, 8), F(1, 4)))  # inside E-sloped zone, outside segment
-        with pytest.raises(PreconditionError):
-            envelope_flatten(env, E, H, F(1, 2), F(1, 4),
-                             segment=(F(5, 8), F(7, 8)))
+        cases = [
+            # a constant center, H inside E and inside the segment
+            (iset((0, 1)), PiecewiseLinear.constant(0, W01), iset((F(1, 4), F(1, 2))), WIDE),
+            # a center sloped on E, H inside E and outside the segment
+            (iset((0, F(1, 2))), build_phi(iset((0, F(1, 2))), 0, W01).scale(F(1, 2)),
+             iset((F(1, 8), F(1, 4))), (F(5, 8), F(7, 8))),
+        ]
+        for E, f, H, segment in cases:
+            with pytest.raises(PreconditionError, match="H meets E") as info:
+                envelope_flatten(tube(f, 1), E, H, F(1, 2), F(1, 4), segment=segment)
+            assert info.value.witness == H.intersect(E) == H
 
 
 # both lemmas on the same arguments; flatten's H is empty, so only the

@@ -13,6 +13,7 @@ from lipsets.pcw import (
     build_signed_integral,
     first_sloped_segment,
     geometric_grid,
+    grid_values,
     lip_sweep,
     local_lip_exact,
     m_ratio,
@@ -22,6 +23,7 @@ from lipsets.pcw import (
     pl_min,
     pl_sum,
     ramp_to,
+    sloped_segments,
 )
 
 from oracles import (
@@ -34,6 +36,7 @@ from oracles import (
     ref_pick,
     ref_ramp_to,
     ref_simplify,
+    ref_sloped_segments,
     ref_splice,
 )
 from strategies import (
@@ -427,9 +430,6 @@ def test_merged_breakpoints_is_the_filtered_union(fs, window):
     lo, hi = sorted(window)
     inner = sorted(set(b for f in fs for b in f.breakpoints))
     assert merged_breakpoints(fs, lo, hi) == [lo, *[b for b in inner if lo < b < hi], hi]
-    extra = [b for b in near_and_between([lo, hi, *inner]) if lo <= b <= hi]
-    assert (merged_breakpoints(fs, lo, hi, extra=extra)
-            == ref_merged_breakpoints(fs, lo, hi, extra=extra))
 
 
 @settings(max_examples=100)
@@ -514,6 +514,41 @@ def test_first_sloped_segment_degenerate_and_touching_components():
     assert first_sloped_segment(f, iset((F(63, 64), 2))) == Interval(F(0), F(1))
 
 
+@st.composite
+def grid_sets(draw):
+    """Up to four components on the 1/64 grid of [0, 1], plus up to two
+    degenerate ones; often empty."""
+    pairs = draw(st.lists(st.tuples(points, points), max_size=4))
+    singles = draw(st.lists(points, max_size=2))
+    return IntervalSet([Interval(min(a, b), max(a, b)) for a, b in pairs if a != b]
+                       + [Interval.point(p) for p in singles], allow_degenerate=True)
+
+
+@settings(max_examples=150)
+@given(pl_functions(value=st.sampled_from([F(0), F(1, 2), F(1)])), grid_sets())
+def test_sloped_segments_match_a_linear_scan(f, S):
+    assert list(sloped_segments(f, S)) == ref_sloped_segments(f, S)
+    assert list(sloped_segments(f, IntervalSet.empty())) == ref_sloped_segments(
+        f, IntervalSet.empty())
+
+
+@settings(max_examples=100)
+@given(st.lists(pl_functions(), min_size=1, max_size=4), st.data())
+def test_grid_values_reads_each_function_on_the_merged_grid(fs, data):
+    xs, values = grid_values(fs)
+    assert xs == merged_breakpoints(fs, F(0), F(1))
+    assert values == [[f(x) for x in xs] for f in fs]
+    lo, hi = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
+    xs, values = grid_values(fs, lo, hi)
+    assert xs == merged_breakpoints(fs, lo, hi)
+    assert values == [[f(x) for x in xs] for f in fs]
+    with pytest.raises(ValueError, match="domain mismatch"):
+        grid_values([*fs, PiecewiseLinear.constant(0, Interval(F(0), F(2)))])
+    for bad in ((hi, lo), (lo, lo), (lo, F(2)), (F(-1), hi)):
+        with pytest.raises(ValueError, match="window outside domain"):
+            grid_values(fs, *bad)
+
+
 @settings(max_examples=150)
 @given(st.lists(pl_functions(), min_size=1, max_size=5))
 def test_pl_sum_is_sequential_add_simplified(fs):
@@ -553,13 +588,10 @@ def test_keyed_paths_match_exact_paths_at_float_ties(f, data):
     assert _outcome(f.at, unsorted) == _outcome(ref_at, f, unsorted)
     assert f.simplify().as_pairs() == ref_simplify(f).as_pairs()
     # f again, with each probe in its domain as an extra collinear breakpoint
-    dense_xs = merged_breakpoints((f,), *domain, extra=[x for x in probes if f.domain.contains(x)])
+    dense_xs = sorted({*f.breakpoints, *(x for x in probes if f.domain.contains(x))})
     dense = PiecewiseLinear(dense_xs, f.at(dense_xs))
     assert dense.simplify().as_pairs() == ref_simplify(dense).as_pairs() == f.simplify().as_pairs()
-    extra = [x for x in probes if lo <= x <= hi]
     assert merged_breakpoints((f, g), lo, hi) == ref_merged_breakpoints((f, g), lo, hi)
-    assert (merged_breakpoints((f, g), lo, hi, extra=extra)
-            == ref_merged_breakpoints((f, g), lo, hi, extra=extra))
     assert f.add(g).as_pairs() == ref_combine(f, g, lambda a, b: a + b).as_pairs()
     assert f.sub(g).as_pairs() == ref_combine(f, g, lambda a, b: a - b).as_pairs()
     assert f.le(g) == ref_le(f, g) and g.le(f) == ref_le(g, f)

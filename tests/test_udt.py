@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lipsets.density import UDTWitness
 from lipsets.envelopes import PreconditionError
 from lipsets.intervals import Interval, IntervalSet
-from lipsets.pcw import PiecewiseLinear, monotone_runs
+from lipsets.pcw import PiecewiseLinear, first_sloped_segment, monotone_runs
 from lipsets import envelopes, udt
 from lipsets.udt import (
     NestedClosedSystem,
@@ -190,6 +190,28 @@ class TestTwoStages:
         assert bumped.stages[1](comp.lo) == f1(comp.lo)
         assert bumped.stages[1](comp.hi) == f1(comp.hi)
         assert not bumped.persistence_ok()
+
+
+def test_read_only_checks_build_no_function(monkeypatch, two_stages):
+    # every exact check reads the stages through sloped_segments or
+    # grid_values: with every way to build a function made to raise, each
+    # still returns its verdict
+    def no_build(*args, **kwargs):
+        raise AssertionError("a read-only check built a function")
+
+    for name in ("__init__", "_trusted", "restrict"):
+        monkeypatch.setattr(PiecewiseLinear, name, no_build)
+    E, f2 = two_stages.system.target, two_stages.stages[1]
+    U1, U2 = two_stages.vicinity(1), two_stages.vicinity(2)
+    for n, (f, diag) in enumerate(zip(two_stages.stages, two_stages.diagnostics), start=1):
+        assert envelopes.verify_contraction(f, E, diag.contraction_factor) is None
+        assert first_sloped_segment(f, two_stages.system.closed_at(n)) is None
+    assert U1.contains(f2) and U2.contains(f2)
+    assert U2.is_inside(U1)
+    c, d = two_stages.diagnostics[0].active_segments[0]
+    assert U1.min_margin_on(f2, c, d) > 0
+    assert two_stages.persistence_ok()
+    assert two_stages.vicinity_chain_ok()
 
 
 def test_builder_never_flattens(monkeypatch, two_stages):
