@@ -31,8 +31,8 @@ from .pcw import (
     PiecewiseLinear,
     build_phi,
     build_signed_integral,
-    first_sloped_segment,
     geometric_grid,
+    grid_values,
     pl_sum,
 )
 
@@ -42,8 +42,6 @@ from .pcw import (
 
 def build_monotone_lip1(E: IntervalSet, window: Interval) -> PiecewiseLinear:
     """φ(x) = ∫ 1_E from the window's left edge: slope 1 on E, 0 off E."""
-    if E.is_empty:
-        return PiecewiseLinear.constant(0, window)
     return build_phi(E, window.lo, window)
 
 
@@ -511,7 +509,8 @@ def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumRes
         else:
             f_n = build_small_lip(part, eps, window)
             terms.append(f_n)
-            constant_off = first_sloped_segment(f_n, part.complement_within(f_n.domain)) is None
+            constant_off = all(len(set(grid_values((f_n,), C.lo, C.hi)[1][0])) == 1
+                               for C in part.complement_within(f_n.domain))
             diags.append(Lip1Part(n, eps, dist, f_n.sup_norm(), constant_off, False))
         earlier = part if earlier is None else earlier.union(part)
     return Lip1SumResult(pl_sum(terms), tuple(diags), window)

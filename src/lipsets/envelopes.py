@@ -7,7 +7,7 @@ increment bound walks f's sloped segments (`pcw.sloped_segments`).
 The staged builder uses only envelope_refine: each stage is already flat
 where the next must be, so envelope_flatten is the standalone lemma.
 
-envelope_refine replaces the tube's center f, a monotone function, by a
+envelope_refine replaces the tube's center f, monotone or not, by a
 (1-δ)-slope zigzag with the same block increments, strictly inside the tube,
 reading the cumulative measure Φ(x) = |E ∩ (-∞, x]| from E's own mass index
 and building its pieces with `pcw.ramp_to`.  envelope_flatten asks for a
@@ -34,7 +34,7 @@ from typing import Optional
 
 from .intervals import IntervalSet, RationalLike, rat
 from .constructions import balance_point
-from .pcw import PiecewiseLinear, grid_values, monotone_runs, ramp_to, sloped_segments
+from .pcw import PiecewiseLinear, grid_values, ramp_to, sloped_segments
 
 
 class PreconditionError(ValueError):
@@ -191,7 +191,6 @@ def envelope_refine(
     epsilon: RationalLike,
     delta: RationalLike,
     segment: tuple[RationalLike, RationalLike],
-    require_monotone: bool = True,
 ) -> RefineResult:
     """Zigzag refinement of the tube's center f strictly inside the tube.
 
@@ -211,26 +210,13 @@ def envelope_refine(
     (`_adaptive_block_bounds`).  The result is checked exactly to lie
     strictly inside the tube on [c, d].
 
-    Monotonicity of f on [c, d] is the lemma's hypothesis; with
-    require_monotone (the default) it is verified, and a violation raises
-    PreconditionError whose witness is three breakpoints a < m < b with
-    f(m) - f(a) and f(b) - f(m) of strictly opposite signs.  Zero slopes are
-    allowed, and off [c, d] the result is f itself, so monotonicity there
-    plays no part.  The construction itself uses only the increment
-    precondition, which is always verified; the staged builder refines
-    zigzag stage functions and passes require_monotone=False.
+    f need not be monotone: the verified increment bound makes every
+    block's balance equation solvable (`balance_point`).
     """
     f, radius = tube.center, tube.radius
     eps, delta, c, d = _lemma_frame(tube, E, epsilon, delta, segment)
     if not (f.domain.lo < c < d < f.domain.hi):
         raise ValueError("segment must be strictly inside the domain")
-    if require_monotone:
-        runs = monotone_runs(f, c, d)
-        if len(runs) > 1:
-            (a, m), (_, b) = runs[0], runs[1]
-            raise PreconditionError(
-                "f is not monotone on the active segment", (a, m, b)
-            )
     gamma = _least_radius(radius, c, d)
     evens = _adaptive_block_bounds(radius, c, d, max(map(abs, radius.slopes())))
     f_evens = f.at(evens)

@@ -13,7 +13,8 @@ set, and `envelopes.verify_contraction`, the check of the increment bound
 (`merged_breakpoints`) through the sweep `PiecewiseLinear.at`; each f is
 linear between grid points, so comparing values there is exact.  It serves
 `add`, `sub`, `le`, `pl_min`, `pl_max`, `pl_sum`, `monotone_runs`,
-`PiecewiseLinear.__eq__` and the tube, persistence and radius checks.
+`PiecewiseLinear.__eq__`, the tube, persistence and radius checks and the
+lip-1 sum's constant-off-part diagnostic.
 
 The sweep and the grid order points by float keys (`_key`; E's mass index
 bisects integers instead): each function keeps the correctly rounded float of

@@ -44,6 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, rat
@@ -104,10 +105,7 @@ class NestedClosedSystem:
 
     def complement(self, n: int) -> IntervalSet:
         """G_n within the window (closed collapse)."""
-        F = self.closed_at(n)
-        if F.is_empty:
-            return IntervalSet([self.window])
-        return F.complement_within(self.window)
+        return self.closed_at(n).complement_within(self.window)
 
     def to_json(self) -> dict:
         return {
@@ -158,10 +156,11 @@ def quadratic_margin(
     segment: tuple[Fraction, Fraction],
     left_is_f: bool,
     right_is_f: bool,
-    cap: Fraction,
+    cap: PiecewiseLinear,
 ) -> PiecewiseLinear:
-    """Piecewise-linear minorant of min(d(x, region ends)^2, cap), positive
-    on the segment, zero at F-adjacent region ends (clamped at 0).
+    """Piecewise-linear minorant of min(d(x, p)^2, cap) over the
+    F-adjacent region ends p, clamped at 0; cap is a function on the region.
+    It is zero at those ends and positive on the segment where cap is.
 
     Tangent lines of the parabola lie below it, so the max of finitely many
     tangents is an exact minorant; tangents are taken at the segment ends
@@ -169,7 +168,7 @@ def quadratic_margin(
     """
     a, b = region.lo, region.hi
     c, d = segment
-    out = PiecewiseLinear.constant(cap, region)
+    out = cap
     for p, touches_f in ((a, left_is_f), (b, right_is_f)):
         if touches_f:
             # tangent of (x-p)^2 at t: (t-p)(2x-t-p), slope 2(t-p), value (t-p)^2 at t
@@ -277,37 +276,28 @@ def _case_split_candidates(
     delta_n: Fraction,
 ) -> list[Fraction]:
     """The proof's prescribed witness candidates x ± δ*, x ± 100 δ* with
-    δ* = (1/101) min{c - e, d - c, δ_n} from the monotone runs of f on its
-    region, around x, mirrored when x sits in the right half of its run."""
-    region = (runs[0][0], runs[-1][1])
+    δ* = (1/101) min{e - c, c - a, δ_n}, over its positive terms, from the
+    monotone runs of f on its region.  When x is nearer the right end b of
+    its run [a, b], c = b (b - (b - x)/2 on the last run) and e is the next
+    run's end (the region's on the last run); nearer a, the same mirrored."""
+    lo, hi = runs[0][0], runs[-1][1]
     idx = next((i for i, (a, b) in enumerate(runs) if a <= x <= b), None)
     if idx is None:
         return []
     a, b = runs[idx]
-    mirrored = (x - a) > (b - x)
-    if mirrored:
-        run_lo, run_hi = -b, -a
-        z = -x
-        prev_end = -runs[idx + 1][1] if idx + 1 < len(runs) else -region[1]
+    if x - a > b - x:
+        c = b - (b - x) / 2 if b == hi else b
+        e = runs[idx + 1][1] if idx + 1 < len(runs) else hi
+        parts = (e - c, c - a, delta_n)
     else:
-        run_lo, run_hi = a, b
-        z = x
-        prev_end = runs[idx - 1][0] if idx > 0 else region[0]
-    if run_lo == (region[0] if not mirrored else -region[1]):
-        c = run_lo + (z - run_lo) / 2
-    else:
-        c = run_lo
-    e = prev_end
-    parts = [p for p in (c - e, run_hi - c, delta_n) if p > 0]
+        c = a + (x - a) / 2 if a == lo else a
+        e = runs[idx - 1][0] if idx > 0 else lo
+        parts = (c - e, b - c, delta_n)
+    parts = [p for p in parts if p > 0]
     if not parts:
         return []
     dstar = min(parts) / 101
-    if dstar <= 0:
-        return []
-    out = [z - dstar, z + dstar, z - 100 * dstar, z + 100 * dstar]
-    if mirrored:
-        out = [-v for v in out]
-    return out
+    return [x - dstar, x + dstar, x - 100 * dstar, x + 100 * dstar]
 
 
 def stage_witness_search(
@@ -362,16 +352,16 @@ def _sample_level_points(
     comps: list[Interval] = []
     for lo, hi in segments:
         comps.extend(E.clip(Interval(lo, hi)).intervals)
-    comps = [c for c in comps if not c.is_degenerate]
     if not comps:
         return []
+    cum_weights = list(accumulate(float(c.length) for c in comps))
     out: list[Fraction] = []
     seen = set()
     tries = 0
     denom = 64
     while len(out) < count and tries < 40 * count:
         tries += 1
-        comp = rng.choices(comps, weights=[float(c.length) for c in comps])[0]
+        comp = rng.choices(comps, cum_weights=cum_weights)[0]
         k = rng.randint(0, denom)
         x = comp.lo + comp.length * Fraction(k, denom)
         if x in seen:
@@ -397,10 +387,10 @@ def build_udt_lip1(
     """Run the staged construction for the given number of stages.
 
     Stage n refines f_{n-1} directly, checked flat on F_n, within the tube
-    of radius min{quadratic margin, r_{n-1}/3} (ε = 2^-3(n-1), which stage
-    n-1 certified, and δ = 2^-3n).  Stage 1 is stage n with f_0 = 0 and
-    r_0/3 = 1, the quadratic margin's cap.  r_{n-1}/3 budgets a second move
-    that no stage makes; it is kept as a conservative budget.
+    of radius min{quadratic margin, r_{n-1}/3}, r_{n-1}/3 being the quadratic
+    margin's cap (ε = 2^-3(n-1), which stage n-1 certified, and δ = 2^-3n).
+    Stage 1 is stage n with f_0 = 0 and r_0/3 = 1.  r_{n-1}/3 budgets a
+    second move that no stage makes; it is kept as a conservative budget.
     """
     if stages < 1 or stages > system.depth:
         raise ValueError("stages must be between 1 and the system depth")
@@ -435,8 +425,6 @@ def build_udt_lip1(
         refined: list[PiecewiseLinear] = []
         active: list[tuple[Fraction, Fraction]] = []
         for region in system.complement(n):
-            if region.is_degenerate:
-                continue
             zone = _positive_zone(r_third, region.lo, region.hi)
             if zone is None:
                 continue
@@ -446,18 +434,14 @@ def build_udt_lip1(
                 region, (c0, d0),
                 left_is_f=region.lo != window.lo,
                 right_is_f=region.hi != window.hi,
-                cap=Fraction(1),
+                cap=r_third.restrict(region.lo, region.hi),
             )
-            qmargin = pl_min(qmargin, r_third.restrict(region.lo, region.hi))
             margin_parts.append(qmargin)
             if E.mass(c0, d0) == 0:
                 continue
             f_loc = f_prev.restrict(region.lo, region.hi)
-            # f_prev is already a zigzag; the construction needs only the
-            # increment precondition, which envelope_refine still verifies
             res = envelope_refine(
-                Envelope(f_loc, qmargin), E, eps_contract, delta_stage,
-                segment=(c0, d0), require_monotone=False,
+                Envelope(f_loc, qmargin), E, eps_contract, delta_stage, segment=(c0, d0)
             )
             refined.append(res.function)
             active.append((c0, d0))
@@ -474,7 +458,7 @@ def build_udt_lip1(
         failures: list[tuple[Fraction, Fraction]] = []
         stage_target = (1 - Fraction(1, 2 ** (2 * n))) * gamma_n
         tail_target = (1 - Fraction(1, 2 ** n)) * gamma_n
-        regions_n = [reg for reg in system.complement(n) if not reg.is_degenerate]
+        regions_n = system.complement(n).intervals
         runs_of: dict[Interval, list[tuple[Fraction, Fraction]]] = {}
         samples = _sample_level_points(
             E, gamma_n, delta_n, active, samples_per_stage, rng

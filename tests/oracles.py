@@ -18,6 +18,10 @@ prefix-sum lists from E's components and bisects them on Fractions only.
 evaluation grid and `simplify` without float keys: they order points by
 Fraction comparisons only and interpolate on every segment.
 
+`ref_case_split_candidates` is the stage witness case split as it read
+before it was written in x's own coordinates: it reflects x, its run and
+its neighbour to -x when x sits in the right half of its run.
+
 `ref_weak_report`, `ref_one_sided_rows`, `ref_worst_window_ratio`,
 `ref_worst_imbalance` and `ref_sample_points` are the density checks and
 the sampling of the condition checks in Fractions: every mass is a
@@ -30,6 +34,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from typing import Sequence
 
 
 def to_cells(pairs, window, m):
@@ -486,3 +491,42 @@ def ref_sample_points(S, window, step):
             pts.add(x)
         x += step
     return sorted(pts)
+
+
+def ref_case_split_candidates(
+    runs: Sequence[tuple[Fraction, Fraction]],
+    x: Fraction,
+    delta_n: Fraction,
+) -> list[Fraction]:
+    """The proof's prescribed witness candidates x ± δ*, x ± 100 δ* with
+    δ* = (1/101) min{c - e, d - c, δ_n} from the monotone runs of f on its
+    region, around x, mirrored when x sits in the right half of its run."""
+    region = (runs[0][0], runs[-1][1])
+    idx = next((i for i, (a, b) in enumerate(runs) if a <= x <= b), None)
+    if idx is None:
+        return []
+    a, b = runs[idx]
+    mirrored = (x - a) > (b - x)
+    if mirrored:
+        run_lo, run_hi = -b, -a
+        z = -x
+        prev_end = -runs[idx + 1][1] if idx + 1 < len(runs) else -region[1]
+    else:
+        run_lo, run_hi = a, b
+        z = x
+        prev_end = runs[idx - 1][0] if idx > 0 else region[0]
+    if run_lo == (region[0] if not mirrored else -region[1]):
+        c = run_lo + (z - run_lo) / 2
+    else:
+        c = run_lo
+    e = prev_end
+    parts = [p for p in (c - e, run_hi - c, delta_n) if p > 0]
+    if not parts:
+        return []
+    dstar = min(parts) / 101
+    if dstar <= 0:
+        return []
+    out = [z - dstar, z + dstar, z - 100 * dstar, z + 100 * dstar]
+    if mirrored:
+        out = [-v for v in out]
+    return out

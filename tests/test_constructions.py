@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -31,12 +32,14 @@ from lipsets.envelopes import verify_contraction
 from lipsets.pcw import (
     PiecewiseLinear,
     build_signed_integral,
+    first_sloped_segment,
     local_lip_exact,
     m_ratio,
 )
 
 from oracles import brute_one_sided_measure, ref_sample_points, ref_worst_imbalance
-from strategies import TIE_POINTS, TIE_STEP, float_tie_sets, non_dyadic, non_dyadic_sets
+from strategies import (
+    TIE_POINTS, TIE_STEP, float_tie_sets, non_dyadic, non_dyadic_sets, pl_functions)
 
 F = Fraction
 
@@ -49,6 +52,7 @@ W01 = Interval(F(0), F(1))
 W = Interval(F(-1), F(2))
 
 dyadic = st.integers(0, 32).map(lambda k: F(k, 32))
+dyadic16 = st.integers(0, 16).map(lambda k: F(k, 16))  # degenerate pairs are likely
 
 
 def dyadic_sets():
@@ -485,6 +489,19 @@ class TestLip1Sum:
         res = build_lip1_sum(parts, w)
         union = parts[0].union(parts[1])
         assert verify_contraction(res.function, union, 1) is None
+
+    @settings(max_examples=300)
+    @given(pl_functions(value=st.sampled_from([F(0), F(0), F(1, 8), F(1, 4)])),
+           st.lists(st.tuples(dyadic16, dyadic16), max_size=4))
+    def test_constant_off_part_matches_the_complement_form(self, f, pairs):
+        # any f stands in for the sawtooth; the diagnostic must agree with
+        # f' = 0 almost everywhere on the closed complement of the part
+        part = IntervalSet([Interval(min(a, b), max(a, b)) for a, b in pairs],
+                           allow_degenerate=True)
+        with patch("lipsets.constructions.build_small_lip", lambda *args: f):
+            res = build_lip1_sum([part], W01)
+        expected = first_sloped_segment(f, part.complement_within(W01)) is None
+        assert res.parts[0].constant_off_part == expected
 
     def test_split_helper(self):
         S = iset((0, 1), (2, 3), (10, 11))

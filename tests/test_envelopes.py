@@ -319,53 +319,33 @@ class TestEnvelopeRefine:
         with pytest.raises(PreconditionError):
             envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 4), F(3, 4)))
 
-    def test_monotone_required(self):
-        E = iset((0, 1))
-        tent = PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0])
-        env = tube(tent, 2)
-        with pytest.raises(PreconditionError):
-            envelope_refine(env, E, F(1, 2), F(1, 4), segment=WIDE)
-
-    def test_monotone_witness(self):
-        E = iset((0, 1))
-        tent = PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0])
-        env = tube(tent, 2)
-        with pytest.raises(PreconditionError) as info:
-            envelope_refine(env, E, F(1, 2), F(1, 4), segment=WIDE)
-        a, m, b = info.value.witness
-        assert 0 < a < m < b < 1 and m == F(1, 2)
-        left = (tent(m) - tent(a)) / (m - a)
-        right = (tent(b) - tent(m)) / (b - m)
-        assert left * right < 0
-
-    def test_monotone_witness_across_plateau(self):
-        E = iset((0, 1))
-        f = PiecewiseLinear([0, F(1, 4), F(1, 2), 1], [0, F(1, 8), F(1, 8), 0])
-        env = tube(f, 2)
-        with pytest.raises(PreconditionError) as info:
-            envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 8), F(7, 8)))
-        a, m, b = info.value.witness
-        assert F(1, 8) <= a < m < b <= F(7, 8)
-        assert (f(m) - f(a)) * (f(b) - f(m)) < 0
-
     def test_monotone_checked_on_segment_only(self):
+        # refine needs no monotone center: a peak off the segment refines
         E = iset((0, 1))
-        f = PiecewiseLinear([0, F(1, 8), 1], [0, F(1, 16), 0])  # peak off segment
+        f = PiecewiseLinear([0, F(1, 8), 1], [0, F(1, 16), 0])
         env = tube(f, 2)
-        res = envelope_refine(env, E, F(1, 2), F(1, 4), segment=(F(1, 4), F(3, 4)))
-        c, d = res.segment
-        assert res.function(c) == f(c) and res.function(d) == f(d)
-
-    def test_monotone_opt_out(self):
-        E = iset((0, 1))
-        tent = PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0])
-        env = tube(tent, 2)
         delta = F(1, 4)
-        res = envelope_refine(env, E, F(1, 2), delta, segment=WIDE, require_monotone=False)
+        res = envelope_refine(env, E, F(1, 2), delta, segment=(F(1, 4), F(3, 4)))
         g, (c, d) = res.function, res.segment
-        assert g(c) == tent(c) and g(d) == tent(d)
+        assert g(c) == f(c) and g(d) == f(d)
         assert env.min_margin_on(g, c, d) > 0
         assert verify_contraction(g, E, 1 - delta) is None
+
+    def test_monotone_opt_out(self):
+        # the increment bound, not monotonicity, makes every block solvable:
+        # a tent and a rise-plateau-fall refine with no opt-out to ask for
+        E = iset((0, 1))
+        delta = F(1, 4)
+        for f, segment in [
+            (PiecewiseLinear([0, F(1, 2), 1], [0, F(1, 4), 0]), WIDE),
+            (PiecewiseLinear([0, F(1, 4), F(1, 2), 1], [0, F(1, 8), F(1, 8), 0]), (F(1, 8), F(7, 8))),
+        ]:
+            env = tube(f, 2)
+            res = envelope_refine(env, E, F(1, 2), delta, segment=segment)
+            g, (c, d) = res.function, res.segment
+            assert g(c) == f(c) and g(d) == f(d)
+            assert env.min_margin_on(g, c, d) > 0
+            assert verify_contraction(g, E, 1 - delta) is None
 
     def test_margin_is_the_radius(self):
         # blocks are sized by the radius alone: the refine margin is its

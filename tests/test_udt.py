@@ -19,7 +19,7 @@ from lipsets.udt import (
     stage_witness_search,
 )
 
-from oracles import ref_positive_zone
+from oracles import ref_case_split_candidates, ref_positive_zone
 from strategies import pl_functions, points
 
 F = Fraction
@@ -99,22 +99,6 @@ class TestOneStage:
         assert [_digest(r) for r in one_stage.radii] == [
             "36c79cf09e818bc12b7696ccbde9afa43a6c444c73064b5d88eaa53da53cd801",
         ]
-
-
-def test_refine_is_called_without_the_monotone_hypothesis(monkeypatch):
-    # every stage refines a zigzag, which is not monotone from stage 2 on:
-    # the builder must waive the refine lemma's monotonicity hypothesis
-    calls = []
-    refine = udt.envelope_refine
-
-    def recording_refine(*args, **kwargs):
-        calls.append(kwargs)
-        return refine(*args, **kwargs)
-
-    monkeypatch.setattr(udt, "envelope_refine", recording_refine)
-    build_udt_lip1(fat_cantor_system(1), WITNESS, 1)
-    assert calls
-    assert all(kwargs.get("require_monotone", True) is False for kwargs in calls)
 
 
 class TestTwoStages:
@@ -299,14 +283,23 @@ def test_collar_outside_zero_to_one_half_is_rejected(collar):
         build_udt_lip1(fat_cantor_system(1), WITNESS, 1, collar=collar)
 
 
+REGION = Interval(F(1, 8), F(7, 8))
+
+
 @pytest.mark.parametrize("left_is_f", [False, True])
 @pytest.mark.parametrize("right_is_f", [False, True])
 @pytest.mark.parametrize(
     "segment, cap",
-    [((F(1, 4), F(3, 4)), F(1)), ((F(3, 16), F(1, 2)), F(1, 64)), ((F(9, 64), F(55, 64)), F(1, 8))],
+    [((F(1, 4), F(3, 4)), PiecewiseLinear.constant(1, REGION)),
+     ((F(3, 16), F(1, 2)), PiecewiseLinear.constant(F(1, 64), REGION)),
+     ((F(9, 64), F(55, 64)), PiecewiseLinear.constant(F(1, 8), REGION)),
+     # a cap that is 0 at the left end, peaks inside the segment and binds
+     # below the tangents near the right end
+     ((F(1, 4), F(3, 4)),
+      PiecewiseLinear([F(1, 8), F(1, 2), F(3, 4), F(7, 8)], [0, F(1, 16), F(1, 128), F(1, 256)]))],
 )
 def test_quadratic_margin_is_a_positive_minorant(left_is_f, right_is_f, segment, cap):
-    region = Interval(F(1, 8), F(7, 8))
+    region = REGION
     a, b = region.lo, region.hi
     c, d = segment
     q = quadratic_margin(region, segment, left_is_f, right_is_f, cap)
@@ -314,11 +307,11 @@ def test_quadratic_margin_is_a_positive_minorant(left_is_f, right_is_f, segment,
 
     f_ends = [p for p, touches_f in ((a, left_is_f), (b, right_is_f)) if touches_f]
 
-    def bound(x):  # min(cap, squared distance to each region end that touches F)
-        return min([cap] + [(x - p) ** 2 for p in f_ends])
+    def bound(x):  # min(cap(x), squared distance to each region end that touches F)
+        return min([cap(x)] + [(x - p) ** 2 for p in f_ends])
 
     grid = [a + k * (b - a) / 192 for k in range(193)]  # the 1/256 grid of [1/8, 7/8]
-    for x in sorted({*q.breakpoints, *grid}):
+    for x in sorted({*q.breakpoints, *cap.breakpoints, *grid}):
         assert 0 <= q(x) <= bound(x), x
     assert q.restrict(c, d).min_value() > 0
     assert all(q(p) == 0 for p in f_ends)
@@ -334,3 +327,24 @@ signed = st.sampled_from([F(-1, 4), F(-1, 8), F(0), F(0), F(1, 8), F(1, 4)])
 def test_positive_zone_reads_breakpoint_values(f, window):
     lo, hi = sorted(window)
     assert udt._positive_zone(f, lo, hi) == ref_positive_zone(f, lo, hi)
+
+
+# contiguous runs with ends on the 1/64 grid of [0, 1]
+runs_strategy = st.lists(points, min_size=2, max_size=6, unique=True).map(
+    lambda ends: list(zip(sorted(ends), sorted(ends)[1:])))
+
+
+@settings(max_examples=400)
+@given(runs_strategy, st.data(),
+       st.sampled_from([F(-1, 8), F(0), F(1, 256), F(1, 16), F(1, 2), F(2)]))
+def test_case_split_matches_the_mirrored_form(runs, data, delta_n):
+    # x on a run end, at a run midpoint, anywhere on the grid (outside the
+    # runs too) or a hair off an end: the same candidates as the mirrored form
+    ends = [a for a, _ in runs] + [runs[-1][1]]
+    mids = [(a + b) / 2 for a, b in runs]
+    x = data.draw(st.one_of(
+        st.sampled_from(ends), st.sampled_from(mids), points,
+        st.sampled_from(ends).map(lambda e: e + F(1, 2 ** 12)),
+        st.sampled_from(ends).map(lambda e: e - F(1, 2 ** 12))))
+    got = udt._case_split_candidates(runs, x, delta_n)
+    assert sorted(got) == sorted(ref_case_split_candidates(runs, x, delta_n))
