@@ -12,9 +12,17 @@ set, and `envelopes.verify_contraction`, the check of the increment bound
 `grid_values(fs, lo, hi)` reads each f in fs on their merged grid
 (`merged_breakpoints`) through the sweep `PiecewiseLinear.at`; each f is
 linear between grid points, so comparing values there is exact.  It serves
-`add`, `sub`, `le`, `pl_min`, `pl_max`, `pl_sum`, `monotone_runs`,
+`add`, `sub`, `le`, `pl_min`, `pl_max`, `monotone_runs`,
 `PiecewiseLinear.__eq__`, the tube, persistence and radius checks and the
 lip-1 sum's constant-off-part diagnostic.
+
+`pl_sum`, the n-ary sum of the lip-1 construction, reads its terms on the
+same merged grid but in integers: breakpoints on the lcm of their
+denominators, values on the lcm of theirs, widened until every term's value
+at every grid point is an integer.  One walk per term adds, the kept points
+are found by comparing integer slopes crosswise, and only they become
+Fractions.  Its cost grows with the bit length of those lcms, as the
+sawtooth's (`constructions.small_lip_blocks`) does with its scale.
 
 The sweep and the grid order points by float keys (`_key`; E's mass index
 bisects integers instead): each function keeps the correctly rounded float of
@@ -37,8 +45,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
-from operator import itemgetter, lt
+from itertools import islice
+from math import gcd, inf, lcm
+from operator import itemgetter, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
@@ -261,7 +270,7 @@ class PiecewiseLinear:
         return PiecewiseLinear._trusted(tuple(xs), tuple(vs), tuple(ks)).simplify()
 
     def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
+        return max(self.max_value(), -self.min_value())
 
     def min_value(self) -> Fraction:
         return min(self.values)
@@ -373,12 +382,63 @@ def pl_max(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
 
 
 def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
-    """Σ fs on their common domain (ValueError if the domains differ),
-    simplified: every term is read on the merged grid of all of them."""
+    """Σ fs on their common domain, simplified: ValueError if fs is empty
+    or the domains differ.  The result is that of reading every term on the
+    merged grid (`grid_values`), adding Fractions and simplifying.
+
+    The sum is computed on one integer scale.  Every breakpoint becomes an
+    integer X on S, the lcm of all breakpoint denominators, and every value
+    an integer V on W, the lcm of all value denominators widened by the lcm
+    of ΔX/gcd(ΔX, ΔV) over every sloped segment of every term.  Then every
+    slope ΔV/ΔX is an integer, and so is each term's value at each point of
+    the merged grid.  One walk per term adds its values there; a point is
+    kept where the slopes on its two sides differ,
+    (V_k - V_{k-1})(X_{k+1} - X_k) != (V_{k+1} - V_k)(X_k - X_{k-1}).  That
+    is O(grid) integer operations per term on integers of about the bit
+    length of S·W, so the cost grows with the bit length of the lcms.  Only
+    kept points become Fractions: a breakpoint is a term's own, and each
+    distinct value is one division by W.
+    """
     if not fs:
         raise ValueError("need at least one function")
-    bps, values = grid_values(fs)
-    return PiecewiseLinear(bps, [sum(vs) for vs in zip(*values)]).simplify()
+    lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
+    if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
+        raise ValueError("domain mismatch")
+    S = lcm(*{x.denominator for f in fs for x in f.breakpoints})
+    W = lcm(*{v.denominator for f in fs for v in f.values})
+    terms = [([x.numerator * (S // x.denominator) for x in f.breakpoints],
+              [v.numerator * (W // v.denominator) for v in f.values]) for f in fs]
+    widen = lcm(*{dx // gcd(dx, dv) for X, V in terms
+                  for dx, dv in zip(map(sub, X[1:], X), map(sub, V[1:], V)) if dv})
+    point = {}  # X -> a term's own breakpoint there
+    for f, (X, _) in zip(fs, terms):
+        point.update(zip(X, f.breakpoints))
+    grid = sorted(point)
+    total = [0] * len(grid)
+    while terms:  # popped, so each term's lists are freed once it is added
+        X, V = terms.pop()
+        if widen > 1:
+            V = [v * widen for v in V]
+        k = 0  # grid[k] = x0
+        for x0, x1, v0, v1 in zip(X, X[1:], V, V[1:]):
+            total[k] += v0
+            end = k + 1 if grid[k + 1] == x1 else bisect_left(grid, x1, k + 2)
+            if end > k + 1 and (v0 or v1):  # grid points strictly inside the segment
+                slope = (v1 - v0) // (x1 - x0)  # exact: W is widened for it
+                for j in range(k + 1, end):
+                    total[j] += v0 + slope * (grid[j] - x0)
+            k = end
+        total[-1] += V[-1]
+    rows = zip(grid, islice(grid, 1, None), islice(grid, 2, None),
+               total, islice(total, 1, None), islice(total, 2, None))
+    keep = [0, *(k for k, (x0, x1, x2, v0, v1, v2) in enumerate(rows, 1)
+                 if (v1 - v0) * (x2 - x1) != (v2 - v1) * (x1 - x0)), len(grid) - 1]
+    W *= widen
+    xs = tuple(point[grid[k]] for k in keep)
+    value = {}  # a sawtooth sum of thousands of points has a few dozen values
+    vs = tuple(value[t] if t in value else value.setdefault(t, Fraction(t, W))
+               for t in map(total.__getitem__, keep))
+    return PiecewiseLinear._trusted(xs, vs, tuple(map(_key, xs)))
 
 
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:

@@ -17,6 +17,8 @@ prefix-sum lists from E's components and bisects them on Fractions only.
 `ref_at`, `ref_merged_breakpoints` and `ref_simplify` are the sweep, the
 evaluation grid and `simplify` without float keys: they order points by
 Fraction comparisons only and interpolate on every segment.
+`ref_pl_sum` is the n-ary sum in Fractions: every term read on the merged
+grid by `grid_values`, one Fraction add per term and point, then `simplify`.
 
 `ref_case_split_candidates` is the stage witness case split as it read
 before it was written in x's own coordinates: it reflects x, its run and
@@ -35,6 +37,8 @@ import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
+
+from lipsets.pcw import grid_values
 
 
 def to_cells(pairs, window, m):
@@ -245,6 +249,15 @@ def ref_simplify(f):
     keep_b.append(bps[-1])
     keep_v.append(vals[-1])
     return type(f)(keep_b, keep_v)
+
+
+def ref_pl_sum(fs):
+    """Σ fs on their common domain, simplified, in Fractions: ValueError if
+    fs is empty or the domains differ."""
+    if not fs:
+        raise ValueError("need at least one function")
+    bps, values = grid_values(fs)
+    return type(fs[0])(bps, [sum(vs) for vs in zip(*values)]).simplify()
 
 
 # -- slow paths of the piecewise-linear algebra --------------------------------

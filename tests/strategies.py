@@ -52,6 +52,15 @@ non_dyadic = st.sampled_from([3, 6, 12, 24, 48, 1000, 77]).flatmap(
 
 
 @st.composite
+def non_dyadic_functions(draw):
+    """A piecewise-linear function on [0, 1] with up to six inner breakpoints
+    and its values off the dyadic grid, values in [-1, 1]."""
+    xs = sorted({F(0), F(1), *draw(st.sets(non_dyadic, max_size=6))})
+    signed = st.tuples(non_dyadic, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+    return PiecewiseLinear(xs, draw(st.lists(signed, min_size=len(xs), max_size=len(xs))))
+
+
+@st.composite
 def non_dyadic_sets(draw):
     """Up to four components with non-dyadic endpoints in [0, 1], plus up to
     one degenerate component, which may fall inside a ramp."""

@@ -34,13 +34,15 @@ from oracles import (
     ref_le,
     ref_merged_breakpoints,
     ref_pick,
+    ref_pl_sum,
     ref_ramp_to,
     ref_simplify,
     ref_sloped_segments,
     ref_splice,
 )
 from strategies import (
-    TIE_POINTS, TIE_STEP, float_tie_functions, near_and_between, pl_functions, points,
+    TIE_POINTS, TIE_STEP, float_tie_functions, near_and_between, non_dyadic_functions,
+    pl_functions, points, values,
 )
 
 F = Fraction
@@ -562,12 +564,40 @@ def test_pl_sum_cancelling_slopes_and_domains():
     down = PiecewiseLinear([0, F(1, 2), 1], [0, -1, -1])
     assert pl_sum([up, down]).as_pairs() == ((0, 0), (1, 0))
     assert pl_sum([up, up, down]).as_pairs() == up.as_pairs()
-    with pytest.raises(ValueError):
+    # the line is 1/9 at the tent's peak 1/3, off both terms' value scales
+    line = PiecewiseLinear([0, 1], [0, F(1, 3)])
+    tent = PiecewiseLinear([0, F(1, 3), 1], [0, 1, 0])
+    assert pl_sum([line, tent]).as_pairs() == ((0, 0), (F(1, 3), F(10, 9)), (1, F(1, 3)))
+    with pytest.raises(ValueError, match="domain mismatch"):
         pl_sum([up, PiecewiseLinear([0, 2], [0, 1])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="domain mismatch"):
         pl_sum([up, PiecewiseLinear([F(-1), 1], [0, 1])])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one function"):
         pl_sum([])
+
+
+# a term on the domain (lo, hi): float-tie terms draw their own where it is
+# None, the other families always lie on [0, 1]
+SUM_TERMS = {
+    "dyadic": lambda domain: pl_functions(),
+    "float ties": lambda domain: float_tie_functions(domain=domain),
+    "non-dyadic": lambda domain: non_dyadic_functions(),
+}
+
+
+@pytest.mark.parametrize("family", SUM_TERMS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pl_sum_matches_the_fraction_sum(family, data):
+    # a ramp across the whole domain is sloped across every other term's
+    # breakpoints: reading it there exercises the widened value scale
+    first = data.draw(SUM_TERMS[family](None))
+    domain = first.breakpoints[0], first.breakpoints[-1]
+    ramps = st.lists(values, min_size=2, max_size=2).map(
+        lambda vs: PiecewiseLinear(domain, vs))
+    fs = [first, *data.draw(st.lists(st.one_of(SUM_TERMS[family](domain), ramps),
+                                     max_size=4))]
+    assert pl_sum(fs).as_pairs() == ref_pl_sum(fs).as_pairs()
 
 
 # -- the float-keyed sweep, grid and simplify at float ties ---------------------------
