@@ -289,23 +289,47 @@ def balance_point(
     so t is the leftmost inverse of the cumulative measure at
     Φ(r) + (A + target/(1-δ))/2; the leftmost solution is returned on flat
     ties.  With zero E-mass the only admissible target is 0 and the
-    midpoint is returned (the integral is flat there anyway).
+    midpoint is returned (the integral is flat there anyway).  The one-block
+    form of `balance_on`, which solves on integers.
     """
     r, s, target, delta = rat(r), rat(s), rat(target), rat(delta)
     if not r < s:
         raise ValueError("need r < s")
     if not 0 <= delta < 1:
         raise ValueError("delta must be in [0,1)")
-    phi_r = E.cumulative(r)
-    A = E.cumulative(s) - phi_r
-    tau = target / (1 - delta)
+    S = lcm(E.mass_scale, r.denominator, s.denominator)
+    T, u, _, _ = balance_on(E, S, on_scale(r, S), on_scale(s, S),
+                            target.numerator, target.denominator,
+                            delta.denominator - delta.numerator, delta.denominator)
+    return Fraction(u, T)
+
+
+def balance_on(
+    E: IntervalSet, S: int, ua: int, ub: int, tn: int, td: int, kn: int, kd: int
+) -> tuple[int, int, int, int]:
+    """The balance point of the block [a, b] = [ua/S, ub/S] on integers, for
+    a scale S that D_E divides, the target tn/td and 1 - δ = kn/kd > 0, the
+    pairs unreduced (td, kd > 0).
+
+    On T = 2·S·td·kn the balance mass Φ(a) + (A + tn·kd/(td·kn))/2, with
+    A = Φ(b) - Φ(a), is the integer Y = 2·td·kn·Φ_S(a) + td·kn·A_S + kd·S·tn,
+    where Φ_S = S·Φ (`IntervalSet.phi_on`), and t is its leftmost inverse
+    (`IntervalSet.locate_on`).  Returns (T, u, Y, base): t = u/T,
+    Φ(t) = Y/T and Φ(a) = base/T.  A block with no mass takes
+    t = (a + b)/2 and needs target 0; ValueError on an unsolvable target,
+    |tn|·kd·S >= A_S·td·kn."""
+    P = E.phi_on(S, ua)
+    A = E.phi_on(S, ub) - P
+    w = 2 * td * kn  # T / S
+    T, base = S * w, P * w
     if A == 0:
-        if target != 0:
+        if tn:
             raise ValueError("unsolvable target: block carries no E-mass")
-        return (r + s) / 2
-    if abs(tau) >= A:
+        return T, (ua + ub) * td * kn, base, base
+    if abs(tn) * kd * S >= A * td * kn:
         raise ValueError("unsolvable target (precondition violated)")
-    return E.locate(phi_r + (A + tau) / 2)
+    y = base + td * kn * A + kd * S * tn
+    return T, E.locate_on(T, y), y, base
 
 
 # -- the small-lip sawtooth ---------------------------------------------------------

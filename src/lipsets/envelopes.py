@@ -2,18 +2,25 @@
 
 An `Envelope(center, radius)` is the tube {g : |g - center| <= radius}; one
 type serves the lemmas, the staged builder and its vicinity chain.  Every
-tube test compares values on the merged grid (`pcw.grid_values`), and the
-increment bound walks f's sloped segments (`pcw.sloped_segments`).
-The staged builder uses only envelope_refine: each stage is already flat
-where the next must be, so envelope_flatten is the standalone lemma.
+tube test (`contains`, `is_inside`, `min_margin_on`) compares integers on
+the merged grid (`pcw.integer_grid`), and the increment bound
+(`verify_contraction`) compares f's integer increments with E's integer
+masses on one scale; only a failing segment is cut in Fractions for its
+witness.  The staged builder uses only envelope_refine: each stage is
+already flat where the next must be, so envelope_flatten is the standalone
+lemma.
 
 envelope_refine replaces the tube's center f, monotone or not, by a
-(1-δ)-slope zigzag with the same block increments, strictly inside the tube,
-reading the cumulative measure Φ(x) = |E ∩ (-∞, x]| from E's own mass index
-and building its pieces with `pcw.ramp_to`.  envelope_flatten asks for a
-function flat on a closed set H with |H ∩ E| = 0, with f's endpoint values
-and the (1-δ) contraction, and f itself is one: for x <= y in a component J
-of H, |f(x) - f(y)| <= (1-ε)|E ∩ [x, y]| <= (1-ε)|E ∩ J| = 0.  So flatten
+(1-δ)-slope zigzag with the same block increments, strictly inside the tube.
+Its exact steps are integer: the block ends (`_adaptive_block_bounds`), and
+one walk over the blocks (`_zigzag`) that solves each block's balance
+equation on E's mass index (`constructions.balance_on`, reading the
+cumulative measure Φ(x) = |E ∩ (-∞, x]| with `IntervalSet.phi_on` and its
+inverse `IntervalSet.locate_on`) and makes one Fraction per zigzag point.
+envelope_flatten asks for a function flat on a closed set H with
+|H ∩ E| = 0, with f's endpoint values and the (1-δ) contraction, and f
+itself is one: for x <= y in a component J of H,
+|f(x) - f(y)| <= (1-ε)|E ∩ [x, y]| <= (1-ε)|E ∩ J| = 0.  So flatten
 verifies its hypotheses and returns f.
 
 Both lemmas act on an active compact segment, verify their preconditions
@@ -27,14 +34,15 @@ its blocks into is the radius.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .intervals import IntervalSet, RationalLike, rat
-from .constructions import balance_point
-from .pcw import PiecewiseLinear, grid_values, ramp_to, sloped_segments
+from .intervals import IntervalSet, RationalLike, on_scale, rat
+from .constructions import balance_on
+from .pcw import PiecewiseLinear, grid_values, integer_grid
 
 
 class PreconditionError(ValueError):
@@ -65,21 +73,21 @@ class Envelope:
 
     def contains(self, g: PiecewiseLinear) -> bool:
         """|g - c| <= r at the grid points: exact, as |g - c| - r is convex between them."""
-        _, (gs, cs, rs) = grid_values((g, self.center, self.radius))
+        _, _, _, (gs, cs, rs) = integer_grid((g, self.center, self.radius))
         return all(abs(a - b) <= r for a, b, r in zip(gs, cs, rs))
 
     def is_inside(self, other: "Envelope") -> bool:
         """Sufficient exact check for {g : |g-c| <= r} ⊆ {g : |g-c'| <= r'}:
         |c - c'| + r <= r' at the grid points: exact, as it is convex between them."""
         fs = (self.center, self.radius, other.center, other.radius)
-        _, (cs, rs, cs2, rs2) = grid_values(fs)
+        _, _, _, (cs, rs, cs2, rs2) = integer_grid(fs)
         return all(abs(a - b) + r <= r2 for a, r, b, r2 in zip(cs, rs, cs2, rs2))
 
     def min_margin_on(self, g: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact min over [lo, hi] of r - |g - c|, which is concave between
         grid points, so its min is at one."""
-        _, (gs, cs, rs) = grid_values((g, self.center, self.radius), lo, hi)
-        return min(r - abs(a - b) for a, b, r in zip(gs, cs, rs))
+        _, _, W, (gs, cs, rs) = integer_grid((g, self.center, self.radius), lo, hi)
+        return Fraction(min(r - abs(a - b) for a, b, r in zip(gs, cs, rs)), W)
 
 
 def verify_contraction(
@@ -89,17 +97,33 @@ def verify_contraction(
 
     Equivalent to the same bound on each segment [a, b] of f, which is
     linear there and constant off its domain.  A flat segment passes; a
-    sloped one passes exactly when a component J of E covers it and
+    sloped one passes exactly when E covers it, |E ∩ [a, b]| = b - a, and
     |f(b) - f(a)| <= factor·(b - a), as f moves across any part of [a, b]
-    outside E (`pcw.sloped_segments`).  Returns None when the bound holds,
-    else the first failing span (p, q, |Δf|, factor*|E ∩ [p, q]|) between
-    f's breakpoints and E's endpoints: the first failing segment is cut there.
+    outside E.  Both are integer comparisons: breakpoints X on
+    S = lcm(D_E, their denominators), values V on W = lcm(their
+    denominators), and with factor = p/q a sloped segment passes when
+    Φ_S(X1) - Φ_S(X0) = ΔX (`IntervalSet.phi_on`) and q·S·|ΔV| <= p·W·ΔX.
+    Returns None when the bound holds, else the first failing span
+    (p, q, |Δf|, factor*|E ∩ [p, q]|) between f's breakpoints and E's
+    endpoints: the first failing segment is cut there in Fractions.
     ValueError on a negative factor, for which flat segments could fail."""
     if factor < 0:
         raise ValueError("factor must be nonnegative")
-    for a, b, fa, fb, J in sloped_segments(f, E):
-        if J is not None and J.lo <= a and b <= J.hi and abs(fb - fa) <= factor * (b - a):
+    bps, vals = f.breakpoints, f.values
+    S = lcm(E.mass_scale, *{x.denominator for x in bps})
+    W = lcm(*{v.denominator for v in vals})
+    X = [x.numerator * (S // x.denominator) for x in bps]
+    V = [v.numerator * (W // v.denominator) for v in vals]
+    allow, per = factor.numerator * W, factor.denominator * S
+    phi = E.phi_on
+    for k in range(len(X) - 1):
+        dv = V[k + 1] - V[k]
+        if not dv:
             continue
+        x0, x1 = X[k], X[k + 1]
+        if per * abs(dv) <= allow * (x1 - x0) and phi(S, x1) - phi(S, x0) == x1 - x0:
+            continue
+        a, b = bps[k], bps[k + 1]
         xs = [a, *E.endpoints_in(a, b), b]
         for p, q in zip(xs, xs[1:]):
             if p < q:
@@ -168,21 +192,80 @@ def _adaptive_block_bounds(
     (7/8)·step < q - p <= step; the last block, which absorbs a sliver
     shorter than step/2, has q - p < (3/2)·step.
 
-    The caller has checked that the margin is positive on [c, d]
-    (`_least_radius`): a positive minimum μ bounds every step below by
-    μ/denom, so the loop ends."""
-    denom = 2 * (2 + L)  # halved steps leave room to merge slivers
+    In integers: walking forward over the margin's segments, margin(p) is
+    read on the segment that holds p, as c0 + s·p with its intercept c0 and
+    slope s found once per segment, in an unreduced integer fraction;
+    step is the unreduced sn/sd, q = k/2^m with
+    k = ⌊(p + step)·2^m⌋, and q >= d or d - q < step/2, which both end the
+    walk at d, is the one cross-multiplied test
+    2·sd·(d·2^m - k) < sn·2^m.  Only block ends become Fractions.
+
+    The caller has checked that c < d and that the margin is positive on
+    [c, d] (`_least_radius`): a positive minimum μ bounds every step below
+    by μ/(2(2 + L)), so the walk ends."""
+    bps, vals = margin.breakpoints, margin.values
+    Ld = L.denominator
+    denom = 2 * (2 * Ld + L.numerator)  # 2(2 + L)·Ld: halved steps leave room to merge slivers
+    dn, dd = d.numerator, d.denominator
     out = [c]
-    p = c
-    while p < d:
-        step = margin(p) / denom
-        scale = 2 ** (3 + (step.denominator // step.numerator).bit_length())
-        q = min(d, Fraction(math.floor((p + step) * scale), scale))
-        if d - q < step / 2:
-            q = d
-        out.append(q)
-        p = q
-    return out
+    p, i, seg = c, max(1, bisect_left(bps, c)), 0
+    while True:
+        while bps[i] < p:  # bps[i - 1] <= p <= bps[i]
+            i += 1
+        if i != seg:  # the margin is c0 + s·x on [bps[i - 1], bps[i]]
+            seg = i
+            s = (vals[i] - vals[i - 1]) / (bps[i] - bps[i - 1])
+            c0 = vals[i - 1] - s * bps[i - 1]
+            cn, cd, gn, gd = c0.numerator, c0.denominator, s.numerator, s.denominator
+        pn, pd = p.numerator, p.denominator
+        # step = margin(p)/(2(2 + L)) = sn/sd
+        sn, sd = (cn * gd * pd + gn * cd * pn) * Ld, cd * gd * pd * denom
+        scale = 1 << (3 + (sd // sn).bit_length())
+        k = (pn * sd + sn * pd) * scale // (pd * sd)
+        if 2 * sd * (dn * scale - k * dd) < sn * scale * dd:
+            out.append(d)
+            return out
+        p = Fraction(k, scale)
+        out.append(p)
+
+
+def _zigzag(
+    E: IntervalSet, evens: list[Fraction], f_evens: list[Fraction], delta: Fraction
+) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """(division, xs, vs): the division points c_0, c_1, ..., c_2n and the
+    zigzag's breakpoints and values over the blocks [a, b] between evens,
+    where f takes f_evens, in one walk over the blocks.
+
+    Each block is solved on integers (`constructions.balance_on`): on its
+    scale S = lcm(D_E, den a, den b), with the target f(b) - f(a) and
+    1 - δ as unreduced pairs, the balance point t = u/T has Φ(t) = Y/T.
+    The zigzag rises with slope (1-δ) on E from (a, f(a)) to t and falls
+    back to (b, f(b)); so every point p of [a, b] takes
+    f(a) + (1-δ)(min(Φ(p), 2Φ(t) - Φ(p)) - Φ(a)), one Fraction from
+    integers on T.  The points are t and E's endpoints strictly inside
+    (a, b) (`IntervalSet.ends_on`), each once, then b, which takes f(b)
+    itself: the balance equation makes the fall end there exactly."""
+    kn, kd = delta.denominator - delta.numerator, delta.denominator  # 1 - δ = kn/kd
+    D = E.mass_scale
+    division, xs, vs = [evens[0]], [evens[0]], [f_evens[0]]
+    for a, b, fa, fb in zip(evens, evens[1:], f_evens, f_evens[1:]):
+        S = lcm(D, a.denominator, b.denominator)
+        ua, ub = on_scale(a, S), on_scale(b, S)
+        fn, fd = fa.numerator, fa.denominator
+        T, u, y, base = balance_on(E, S, ua, ub, fb.numerator * fd - fn * fb.denominator,
+                                   fd * fb.denominator, kn, kd)
+        mid = Fraction(u, T)
+        w = T // S
+        top, den, rise = fn * kd * T, fd * kd * T, fd * kn
+        inner = E.ends_on(T, ua * w + 1, ub * w - 1)
+        for p in sorted({u, *inner}) if inner else (u,):
+            P = y if p == u else E.phi_on(T, p)
+            xs.append(mid if p == u else Fraction(p, T))
+            vs.append(Fraction(top + rise * (min(P, 2 * y - P) - base), den))
+        xs.append(b)
+        vs.append(fb)
+        division += (mid, b)
+    return division, xs, vs
 
 
 def envelope_refine(
@@ -207,11 +290,13 @@ def envelope_refine(
     the dyadic grid 2^-m Z with 2^-m < step/8, so its length lies in
     ((7/8)·step, step] (the last one absorbs a sliver and stays below
     (3/2)·step) and its end carries no denominator of the radius
-    (`_adaptive_block_bounds`).  The result is checked exactly to lie
-    strictly inside the tube on [c, d].
+    (`_adaptive_block_bounds`, on integers).  One integer walk over the
+    blocks solves every balance equation and builds the zigzag
+    (`_zigzag`).  The result is checked exactly to lie strictly inside the
+    tube on [c, d] (`Envelope.min_margin_on`, on `pcw.integer_grid`).
 
     f need not be monotone: the verified increment bound makes every
-    block's balance equation solvable (`balance_point`).
+    block's balance equation solvable.
     """
     f, radius = tube.center, tube.radius
     eps, delta, c, d = _lemma_frame(tube, E, epsilon, delta, segment)
@@ -219,18 +304,7 @@ def envelope_refine(
         raise ValueError("segment must be strictly inside the domain")
     gamma = _least_radius(radius, c, d)
     evens = _adaptive_block_bounds(radius, c, d, max(map(abs, radius.slopes())))
-    f_evens = f.at(evens)
-
-    division: list[Fraction] = [c]
-    xs: list[Fraction] = [c]
-    vs: list[Fraction] = [f_evens[0]]
-    for a, b, fa, fb in zip(evens, evens[1:], f_evens, f_evens[1:]):
-        mid = balance_point(E, a, b, fb - fa, delta)
-        division.extend([mid, b])
-        ramp_to(xs, vs, E, 1 - delta, mid)
-        ramp_to(xs, vs, E, delta - 1, b)
-
-    assert vs[-1] == f_evens[-1], "telescoping failure"
+    division, xs, vs = _zigzag(E, evens, f.at(evens), delta)
     g = f.splice([PiecewiseLinear(xs, vs)])
     if tube.min_margin_on(g, c, d) <= 0:
         raise PreconditionError("refined function escapes the envelope")

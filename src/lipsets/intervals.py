@@ -12,7 +12,8 @@ prefix mass is an integer on D_E, and a query x is placed among the
 endpoints by an integer bisect: e <= x exactly when e·D_E <= ⌊x·D_E⌋, and
 e < x exactly when e·D_E < ⌈x·D_E⌉.  `IntervalSet.phi_on` and
 `IntervalSet.ends_on` read the index on any integer scale S that D_E
-divides, as u ↦ S·Φ(u/S) and the endpoints as integers on S; the Fraction
+divides, as u ↦ S·Φ(u/S) and the endpoints as integers on S, and
+`IntervalSet.locate_on` inverts `phi_on` on the same scale; the Fraction
 readers (`cumulative`, `mass`, `locate`, `masses_from`, ...) are built on
 the same bisects and turn only their results into Fractions.
 """
@@ -266,16 +267,23 @@ class IntervalSet:
         Φ is constant across a gap of E, so a value m reached at a gap has
         the gap's left end as solution, and t always lies in (lo, hi] of a
         component.  Raises ValueError outside that range, where the solution
-        set is empty or unbounded.
+        set is empty or unbounded.  Read through `locate_on`.
         """
         m = rat(m)
+        scale = lcm(self.mass_scale, m.denominator)
+        return Fraction(self.locate_on(scale, on_scale(m, scale)), scale)
+
+    def locate_on(self, scale: int, y: int) -> int:
+        """The integer inverse of `phi_on`: u with u/scale the leftmost t
+        with Φ(t) = y/scale, for 0 < y <= scale·|E| and a scale that D_E
+        divides; ValueError outside that range."""
         D, ends, cum, _ = self._mass_index()
-        if not 0 < m.numerator * D <= cum[-1] * m.denominator:
-            raise ValueError(f"no leftmost t with Φ(t) = {m}")
-        j = bisect_left(cum, _ceil_on(m, D)) - 1
-        # cum[j] < m·D <= cum[j + 1]: the solution lies in component j
-        scale = lcm(D, m.denominator)
-        return Fraction((scale // D) * (ends[2 * j] - cum[j]) + on_scale(m, scale), scale)
+        m = scale // D
+        if not 0 < y <= m * cum[-1]:
+            raise ValueError(f"no leftmost t with Φ(t) = {Fraction(y, scale)}")
+        j = bisect_left(cum, -(-y // m)) - 1
+        # cum[j] < y/m <= cum[j + 1]: the solution lies in component j
+        return m * (ends[2 * j] - cum[j]) + y
 
     def masses_from(self, x0: RationalLike, b: RationalLike) -> list[tuple[Fraction, Fraction]]:
         """[(p, |E ∩ [x0, p]|)] for every endpoint p of E with x0 < p < b,

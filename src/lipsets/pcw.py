@@ -4,25 +4,27 @@ The carrier for every construction: rational breakpoints and values, linear
 interpolation in between, clamp-to-constant outside the domain (all the
 functions we build are constant off their active window).
 
-Every read-only check reads functions one of two ways.
+Every read-only check reads functions one of four ways.
 `sloped_segments(f, S)` walks f's segments of nonzero slope together with the
 components of a set S; `first_sloped_segment`, the check of slopes against a
-set, and `envelopes.verify_contraction`, the check of the increment bound
-|f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, read it.
-`grid_values(fs, lo, hi)` reads each f in fs on their merged grid
-(`merged_breakpoints`) through the sweep `PiecewiseLinear.at`; each f is
+set, reads it.  `grid_values(fs, lo, hi)` reads each f in fs on their merged
+grid (`merged_breakpoints`) through the sweep `PiecewiseLinear.at`; each f is
 linear between grid points, so comparing values there is exact.  It serves
 `add`, `sub`, `le`, `pl_min`, `pl_max`, `monotone_runs`,
-`PiecewiseLinear.__eq__`, the tube, persistence and radius checks and the
-lip-1 sum's constant-off-part diagnostic.
-
-`pl_sum`, the n-ary sum of the lip-1 construction, reads its terms on the
-same merged grid but in integers: breakpoints on the lcm of their
-denominators, values on the lcm of theirs, widened until every term's value
-at every grid point is an integer.  One walk per term adds, the kept points
-are found by comparing integer slopes crosswise, and only they become
-Fractions.  Its cost grows with the bit length of those lcms, as the
-sawtooth's (`constructions.small_lip_blocks`) does with its scale.
+`PiecewiseLinear.__eq__`, the persistence and radius checks and the lip-1
+sum's constant-off-part diagnostic.  `integer_grid(fs, lo, hi)` reads the
+same grid in integers: breakpoints on the lcm of their denominators, values
+on the lcm of theirs, widened until every value at every grid point is an
+integer, and one walk over each function's segments (`_walk`) gives its
+values there.  The tube checks `envelopes.Envelope.contains`, `is_inside`
+and `min_margin_on` compare those integers, and `pl_sum`, the n-ary sum of
+the lip-1 construction, adds them, finds the kept points by comparing
+integer slopes crosswise, and makes Fractions only of them.  Their cost
+grows with the bit length of those lcms, as the sawtooth's
+(`constructions.small_lip_blocks`) does with its scale.
+And `envelopes.verify_contraction`, the check of the increment bound
+|f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, reads f's own
+breakpoints and values as integers, on one scale with E's endpoints.
 
 The sweep and the grid order points by float keys (`_key`; E's mass index
 bisects integers instead): each function keeps the correctly rounded float of
@@ -33,11 +35,11 @@ and every output is that of exact comparisons.  The sweep returns a
 breakpoint's own value at it and a flat segment's value without arithmetic,
 and elsewhere interpolates as one integer fraction reduced once.
 
-`PiecewiseLinear.splice` is the only glue.  `ramp_to` integrates slope·1_E
-from the last point of a breakpoint list with two bisects into E's mass index
-for `envelopes.envelope_refine`; `build_signed_integral`, a second integrator
-kept on purpose, reads two sets' cumulative measures at their endpoints in a
-window for `build_phi` and `build_ternary_integral`.
+`PiecewiseLinear.splice` is the only glue.  `build_signed_integral`
+integrates the difference of two sets' indicators, reading their cumulative
+measures at their endpoints in a window, for `build_phi` and
+`build_ternary_integral`; refine's zigzag is integrated on E's mass index
+in `envelopes`.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, inf, lcm
-from operator import itemgetter, lt, sub
+from operator import add, itemgetter, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
@@ -224,13 +226,17 @@ class PiecewiseLinear:
         lo, hi = rat(lo), rat(hi)
         if not (self.domain.lo <= lo < hi <= self.domain.hi):
             raise ValueError("restriction outside domain")
+        return PiecewiseLinear._trusted(*self._clipped(lo, hi))
+
+    def _clipped(self, lo: Fraction, hi: Fraction) -> tuple[tuple, tuple, tuple]:
+        """The breakpoints, values and keys of self restricted to [lo, hi],
+        inside the domain with lo < hi: lo, the breakpoints strictly
+        between, hi."""
         bps, keys = self.breakpoints, self._keys
         i = _position(keys, bps, lo, bisect_right)
         j = _position(keys, bps, hi, bisect_left)
-        return PiecewiseLinear._trusted(
-            (lo, *bps[i:j], hi), (self(lo), *self.values[i:j], self(hi)),
-            (_key(lo), *keys[i:j], _key(hi)),
-        )
+        return ((lo, *bps[i:j], hi), (self(lo), *self.values[i:j], self(hi)),
+                (_key(lo), *keys[i:j], _key(hi)))
 
     def concat(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         if self.domain.hi != other.domain.lo:
@@ -338,22 +344,91 @@ def merged_breakpoints(fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction
     return out
 
 
-def grid_values(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None,
-                hi: Optional[RationalLike] = None) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """The merged grid of fs on [lo, hi] and each function's values on it.
-
-    By default [lo, hi] is the domain all of fs share (ValueError if they
+def _window(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike],
+            hi: Optional[RationalLike]) -> tuple[Fraction, Fraction]:
+    """[lo, hi], by default the domain all of fs share (ValueError if they
     differ); a given window must have lo < hi in every domain (ValueError)."""
     if lo is None:
         lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
         if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
             raise ValueError("domain mismatch")
-    else:
-        lo, hi = rat(lo), rat(hi)
-        if not all(f.breakpoints[0] <= lo < hi <= f.breakpoints[-1] for f in fs):
-            raise ValueError("window outside domain")
+        return lo, hi
+    lo, hi = rat(lo), rat(hi)
+    if not all(f.breakpoints[0] <= lo < hi <= f.breakpoints[-1] for f in fs):
+        raise ValueError("window outside domain")
+    return lo, hi
+
+
+def grid_values(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None,
+                hi: Optional[RationalLike] = None) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """The merged grid of fs on [lo, hi] and each function's values on it,
+    by default on the domain all of fs share (`_window`)."""
+    lo, hi = _window(fs, lo, hi)
     xs = merged_breakpoints(fs, lo, hi)
     return xs, [f.at(xs) for f in fs]
+
+
+def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None,
+                 hi: Optional[RationalLike] = None
+                 ) -> tuple[list[int], dict[int, Fraction], int, Iterator[list[int]]]:
+    """The merged grid of fs on [lo, hi] and each function's values on it,
+    in integers: (grid, point, W, columns), on the window of `grid_values`.
+
+    On a window each f is first cut to it, as `restrict` does but building
+    no function.  Every breakpoint becomes an integer X on S, the lcm of all
+    breakpoint denominators, and every value an integer V on W, the lcm of
+    all value denominators widened by the lcm of ΔX/gcd(ΔX, ΔV) over every
+    sloped segment of every f.  Then every slope ΔV/ΔX is an integer, and
+    so is each f's value at each grid point.  grid is the sorted distinct
+    X, point maps each X to a breakpoint of fs there, and columns yields,
+    for each f in order, its values on grid: one walk over f's segments
+    (`_walk`), never an interpolation per point.  That is O(grid) integer
+    operations per function on integers of about the bit length of S·W, so
+    the cost grows with the bit length of the lcms."""
+    if lo is None:
+        _window(fs, None, None)
+        parts = [(f.breakpoints, f.values) for f in fs]
+    else:
+        lo, hi = _window(fs, lo, hi)
+        parts = [f._clipped(lo, hi)[:2] for f in fs]
+    S = lcm(*{x.denominator for bps, _ in parts for x in bps})
+    W = lcm(*{v.denominator for _, vals in parts for v in vals})
+    terms = [([x.numerator * (S // x.denominator) for x in bps],
+              [v.numerator * (W // v.denominator) for v in vals]) for bps, vals in parts]
+    widen = lcm(*{dx // gcd(dx, dv) for X, V in terms
+                  for dx, dv in zip(map(sub, X[1:], X), map(sub, V[1:], V)) if dv})
+    point = {}  # X -> a breakpoint of fs there
+    for (bps, _), (X, _) in zip(parts, terms):
+        point.update(zip(X, bps))
+    grid = sorted(point)
+    terms.reverse()  # popped in order, so each term's lists are freed once walked
+    columns = (_walk(grid, *terms.pop(), widen) for _ in range(len(terms)))
+    return grid, point, W * widen, columns
+
+
+def _walk(grid: list[int], X: list[int], V: list[int], widen: int) -> list[int]:
+    """The values V·widen of one function at every point of grid, for X
+    with the grid's ends and every slope of V·widen an integer: a segment's
+    start takes its value, and the grid points strictly inside it
+    v0 + slope·(X - X0)."""
+    if widen > 1:
+        V = [v * widen for v in V]
+    out = []
+    k = 0  # grid[k] = x0
+    for x0, x1, v0, v1 in zip(X, islice(X, 1, None), V, islice(V, 1, None)):
+        if grid[k + 1] == x1:
+            out.append(v0)
+            k += 1
+            continue
+        end = bisect_left(grid, x1, k + 2)
+        if v0 == v1:
+            out += repeat(v0, end - k)
+        else:
+            slope = (v1 - v0) // (x1 - x0)  # exact: W is widened for it
+            out += [v0 + slope * (x - x0) for x in grid[k:end]]
+        k = end
+    out.append(V[-1])
+    return out
 
 
 def _pick(f: PiecewiseLinear, g: PiecewiseLinear, choose) -> PiecewiseLinear:
@@ -386,54 +461,23 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     or the domains differ.  The result is that of reading every term on the
     merged grid (`grid_values`), adding Fractions and simplifying.
 
-    The sum is computed on one integer scale.  Every breakpoint becomes an
-    integer X on S, the lcm of all breakpoint denominators, and every value
-    an integer V on W, the lcm of all value denominators widened by the lcm
-    of ΔX/gcd(ΔX, ΔV) over every sloped segment of every term.  Then every
-    slope ΔV/ΔX is an integer, and so is each term's value at each point of
-    the merged grid.  One walk per term adds its values there; a point is
-    kept where the slopes on its two sides differ,
-    (V_k - V_{k-1})(X_{k+1} - X_k) != (V_{k+1} - V_k)(X_k - X_{k-1}).  That
-    is O(grid) integer operations per term on integers of about the bit
-    length of S·W, so the cost grows with the bit length of the lcms.  Only
+    The sum is computed on `integer_grid`'s scales, where every term's value
+    at every grid point is an integer.  Each column adds to the total; a
+    point is kept where the slopes on its two sides differ,
+    (V_k - V_{k-1})(X_{k+1} - X_k) != (V_{k+1} - V_k)(X_k - X_{k-1}).  Only
     kept points become Fractions: a breakpoint is a term's own, and each
     distinct value is one division by W.
     """
     if not fs:
         raise ValueError("need at least one function")
-    lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
-    if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
-        raise ValueError("domain mismatch")
-    S = lcm(*{x.denominator for f in fs for x in f.breakpoints})
-    W = lcm(*{v.denominator for f in fs for v in f.values})
-    terms = [([x.numerator * (S // x.denominator) for x in f.breakpoints],
-              [v.numerator * (W // v.denominator) for v in f.values]) for f in fs]
-    widen = lcm(*{dx // gcd(dx, dv) for X, V in terms
-                  for dx, dv in zip(map(sub, X[1:], X), map(sub, V[1:], V)) if dv})
-    point = {}  # X -> a term's own breakpoint there
-    for f, (X, _) in zip(fs, terms):
-        point.update(zip(X, f.breakpoints))
-    grid = sorted(point)
-    total = [0] * len(grid)
-    while terms:  # popped, so each term's lists are freed once it is added
-        X, V = terms.pop()
-        if widen > 1:
-            V = [v * widen for v in V]
-        k = 0  # grid[k] = x0
-        for x0, x1, v0, v1 in zip(X, X[1:], V, V[1:]):
-            total[k] += v0
-            end = k + 1 if grid[k + 1] == x1 else bisect_left(grid, x1, k + 2)
-            if end > k + 1 and (v0 or v1):  # grid points strictly inside the segment
-                slope = (v1 - v0) // (x1 - x0)  # exact: W is widened for it
-                for j in range(k + 1, end):
-                    total[j] += v0 + slope * (grid[j] - x0)
-            k = end
-        total[-1] += V[-1]
+    grid, point, W, columns = integer_grid(fs)
+    total = next(columns)
+    for column in columns:
+        total = list(map(add, total, column))
     rows = zip(grid, islice(grid, 1, None), islice(grid, 2, None),
                total, islice(total, 1, None), islice(total, 2, None))
     keep = [0, *(k for k, (x0, x1, x2, v0, v1, v2) in enumerate(rows, 1)
                  if (v1 - v0) * (x2 - x1) != (v2 - v1) * (x1 - x0)), len(grid) - 1]
-    W *= widen
     xs = tuple(point[grid[k]] for k in keep)
     value = {}  # a sawtooth sum of thousands of points has a few dozen values
     vs = tuple(value[t] if t in value else value.setdefault(t, Fraction(t, W))
@@ -509,19 +553,6 @@ def build_signed_integral(
     base = plus.cumulative(basepoint) - minus.cumulative(basepoint)
     vals = [plus.cumulative(p) - minus.cumulative(p) - base for p in bps]
     return PiecewiseLinear(bps, vals).simplify()
-
-
-def ramp_to(
-    xs: list[Fraction], vs: list[Fraction], E: IntervalSet, slope: Fraction, b: Fraction
-) -> None:
-    """Extend the breakpoints xs and values vs from their last point (x0, v0)
-    to b > x0 with v0 + slope·|E ∩ [x0, p]|, at every endpoint p of E
-    strictly inside (x0, b) and then at b: slope on E, 0 off E.  Two bisects
-    per call (`IntervalSet.masses_from`).  It serves envelope_refine only."""
-    v0 = vs[-1]
-    for p, m in E.masses_from(xs[-1], b):
-        xs.append(p)
-        vs.append(v0 + slope * m)
 
 
 def build_phi(

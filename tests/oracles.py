@@ -20,6 +20,14 @@ Fraction comparisons only and interpolate on every segment.
 `ref_pl_sum` is the n-ary sum in Fractions: every term read on the merged
 grid by `grid_values`, one Fraction add per term and point, then `simplify`.
 
+`ref_balance_point`, `ref_refine_blocks` and `ref_block_bounds` are refine's
+steps in Fractions: the balance point as `balance_point` solved it, the
+zigzag as one balance point and two `ref_ramp_to` ramps per block, and the
+block ends with one Fraction step per block.  The tube checks' slow paths
+(`ref_min_margin_on`, `ref_vicinity_contains`, `ref_vicinity_is_inside`,
+`ref_contraction_by_bisects`) build intermediate functions or bisect per
+point.
+
 `ref_case_split_candidates` is the stage witness case split as it read
 before it was written in x's own coordinates: it reflects x, its run and
 its neighbour to -x when x sits in the right half of its run.
@@ -33,6 +41,7 @@ where the library compares integer rows on one scale.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -367,6 +376,54 @@ def ref_ramp_to(xs, vs, E, slope, b):
             vs.append(v0 + slope * (E.cumulative(p) - base))
     xs.append(b)
     vs.append(v0 + slope * (E.cumulative(b) - base))
+
+
+def ref_balance_point(E, r, s, target, delta):
+    """`balance_point` in Fractions: the leftmost inverse of Φ at
+    Φ(r) + (A + target/(1-δ))/2 with A = |E ∩ [r, s]|, the midpoint of a
+    block with no mass; ValueError on an unsolvable target."""
+    phi_r = ref_cumulative(E, r)
+    A = ref_cumulative(E, s) - phi_r
+    tau = target / (1 - delta)
+    if A == 0:
+        if target != 0:
+            raise ValueError("unsolvable target: block carries no E-mass")
+        return (r + s) / 2
+    if abs(tau) >= A:
+        raise ValueError("unsolvable target (precondition violated)")
+    return ref_locate(E, phi_r + (A + tau) / 2)
+
+
+def ref_refine_blocks(E, evens, f_evens, delta):
+    """(division, xs, vs) of refine's zigzag as the Fraction loop: per
+    block [a, b] a balance point t, then a ramp of slope 1 - δ to t and one
+    of slope δ - 1 to b."""
+    division, xs, vs = [evens[0]], [evens[0]], [f_evens[0]]
+    for a, b, fa, fb in zip(evens, evens[1:], f_evens, f_evens[1:]):
+        mid = ref_balance_point(E, a, b, fb - fa, delta)
+        division += [mid, b]
+        ref_ramp_to(xs, vs, E, 1 - delta, mid)
+        ref_ramp_to(xs, vs, E, delta - 1, b)
+    assert vs[-1] == f_evens[-1], "telescoping failure"
+    return division, xs, vs
+
+
+def ref_block_bounds(margin, c, d, L):
+    """refine's block ends in Fractions: from p, step = margin(p)/(2(2 + L)),
+    q the largest point of 2^-m Z at or below p + step with
+    m = 3 + bit_length(⌊1/step⌋), capped at d, and d itself when d - q < step/2."""
+    denom = 2 * (2 + L)
+    out = [c]
+    p = c
+    while p < d:
+        step = margin(p) / denom
+        scale = 2 ** (3 + (step.denominator // step.numerator).bit_length())
+        q = min(d, Fraction(math.floor((p + step) * scale), scale))
+        if d - q < step / 2:
+            q = d
+        out.append(q)
+        p = q
+    return out
 
 
 def ref_min_margin_on(tube, g, lo, hi):

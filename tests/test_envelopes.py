@@ -12,6 +12,7 @@ from lipsets.envelopes import (
     RefineResult,
     _adaptive_block_bounds,
     _least_radius,
+    _zigzag,
     envelope_flatten,
     envelope_refine,
     verify_contraction,
@@ -25,13 +26,20 @@ from lipsets.pcw import (
 from oracles import (
     ref_band_margin_on,
     ref_between,
+    ref_block_bounds,
     ref_contraction_by_bisects,
     ref_contraction_witness,
+    ref_cumulative,
+    ref_mass,
     ref_min_margin_on,
+    ref_refine_blocks,
     ref_vicinity_contains,
     ref_vicinity_is_inside,
 )
-from strategies import TIE_POINTS, float_tie_functions, near_and_between, pl_functions, points
+from strategies import (
+    TIE_POINTS, float_tie_functions, float_tie_sets, near_and_between, non_dyadic,
+    non_dyadic_functions, non_dyadic_sets, pl_functions, points,
+)
 
 F = Fraction
 
@@ -599,3 +607,207 @@ def test_adaptive_blocks_end_on_dyadic_grids(margin, c, d):
        st.lists(points, min_size=2, max_size=2, unique=True))
 def test_adaptive_blocks_end_on_dyadic_grids_on_random_margins(margin, window):
     _assert_dyadic_blocks(margin, *sorted(window))
+
+
+# -- refine's integer steps against their Fraction versions ---------------------------
+
+# (sets, points, functions on [lo, hi]) of three families: dyadic endpoints
+# with degenerate components; the float-tie points, 2^-70 apart and one
+# beyond 10^400; denominators 3·2^k, 1000 and 77
+WALK_FAMILIES = {
+    "dyadic": (st.tuples(st.lists(st.tuples(dyadic, dyadic), max_size=4),
+                         st.lists(dyadic, max_size=2)).map(
+        lambda ps: IntervalSet([Interval(min(a, b), max(a, b)) for a, b in ps[0]]
+                               + [Interval.point(p) for p in ps[1]], allow_degenerate=True)),
+        dyadic, lambda lo, hi: pl_functions(lo, hi)),
+    "float-tie": (float_tie_sets(), st.sampled_from(TIE_POINTS),
+                  lambda lo, hi: float_tie_functions(domain=(lo, hi))),
+    "non-dyadic": (non_dyadic_sets(), non_dyadic, lambda lo, hi: non_dyadic_functions()),
+}
+
+
+def _balance_taus(E, a, b):
+    """The τ = target/(1-δ) of the block [a, b] whose balance point is an
+    endpoint e of E inside it: 2(Φ(e) - Φ(a)) - A with A = |E ∩ [a, b]|."""
+    A, phi_a = ref_mass(E, a, b), ref_cumulative(E, a)
+    taus = {2 * (ref_cumulative(E, e) - phi_a) - A for e in E.endpoints() if a < e < b}
+    return sorted(t for t in taus if abs(t) < A)
+
+
+@pytest.mark.parametrize("family", WALK_FAMILIES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_zigzag_matches_the_fraction_loop(family, data):
+    # each block's target is 0, a share of the most it allows, of either
+    # sign, or one whose balance point is an endpoint of E (the right end
+    # of a component, or a degenerate one); blocks without mass take 0
+    sets, pts, _ = WALK_FAMILIES[family]
+    E = data.draw(sets)
+    evens = sorted(data.draw(st.sets(pts, min_size=2, max_size=6)))
+    delta = data.draw(st.sampled_from([F(1, 8), F(1, 512)]))
+    f_evens = [data.draw(st.sampled_from([F(0), F(1, 3), F(-5, 7)]))]
+    for a, b in zip(evens, evens[1:]):
+        A = ref_mass(E, a, b)
+        shares = [F(0), F(1, 3), F(-2, 3), F(99, 100), F(-99, 100)]
+        tau = data.draw(st.sampled_from([share * A for share in shares] + _balance_taus(E, a, b)))
+        f_evens.append(f_evens[-1] + (1 - delta) * tau)
+    division, xs, vs = _zigzag(E, evens, f_evens, delta)
+    assert (division, xs, vs) == ref_refine_blocks(E, evens, f_evens, delta)
+    assert division[::2] == evens
+    PiecewiseLinear(xs, vs)  # strictly increasing breakpoints
+
+
+def test_zigzag_balances_on_a_components_right_end():
+    # on [0, 1] with A = 3/4, τ = -1/4 asks for Φ(t) = 1/4, reached on all
+    # of [1/4, 1/2]: the leftmost t, the right end of [0, 1/4], is taken
+    E = iset((0, F(1, 4)), (F(1, 2), 1))
+    delta = F(1, 8)
+    f_evens = [F(0), (1 - delta) * F(-1, 4)]
+    division, xs, vs = _zigzag(E, [F(0), F(1)], f_evens, delta)
+    assert division == [0, F(1, 4), 1]
+    assert xs == [0, F(1, 4), F(1, 2), 1]
+    assert vs == [0, F(7, 32), F(7, 32), f_evens[1]]
+    assert (division, xs, vs) == ref_refine_blocks(E, [F(0), F(1)], f_evens, delta)
+
+
+def test_zigzag_crosses_a_block_without_mass():
+    # the middle block holds only the degenerate component {1/2}: it keeps
+    # f flat, is cut at its midpoint, and lists 1/2 once
+    E = IntervalSet([Interval(F(0), F(1, 4)), Interval.point(F(1, 2)), Interval(F(3, 4), F(1))],
+                    allow_degenerate=True)
+    evens = [F(0), F(1, 4), F(5, 8), F(1)]
+    f_evens = [F(0), F(1, 16), F(1, 16), F(0)]
+    division, xs, vs = _zigzag(E, evens, f_evens, F(1, 8))
+    assert division[2:5] == [F(1, 4), F(7, 16), F(5, 8)]
+    assert xs[xs.index(F(1, 4)):xs.index(F(5, 8)) + 1] == [F(1, 4), F(7, 16), F(1, 2), F(5, 8)]
+    assert (division, xs, vs) == ref_refine_blocks(E, evens, f_evens, F(1, 8))
+
+
+@pytest.mark.parametrize("E, target, message", [
+    (iset((2, 3)), F(1, 16), "block carries no E-mass"),
+    (iset((0, F(1, 2))), F(7, 16), "precondition violated"),  # |τ| = A
+    (iset((0, F(1, 2))), -F(1, 2), "precondition violated"),  # |τ| > A
+])
+def test_zigzag_rejects_an_unsolvable_target(E, target, message):
+    for walk in (_zigzag, ref_refine_blocks):
+        with pytest.raises(ValueError, match=message):
+            walk(E, [F(0), F(1)], [F(0), target], F(1, 8))
+
+
+def _tight_and_loose(E, f, factor):
+    """f, the tightest contraction (1-δ)φ from f's left end and 65/64 of it."""
+    lo, hi = f.breakpoints[0], f.breakpoints[-1]
+    tight = build_phi(E, lo, Interval(lo, hi)).scale(factor)
+    return f, tight, tight.scale(F(65, 64))
+
+
+@pytest.mark.parametrize("family", WALK_FAMILIES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_verify_contraction_matches_bisects_at_the_first_failing_factor(family, data):
+    # factors from 1 down to 0: the verdicts agree at every factor, and
+    # the first factor that fails has the oracle's witness
+    sets, pts, functions = WALK_FAMILIES[family]
+    E = data.draw(sets)
+    lo, hi = sorted(data.draw(st.sets(pts, min_size=2, max_size=2)))
+    if family == "non-dyadic":
+        lo, hi = F(0), F(1)
+    factors = [F(1), F(7, 8), F(2, 3), F(1, 77), F(0)]
+    for g in _tight_and_loose(E, data.draw(functions(lo, hi)), F(2, 3)):
+        got = [verify_contraction(g, E, k) for k in factors]
+        assert got == [ref_contraction_by_bisects(g, E, k) for k in factors]
+        failing = [w for w in got if w is not None]
+        if failing:
+            p, q, df, allowed = failing[0]
+            assert df == abs(g(q) - g(p)) > allowed
+
+
+def _off_grid(fs):
+    """Window ends in [0, 1] with denominators 97 and 101, none of them a
+    breakpoint of fs."""
+    bps = {x for f in fs for x in f.breakpoints}
+    ends = st.integers(1, 96).map(lambda k: F(k, 97)) | st.integers(1, 100).map(
+        lambda k: F(k, 101))
+    return st.sets(ends.filter(lambda x: x not in bps), min_size=2, max_size=2).map(sorted)
+
+
+nonneg_non_dyadic = non_dyadic_functions().map(
+    lambda f: PiecewiseLinear(f.breakpoints, [abs(v) for v in f.values]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(non_dyadic_functions(), nonneg_non_dyadic, non_dyadic_functions(),
+       non_dyadic_functions(), nonneg_non_dyadic, st.data())
+def test_tube_checks_match_the_oracles_off_the_dyadic_grid(c, r, h, h2, extra, data):
+    # values off the dyadic grid, sloped across the other functions'
+    # breakpoints, need the widened value scale; the windows of
+    # min_margin_on end off every breakpoint
+    v = Envelope(c, r)
+    g = c + h.scale(F(1, 8))
+    assert v.contains(g) == ref_vicinity_contains(c, r, g)
+    assert v.contains(c)
+    w = Envelope(c + h2.scale(F(1, 8)), r + extra)
+    assert v.is_inside(w) == ref_vicinity_is_inside(v, w)
+    assert w.is_inside(v) == ref_vicinity_is_inside(w, v)
+    lo, hi = data.draw(_off_grid((c, r, g)))
+    assert v.min_margin_on(g, lo, hi) == ref_min_margin_on(v, g, lo, hi)
+    assert v.min_margin_on(c, lo, hi) == r.restrict(lo, hi).min_value()
+
+
+def test_tube_checks_need_the_widened_scale():
+    # c = x/3 on the grid {0, 1/2, 1}: on the value scale 15 of c and r,
+    # c(1/2) = 1/6 is 5/2, so the scale is doubled; the margin is least there
+    c = PiecewiseLinear([0, 1], [0, F(1, 3)])
+    r = PiecewiseLinear([0, F(1, 2), 1], [1, F(1, 5), 1])
+    v = Envelope(c, r)
+    assert v.min_margin_on(ZERO, 0, 1) == F(1, 30) == ref_min_margin_on(v, ZERO, 0, 1)
+    assert v.min_margin_on(ZERO, F(1, 7), F(2, 3)) == F(1, 30)
+    touching = Envelope(c, PiecewiseLinear([0, F(1, 2), 1], [1, F(1, 6), 1]))
+    assert touching.contains(ZERO) and touching.min_margin_on(ZERO, 0, 1) == 0
+    short = Envelope(c, PiecewiseLinear([0, F(1, 2), 1], [1, F(1, 6) - F(1, 1000), 1]))
+    assert not short.contains(ZERO)
+    assert ref_vicinity_contains(c, short.radius, ZERO) is False
+    outer = Envelope(ZERO, r)
+    assert Envelope(c, PiecewiseLinear.constant(0, W01)).is_inside(outer)
+    assert not Envelope(c, PiecewiseLinear.constant(F(1, 30) + F(1, 1000), W01)).is_inside(outer)
+
+
+# margins with breakpoints on the 1/24 grid and values in [1/3, 1], and
+# segment ends off it, with denominators 77 and 1000
+twenty_fourths = st.integers(0, 24).map(lambda k: F(k, 24))
+off_dyadic = st.integers(1, 76).map(lambda k: F(k, 77)) | st.integers(1, 999).map(
+    lambda k: F(k, 1000))
+
+
+@st.composite
+def non_dyadic_margins(draw):
+    xs = sorted({F(0), F(1), *draw(st.sets(twenty_fourths, max_size=6))})
+    vs = draw(st.lists(st.integers(2, 6).map(lambda k: F(k, 6)), min_size=len(xs),
+                       max_size=len(xs)))
+    return PiecewiseLinear(xs, vs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(non_dyadic_margins(), pl_functions(value=st.integers(4, 32).map(
+    lambda k: F(k, 51)))), st.sets(off_dyadic | points, min_size=2, max_size=2))
+def test_block_bounds_match_the_fraction_version(margin, window):
+    c, d = sorted(window)
+    L = max(map(abs, margin.slopes()))
+    assert _adaptive_block_bounds(margin, c, d, L) == ref_block_bounds(margin, c, d, L)
+
+
+# a constant margin 1/2 with L = 0 has step 1/8 and grid 2^-7 from 0: the
+# first end is 1/8, and the sliver d - 1/8 merges when it is below 1/16
+@pytest.mark.parametrize("c, d, bounds", [
+    (F(0), F(3, 16), [F(0), F(1, 8), F(3, 16)]),  # d - q = step/2: kept
+    (F(0), F(3, 16) - F(1, 1024), [F(0), F(3, 16) - F(1, 1024)]),  # merged
+    (F(0), F(1, 8) + F(1, 77), [F(0), F(1, 8) + F(1, 77)]),  # merged, non-dyadic d
+    (F(0), F(1, 16), [F(0), F(1, 16)]),  # q capped at d
+    (F(1, 77), F(3, 7), None),  # non-dyadic c and d
+])
+def test_block_bounds_merge_a_sliver(c, d, bounds):
+    margin = PiecewiseLinear.constant(F(1, 2), W01)
+    got = _adaptive_block_bounds(margin, c, d, F(0))
+    assert got == ref_block_bounds(margin, c, d, F(0))
+    if bounds is not None:
+        assert got == bounds

@@ -22,7 +22,7 @@ from oracles import (
     ref_masses_from,
     to_cells,
 )
-from strategies import TIE_POINTS, float_tie_sets, near_and_between
+from strategies import TIE_POINTS, float_tie_sets, near_and_between, non_dyadic_sets
 
 F = Fraction
 
@@ -401,6 +401,25 @@ def test_float_ties_match_exact_bisects(s, data):
     _, cum = ref_index(s)
     for m in near_and_between(cum):
         assert _outcome(s.locate, m) == _outcome(ref_locate, s, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(float_tie_sets(), non_dyadic_sets()), st.sampled_from([1, 2, 3, 1000]),
+       st.data())
+def test_locate_on_inverts_phi_on(s, factor, data):
+    # on any scale that D_E divides, the integer u of the leftmost t with
+    # Φ(t) = y/scale; at and next to every prefix mass, and anywhere inside
+    scale = s.mass_scale * factor
+    _, cum = ref_index(s)
+    total = cum[-1] * scale
+    ys = {c * scale + d for c in cum for d in (-1, 0, 1)}
+    ys.add(data.draw(st.integers(0, total)))
+    for y in sorted(ys):
+        expected = _outcome(ref_locate, s, F(y, scale))
+        u = _outcome(s.locate_on, scale, y)
+        assert u == (expected if expected is ValueError else expected * scale), y
+        if u is not ValueError:
+            assert s.phi_on(scale, u) == y
 
 
 def test_float_ties_at_a_hand_made_set():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipsets.envelopes import verify_contraction
+from lipsets.envelopes import _zigzag, verify_contraction
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import (
     PiecewiseLinear,
@@ -22,7 +22,6 @@ from lipsets.pcw import (
     pl_max,
     pl_min,
     pl_sum,
-    ramp_to,
     sloped_segments,
 )
 
@@ -35,7 +34,7 @@ from oracles import (
     ref_merged_breakpoints,
     ref_pick,
     ref_pl_sum,
-    ref_ramp_to,
+    ref_refine_blocks,
     ref_simplify,
     ref_sloped_segments,
     ref_splice,
@@ -187,57 +186,74 @@ def sets_with_points():
 
 
 class TestRamp:
+    """The zigzag's ramps: refine's walk (`envelopes._zigzag`) over one
+    block [x0, b], whose target f(b) - f(x0) is a share of the most the
+    block allows, (1-δ)|E ∩ [x0, b]|."""
+
+    @staticmethod
+    def block(E, x0, b, share, delta, v0=F(3)):
+        """_zigzag over the one block [x0, b], from v0 to v0 + target."""
+        target = share * (1 - delta) * E.mass(x0, b)
+        return _zigzag(E, [x0, b], [v0, v0 + target], delta)
+
     @settings(max_examples=150)
-    @given(small_sets(), rationals, rationals, st.sampled_from([F(1), F(-7, 8), F(0)]))
-    def test_matches_phi_at_its_breakpoints(self, E, x0, b, slope):
-        # the ramp is v0 + slope·(φ(p) - φ(x0)) at φ's breakpoints inside
-        # (x0, b) and at b, the per-point loop it replaced
+    @given(small_sets(), rationals, rationals, st.sampled_from([F(3, 4), F(-7, 8), F(0)]))
+    def test_matches_phi_at_its_breakpoints(self, E, x0, b, share):
+        # the zigzag rises with slope 1 - δ on E from (x0, 3) to the balance
+        # point t and falls back: 3 + (1-δ)(min(φ(p), 2φ(t) - φ(p)) - φ(x0))
+        # at t, φ's breakpoints inside (x0, b) and b
         if not x0 < b:
             return
+        delta = F(1, 8)
         phi = build_phi(E, 0, window=Interval(F(-5), F(5)))
-        xs, vs = [F(-5), x0], [F(0), F(3)]
-        ramp_to(xs, vs, E, slope, b)
-        expected = [x0, *(p for p in phi.breakpoints if x0 < p < b), b]
-        assert xs[1:] == expected
-        assert vs[1:] == [3 + slope * (phi(p) - phi(x0)) for p in expected]
+        division, xs, vs = self.block(E, x0, b, share, delta)
+        t = division[1]
+        expected = sorted({t, *(p for p in phi.breakpoints if x0 < p < b)})
+        assert division == [x0, t, b]
+        assert xs == [x0, *expected, b]
+        assert vs == [3 + (1 - delta) * (min(phi(p), 2 * phi(t) - phi(p)) - phi(x0))
+                      for p in xs]
+        rise, fall = phi(t) - phi(x0), phi(b) - phi(t)
+        assert (1 - delta) * (rise - fall) == share * (1 - delta) * E.mass(x0, b)
 
     def test_degenerate_component_once(self):
         E = IntervalSet.from_pairs([(0, 1), (2, 2), (3, 4)], allow_degenerate=True)
-        xs, vs = [F(-1)], [F(0)]
-        ramp_to(xs, vs, E, F(1), F(7, 2))
-        assert xs == [-1, 0, 1, 2, 3, F(7, 2)]
-        assert vs == [0, 0, 1, 1, 1, F(3, 2)]
+        division, xs, vs = self.block(E, F(-1), F(7, 2), F(0), F(1, 8), v0=F(0))
+        assert division == [-1, F(3, 4), F(7, 2)]
+        assert xs == [-1, 0, F(3, 4), 1, 2, 3, F(7, 2)]
+        assert vs == [0, 0, F(21, 32), F(7, 16), F(7, 16), F(7, 16), 0]
         PiecewiseLinear(xs, vs)  # strictly increasing breakpoints
 
     @settings(max_examples=200)
     @given(sets_with_points(), sixteenths, sixteenths,
-           st.sampled_from([F(1), F(-1), F(-7, 8), F(3, 2), F(0)]))
-    def test_matches_per_point_ramp(self, E, x0, b, slope):
+           st.sampled_from([F(1, 2), F(-1, 2), F(-15, 16), F(0)]),
+           st.sampled_from([F(1, 8), F(1, 512)]))
+    def test_matches_per_point_ramp(self, E, x0, b, share, delta):
         # x0 and b fall on endpoints, inside components and in gaps
         if not x0 < b:
             return
-        xs, vs = [F(-3), x0], [F(0), F(5, 4)]
-        ref_xs, ref_vs = list(xs), list(vs)
-        ramp_to(xs, vs, E, slope, b)
-        ref_ramp_to(ref_xs, ref_vs, E, slope, b)
-        assert (xs, vs) == (ref_xs, ref_vs)
+        target = share * (1 - delta) * E.mass(x0, b)
+        args = (E, [x0, b], [F(5, 4), F(5, 4) + target], delta)
+        assert self.block(E, x0, b, share, delta, F(5, 4)) == ref_refine_blocks(*args)
 
     @pytest.mark.parametrize("x0, b", [
         (F(0), F(3)),          # both on endpoints
-        (F(1, 2), F(5, 2)),    # both in gaps
+        (F(1, 2), F(5, 2)),    # both in gaps: no mass
         (F(1), F(7, 2)),       # x0 on an endpoint, b inside a component
-        (F(3, 2), F(2)),       # x0 in a gap, b on a degenerate component
+        (F(3, 2), F(2)),       # x0 in a gap, b on a degenerate component: no mass
         (F(-1), F(5)),         # both outside E's hull
     ])
-    @pytest.mark.parametrize("slope", [F(1), F(-3, 4)])
+    @pytest.mark.parametrize("slope", [F(7, 8), F(511, 512)])
     def test_endpoints_gaps_and_degenerate_components(self, x0, b, slope):
+        # the zigzag's slopes are ±slope, so δ = 1 - slope
         E = IntervalSet.from_pairs([(0, F(1, 4)), (1, 1), (2, 2), (3, 4)], allow_degenerate=True)
-        xs, vs = [x0], [F(1)]
-        ref_xs, ref_vs = [x0], [F(1)]
-        ramp_to(xs, vs, E, slope, b)
-        ref_ramp_to(ref_xs, ref_vs, E, slope, b)
-        assert (xs, vs) == (ref_xs, ref_vs)
-        PiecewiseLinear(xs, vs)  # strictly increasing breakpoints
+        delta = 1 - slope
+        shares = (F(0), F(1, 2), F(-1, 2)) if E.mass(x0, b) else (F(0),)
+        for share in shares:
+            target = share * slope * E.mass(x0, b)
+            division, xs, vs = self.block(E, x0, b, share, delta, F(1))
+            assert (division, xs, vs) == ref_refine_blocks(E, [x0, b], [F(1), 1 + target], delta)
+            PiecewiseLinear(xs, vs)  # strictly increasing breakpoints
 
 
 class TestMRatio:

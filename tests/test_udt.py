@@ -177,9 +177,9 @@ class TestTwoStages:
 
 
 def test_read_only_checks_build_no_function(monkeypatch, two_stages):
-    # every exact check reads the stages through sloped_segments or
-    # grid_values: with every way to build a function made to raise, each
-    # still returns its verdict
+    # every exact check reads the stages through sloped_segments,
+    # grid_values or integer_grid, or on its own integer scale: with every
+    # way to build a function made to raise, each still returns its verdict
     def no_build(*args, **kwargs):
         raise AssertionError("a read-only check built a function")
 
