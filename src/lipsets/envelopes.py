@@ -73,20 +73,20 @@ class Envelope:
 
     def contains(self, g: PiecewiseLinear) -> bool:
         """|g - c| <= r at the grid points: exact, as |g - c| - r is convex between them."""
-        _, _, _, (gs, cs, rs) = integer_grid((g, self.center, self.radius))
+        _, _, _, _, (gs, cs, rs) = integer_grid((g, self.center, self.radius))
         return all(abs(a - b) <= r for a, b, r in zip(gs, cs, rs))
 
     def is_inside(self, other: "Envelope") -> bool:
         """Sufficient exact check for {g : |g-c| <= r} ⊆ {g : |g-c'| <= r'}:
         |c - c'| + r <= r' at the grid points: exact, as it is convex between them."""
         fs = (self.center, self.radius, other.center, other.radius)
-        _, _, _, (cs, rs, cs2, rs2) = integer_grid(fs)
+        _, _, _, _, (cs, rs, cs2, rs2) = integer_grid(fs)
         return all(abs(a - b) + r <= r2 for a, r, b, r2 in zip(cs, rs, cs2, rs2))
 
     def min_margin_on(self, g: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Fraction:
         """Exact min over [lo, hi] of r - |g - c|, which is concave between
         grid points, so its min is at one."""
-        _, _, W, (gs, cs, rs) = integer_grid((g, self.center, self.radius), lo, hi)
+        _, _, _, W, (gs, cs, rs) = integer_grid((g, self.center, self.radius), lo, hi)
         return Fraction(min(r - abs(a - b) for a, b, r in zip(gs, cs, rs)), W)
 
 

@@ -14,7 +14,7 @@ e < x exactly when e·D_E < ⌈x·D_E⌉.  `IntervalSet.phi_on` and
 `IntervalSet.ends_on` read the index on any integer scale S that D_E
 divides, as u ↦ S·Φ(u/S) and the endpoints as integers on S, and
 `IntervalSet.locate_on` inverts `phi_on` on the same scale; the Fraction
-readers (`cumulative`, `mass`, `locate`, `masses_from`, ...) are built on
+readers (`cumulative`, `mass`, `locate`, `endpoints_in`, ...) are built on
 the same bisects and turn only their results into Fractions.
 """
 
@@ -284,26 +284,6 @@ class IntervalSet:
         j = bisect_left(cum, -(-y // m)) - 1
         # cum[j] < y/m <= cum[j + 1]: the solution lies in component j
         return m * (ends[2 * j] - cum[j]) + y
-
-    def masses_from(self, x0: RationalLike, b: RationalLike) -> list[tuple[Fraction, Fraction]]:
-        """[(p, |E ∩ [x0, p]|)] for every endpoint p of E with x0 < p < b,
-        in order and each once (a degenerate component gives one p), then
-        for p = b, for x0 <= b.  Two bisects locate x0 and b in the mass
-        index; the rest is a forward walk over it, in O(log n + k)."""
-        x0, b = rat(x0), rat(b)
-        D, ends, cum, fracs = self._mass_index()
-        scale = lcm(D, x0.denominator, b.denominator)
-        m, u0, ub = scale // D, on_scale(x0, scale), on_scale(b, scale)
-        base = self.phi_on(scale, u0)
-        out = []
-        last = None
-        for i in range(bisect_right(ends, u0 // m), bisect_left(ends, -(-ub // m))):
-            p = ends[i]
-            if p != last:  # Φ(lo_j) = cum[j], Φ(hi_j) = cum[j + 1]
-                out.append((fracs[i], Fraction(m * cum[(i + 1) >> 1] - base, scale)))
-                last = p
-        out.append((b, Fraction(self.phi_on(scale, ub) - base, scale)))
-        return out
 
     def endpoints_in(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
         """The endpoints e with lo <= e <= hi, in order, in O(log n + k)."""

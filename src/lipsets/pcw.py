@@ -10,17 +10,20 @@ components of a set S; `first_sloped_segment`, the check of slopes against a
 set, reads it.  `grid_values(fs, lo, hi)` reads each f in fs on their merged
 grid (`merged_breakpoints`) through the sweep `PiecewiseLinear.at`; each f is
 linear between grid points, so comparing values there is exact.  It serves
-`add`, `sub`, `le`, `pl_min`, `pl_max`, `monotone_runs`,
-`PiecewiseLinear.__eq__`, the persistence and radius checks and the lip-1
-sum's constant-off-part diagnostic.  `integer_grid(fs, lo, hi)` reads the
-same grid in integers: breakpoints on the lcm of their denominators, values
-on the lcm of theirs, widened until every value at every grid point is an
-integer, and one walk over each function's segments (`_walk`) gives its
-values there.  The tube checks `envelopes.Envelope.contains`, `is_inside`
-and `min_margin_on` compare those integers, and `pl_sum`, the n-ary sum of
-the lip-1 construction, adds them, finds the kept points by comparing
-integer slopes crosswise, and makes Fractions only of them.  Their cost
-grows with the bit length of those lcms, as the sawtooth's
+`add`, `sub`, `le`, `monotone_runs`, `PiecewiseLinear.__eq__`, the
+persistence and radius checks and the lip-1 sum's constant-off-part
+diagnostic.  `integer_grid(fs, lo, hi)` reads the same grid in integers:
+breakpoints on the lcm of their denominators, values on the lcm of theirs,
+widened until every value at every grid point is an integer, and one walk
+over each function's segments (`_walk`) gives its values there.  The tube
+checks `envelopes.Envelope.contains`, `is_inside` and `min_margin_on`
+compare those integers; `pl_sum`, the n-ary sum of the lip-1 construction,
+adds them; and `pl_min` and `pl_max`, the n-ary envelopes of the staged
+builder's margins and radii, walk the least of them.  Both make Fractions
+only of the points they keep.  One kink test on integers (`_kinks`) keeps
+the points of `simplify`, `pl_sum` and the envelopes: a point stays where
+the slopes on its two sides differ, compared crosswise.  Their cost grows
+with the bit length of those lcms, as the sawtooth's
 (`constructions.small_lip_blocks`) does with its scale.
 And `envelopes.verify_contraction`, the check of the increment bound
 |f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, reads f's own
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, inf, lcm
-from operator import add, itemgetter, lt, sub
+from operator import add, and_, eq, itemgetter, lt, neg, or_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, rat
@@ -178,18 +181,14 @@ class PiecewiseLinear:
         return f"PiecewiseLinear({pts})"
 
     def simplify(self) -> "PiecewiseLinear":
-        """Drop interior breakpoints where the slope does not change."""
+        """Drop interior breakpoints where the slope does not change: with
+        breakpoints X on S and values V on W, the lcms of their denominators,
+        the kink test `_kinks` on the integer differences."""
         bps, vals = self.breakpoints, self.values
-        keep = [0]
-        s0 = _slope(bps, vals, 1)  # the slope into bps[i], the same from the last kept point
-        for i in range(1, len(bps) - 1):
-            s1 = _slope(bps, vals, i + 1)
-            if s0 != s1:
-                keep.append(i)
-            s0 = s1
-        if len(keep) == len(bps) - 1:
+        X, V = _on_scale(bps, _lcm_of(bps)), _on_scale(vals, _lcm_of(vals))
+        keep = _kinks(_steps(X), _steps(V))
+        if len(keep) == len(bps):
             return self
-        keep.append(len(bps) - 1)
         pick = itemgetter(*keep)
         return PiecewiseLinear._trusted(pick(bps), pick(vals), pick(self._keys))
 
@@ -276,7 +275,10 @@ class PiecewiseLinear:
         return PiecewiseLinear._trusted(tuple(xs), tuple(vs), tuple(ks)).simplify()
 
     def sup_norm(self) -> Fraction:
-        return max(self.max_value(), -self.min_value())
+        """max |v| over the values, compared as integers on the lcm W of
+        their denominators: one Fraction."""
+        W = _lcm_of(self.values)
+        return Fraction(max(map(abs, _on_scale(self.values, W))), W)
 
     def min_value(self) -> Fraction:
         return min(self.values)
@@ -347,7 +349,10 @@ def merged_breakpoints(fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction
 def _window(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike],
             hi: Optional[RationalLike]) -> tuple[Fraction, Fraction]:
     """[lo, hi], by default the domain all of fs share (ValueError if they
-    differ); a given window must have lo < hi in every domain (ValueError)."""
+    differ); a given window must have lo < hi in every domain (ValueError).
+    ValueError if fs is empty."""
+    if not fs:
+        raise ValueError("need at least one function")
     if lo is None:
         lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
         if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
@@ -370,9 +375,9 @@ def grid_values(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None
 
 def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None,
                  hi: Optional[RationalLike] = None
-                 ) -> tuple[list[int], dict[int, Fraction], int, Iterator[list[int]]]:
+                 ) -> tuple[list[int], dict[int, Fraction], int, int, Iterator[list[int]]]:
     """The merged grid of fs on [lo, hi] and each function's values on it,
-    in integers: (grid, point, W, columns), on the window of `grid_values`.
+    in integers: (grid, point, S, W, columns), on the window of `grid_values`.
 
     On a window each f is first cut to it, as `restrict` does but building
     no function.  Every breakpoint becomes an integer X on S, the lcm of all
@@ -391,10 +396,9 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     else:
         lo, hi = _window(fs, lo, hi)
         parts = [f._clipped(lo, hi)[:2] for f in fs]
-    S = lcm(*{x.denominator for bps, _ in parts for x in bps})
-    W = lcm(*{v.denominator for _, vals in parts for v in vals})
-    terms = [([x.numerator * (S // x.denominator) for x in bps],
-              [v.numerator * (W // v.denominator) for v in vals]) for bps, vals in parts]
+    S = _lcm_of(*(bps for bps, _ in parts))
+    W = _lcm_of(*(vals for _, vals in parts))
+    terms = [(_on_scale(bps, S), _on_scale(vals, W)) for bps, vals in parts]
     widen = lcm(*{dx // gcd(dx, dv) for X, V in terms
                   for dx, dv in zip(map(sub, X[1:], X), map(sub, V[1:], V)) if dv})
     point = {}  # X -> a breakpoint of fs there
@@ -403,7 +407,33 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     grid = sorted(point)
     terms.reverse()  # popped in order, so each term's lists are freed once walked
     columns = (_walk(grid, *terms.pop(), widen) for _ in range(len(terms)))
-    return grid, point, W * widen, columns
+    return grid, point, S, W * widen, columns
+
+
+def _lcm_of(*seqs: Sequence[Fraction]) -> int:
+    """The lcm of the denominators of every Fraction in seqs."""
+    return lcm(*{x.denominator for xs in seqs for x in xs})
+
+
+def _on_scale(xs: Sequence[Fraction], scale: int) -> list[int]:
+    """xs as integers on scale, which every denominator of xs divides."""
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def _steps(X: Sequence[int]) -> list[int]:
+    """The differences X[k + 1] - X[k]."""
+    return list(map(sub, islice(X, 1, None), X))
+
+
+def _kinks(dX: Sequence[int], dV: Sequence[int]) -> list[int]:
+    """The points to keep of a function whose k-th segment rises dV[k] over
+    a run dX[k] > 0, each pair on any positive scale of its own: the ends,
+    and each point k where the slopes on its two sides differ,
+    dV[k - 1]·dX[k] != dV[k]·dX[k - 1].  The one kink test of `simplify`,
+    `pl_sum` and the envelopes `pl_min` and `pl_max`."""
+    rows = zip(dX, islice(dX, 1, None), dV, islice(dV, 1, None))
+    return [0, *(k for k, (x0, x1, v0, v1) in enumerate(rows, 1) if v0 * x1 != v1 * x0),
+            len(dX)]
 
 
 def _walk(grid: list[int], X: list[int], V: list[int], widen: int) -> list[int]:
@@ -431,29 +461,78 @@ def _walk(grid: list[int], X: list[int], V: list[int], widen: int) -> list[int]:
     return out
 
 
-def _pick(f: PiecewiseLinear, g: PiecewiseLinear, choose) -> PiecewiseLinear:
-    """choose(f, g) pointwise, on the breakpoint union plus every point
-    where f - g changes sign (there f = g), simplified."""
-    bps, (fs, gs) = grid_values((f, g))
-    ds = [a - b for a, b in zip(fs, gs)]
-    xs, vs = [bps[0]], [choose(fs[0], gs[0])]
-    for k in range(1, len(bps)):
-        da, db = ds[k - 1], ds[k]
-        if da.numerator * db.numerator < 0:  # strict sign change
-            t = da / (da - db)
-            xs.append(bps[k - 1] + t * (bps[k] - bps[k - 1]))
-            vs.append(fs[k - 1] + t * (fs[k] - fs[k - 1]))
-        xs.append(bps[k])
-        vs.append(choose(fs[k], gs[k]))
-    return PiecewiseLinear(xs, vs).simplify()
+def pl_min(*fs: PiecewiseLinear) -> PiecewiseLinear:
+    """The pointwise min of fs on their common domain, simplified
+    (`_envelope`)."""
+    return _envelope(fs, True)
 
 
-def pl_min(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    return _pick(f, g, min)
+def pl_max(*fs: PiecewiseLinear) -> PiecewiseLinear:
+    """The pointwise max of fs on their common domain, simplified
+    (`_envelope`)."""
+    return _envelope(fs, False)
 
 
-def pl_max(f: PiecewiseLinear, g: PiecewiseLinear) -> PiecewiseLinear:
-    return _pick(f, g, max)
+def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
+    """The lower envelope of fs (upper when not lower, on negated columns),
+    simplified: ValueError if fs is empty or the domains differ.
+
+    fs are read on `integer_grid`, where every f is a line on each grid
+    interval.  An interval where one line is least at both ends adds no
+    point.  Otherwise the walk starts on the line least at the left end
+    (ties to the one least at the right end); the next crossing is the
+    earliest t = n/d, compared crosswise, among the lines lower at the right
+    end, and the walk goes on along the line crossing there that is least at
+    the right end.
+    A crossing is the point ((X0·d + n·ΔX)/(S·d), (L·d + n·ΔV)/(W·d)) for
+    the interval [X0, X0 + ΔX] and the line's values L, L + ΔV at its ends;
+    grid points have d = 1.  Points are kept by `_kinks`, and only kept
+    points become Fractions: a grid point keeps its own breakpoint, and each
+    distinct value at grid points is one division by W."""
+    grid, point, S, W, columns = integer_grid(fs)
+    cols = list(columns) if lower else [list(map(neg, c)) for c in columns]
+    low = list(map(min, *cols)) if len(cols) > 1 else cols[0]
+    held = repeat(False, len(grid) - 1)  # one line is least at both ends
+    for c in cols:
+        least = list(map(eq, c, low))
+        held = map(or_, held, map(and_, least, islice(least, 1, None)))
+    X, V, D = [grid[0]], [low[0]], [1]
+    for k, h in enumerate(held, 1):
+        if not h:
+            x0, run = grid[k - 1], grid[k] - grid[k - 1]
+            ends = [(c[k - 1], c[k]) for c in cols]
+            a, b = min(ends)  # least at the left end, ties to the least at the right
+            while True:
+                best = None  # (n, d, ai, bi) of the earliest crossing
+                for ai, bi in ends:
+                    if bi < b:  # then ai > a: the lines cross at t = n/d in (0, 1)
+                        n, d = ai - a, ai - a + b - bi
+                        if best is None or (n * best[1], bi) < (best[0] * d, best[3]):
+                            best = n, d, ai, bi
+                if best is None:
+                    break
+                n, d, ai, bi = best
+                X.append(x0 * d + n * run)
+                V.append(a * d + n * (b - a))
+                D.append(d)
+                a, b = ai, bi
+        X.append(grid[k])
+        V.append(low[k])
+        D.append(1)
+    rows = list(zip(X, V, D))
+    keep = _kinks([x1 * d0 - x0 * d1 for (x0, _, d0), (x1, _, d1) in zip(rows, rows[1:])],
+                  [v1 * d0 - v0 * d1 for (_, v0, d0), (_, v1, d1) in zip(rows, rows[1:])])
+    sign = 1 if lower else -1
+    xs, vs, value = [], [], {}  # value: each distinct grid value made once
+    for k in keep:
+        x, v, d = rows[k]
+        if d == 1:
+            xs.append(point[x])
+            vs.append(value[v] if v in value else value.setdefault(v, Fraction(sign * v, W)))
+        else:
+            xs.append(Fraction(x, S * d))
+            vs.append(Fraction(sign * v, W * d))
+    return PiecewiseLinear._trusted(tuple(xs), tuple(vs), tuple(map(_key, xs)))
 
 
 def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
@@ -462,22 +541,15 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     merged grid (`grid_values`), adding Fractions and simplifying.
 
     The sum is computed on `integer_grid`'s scales, where every term's value
-    at every grid point is an integer.  Each column adds to the total; a
-    point is kept where the slopes on its two sides differ,
-    (V_k - V_{k-1})(X_{k+1} - X_k) != (V_{k+1} - V_k)(X_k - X_{k-1}).  Only
-    kept points become Fractions: a breakpoint is a term's own, and each
-    distinct value is one division by W.
+    at every grid point is an integer.  Each column adds to the total, and
+    points are kept by `_kinks`.  Only kept points become Fractions: a
+    breakpoint is a term's own, and each distinct value is one division by W.
     """
-    if not fs:
-        raise ValueError("need at least one function")
-    grid, point, W, columns = integer_grid(fs)
+    grid, point, _, W, columns = integer_grid(fs)
     total = next(columns)
     for column in columns:
         total = list(map(add, total, column))
-    rows = zip(grid, islice(grid, 1, None), islice(grid, 2, None),
-               total, islice(total, 1, None), islice(total, 2, None))
-    keep = [0, *(k for k, (x0, x1, x2, v0, v1, v2) in enumerate(rows, 1)
-                 if (v1 - v0) * (x2 - x1) != (v2 - v1) * (x1 - x0)), len(grid) - 1]
+    keep = _kinks(_steps(grid), _steps(total))
     xs = tuple(point[grid[k]] for k in keep)
     value = {}  # a sawtooth sum of thousands of points has a few dozen values
     vs = tuple(value[t] if t in value else value.setdefault(t, Fraction(t, W))

@@ -41,10 +41,11 @@ functions do not compound from stage to stage.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
+from operator import itemgetter, sub
 from typing import Optional, Sequence
 
 from .intervals import Interval, IntervalSet, rat
@@ -55,8 +56,8 @@ from .envelopes import (
     envelope_refine,
     verify_contraction,
 )
-from .pcw import PiecewiseLinear, first_sloped_segment, grid_values, monotone_runs
-from .pcw import pl_max, pl_min
+from .pcw import PiecewiseLinear, first_sloped_segment, grid_values, integer_grid
+from .pcw import monotone_runs, pl_max, pl_min
 
 
 class WitnessSearchError(RuntimeError):
@@ -164,7 +165,8 @@ def quadratic_margin(
 
     Tangent lines of the parabola lie below it, so the max of finitely many
     tangents is an exact minorant; tangents are taken at the segment ends
-    and midpoint.
+    and midpoint.  Each end's tangents are one n-ary `pl_max`, and each
+    envelope reads its functions on `pcw.integer_grid`.
     """
     a, b = region.lo, region.hi
     c, d = segment
@@ -174,8 +176,15 @@ def quadratic_margin(
             # tangent of (x-p)^2 at t: (t-p)(2x-t-p), slope 2(t-p), value (t-p)^2 at t
             lines = [PiecewiseLinear([a, b], [(t - p) * (2 * x - t - p) for x in (a, b)])
                      for t in (c, (c + d) / 2, d)]
-            out = pl_min(out, reduce(pl_max, lines))
+            out = pl_min(out, pl_max(*lines))
     return pl_max(out, PiecewiseLinear.constant(0, region))
+
+
+def _sup_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
+    """‖f - g‖ on their common domain, read on the grid `sub` would use,
+    in integers on W (`pcw.integer_grid`), without building f - g."""
+    _, _, _, W, (fs, gs) = integer_grid((f, g))
+    return Fraction(max(map(abs, map(sub, fs, gs))), W)
 
 
 def _positive_zone(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -281,8 +290,8 @@ def _case_split_candidates(
     its run [a, b], c = b (b - (b - x)/2 on the last run) and e is the next
     run's end (the region's on the last run); nearer a, the same mirrored."""
     lo, hi = runs[0][0], runs[-1][1]
-    idx = next((i for i, (a, b) in enumerate(runs) if a <= x <= b), None)
-    if idx is None:
+    idx = bisect_left(runs, x, key=itemgetter(1))  # the first run ending at or after x
+    if idx == len(runs) or runs[idx][0] > x:
         return []
     a, b = runs[idx]
     if x - a > b - x:
@@ -484,16 +493,14 @@ def build_udt_lip1(
 
         # ---- (v): the radius function; witness caps are local V-notches so
         # the radius only collapses near the protected pairs ----
-        r_n = pl_min(
-            eps_margin, PiecewiseLinear.constant(Fraction(1, 2 ** n), window)
-        )
-        for rec in witnesses:
-            gap = abs(rec.x - rec.y)
-            # a recorded ratio beats (1 - 2^-2n)γ_n, so ratio - tail_target
-            # > (2^-n - 2^-2n)γ_n >= 2^-2n·γ_n for n >= 1: the cap
-            # (ratio - tail_target)·gap/2 never binds below this one
-            cap = gamma_n * gap / 2 ** (2 * n + 1)
-            r_n = pl_min(r_n, _v_notch(window, min(rec.x, rec.y), max(rec.x, rec.y), cap))
+        # a recorded ratio beats (1 - 2^-2n)γ_n, so ratio - tail_target
+        # > (2^-n - 2^-2n)γ_n >= 2^-2n·γ_n for n >= 1: the cap
+        # (ratio - tail_target)·gap/2 never binds below γ_n·gap/2^(2n+1)
+        notches = [_v_notch(window, min(rec.x, rec.y), max(rec.x, rec.y),
+                            gamma_n * abs(rec.x - rec.y) / 2 ** (2 * n + 1))
+                   for rec in witnesses]
+        r_n = pl_min(eps_margin, PiecewiseLinear.constant(Fraction(1, 2 ** n), window),
+                     *notches)
 
         radius_zero = all(
             v == 0
@@ -502,8 +509,6 @@ def build_udt_lip1(
         )
         radius_within = r_n.le(eps_margin)
         gaps = [abs(rec.x - rec.y) for rec in witnesses]
-        # ‖f_n - f_{n-1}‖ on the grid `sub` would use, without building f_n - f_{n-1}
-        _, (now, before) = grid_values((f_n, f_prev))
         diags.append(
             StageDiagnostics(
                 stage=n,
@@ -513,7 +518,7 @@ def build_udt_lip1(
                 active_segments=tuple(active),
                 witnesses=tuple(witnesses),
                 witness_failures=tuple(failures),
-                cauchy_step=max(abs(a - b) for a, b in zip(now, before)),
+                cauchy_step=_sup_distance(f_n, f_prev),
                 radius_sup=r_n.sup_norm(),
                 radius_zero_on_closed=radius_zero,
                 radius_within_margin=radius_within,

@@ -11,14 +11,17 @@ read E's cumulative measure with one bisect per point, or compare a tube
 through intermediate functions built on the breakpoint union.
 
 `ref_cumulative`, `ref_mass`, `ref_contains`, `ref_locate`,
-`ref_masses_from`, `ref_endpoints_in` and `ref_clip` are the readers of E's
+`ref_endpoints_in` and `ref_clip` are the readers of E's
 mass index without its integer scale: each builds the endpoint and
 prefix-sum lists from E's components and bisects them on Fractions only.
 `ref_at`, `ref_merged_breakpoints` and `ref_simplify` are the sweep, the
 evaluation grid and `simplify` without float keys: they order points by
 Fraction comparisons only and interpolate on every segment.
 `ref_pl_sum` is the n-ary sum in Fractions: every term read on the merged
-grid by `grid_values`, one Fraction add per term and point, then `simplify`.
+grid by `grid_values`, one Fraction add per term and point, then
+`ref_simplify`, which every oracle that simplifies calls.  `ref_envelope` is the n-ary min or max as pairwise `ref_pick`s, each
+adding the crossings of f - g in Fractions, and `ref_cauchy_step` is the
+builder's ‖f_n - f_{n-1}‖ as a Fraction max on the merged grid.
 
 `ref_balance_point`, `ref_refine_blocks` and `ref_block_bounds` are refine's
 steps in Fractions: the balance point as `balance_point` solved it, the
@@ -183,22 +186,6 @@ def ref_locate(E, m):
     return ends[2 * j] + (m - cum[j])
 
 
-def ref_masses_from(E, x0, b):
-    ends, cum = ref_index(E)
-    i = bisect_right(ends, x0)
-    base = _ref_phi(ends, cum, i, x0)
-    out = []
-    last = x0
-    while i < len(ends) and ends[i] < b:
-        p = ends[i]
-        if p != last:
-            out.append((p, cum[(i + 1) >> 1] - base))
-            last = p
-        i += 1
-    out.append((b, _ref_phi(ends, cum, i, b) - base))
-    return out
-
-
 def ref_endpoints_in(E, lo, hi):
     ends, _ = ref_index(E)
     return ends[bisect_left(ends, lo):bisect_right(ends, hi)]
@@ -266,7 +253,7 @@ def ref_pl_sum(fs):
     if not fs:
         raise ValueError("need at least one function")
     bps, values = grid_values(fs)
-    return type(fs[0])(bps, [sum(vs) for vs in zip(*values)]).simplify()
+    return ref_simplify(type(fs[0])(bps, [sum(vs) for vs in zip(*values)]))
 
 
 # -- slow paths of the piecewise-linear algebra --------------------------------
@@ -302,7 +289,22 @@ def ref_le(f, g):
 def ref_pick(f, g, choose):
     """choose(f, g) at the breakpoints and crossings, simplified."""
     xs = ref_crossings(f, g)
-    return type(f)(xs, [choose(f(x), g(x)) for x in xs]).simplify()
+    return ref_simplify(type(f)(xs, [choose(f(x), g(x)) for x in xs]))
+
+
+def ref_envelope(fs, choose):
+    """choose (min or max) of fs as pairwise `ref_pick`s in turn; a single
+    function simplified."""
+    out = ref_simplify(fs[0])
+    for g in fs[1:]:
+        out = ref_pick(out, g, choose)
+    return out
+
+
+def ref_cauchy_step(f, g):
+    """max |f - g| on the merged grid, one Fraction difference per point."""
+    _, (fs, gs) = grid_values((f, g))
+    return max(abs(a - b) for a, b in zip(fs, gs))
 
 
 def ref_contraction_witness(f, phi, factor):
@@ -339,7 +341,7 @@ def ref_splice(f, pieces):
         if hi < f.breakpoints[-1]:
             out = out.concat(f.restrict(hi, f.breakpoints[-1]))
         f = out
-    return f.simplify()
+    return ref_simplify(f)
 
 
 def ref_first_sloped_segment(f, pairs):

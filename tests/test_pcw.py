@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from oracles import (
     brute_m_ratio,
     ref_at,
     ref_combine,
+    ref_envelope,
     ref_first_sloped_segment,
     ref_le,
     ref_merged_breakpoints,
@@ -668,3 +670,83 @@ def test_order_checks_inside_one_float():
     assert g.at([-F(1, 10 ** 401), 0]) == [F(1, 10), 0]
     with pytest.raises(ValueError, match="strictly increasing"):
         PiecewiseLinear([0, -F(1, 10 ** 400)], [0, 0])
+
+
+# -- the n-ary envelopes, simplify and sup_norm on integers ----------------------------
+
+
+@pytest.mark.parametrize("family", SUM_TERMS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_envelopes_match_pairwise_fraction_picks(family, data):
+    # one to five functions on one domain, ramps among them: pl_min and
+    # pl_max of all at once are the pairwise Fraction picks in turn
+    first = data.draw(SUM_TERMS[family](None))
+    domain = first.breakpoints[0], first.breakpoints[-1]
+    ramps = st.lists(values, min_size=2, max_size=2).map(
+        lambda vs: PiecewiseLinear(domain, vs))
+    fs = [first, *data.draw(st.lists(st.one_of(SUM_TERMS[family](domain), ramps),
+                                     max_size=4))]
+    assert pl_min(*fs).as_pairs() == ref_envelope(fs, min).as_pairs()
+    assert pl_max(*fs).as_pairs() == ref_envelope(fs, max).as_pairs()
+
+
+@pytest.mark.parametrize("family", SUM_TERMS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_simplify_and_sup_norm_match_fraction_loops(family, data):
+    f = data.draw(SUM_TERMS[family](None))
+    # f again with collinear points at the thirds of each segment
+    dense_xs = sorted({*f.breakpoints, *(a + (b - a) * k / 3 for a, b in
+                                          zip(f.breakpoints, f.breakpoints[1:]) for k in (1, 2))})
+    dense = PiecewiseLinear(dense_xs, f.at(dense_xs))
+    for g in (f, dense):
+        assert g.simplify().as_pairs() == ref_simplify(g).as_pairs()
+        assert g.sup_norm() == max(abs(v) for v in g.values)
+    assert dense.simplify().as_pairs() == f.simplify().as_pairs()
+
+
+def test_simplify_keeps_itself_when_nothing_drops():
+    f = PiecewiseLinear([0, F(1, 3), 1], [0, 1, F(1, 7)])
+    assert f.simplify() is f
+    line = PiecewiseLinear([0, F(1, 3), F(1, 2), 1], [0, F(1, 7), F(3, 14), F(3, 7)])
+    assert line.simplify().as_pairs() == ((0, 0), (1, F(3, 7)))
+
+
+def test_envelope_hand_cases():
+    up = PiecewiseLinear([0, 1], [0, 1])
+    down = PiecewiseLinear([0, 1], [1, 0])
+    flat = PiecewiseLinear.constant(F(1, 2), Interval(F(0), F(1)))
+    # three lines meeting at one point (1/2, 1/2), in every order: one kink there
+    for fs in permutations((up, down, flat)):
+        assert pl_min(*fs).as_pairs() == ((0, 0), (F(1, 2), F(1, 2)), (1, 0))
+        assert pl_max(*fs).as_pairs() == ((0, 1), (F(1, 2), F(1, 2)), (1, 1))
+    # a crossing exactly on a grid point, where a third function breaks
+    tent = PiecewiseLinear([0, F(1, 2), 1], [2, 2, 2])
+    assert pl_min(up, down, tent).as_pairs() == pl_min(up, down).as_pairs()
+    # two lines touching at a grid point without a sign change: no crossing
+    vee = PiecewiseLinear([0, F(1, 2), 1], [F(1, 2), 0, F(1, 2)])
+    zero = PiecewiseLinear.constant(0, Interval(F(0), F(1)))
+    assert pl_min(vee, zero).as_pairs() == ((0, 0), (1, 0))
+    assert pl_max(vee, zero).as_pairs() == vee.as_pairs()
+    # ties at an interval's left end: the walk follows the one lower to the right
+    steep = PiecewiseLinear([0, 1], [0, -2])
+    assert pl_min(up, steep, zero).as_pairs() == steep.as_pairs()
+    assert pl_max(up, steep, zero).as_pairs() == up.as_pairs()
+    # the same at an interior grid point that is a kink: f and g tie at 1,
+    # h is least only at 2, and g crosses h at 3/2
+    f = PiecewiseLinear([0, 1, 2], [0, 0, -1])
+    g = PiecewiseLinear([0, 1, 2], [0, 0, -2])
+    h = PiecewiseLinear([0, 1, 2], [5, 1, -3])
+    for fs in permutations((f, g, h)):
+        assert pl_min(*fs).as_pairs() == ((0, 0), (1, 0), (F(3, 2), -1), (2, -3))
+    # equal lines, and crossings off the grids of both value scales
+    third = PiecewiseLinear([0, 1], [F(1, 3), F(-2, 3)])
+    assert pl_min(up, up, third).as_pairs() == ((0, 0), (F(1, 6), F(1, 6)), (1, F(-2, 3)))
+    # a single function: itself, simplified
+    line = PiecewiseLinear([0, F(1, 4), 1], [0, F(1, 4), 1])
+    assert pl_min(line).as_pairs() == pl_max(line).as_pairs() == ((0, 0), (1, 1))
+    with pytest.raises(ValueError, match="need at least one function"):
+        pl_min()
+    with pytest.raises(ValueError, match="domain mismatch"):
+        pl_max(up, PiecewiseLinear([0, 2], [0, 1]))

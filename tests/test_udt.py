@@ -19,7 +19,7 @@ from lipsets.udt import (
     stage_witness_search,
 )
 
-from oracles import ref_case_split_candidates, ref_positive_zone
+from oracles import ref_case_split_candidates, ref_cauchy_step, ref_positive_zone
 from strategies import pl_functions, points
 
 F = Fraction
@@ -176,6 +176,16 @@ class TestTwoStages:
         assert not bumped.persistence_ok()
 
 
+@pytest.mark.parametrize("fixture", ["one_stage", "two_stages"])
+def test_cauchy_step_and_radius_sup_match_fraction_maxima(fixture, request):
+    res = request.getfixturevalue(fixture)
+    f_prev = PiecewiseLinear.constant(0, res.system.window)
+    for f_n, r_n, diag in zip(res.stages, res.radii, res.diagnostics):
+        assert diag.cauchy_step == ref_cauchy_step(f_n, f_prev)
+        assert diag.radius_sup == max(abs(v) for v in r_n.values)
+        f_prev = f_n
+
+
 def test_read_only_checks_build_no_function(monkeypatch, two_stages):
     # every exact check reads the stages through sloped_segments,
     # grid_values or integer_grid, or on its own integer scale: with every
@@ -322,6 +332,12 @@ signed = st.sampled_from([F(-1, 4), F(-1, 8), F(0), F(0), F(1, 8), F(1, 4)])
 
 
 @settings(max_examples=200)
+@given(pl_functions(value=signed), pl_functions(value=signed))
+def test_sup_distance_is_the_fraction_max_on_the_merged_grid(f, g):
+    assert udt._sup_distance(f, g) == ref_cauchy_step(f, g) == udt._sup_distance(g, f)
+
+
+@settings(max_examples=200)
 @given(pl_functions(max_inner=12, value=signed),
        st.lists(points, min_size=2, max_size=2, unique=True))
 def test_positive_zone_reads_breakpoint_values(f, window):
@@ -348,3 +364,19 @@ def test_case_split_matches_the_mirrored_form(runs, data, delta_n):
         st.sampled_from(ends).map(lambda e: e - F(1, 2 ** 12))))
     got = udt._case_split_candidates(runs, x, delta_n)
     assert sorted(got) == sorted(ref_case_split_candidates(runs, x, delta_n))
+
+
+@pytest.mark.parametrize("fixture", ["one_stage", "two_stages"])
+def test_case_split_bisects_to_the_first_run_holding_x(fixture, request):
+    # on the monotone runs of every stage region: at every run end, where x
+    # lies in two runs and the first is taken, between every two run ends,
+    # and just outside the region, the candidates of the linear scan
+    res = request.getfixturevalue(fixture)
+    for n, f in enumerate(res.stages, start=1):
+        for region in res.system.complement(n):
+            runs = monotone_runs(f, region.lo, region.hi)
+            ends = [a for a, _ in runs] + [runs[-1][1]]
+            xs = [*ends, *((a + b) / 2 for a, b in runs), region.lo - 1, region.hi + 1]
+            for x in xs:
+                got = udt._case_split_candidates(runs, x, F(1, 16))
+                assert sorted(got) == sorted(ref_case_split_candidates(runs, x, F(1, 16))), x
