@@ -32,7 +32,7 @@ from .pcw import (
     build_phi,
     build_signed_integral,
     geometric_grid,
-    grid_values,
+    integer_grid,
     pl_sum,
 )
 
@@ -344,7 +344,7 @@ class SmallLipBlock:
     right_mass: Fraction
 
 
-def _integer_grid(
+def _sawtooth_scale(
     E: IntervalSet, eps: Fraction, window: Interval
 ) -> tuple[IntervalSet, int, int, int, int]:
     """(E ∩ window, D, ε·D, window.lo·D, window.hi·D) for the scale D = 2·lcm
@@ -397,7 +397,7 @@ def small_lip_blocks(
     leftmost t with |E ∩ [a, t]| = A/2, so its left and right masses are
     both A/2.
 
-    Everything is computed on one integer scale D (`_integer_grid`): one
+    Everything is computed on one integer scale D (`_sawtooth_scale`): one
     forward walk over E ∩ window and the ε-grid together
     (`_pieces_by_block`) sums each block's pieces and finds t as the leftmost
     point where the running piece mass reaches A/2.  That is O(n + blocks)
@@ -409,7 +409,7 @@ def small_lip_blocks(
     eps = rat(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    clipped, scale, step, w_lo, w_hi = _integer_grid(E, eps, window)
+    clipped, scale, step, w_lo, w_hi = _sawtooth_scale(E, eps, window)
     blocks = []
     b = hi = None  # the previous block's right edge, as integer and Fraction
     for k, pieces in _pieces_by_block(clipped, step, scale):
@@ -447,7 +447,7 @@ def build_small_lip(
     block's end or its balance point reuse that Fraction.
     """
     blocks = small_lip_blocks(E, epsilon, window)
-    clipped, scale, step, w_lo, w_hi = _integer_grid(E, rat(epsilon), window)
+    clipped, scale, step, w_lo, w_hi = _sawtooth_scale(E, rat(epsilon), window)
     xs: list[Fraction] = []
     vs: list[Fraction] = []
     # the pending point: the walk has reached `end` (the Fraction end_x) with
@@ -533,7 +533,7 @@ def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumRes
         else:
             f_n = build_small_lip(part, eps, window)
             terms.append(f_n)
-            constant_off = all(len(set(grid_values((f_n,), C.lo, C.hi)[1][0])) == 1
+            constant_off = all(len(set(next(integer_grid((f_n,), C.lo, C.hi)[4]))) == 1
                                for C in part.complement_within(f_n.domain))
             diags.append(Lip1Part(n, eps, dist, f_n.sup_norm(), constant_off, False))
         earlier = part if earlier is None else earlier.union(part)

@@ -2,13 +2,13 @@
 
 An `Envelope(center, radius)` is the tube {g : |g - center| <= radius}; one
 type serves the lemmas, the staged builder and its vicinity chain.  Every
-tube test (`contains`, `is_inside`, `min_margin_on`) compares integers on
-the merged grid (`pcw.integer_grid`), and the increment bound
-(`verify_contraction`) compares f's integer increments with E's integer
-masses on one scale; only a failing segment is cut in Fractions for its
-witness.  The staged builder uses only envelope_refine: each stage is
-already flat where the next must be, so envelope_flatten is the standalone
-lemma.
+tube test (`contains`, `is_inside`, `min_margin_on`) and the least radius
+(`_least_radius`) compare integers on the merged grid (`pcw.integer_grid`),
+and the increment bound (`verify_contraction`) compares f's integer
+increments with E's integer masses on one scale; only a failing segment is
+cut in Fractions for its witness.  The staged builder uses only
+envelope_refine: each stage is already flat where the next must be, so
+envelope_flatten is the standalone lemma.
 
 envelope_refine replaces the tube's center f, monotone or not, by a
 (1-δ)-slope zigzag with the same block increments, strictly inside the tube.
@@ -40,9 +40,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .intervals import IntervalSet, RationalLike, on_scale, rat
+from .intervals import IntervalSet, RationalLike, all_on_scale, lcm_of, on_scale, rat
 from .constructions import balance_on
-from .pcw import PiecewiseLinear, grid_values, integer_grid
+from .pcw import PiecewiseLinear, integer_grid
 
 
 class PreconditionError(ValueError):
@@ -110,10 +110,8 @@ def verify_contraction(
     if factor < 0:
         raise ValueError("factor must be nonnegative")
     bps, vals = f.breakpoints, f.values
-    S = lcm(E.mass_scale, *{x.denominator for x in bps})
-    W = lcm(*{v.denominator for v in vals})
-    X = [x.numerator * (S // x.denominator) for x in bps]
-    V = [v.numerator * (W // v.denominator) for v in vals]
+    S, W = lcm(E.mass_scale, lcm_of(bps)), lcm_of(vals)
+    X, V = all_on_scale(bps, S), all_on_scale(vals, W)
     allow, per = factor.numerator * W, factor.denominator * S
     phi = E.phi_on
     for k in range(len(X) - 1):
@@ -159,11 +157,12 @@ def _lemma_frame(
 def _least_radius(radius: PiecewiseLinear, c: Fraction, d: Fraction) -> Fraction:
     """The least radius on [c, d], which both lemmas need positive; else
     PreconditionError with the first point where the radius is least."""
-    xs, (rs,) = grid_values((radius,), c, d)
+    grid, point, _, W, (rs,) = integer_grid((radius,), c, d)
     least = min(rs)
     if least <= 0:
-        raise PreconditionError("envelope is not strict on the segment", xs[rs.index(least)])
-    return least
+        raise PreconditionError("envelope is not strict on the segment",
+                                point[grid[rs.index(least)]])
+    return Fraction(least, W)
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,7 @@ def envelope_refine(
         raise ValueError("segment must be strictly inside the domain")
     gamma = _least_radius(radius, c, d)
     evens = _adaptive_block_bounds(radius, c, d, max(map(abs, radius.slopes())))
-    division, xs, vs = _zigzag(E, evens, f.at(evens), delta)
+    division, xs, vs = _zigzag(E, evens, [f(x) for x in evens], delta)
     g = f.splice([PiecewiseLinear(xs, vs)])
     if tube.min_margin_on(g, c, d) <= 0:
         raise PreconditionError("refined function escapes the envelope")

@@ -206,8 +206,8 @@ class IntervalSet:
         except AttributeError:
             pass
         fracs = self.endpoints()
-        D = lcm(*(e.denominator for e in fracs))
-        ends = [on_scale(e, D) for e in fracs]
+        D = lcm_of(fracs)
+        ends = all_on_scale(fracs, D)
         cum = [0]
         for lo, hi in zip(ends[::2], ends[1::2]):
             cum.append(cum[-1] + (hi - lo))
@@ -384,6 +384,16 @@ class IntervalSet:
 def on_scale(x: Fraction, scale: int) -> int:
     """x·scale, for a scale that x's denominator divides."""
     return x.numerator * (scale // x.denominator)
+
+
+def all_on_scale(xs: Iterable[Fraction], scale: int) -> list[int]:
+    """[on_scale(x, scale) for x in xs]."""
+    return [x.numerator * (scale // x.denominator) for x in xs]
+
+
+def lcm_of(*seqs: Iterable[Fraction]) -> int:
+    """The lcm of the denominators of every Fraction in seqs."""
+    return lcm(*{x.denominator for xs in seqs for x in xs})
 
 
 def _floor_on(x: Fraction, scale: int) -> int:

@@ -4,39 +4,38 @@ The carrier for every construction: rational breakpoints and values, linear
 interpolation in between, clamp-to-constant outside the domain (all the
 functions we build are constant off their active window).
 
-Every read-only check reads functions one of four ways.
-`sloped_segments(f, S)` walks f's segments of nonzero slope together with the
-components of a set S; `first_sloped_segment`, the check of slopes against a
-set, reads it.  `grid_values(fs, lo, hi)` reads each f in fs on their merged
-grid (`merged_breakpoints`) through the sweep `PiecewiseLinear.at`; each f is
-linear between grid points, so comparing values there is exact.  It serves
-`add`, `sub`, `le`, `monotone_runs`, `PiecewiseLinear.__eq__`, the
-persistence and radius checks and the lip-1 sum's constant-off-part
-diagnostic.  `integer_grid(fs, lo, hi)` reads the same grid in integers:
-breakpoints on the lcm of their denominators, values on the lcm of theirs,
-widened until every value at every grid point is an integer, and one walk
-over each function's segments (`_walk`) gives its values there.  The tube
-checks `envelopes.Envelope.contains`, `is_inside` and `min_margin_on`
-compare those integers; `pl_sum`, the n-ary sum of the lip-1 construction,
-adds them; and `pl_min` and `pl_max`, the n-ary envelopes of the staged
-builder's margins and radii, walk the least of them.  Both make Fractions
-only of the points they keep.  One kink test on integers (`_kinks`) keeps
-the points of `simplify`, `pl_sum` and the envelopes: a point stays where
-the slopes on its two sides differ, compared crosswise.  Their cost grows
-with the bit length of those lcms, as the sawtooth's
-(`constructions.small_lip_blocks`) does with its scale.
-And `envelopes.verify_contraction`, the check of the increment bound
+Functions are read in one of four ways.  `sloped_segments(f, S)` walks
+f's segments of nonzero slope together with the components of a set S;
+`first_sloped_segment`, the check of slopes against a set, reads it.
+`integer_grid(fs, lo, hi)` reads each f in fs on their merged grid, in
+integers: breakpoints on the lcm of their denominators, values on the lcm
+of theirs, widened until every value at every grid point is an integer,
+and one walk over each function's segments (`_walk`) gives its values
+there.  Each f is linear between grid points, so comparing values there is
+exact.  `add`, `sub`, `le`, `__eq__`, `monotone_runs`, the tube checks
+(`envelopes.Envelope`), the staged builder's persistence and radius checks
+and the lip-1 sum's constant-off-part diagnostic compare those integers;
+`pl_sum` adds them; and `pl_min` and `pl_max` walk the least of them.  Each
+makes Fractions only of what it returns: a grid point is a breakpoint of
+fs there, a value one division by the value scale.  One kink test on
+integers (`_kinks`) keeps the points of `simplify`, `pl_sum` and the
+envelopes: a point stays where the slopes on its two sides differ,
+compared crosswise.  Their cost grows with the bit length of those lcms,
+as the sawtooth's (`constructions.small_lip_blocks`) does with its scale.
+`PiecewiseLinear.__call__` reads one point: it returns a breakpoint's own
+value and a flat segment's value without arithmetic, and elsewhere
+interpolates as one integer fraction reduced once.  And
+`envelopes.verify_contraction`, the check of the increment bound
 |f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, reads f's own
-breakpoints and values as integers, on one scale with E's endpoints.
+breakpoints and values as integers, on one scale with E's own.
 
-The sweep and the grid order points by float keys (`_key`; E's mass index
-bisects integers instead): each function keeps the correctly rounded float of
-every breakpoint, and two Fractions are compared only where their keys tie.
-The conversion is monotone, so a strict order of keys is the order of the
-points (a value beyond the float range keys as ±inf, one too small as ±0.0),
-and every output is that of exact comparisons.  The sweep returns a
-breakpoint's own value at it and a flat segment's value without arithmetic,
-and elsewhere interpolates as one integer fraction reduced once.
+`__call__`, `restrict` and `breakpoints_in` find points by float keys
+(`_key`; E's mass index bisects integers instead): each function keeps the
+correctly rounded float of every breakpoint, and two Fractions are compared
+only where their keys tie.  The conversion is monotone, so a strict order
+of keys is the order of the points (a value beyond the float range keys as
+±inf, one too small as ±0.0), and every output is that of exact
+comparisons.
 
 `PiecewiseLinear.splice` is the only glue.  `build_signed_integral`
 integrates the difference of two sets' indicators, reading their cumulative
@@ -52,10 +51,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, inf, lcm
-from operator import add, and_, eq, itemgetter, lt, neg, or_, sub
+from operator import add, and_, eq, itemgetter, le, lt, neg, or_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .intervals import Interval, IntervalSet, RationalLike, rat
+from .intervals import Interval, IntervalSet, RationalLike, all_on_scale, lcm_of, rat
 
 ZERO = Fraction(0)
 
@@ -129,32 +128,6 @@ class PiecewiseLinear:
             return vals[-1]
         return _interpolate(bps, vals, i, x)
 
-    def at(self, xs: Iterable[Fraction]) -> list[Fraction]:
-        """[self(x) for x in xs] for nondecreasing xs, in one forward pass
-        over the breakpoints (clamped to the end values off the domain).
-        Raises ValueError when xs steps back past a breakpoint."""
-        bps, vals, keys = self.breakpoints, self.values, self._keys
-        first, last, k_first, k_last = bps[0], bps[-1], keys[0], keys[-1]
-        out = []
-        i = 1  # bps[i - 1] < x for every x inside the domain seen so far
-        for x in xs:
-            k = _key(x)
-            if k < k_first or k == k_first and x <= first:
-                out.append(vals[0])
-            elif k > k_last or k == k_last and x >= last:
-                out.append(vals[-1])
-            else:
-                # a grid point is often one of bps itself: `is` settles that tie
-                while keys[i] < k or keys[i] == k and bps[i] is not x and bps[i] < x:
-                    i += 1
-                if k < keys[i - 1] or k == keys[i - 1] and x <= bps[i - 1]:
-                    raise ValueError("xs must be nondecreasing")
-                if bps[i] is x or k == keys[i] and x == bps[i]:
-                    out.append(vals[i])
-                else:
-                    out.append(_interpolate(bps, vals, i, x))
-        return out
-
     def slopes(self) -> tuple[Fraction, ...]:
         bps, vals = self.breakpoints, self.values
         return tuple(_slope(bps, vals, i) for i in range(1, len(bps)))
@@ -166,7 +139,7 @@ class PiecewiseLinear:
             return NotImplemented
         if self.domain != other.domain:
             return False
-        _, (a, b) = grid_values((self, other))
+        _, _, _, _, (a, b) = integer_grid((self, other))
         return a == b
 
     def __hash__(self):
@@ -185,7 +158,7 @@ class PiecewiseLinear:
         breakpoints X on S and values V on W, the lcms of their denominators,
         the kink test `_kinks` on the integer differences."""
         bps, vals = self.breakpoints, self.values
-        X, V = _on_scale(bps, _lcm_of(bps)), _on_scale(vals, _lcm_of(vals))
+        X, V = all_on_scale(bps, lcm_of(bps)), all_on_scale(vals, lcm_of(vals))
         keep = _kinks(_steps(X), _steps(V))
         if len(keep) == len(bps):
             return self
@@ -195,21 +168,22 @@ class PiecewiseLinear:
     # -- algebra ------------------------------------------------------------
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        bps, (fs, gs) = grid_values((self, other))
-        return PiecewiseLinear(bps, [a + b for a, b in zip(fs, gs)])
+        return self._combine(other, add)
 
     def sub(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        bps, (fs, gs) = grid_values((self, other))
-        return PiecewiseLinear(bps, [a - b for a, b in zip(fs, gs)])
+        return self._combine(other, sub)
+
+    def _combine(self, other: "PiecewiseLinear", op) -> "PiecewiseLinear":
+        """op of self and other on their merged grid, unsimplified, from
+        their integer columns on `integer_grid`."""
+        grid, point, _, W, (fs, gs) = integer_grid((self, other))
+        xs = tuple(map(point.__getitem__, grid))
+        return PiecewiseLinear._trusted(xs, tuple(Fraction(v, W) for v in map(op, fs, gs)),
+                                        tuple(map(_key, xs)))
 
     def scale(self, c: RationalLike) -> "PiecewiseLinear":
         c = rat(c)
         return PiecewiseLinear._trusted(self.breakpoints, tuple(c * v for v in self.values),
-                                        self._keys)
-
-    def shift(self, c: RationalLike) -> "PiecewiseLinear":
-        c = rat(c)
-        return PiecewiseLinear._trusted(self.breakpoints, tuple(v + c for v in self.values),
                                         self._keys)
 
     def __add__(self, other):
@@ -277,19 +251,16 @@ class PiecewiseLinear:
     def sup_norm(self) -> Fraction:
         """max |v| over the values, compared as integers on the lcm W of
         their denominators: one Fraction."""
-        W = _lcm_of(self.values)
-        return Fraction(max(map(abs, _on_scale(self.values, W))), W)
+        W = lcm_of(self.values)
+        return Fraction(max(map(abs, all_on_scale(self.values, W))), W)
 
     def min_value(self) -> Fraction:
         return min(self.values)
 
-    def max_value(self) -> Fraction:
-        return max(self.values)
-
     def le(self, other: "PiecewiseLinear") -> bool:
         """Exact pointwise self <= other (checked at the breakpoint union)."""
-        _, (fs, gs) = grid_values((self, other))
-        return all(a <= b for a, b in zip(fs, gs))
+        _, _, _, _, (fs, gs) = integer_grid((self, other))
+        return all(map(le, fs, gs))
 
     def breakpoints_in(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
         bps, keys = self.breakpoints, self._keys
@@ -324,28 +295,6 @@ def _slope(bps: tuple, vals: tuple, i: int) -> Fraction:
     return Fraction((c * b - a * d) * f * h, b * d * (g * f - e * h))
 
 
-def merged_breakpoints(fs: Sequence[PiecewiseLinear], lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """lo, the distinct breakpoints of fs strictly inside (lo, hi), and hi.
-
-    Each function's keys are bisected for (lo, hi), and (key, point) pairs
-    are sorted and deduplicated, so points are compared only where keys tie."""
-    pairs = []
-    for f in fs:
-        bps, keys = f.breakpoints, f._keys
-        i = _position(keys, bps, lo, bisect_right)
-        j = _position(keys, bps, hi, bisect_left)
-        pairs += zip(keys[i:j], bps[i:j])
-    pairs.sort()  # sorted runs: one merge
-    out = [lo]
-    last, end = (_key(lo), lo), (_key(hi), hi)
-    for pair in pairs:
-        if pair != last and pair != end:
-            out.append(pair[1])
-            last = pair
-    out.append(hi)
-    return out
-
-
 def _window(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike],
             hi: Optional[RationalLike]) -> tuple[Fraction, Fraction]:
     """[lo, hi], by default the domain all of fs share (ValueError if they
@@ -364,20 +313,12 @@ def _window(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike],
     return lo, hi
 
 
-def grid_values(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None,
-                hi: Optional[RationalLike] = None) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """The merged grid of fs on [lo, hi] and each function's values on it,
-    by default on the domain all of fs share (`_window`)."""
-    lo, hi = _window(fs, lo, hi)
-    xs = merged_breakpoints(fs, lo, hi)
-    return xs, [f.at(xs) for f in fs]
-
-
 def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = None,
                  hi: Optional[RationalLike] = None
                  ) -> tuple[list[int], dict[int, Fraction], int, int, Iterator[list[int]]]:
     """The merged grid of fs on [lo, hi] and each function's values on it,
-    in integers: (grid, point, S, W, columns), on the window of `grid_values`.
+    in integers: (grid, point, S, W, columns), by default on the domain all
+    of fs share (`_window`).
 
     On a window each f is first cut to it, as `restrict` does but building
     no function.  Every breakpoint becomes an integer X on S, the lcm of all
@@ -396,9 +337,9 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     else:
         lo, hi = _window(fs, lo, hi)
         parts = [f._clipped(lo, hi)[:2] for f in fs]
-    S = _lcm_of(*(bps for bps, _ in parts))
-    W = _lcm_of(*(vals for _, vals in parts))
-    terms = [(_on_scale(bps, S), _on_scale(vals, W)) for bps, vals in parts]
+    S = lcm_of(*(bps for bps, _ in parts))
+    W = lcm_of(*(vals for _, vals in parts))
+    terms = [(all_on_scale(bps, S), all_on_scale(vals, W)) for bps, vals in parts]
     widen = lcm(*{dx // gcd(dx, dv) for X, V in terms
                   for dx, dv in zip(map(sub, X[1:], X), map(sub, V[1:], V)) if dv})
     point = {}  # X -> a breakpoint of fs there
@@ -408,16 +349,6 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     terms.reverse()  # popped in order, so each term's lists are freed once walked
     columns = (_walk(grid, *terms.pop(), widen) for _ in range(len(terms)))
     return grid, point, S, W * widen, columns
-
-
-def _lcm_of(*seqs: Sequence[Fraction]) -> int:
-    """The lcm of the denominators of every Fraction in seqs."""
-    return lcm(*{x.denominator for xs in seqs for x in xs})
-
-
-def _on_scale(xs: Sequence[Fraction], scale: int) -> list[int]:
-    """xs as integers on scale, which every denominator of xs divides."""
-    return [x.numerator * (scale // x.denominator) for x in xs]
 
 
 def _steps(X: Sequence[int]) -> list[int]:
@@ -538,7 +469,8 @@ def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
 def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     """Σ fs on their common domain, simplified: ValueError if fs is empty
     or the domains differ.  The result is that of reading every term on the
-    merged grid (`grid_values`), adding Fractions and simplifying.
+    merged grid, adding Fractions and simplifying
+    (`tests/oracles.py::ref_pl_sum`).
 
     The sum is computed on `integer_grid`'s scales, where every term's value
     at every grid point is an integer.  Each column adds to the total, and
@@ -560,15 +492,16 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Maximal intervals of [lo, hi] on which f is monotone (zero slopes
     extend the current run)."""
-    xs, (fs,) = grid_values((f,), lo, hi)
-    runs, start, direction = [], xs[0], 0
-    for a, u, v in zip(xs, fs, fs[1:]):
+    grid, point, _, _, (vs,) = integer_grid((f,), lo, hi)
+    runs, start, direction = [], point[grid[0]], 0
+    for x, u, v in zip(grid, vs, vs[1:]):
         sgn = (v > u) - (v < u)
         if sgn and direction and sgn != direction:
+            a = point[x]
             runs.append((start, a))
             start = a
         direction = sgn or direction
-    runs.append((start, xs[-1]))
+    runs.append((start, point[grid[-1]]))
     return runs
 
 

@@ -56,7 +56,7 @@ from .envelopes import (
     envelope_refine,
     verify_contraction,
 )
-from .pcw import PiecewiseLinear, first_sloped_segment, grid_values, integer_grid
+from .pcw import PiecewiseLinear, first_sloped_segment, integer_grid
 from .pcw import monotone_runs, pl_max, pl_min
 
 
@@ -189,15 +189,15 @@ def _sup_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
 
 def _positive_zone(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     """Longest run of segments [x_i, x_{i+1}] of f on [lo, hi] with v_i > 0 or v_i + v_{i+1} > 0."""
-    xs, (vs,) = grid_values((f,), lo, hi)
+    grid, point, _, _, (vs,) = integer_grid((f,), lo, hi)
     zones: list[tuple[Fraction, Fraction]] = []
     start: Optional[Fraction] = None
-    for i, x in enumerate(xs):
-        if i + 1 < len(xs) and (vs[i] > 0 or vs[i] + vs[i + 1] > 0):
+    for i, x in enumerate(grid):
+        if i + 1 < len(grid) and (vs[i] > 0 or vs[i] + vs[i + 1] > 0):
             if start is None:
-                start = x
+                start = point[x]
         elif start is not None:
-            zones.append((start, x))
+            zones.append((start, point[x]))
             start = None
     return max(zones, key=lambda z: z[1] - z[0], default=None)
 
@@ -246,7 +246,8 @@ class UdtBuildResult:
         """(ii) f_m = f_n on F_n and (vi) tail witness ratios, all stages.
 
         Both stages are linear between the points of the merged grid of a
-        component of F_n, so f_m = f_n on it when their values agree there."""
+        component of F_n, so f_m = f_n on it when their values agree there:
+        integers on `pcw.integer_grid`."""
         for n in range(1, len(self.stages) + 1):
             f_n = self.stages[n - 1]
             F_n = self.system.closed_at(n)
@@ -255,7 +256,7 @@ class UdtBuildResult:
                 if m > n:  # f_n - f_n = 0: nothing to check at m = n
                     for comp in F_n:
                         if not comp.is_degenerate:
-                            _, (a, b) = grid_values((f_m, f_n), comp.lo, comp.hi)
+                            _, _, _, _, (a, b) = integer_grid((f_m, f_n), comp.lo, comp.hi)
                             if a != b:
                                 return False
                 for rec in self.diagnostics[n - 1].witnesses:
@@ -502,10 +503,9 @@ def build_udt_lip1(
         r_n = pl_min(eps_margin, PiecewiseLinear.constant(Fraction(1, 2 ** n), window),
                      *notches)
 
-        radius_zero = all(
-            v == 0
+        radius_zero = not any(
+            any(next(integer_grid((r_n,), comp.lo, comp.hi)[4]))
             for comp in F_n if not comp.is_degenerate
-            for v in grid_values((r_n,), comp.lo, comp.hi)[1][0]
         )
         radius_within = r_n.le(eps_margin)
         gaps = [abs(rec.x - rec.y) for rec in witnesses]

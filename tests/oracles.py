@@ -1,11 +1,12 @@
 """Independent brute-force oracles used by the test suite.
 
-These deliberately avoid the library's own algorithms: sets with dyadic
-endpoints are handled as bitmasks over a 2^-m grid, densities and level-set
-membership are minimized over dense radius grids.
+These deliberately avoid the library's own algorithms, and import nothing
+from it (`test_oracles.py` checks that): sets with dyadic endpoints are
+handled as bitmasks over a 2^-m grid, densities and level-set membership
+are minimized over dense radius grids.
 
-The `ref_*` functions at the end are the slow paths that the one-sweep
-piecewise-linear algebra replaced: they evaluate a function one point at a
+The `ref_*` functions at the end are the slow paths that the integer
+piecewise-linear readers replaced: they evaluate a function one point at a
 time through its `__call__` and glue with `restrict` and `concat`, or
 read E's cumulative measure with one bisect per point, or compare a tube
 through intermediate functions built on the breakpoint union.
@@ -14,14 +15,16 @@ through intermediate functions built on the breakpoint union.
 `ref_endpoints_in` and `ref_clip` are the readers of E's
 mass index without its integer scale: each builds the endpoint and
 prefix-sum lists from E's components and bisects them on Fractions only.
-`ref_at`, `ref_merged_breakpoints` and `ref_simplify` are the sweep, the
-evaluation grid and `simplify` without float keys: they order points by
-Fraction comparisons only and interpolate on every segment.
-`ref_pl_sum` is the n-ary sum in Fractions: every term read on the merged
-grid by `grid_values`, one Fraction add per term and point, then
-`ref_simplify`, which every oracle that simplifies calls.  `ref_envelope` is the n-ary min or max as pairwise `ref_pick`s, each
+`ref_at`, `ref_merged_breakpoints` and `ref_simplify` are point reads, the
+merged grid and `simplify` without float keys or integer scales: they order
+points by Fraction comparisons only and interpolate on every segment.
+`ref_pl_sum` is the n-ary sum in Fractions: every term read through
+`__call__` at each point of `ref_merged_breakpoints`, one Fraction add per
+term and point, then `ref_simplify`, which every oracle that simplifies
+calls.  `ref_monotone_runs` scans the Fraction values of `restrict`.
+`ref_envelope` is the n-ary min or max as pairwise `ref_pick`s, each
 adding the crossings of f - g in Fractions, and `ref_cauchy_step` is the
-builder's ‖f_n - f_{n-1}‖ as a Fraction max on the merged grid.
+builder's ‖f_n - f_{n-1}‖ as a Fraction max on `ref_merged_breakpoints`.
 
 `ref_balance_point`, `ref_refine_blocks` and `ref_block_bounds` are refine's
 steps in Fractions: the balance point as `balance_point` solved it, the
@@ -49,8 +52,6 @@ import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
-
-from lipsets.pcw import grid_values
 
 
 def to_cells(pairs, window, m):
@@ -231,6 +232,23 @@ def ref_merged_breakpoints(fs, lo, hi):
     return [lo, *(b for b in inner if lo < b < hi), hi]
 
 
+def ref_monotone_runs(f, lo, hi):
+    """Maximal intervals of [lo, hi] on which f is monotone, zero slopes
+    extending the current run: a scan of the Fraction values of
+    f.restrict(lo, hi)."""
+    g = f.restrict(lo, hi)
+    xs, vs = g.breakpoints, g.values
+    runs, start, direction = [], xs[0], 0
+    for i in range(len(xs) - 1):
+        sgn = (vs[i + 1] > vs[i]) - (vs[i + 1] < vs[i])
+        if sgn and direction and sgn != direction:
+            runs.append((start, xs[i]))
+            start = xs[i]
+        direction = sgn or direction
+    runs.append((start, xs[-1]))
+    return runs
+
+
 def ref_simplify(f):
     """f without the interior breakpoints where the slope does not change,
     with two divisions per breakpoint."""
@@ -252,8 +270,11 @@ def ref_pl_sum(fs):
     fs is empty or the domains differ."""
     if not fs:
         raise ValueError("need at least one function")
-    bps, values = grid_values(fs)
-    return ref_simplify(type(fs[0])(bps, [sum(vs) for vs in zip(*values)]))
+    lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
+    if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
+        raise ValueError("domain mismatch")
+    xs = ref_merged_breakpoints(fs, lo, hi)
+    return ref_simplify(type(fs[0])(xs, [sum(f(x) for f in fs) for x in xs]))
 
 
 # -- slow paths of the piecewise-linear algebra --------------------------------
@@ -303,8 +324,8 @@ def ref_envelope(fs, choose):
 
 def ref_cauchy_step(f, g):
     """max |f - g| on the merged grid, one Fraction difference per point."""
-    _, (fs, gs) = grid_values((f, g))
-    return max(abs(a - b) for a, b in zip(fs, gs))
+    xs = ref_merged_breakpoints((f, g), f.breakpoints[0], f.breakpoints[-1])
+    return max(abs(f(x) - g(x)) for x in xs)
 
 
 def ref_contraction_witness(f, phi, factor):

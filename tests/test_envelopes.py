@@ -509,7 +509,7 @@ def test_refine_and_flatten_reject_a_radius_touching_zero(radius):
             call()
         assert err.value.witness == TOUCHING_RADII[radius]
     # with the radius lifted off 0 both lemmas go through
-    lifted = Envelope(ZERO, radius.shift(F(1, 64)))
+    lifted = Envelope(ZERO, radius + PiecewiseLinear.constant(F(1, 64), radius.domain))
     envelope_refine(lifted, E, F(1, 2), F(1, 4), segment=SEG)
     assert first_sloped_segment(
         envelope_flatten(lifted, E, H, F(1, 2), F(1, 4), segment=SEG).function, H) is None

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipsets.envelopes import _zigzag, verify_contraction
+from lipsets.envelopes import PreconditionError, _least_radius, _zigzag, verify_contraction
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import (
     PiecewiseLinear,
@@ -14,11 +15,10 @@ from lipsets.pcw import (
     build_signed_integral,
     first_sloped_segment,
     geometric_grid,
-    grid_values,
+    integer_grid,
     lip_sweep,
     local_lip_exact,
     m_ratio,
-    merged_breakpoints,
     monotone_runs,
     pl_max,
     pl_min,
@@ -34,6 +34,7 @@ from oracles import (
     ref_first_sloped_segment,
     ref_le,
     ref_merged_breakpoints,
+    ref_monotone_runs,
     ref_pick,
     ref_pl_sum,
     ref_refine_blocks,
@@ -88,7 +89,7 @@ class TestAlgebra:
     def test_add_cancels(self):
         f = PiecewiseLinear([0, 1, 3], [0, 2, -1])
         z = f + (-f)
-        assert z.min_value() == 0 and z.max_value() == 0
+        assert z.min_value() == 0 and max(z.values) == 0
 
     def test_scale_slopes(self):
         phi = build_phi(iset((0, F(1, 4)), (F(1, 2), 1)), 0)
@@ -126,8 +127,9 @@ class TestAlgebra:
 
     def test_le(self):
         f = PiecewiseLinear([0, 1], [0, 1])
-        assert f.le(f.shift(F(1, 100)))
-        assert not f.shift(F(1, 100)).le(f)
+        lifted = f + PiecewiseLinear.constant(F(1, 100), f.domain)
+        assert f.le(lifted)
+        assert not lifted.le(f)
 
 
 class TestBuildPhi:
@@ -380,7 +382,8 @@ def test_equality_and_hash_ignore_collinear_breakpoints():
     dense = PiecewiseLinear([0, F(1, 3), 1, F(3, 2), 2], [0, F(1, 3), 1, F(1, 2), 0])
     assert f == dense and dense == f and hash(f) == hash(dense)
     assert len({f, dense}) == 1
-    assert f != f.shift(F(1, 2)) and f != PiecewiseLinear([0, 1, 2], [0, F(1, 2), 0])
+    assert f != f + PiecewiseLinear.constant(F(1, 2), f.domain)
+    assert f != PiecewiseLinear([0, 1, 2], [0, F(1, 2), 0])
     # the same values at every shared point, but on another domain
     assert f != PiecewiseLinear([0, 1, 2, 3], [0, 1, 0, 0])
     assert f != PiecewiseLinear([0, 1], [0, 1]) and f != "f"
@@ -403,32 +406,16 @@ def test_monotone_runs_plateau_extends_run():
     assert monotone_runs(f, F(1, 2), F(5, 2)) == [(F(1, 2), 2), (2, F(5, 2))]
 
 
-# -- the one sweep, the one splice and the one slope check, against the
-# slow paths they replaced ------------------------------------------------------------
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError:
-        return ValueError
+# -- point reads, the integer grid, the one splice and the one slope check,
+# against the slow paths they replaced --------------------------------------------------
 
 
 @settings(max_examples=100)
-@given(pl_functions(), st.lists(points.map(lambda t: 3 * t - 1), max_size=20), st.randoms())
-def test_at_is_pointwise_call(f, xs, rnd):
+@given(pl_functions(), st.lists(points.map(lambda t: 3 * t - 1), max_size=20))
+def test_at_is_pointwise_call(f, xs):
     xs = sorted(xs + list(f.breakpoints[::2]))
-    assert f.at(xs) == [f(x) for x in xs] == ref_at(f, xs)
-    rnd.shuffle(xs)
-    assert _outcome(f.at, xs) == _outcome(ref_at, f, xs)
+    assert [f(x) for x in xs] == ref_at(f, xs)
     assert f.simplify().as_pairs() == ref_simplify(f).as_pairs()
-
-
-def test_at_rejects_a_step_back_past_a_breakpoint():
-    f = PiecewiseLinear([0, 1, 2], [0, 1, 0])
-    assert f.at([F(3, 2), F(5, 4), 3, -1]) == [F(1, 2), F(3, 4), 0, 0]  # no breakpoint crossed
-    with pytest.raises(ValueError):
-        f.at([F(3, 2), F(1, 2)])
 
 
 @settings(max_examples=100)
@@ -440,16 +427,6 @@ def test_binary_operations_match_slow_paths(f, g):
     assert f.le(pl_max(f, g)) and pl_min(f, g).le(f)
     assert pl_min(f, g).as_pairs() == ref_pick(f, g, min).as_pairs()
     assert pl_max(f, g).as_pairs() == ref_pick(f, g, max).as_pairs()
-
-
-@settings(max_examples=100)
-@given(st.lists(st.one_of(pl_functions(), pl_functions(F(1, 4), F(3, 4))),
-                min_size=1, max_size=4),
-       st.lists(points, min_size=2, max_size=2, unique=True))
-def test_merged_breakpoints_is_the_filtered_union(fs, window):
-    lo, hi = sorted(window)
-    inner = sorted(set(b for f in fs for b in f.breakpoints))
-    assert merged_breakpoints(fs, lo, hi) == [lo, *[b for b in inner if lo < b < hi], hi]
 
 
 @settings(max_examples=100)
@@ -554,19 +531,20 @@ def test_sloped_segments_match_a_linear_scan(f, S):
 
 @settings(max_examples=100)
 @given(st.lists(pl_functions(), min_size=1, max_size=4), st.data())
-def test_grid_values_reads_each_function_on_the_merged_grid(fs, data):
-    xs, values = grid_values(fs)
-    assert xs == merged_breakpoints(fs, F(0), F(1))
-    assert values == [[f(x) for x in xs] for f in fs]
+def test_integer_grid_reads_each_function_on_the_merged_grid(fs, data):
     lo, hi = sorted(data.draw(st.lists(points, min_size=2, max_size=2, unique=True)))
-    xs, values = grid_values(fs, lo, hi)
-    assert xs == merged_breakpoints(fs, lo, hi)
-    assert values == [[f(x) for x in xs] for f in fs]
+    for window in ((), (lo, hi)):  # by default the shared domain [0, 1]
+        grid, point, S, W, columns = integer_grid(fs, *window)
+        xs = [point[x] for x in grid]
+        assert xs == ref_merged_breakpoints(fs, *(window or (F(0), F(1))))
+        assert [F(x, S) for x in grid] == xs
+        assert [[F(v, W) for v in column] for column in columns] == [
+            [f(x) for x in xs] for f in fs]
     with pytest.raises(ValueError, match="domain mismatch"):
-        grid_values([*fs, PiecewiseLinear.constant(0, Interval(F(0), F(2)))])
+        integer_grid([*fs, PiecewiseLinear.constant(0, Interval(F(0), F(2)))])
     for bad in ((hi, lo), (lo, lo), (lo, F(2)), (F(-1), hi)):
         with pytest.raises(ValueError, match="window outside domain"):
-            grid_values(fs, *bad)
+            integer_grid(fs, *bad)
 
 
 @settings(max_examples=150)
@@ -630,16 +608,15 @@ def test_keyed_paths_match_exact_paths_at_float_ties(f, data):
     domain = f.breakpoints[0], f.breakpoints[-1]
     g = data.draw(float_tie_functions(domain=domain))
     probes = sorted({*TIE_POINTS, *near_and_between(f.breakpoints)})
-    lo, hi = sorted(data.draw(st.sets(st.sampled_from(probes), min_size=2, max_size=2)))
-    unsorted = data.draw(st.lists(st.sampled_from(probes), max_size=12))
-    assert f.at(probes) == ref_at(f, probes) == [f(x) for x in probes]
-    assert _outcome(f.at, unsorted) == _outcome(ref_at, f, unsorted)
+    assert [f(x) for x in probes] == ref_at(f, probes)
     assert f.simplify().as_pairs() == ref_simplify(f).as_pairs()
     # f again, with each probe in its domain as an extra collinear breakpoint
     dense_xs = sorted({*f.breakpoints, *(x for x in probes if f.domain.contains(x))})
-    dense = PiecewiseLinear(dense_xs, f.at(dense_xs))
+    dense = PiecewiseLinear(dense_xs, [f(x) for x in dense_xs])
     assert dense.simplify().as_pairs() == ref_simplify(dense).as_pairs() == f.simplify().as_pairs()
-    assert merged_breakpoints((f, g), lo, hi) == ref_merged_breakpoints((f, g), lo, hi)
+    lo, hi = sorted(data.draw(st.sets(st.sampled_from(dense_xs), min_size=2, max_size=2)))
+    grid, point, _, _, _ = integer_grid((f, g), lo, hi)
+    assert [point[x] for x in grid] == ref_merged_breakpoints((f, g), lo, hi)
     assert f.add(g).as_pairs() == ref_combine(f, g, lambda a, b: a + b).as_pairs()
     assert f.sub(g).as_pairs() == ref_combine(f, g, lambda a, b: a - b).as_pairs()
     assert f.le(g) == ref_le(f, g) and g.le(f) == ref_le(g, f)
@@ -660,16 +637,76 @@ def test_order_checks_inside_one_float():
     for bad in ([third, third], [third + t, third], [0, third, third - t, 1]):
         with pytest.raises(ValueError, match="strictly increasing"):
             PiecewiseLinear(bad, [0] * len(bad))
-    assert f.at([third - t / 2, third, third + t / 2]) == [F(1, 2), 0, F(1, 2)]
-    assert f.at([third + t / 4, third + t / 2]) == [F(1, 4), F(1, 2)]  # no breakpoint crossed
-    for back in ([third + t / 2, third - t / 2], [third + t, third], [third, third - t]):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            f.at(back)
+    xs = [third - t / 2, third, third + t / 4, third + t / 2]
+    assert [f(x) for x in xs] == ref_at(f, xs) == [F(1, 2), 0, F(1, 4), F(1, 2)]
     # -0.0 and 0.0 tie too: -10^-400 sits below 0 though both keys compare equal
     g = PiecewiseLinear([-F(1, 10 ** 400), 0, 1], [1, 0, 0])
-    assert g.at([-F(1, 10 ** 401), 0]) == [F(1, 10), 0]
+    assert [g(-F(1, 10 ** 401)), g(0)] == [F(1, 10), 0]
     with pytest.raises(ValueError, match="strictly increasing"):
         PiecewiseLinear([0, -F(1, 10 ** 400)], [0, 0])
+
+
+# -- one- and two-function readers on integer_grid, on windows off the breakpoints -----
+
+
+def _off_breakpoints(f):
+    """Points strictly inside f's domain that are not breakpoints of f: the
+    thirds and midpoint of each segment, and points 2^-200 off each
+    breakpoint."""
+    bps = f.breakpoints
+    thirds = {a + (b - a) * k / 3 for a, b in zip(bps, bps[1:]) for k in (1, 2)}
+    return sorted(x for x in {*thirds, *near_and_between(bps)}
+                  if bps[0] < x < bps[-1] and x not in bps)
+
+
+def _window_off_breakpoints(data, f):
+    return sorted(data.draw(st.sets(st.sampled_from(_off_breakpoints(f)),
+                                    min_size=2, max_size=2)))
+
+
+@pytest.mark.parametrize("family", SUM_TERMS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_eq_is_a_zero_difference_at_every_breakpoint(family, data):
+    # f against itself with extra collinear points, that function bumped at
+    # one of them, and another function on f's domain
+    f = data.draw(SUM_TERMS[family](None))
+    extra = data.draw(st.sets(st.sampled_from(_off_breakpoints(f)), min_size=1, max_size=4))
+    xs = sorted({*f.breakpoints, *extra})
+    dense = PiecewiseLinear(xs, [f(x) for x in xs])
+    bump = data.draw(st.sampled_from(sorted(extra)))
+    bumped = PiecewiseLinear(xs, [f(x) + TIE_STEP * (x == bump) for x in xs])
+    other = data.draw(SUM_TERMS[family]((f.breakpoints[0], f.breakpoints[-1])))
+    for g in (f, dense, bumped, other):
+        zero = all(v == 0 for v in ref_combine(f, g, operator.sub).values)
+        assert (f == g) == (g == f) == zero
+    assert f == dense and f != bumped
+
+
+@pytest.mark.parametrize("family", SUM_TERMS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_monotone_runs_match_a_fraction_scan(family, data):
+    f = data.draw(SUM_TERMS[family](None))
+    lo, hi = _window_off_breakpoints(data, f)
+    assert monotone_runs(f, lo, hi) == ref_monotone_runs(f, lo, hi)
+
+
+@pytest.mark.parametrize("family", SUM_TERMS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_least_radius_is_the_fraction_min(family, data):
+    f = data.draw(SUM_TERMS[family](None))
+    radius = f + PiecewiseLinear.constant(data.draw(st.sampled_from([0, 1, 3])), f.domain)
+    c, d = _window_off_breakpoints(data, f)
+    cut = radius.restrict(c, d)
+    least = min(cut.values)
+    if least > 0:
+        assert _least_radius(radius, c, d) == least
+    else:
+        with pytest.raises(PreconditionError) as info:
+            _least_radius(radius, c, d)
+        assert info.value.witness == cut.breakpoints[cut.values.index(least)]
 
 
 # -- the n-ary envelopes, simplify and sup_norm on integers ----------------------------
@@ -699,7 +736,7 @@ def test_simplify_and_sup_norm_match_fraction_loops(family, data):
     # f again with collinear points at the thirds of each segment
     dense_xs = sorted({*f.breakpoints, *(a + (b - a) * k / 3 for a, b in
                                           zip(f.breakpoints, f.breakpoints[1:]) for k in (1, 2))})
-    dense = PiecewiseLinear(dense_xs, f.at(dense_xs))
+    dense = PiecewiseLinear(dense_xs, [f(x) for x in dense_xs])
     for g in (f, dense):
         assert g.simplify().as_pairs() == ref_simplify(g).as_pairs()
         assert g.sup_norm() == max(abs(v) for v in g.values)

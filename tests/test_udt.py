@@ -131,7 +131,8 @@ class TestTwoStages:
     def test_vicinity_chain_detects_a_stage_leaving_its_tube(self, two_stages):
         f1, f2 = two_stages.stages
         moved = UdtBuildResult(
-            two_stages.system, two_stages.witness, (f1, f2.shift(1)),
+            two_stages.system, two_stages.witness,
+            (f1, f2 + PiecewiseLinear.constant(1, f2.domain)),
             two_stages.radii, two_stages.diagnostics,
         )
         assert not moved.vicinity(1).contains(moved.stages[1])
@@ -153,7 +154,8 @@ class TestTwoStages:
         f1, f2 = two_stages.stages
         comp = two_stages.system.closed_at(1).intervals[0]
         moved = UdtBuildResult(
-            two_stages.system, two_stages.witness, (f1, f2.shift(F(1, 2 ** 20))),
+            two_stages.system, two_stages.witness,
+            (f1, f2 + PiecewiseLinear.constant(F(1, 2 ** 20), f2.domain)),
             two_stages.radii, two_stages.diagnostics,
         )
         assert f2(comp.midpoint) != moved.stages[1](comp.midpoint)
@@ -187,9 +189,9 @@ def test_cauchy_step_and_radius_sup_match_fraction_maxima(fixture, request):
 
 
 def test_read_only_checks_build_no_function(monkeypatch, two_stages):
-    # every exact check reads the stages through sloped_segments,
-    # grid_values or integer_grid, or on its own integer scale: with every
-    # way to build a function made to raise, each still returns its verdict
+    # every exact check reads the stages through sloped_segments or
+    # integer_grid, or on its own integer scale: with every way to build a
+    # function made to raise, each still returns its verdict
     def no_build(*args, **kwargs):
         raise AssertionError("a read-only check built a function")
 
@@ -206,6 +208,11 @@ def test_read_only_checks_build_no_function(monkeypatch, two_stages):
     assert U1.min_margin_on(f2, c, d) > 0
     assert two_stages.persistence_ok()
     assert two_stages.vicinity_chain_ok()
+    f1, (r1, r2) = two_stages.stages[0], two_stages.radii
+    assert f2 == f2 and f1 != f2
+    assert r2.le(r1) and not r1.le(r2)
+    runs = monotone_runs(f2, c, d)
+    assert runs[0][0] == c and runs[-1][1] == d and len(runs) > 1
 
 
 def test_builder_never_flattens(monkeypatch, two_stages):
