@@ -34,7 +34,6 @@ its blocks into is the radius.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -207,7 +206,7 @@ def _adaptive_block_bounds(
     denom = 2 * (2 * Ld + L.numerator)  # 2(2 + L)·Ld: halved steps leave room to merge slivers
     dn, dd = d.numerator, d.denominator
     out = [c]
-    p, i, seg = c, max(1, bisect_left(bps, c)), 0
+    p, i, seg = c, max(1, margin._position(c, False)), 0
     while True:
         while bps[i] < p:  # bps[i - 1] <= p <= bps[i]
             i += 1

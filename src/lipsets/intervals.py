@@ -15,7 +15,9 @@ e < x exactly when e·D_E < ⌈x·D_E⌉.  `IntervalSet.phi_on` and
 divides, as u ↦ S·Φ(u/S) and the endpoints as integers on S, and
 `IntervalSet.locate_on` inverts `phi_on` on the same scale; the Fraction
 readers (`cumulative`, `mass`, `locate`, `endpoints_in`, ...) are built on
-the same bisects and turn only their results into Fractions.
+the same bisects and turn only their results into Fractions.  The same
+floor/ceil rule (`floor_on`, `ceil_on`) places points among a
+piecewise-linear function's breakpoints (`pcw.PiecewiseLinear._position`).
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ class IntervalSet:
         it is the next lo."""
         x = rat(x)
         D, ends, _, _ = self._mass_index()
-        i = bisect_left(ends, _ceil_on(x, D))
+        i = bisect_left(ends, ceil_on(x, D))
         return i & 1 == 1 or (i < len(ends) and ends[i] * x.denominator == x.numerator * D)
 
     # -- measure and algebra ----------------------------------------------
@@ -206,8 +208,7 @@ class IntervalSet:
         except AttributeError:
             pass
         fracs = self.endpoints()
-        D = lcm_of(fracs)
-        ends = all_on_scale(fracs, D)
+        D, ends = own_scale(fracs)
         cum = [0]
         for lo, hi in zip(ends[::2], ends[1::2]):
             cum.append(cum[-1] + (hi - lo))
@@ -288,8 +289,8 @@ class IntervalSet:
     def endpoints_in(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
         """The endpoints e with lo <= e <= hi, in order, in O(log n + k)."""
         D, ends, _, fracs = self._mass_index()
-        return fracs[bisect_left(ends, _ceil_on(rat(lo), D)):
-                     bisect_right(ends, _floor_on(rat(hi), D))]
+        return fracs[bisect_left(ends, ceil_on(rat(lo), D)):
+                     bisect_right(ends, floor_on(rat(hi), D))]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         allow = any(iv.is_degenerate for iv in self._intervals + other._intervals)
@@ -322,8 +323,8 @@ class IntervalSet:
         a, b = window.lo, window.hi
         D, ends, _, _ = self._mass_index()
         # components j with hi_j > a and lo_j < b; ends = lo_0, hi_0, lo_1, ...
-        first = bisect_right(ends, _floor_on(a, D)) // 2
-        stop = (bisect_left(ends, _ceil_on(b, D)) + 1) // 2
+        first = bisect_right(ends, floor_on(a, D)) // 2
+        stop = (bisect_left(ends, ceil_on(b, D)) + 1) // 2
         out = []
         for iv in self._intervals[first:stop]:
             lo, hi = max(iv.lo, a), min(iv.hi, b)
@@ -388,7 +389,7 @@ def on_scale(x: Fraction, scale: int) -> int:
 
 def all_on_scale(xs: Iterable[Fraction], scale: int) -> list[int]:
     """[on_scale(x, scale) for x in xs]."""
-    return [x.numerator * (scale // x.denominator) for x in xs]
+    return [n * (scale // d) for n, d in map(Fraction.as_integer_ratio, xs)]
 
 
 def lcm_of(*seqs: Iterable[Fraction]) -> int:
@@ -396,12 +397,20 @@ def lcm_of(*seqs: Iterable[Fraction]) -> int:
     return lcm(*{x.denominator for xs in seqs for x in xs})
 
 
-def _floor_on(x: Fraction, scale: int) -> int:
+def own_scale(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(S, X): S = lcm_of(xs) and X = all_on_scale(xs, S), reading each
+    Fraction once."""
+    pairs = list(map(Fraction.as_integer_ratio, xs))
+    S = lcm(*{d for _, d in pairs})
+    return S, [n * (S // d) for n, d in pairs]
+
+
+def floor_on(x: Fraction, scale: int) -> int:
     """⌊x·scale⌋."""
     return x.numerator * scale // x.denominator
 
 
-def _ceil_on(x: Fraction, scale: int) -> int:
+def ceil_on(x: Fraction, scale: int) -> int:
     """⌈x·scale⌉."""
     return -(-x.numerator * scale // x.denominator)
 

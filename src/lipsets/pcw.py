@@ -29,13 +29,15 @@ interpolates as one integer fraction reduced once.  And
 |f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, reads f's own
 breakpoints and values as integers, on one scale with E's own.
 
-`__call__`, `restrict` and `breakpoints_in` find points by float keys
-(`_key`; E's mass index bisects integers instead): each function keeps the
-correctly rounded float of every breakpoint, and two Fractions are compared
-only where their keys tie.  The conversion is monotone, so a strict order
-of keys is the order of the points (a value beyond the float range keys as
-±inf, one too small as ±0.0), and every output is that of exact
-comparisons.
+Every locate among a function's breakpoints goes through one integer
+index (`PiecewiseLinear._position`), as E's mass index does in `intervals`:
+the breakpoints as integers X on S, the lcm of their denominators, built by
+the constructor or on the first locate of a function the algebra built.  A
+point x lies among them by an integer bisect: b <= x exactly when
+b·S <= ⌊x·S⌋, and b < x exactly when b·S < ⌈x·S⌉.  `__call__`, `restrict`,
+`breakpoints_in`, every windowed `integer_grid` read and
+`local_lip_exact` locate through it, so every order among points is exact,
+however close the points or however large.
 
 `PiecewiseLinear.splice` is the only glue.  `build_signed_integral`
 integrates the difference of two sets' indicators, reading their cumulative
@@ -50,38 +52,21 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import add, and_, eq, itemgetter, le, lt, neg, or_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .intervals import Interval, IntervalSet, RationalLike, all_on_scale, lcm_of, rat
+from .intervals import (
+    Interval, IntervalSet, RationalLike, all_on_scale, ceil_on, floor_on, lcm_of, own_scale, rat,
+)
 
 ZERO = Fraction(0)
-
-
-def _key(x: Fraction) -> float:
-    """float(x), correctly rounded, with ±inf beyond the float range."""
-    try:
-        return x.numerator / x.denominator
-    except OverflowError:
-        return inf if x > 0 else -inf
-
-
-def _position(keys: Sequence[float], exact: Sequence[Fraction], x: Fraction, bisect) -> int:
-    """bisect(exact, x) for bisect_left or bisect_right, with keys[i] the
-    key of exact[i].  Entries whose key is below or above x's key are below
-    or above x; only the run of keys equal to x's is bisected exactly."""
-    k = _key(x)
-    lo = bisect_left(keys, k)
-    if lo == len(keys) or keys[lo] != k:
-        return lo
-    return bisect(exact, x, lo, bisect_right(keys, k, lo))
 
 
 class PiecewiseLinear:
     """Continuous piecewise-linear function with exact rational data."""
 
-    __slots__ = ("breakpoints", "values", "_keys")  # _keys[i] = _key(breakpoints[i])
+    __slots__ = ("breakpoints", "values", "_index")  # _index = (S, X): see _position
 
     def __init__(self, breakpoints: Sequence[RationalLike], values: Sequence[RationalLike]):
         bps = tuple(map(rat, breakpoints))
@@ -90,23 +75,34 @@ class PiecewiseLinear:
             raise ValueError("breakpoints and values must have equal length")
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
-        keys = tuple(map(_key, bps))
-        if not all(map(lt, keys, keys[1:])) and not all(
-            k0 < k1 or k0 == k1 and a < b
-            for a, b, k0, k1 in zip(bps, bps[1:], keys, keys[1:])
-        ):
+        self._index = own_scale(bps)
+        X = self._index[1]
+        if not all(map(lt, X, islice(X, 1, None))):
             raise ValueError("breakpoints must be strictly increasing")
         self.breakpoints = bps
         self.values = vals
-        self._keys = keys
 
     @classmethod
-    def _trusted(cls, bps: tuple, vals: tuple, keys: tuple) -> "PiecewiseLinear":
+    def _trusted(cls, bps: tuple, vals: tuple) -> "PiecewiseLinear":
         """A function from tuples already known to be valid: Fractions,
-        strictly increasing breakpoints with their keys, equal lengths."""
+        strictly increasing breakpoints, equal lengths.  Its index is built
+        on its first locate."""
         f = object.__new__(cls)
-        f.breakpoints, f.values, f._keys = bps, vals, keys
+        f.breakpoints, f.values = bps, vals
         return f
+
+    def _position(self, x: Fraction, right: bool) -> int:
+        """bisect_right(breakpoints, x) if right, else bisect_left, as one
+        integer bisect on the index (S, X): the breakpoints as integers X on
+        S, the lcm of their denominators.  b <= x exactly when
+        b·S <= ⌊x·S⌋, and b < x exactly when b·S < ⌈x·S⌉."""
+        try:
+            S, X = self._index
+        except AttributeError:
+            S, X = self._index = own_scale(self.breakpoints)
+        if right:
+            return bisect_right(X, floor_on(x, S))
+        return bisect_left(X, ceil_on(x, S))
 
     # -- basics -------------------------------------------------------------
 
@@ -121,7 +117,7 @@ class PiecewiseLinear:
     def __call__(self, x: RationalLike) -> Fraction:
         x = rat(x)
         bps, vals = self.breakpoints, self.values
-        i = _position(self._keys, bps, x, bisect_right)  # bps[i - 1] <= x < bps[i]
+        i = self._position(x, True)  # bps[i - 1] <= x < bps[i]
         if i == 0:
             return vals[0]
         if i == len(bps):
@@ -158,12 +154,12 @@ class PiecewiseLinear:
         breakpoints X on S and values V on W, the lcms of their denominators,
         the kink test `_kinks` on the integer differences."""
         bps, vals = self.breakpoints, self.values
-        X, V = all_on_scale(bps, lcm_of(bps)), all_on_scale(vals, lcm_of(vals))
+        (_, X), (_, V) = own_scale(bps), own_scale(vals)
         keep = _kinks(_steps(X), _steps(V))
         if len(keep) == len(bps):
             return self
         pick = itemgetter(*keep)
-        return PiecewiseLinear._trusted(pick(bps), pick(vals), pick(self._keys))
+        return PiecewiseLinear._trusted(pick(bps), pick(vals))
 
     # -- algebra ------------------------------------------------------------
 
@@ -178,13 +174,11 @@ class PiecewiseLinear:
         their integer columns on `integer_grid`."""
         grid, point, _, W, (fs, gs) = integer_grid((self, other))
         xs = tuple(map(point.__getitem__, grid))
-        return PiecewiseLinear._trusted(xs, tuple(Fraction(v, W) for v in map(op, fs, gs)),
-                                        tuple(map(_key, xs)))
+        return PiecewiseLinear._trusted(xs, tuple(Fraction(v, W) for v in map(op, fs, gs)))
 
     def scale(self, c: RationalLike) -> "PiecewiseLinear":
         c = rat(c)
-        return PiecewiseLinear._trusted(self.breakpoints, tuple(c * v for v in self.values),
-                                        self._keys)
+        return PiecewiseLinear._trusted(self.breakpoints, tuple(c * v for v in self.values))
 
     def __add__(self, other):
         return self.add(other)
@@ -201,15 +195,15 @@ class PiecewiseLinear:
             raise ValueError("restriction outside domain")
         return PiecewiseLinear._trusted(*self._clipped(lo, hi))
 
-    def _clipped(self, lo: Fraction, hi: Fraction) -> tuple[tuple, tuple, tuple]:
-        """The breakpoints, values and keys of self restricted to [lo, hi],
-        inside the domain with lo < hi: lo, the breakpoints strictly
-        between, hi."""
-        bps, keys = self.breakpoints, self._keys
-        i = _position(keys, bps, lo, bisect_right)
-        j = _position(keys, bps, hi, bisect_left)
-        return ((lo, *bps[i:j], hi), (self(lo), *self.values[i:j], self(hi)),
-                (_key(lo), *keys[i:j], _key(hi)))
+    def _clipped(self, lo: Fraction, hi: Fraction) -> tuple[tuple, tuple]:
+        """The breakpoints and values of self restricted to [lo, hi], inside
+        the domain with lo < hi: lo, the breakpoints strictly between, hi.
+        The end values are read on the segments the two locates found."""
+        bps, vals = self.breakpoints, self.values
+        i = self._position(lo, True)  # bps[i - 1] <= lo < bps[i]
+        j = self._position(hi, False)  # bps[j - 1] < hi <= bps[j]
+        return ((lo, *bps[i:j], hi),
+                (_interpolate(bps, vals, i, lo), *vals[i:j], _interpolate(bps, vals, j, hi)))
 
     def concat(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         if self.domain.hi != other.domain.lo:
@@ -217,9 +211,7 @@ class PiecewiseLinear:
         if self.values[-1] != other.values[0]:
             raise ValueError("concat would be discontinuous")
         return PiecewiseLinear._trusted(
-            self.breakpoints + other.breakpoints[1:], self.values + other.values[1:],
-            self._keys + other._keys[1:],
-        )
+            self.breakpoints + other.breakpoints[1:], self.values + other.values[1:])
 
     def splice(self, pieces: Iterable["PiecewiseLinear"]) -> "PiecewiseLinear":
         """self with each piece in its place on the piece's domain, simplified.
@@ -239,20 +231,19 @@ class PiecewiseLinear:
             cursor = hi
         if cursor < end:
             parts.append(self.restrict(cursor, end))
-        xs, vs, ks = list(parts[0].breakpoints), list(parts[0].values), list(parts[0]._keys)
+        xs, vs = list(parts[0].breakpoints), list(parts[0].values)
         for g in parts[1:]:
             if vs[-1] != g.values[0]:
                 raise ValueError("splice would be discontinuous")
             xs.extend(g.breakpoints[1:])
             vs.extend(g.values[1:])
-            ks.extend(g._keys[1:])
-        return PiecewiseLinear._trusted(tuple(xs), tuple(vs), tuple(ks)).simplify()
+        return PiecewiseLinear._trusted(tuple(xs), tuple(vs)).simplify()
 
     def sup_norm(self) -> Fraction:
         """max |v| over the values, compared as integers on the lcm W of
         their denominators: one Fraction."""
-        W = lcm_of(self.values)
-        return Fraction(max(map(abs, all_on_scale(self.values, W))), W)
+        W, V = own_scale(self.values)
+        return Fraction(max(map(abs, V)), W)
 
     def min_value(self) -> Fraction:
         return min(self.values)
@@ -263,9 +254,7 @@ class PiecewiseLinear:
         return all(map(le, fs, gs))
 
     def breakpoints_in(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
-        bps, keys = self.breakpoints, self._keys
-        i = _position(keys, bps, lo, bisect_left)
-        return list(bps[i:_position(keys, bps, hi, bisect_right)])
+        return list(self.breakpoints[self._position(lo, False):self._position(hi, True)])
 
 
 def _interpolate(bps: tuple, vals: tuple, i: int, x: Fraction) -> Fraction:
@@ -463,7 +452,7 @@ def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
         else:
             xs.append(Fraction(x, S * d))
             vs.append(Fraction(sign * v, W * d))
-    return PiecewiseLinear._trusted(tuple(xs), tuple(vs), tuple(map(_key, xs)))
+    return PiecewiseLinear._trusted(tuple(xs), tuple(vs))
 
 
 def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
@@ -486,7 +475,7 @@ def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:
     value = {}  # a sawtooth sum of thousands of points has a few dozen values
     vs = tuple(value[t] if t in value else value.setdefault(t, Fraction(t, W))
                for t in map(total.__getitem__, keep))
-    return PiecewiseLinear._trusted(xs, vs, tuple(map(_key, xs)))
+    return PiecewiseLinear._trusted(xs, vs)
 
 
 def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -609,14 +598,11 @@ def local_lip_exact(f: PiecewiseLinear, x: RationalLike) -> tuple[Fraction, Frac
     x = rat(x)
     if not (f.domain.lo < x < f.domain.hi):
         raise ValueError("x must be strictly inside the domain")
-    slopes = f.slopes()
-    bps = f.breakpoints
-    i = bisect_right(bps, x) - 1
-    if bps[i] == x and i > 0:
-        s_left, s_right = slopes[i - 1], slopes[i]
-    else:
-        s_left = s_right = slopes[i]
-    val = max(abs(s_left), abs(s_right))
+    bps, vals = f.breakpoints, f.values
+    i = f._position(x, True)  # bps[i - 1] <= x < bps[i]
+    val = abs(_slope(bps, vals, i))
+    if bps[i - 1] == x and i > 1:
+        val = max(abs(_slope(bps, vals, i - 1)), val)
     return (val, val)
 
 

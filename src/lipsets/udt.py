@@ -86,11 +86,12 @@ class NestedClosedSystem:
     target: IntervalSet
 
     def __post_init__(self):
-        prev: Optional[IntervalSet] = None
-        for n, F in enumerate(self.closed_sets, start=1):
-            if prev is not None and not prev.is_empty and prev.intersect(F) != prev:
+        # each component of F_{n-1} lies in F_n: a point is a member, an
+        # interval has full mass (F_n is closed, its gaps have positive length)
+        for n, (prev, F) in enumerate(zip(self.closed_sets, self.closed_sets[1:]), start=2):
+            if not all(F.contains(iv.lo) if iv.is_degenerate else F.mass(iv.lo, iv.hi) == iv.length
+                       for iv in prev):
                 raise ValueError(f"nesting violated at stage {n}")
-            prev = F
         for comp in self.complement(len(self.closed_sets)):
             if self.target.mass(comp.lo, comp.hi) == 0:
                 raise ValueError(f"complement component {comp} misses the target")

@@ -16,7 +16,7 @@ through intermediate functions built on the breakpoint union.
 mass index without its integer scale: each builds the endpoint and
 prefix-sum lists from E's components and bisects them on Fractions only.
 `ref_at`, `ref_merged_breakpoints` and `ref_simplify` are point reads, the
-merged grid and `simplify` without float keys or integer scales: they order
+merged grid and `simplify` without integer indexes or scales: they order
 points by Fraction comparisons only and interpolate on every segment.
 `ref_pl_sum` is the n-ary sum in Fractions: every term read through
 `__call__` at each point of `ref_merged_breakpoints`, one Fraction add per

@@ -1,4 +1,5 @@
 import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -596,15 +597,15 @@ def test_pl_sum_matches_the_fraction_sum(family, data):
     assert pl_sum(fs).as_pairs() == ref_pl_sum(fs).as_pairs()
 
 
-# -- the float-keyed sweep, grid and simplify at float ties ---------------------------
+# -- locates, grid and simplify where points share a float ---------------------------
 
 
 @settings(max_examples=100, deadline=None)
 @given(float_tie_functions(), st.data())
-def test_keyed_paths_match_exact_paths_at_float_ties(f, data):
+def test_readers_match_exact_paths_at_float_ties(f, data):
     # the tie points, and probes on, between and 2^-200 off the breakpoints:
-    # most share their float with a breakpoint, so the keys must defer to
-    # exact comparisons
+    # most share their float with a breakpoint, so only an exact order
+    # places them
     domain = f.breakpoints[0], f.breakpoints[-1]
     g = data.draw(float_tie_functions(domain=domain))
     probes = sorted({*TIE_POINTS, *near_and_between(f.breakpoints)})
@@ -630,7 +631,7 @@ def test_keyed_paths_match_exact_paths_at_float_ties(f, data):
 
 
 def test_order_checks_inside_one_float():
-    # 1/3 and 1/3 ± 2^-70 share one float: the keys tie and the Fractions decide
+    # 1/3 and 1/3 ± 2^-70 share one float, which cannot order them
     third, t = F(1, 3), TIE_STEP
     assert float(third - t) == float(third) == float(third + t)
     f = PiecewiseLinear([0, third - t, third, third + t, 1], [0, 1, 0, 1, 0])
@@ -639,11 +640,53 @@ def test_order_checks_inside_one_float():
             PiecewiseLinear(bad, [0] * len(bad))
     xs = [third - t / 2, third, third + t / 4, third + t / 2]
     assert [f(x) for x in xs] == ref_at(f, xs) == [F(1, 2), 0, F(1, 4), F(1, 2)]
-    # -0.0 and 0.0 tie too: -10^-400 sits below 0 though both keys compare equal
+    # -10^-400 and 0 share one float too (-0.0 == 0.0), yet -10^-400 lies below 0
     g = PiecewiseLinear([-F(1, 10 ** 400), 0, 1], [1, 0, 0])
     assert [g(-F(1, 10 ** 401)), g(0)] == [F(1, 10), 0]
     with pytest.raises(ValueError, match="strictly increasing"):
         PiecewiseLinear([0, -F(1, 10 ** 400)], [0, 0])
+
+
+@pytest.mark.parametrize("family", SUM_TERMS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_position_is_the_fraction_bisect(family, data):
+    # f as the constructor builds it, and two functions the algebra builds
+    # and indexes on their first locate: a sum, and f with a midpoint in
+    # each segment simplified away.  Probes lie on, between and 2^-200 off
+    # every breakpoint, and outside the domain.
+    f = data.draw(SUM_TERMS[family](None))
+    g = data.draw(SUM_TERMS[family]((f.breakpoints[0], f.breakpoints[-1])))
+    bps = f.breakpoints
+    dense_xs = sorted({*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:]))})
+    thinned = PiecewiseLinear(dense_xs, [f(x) for x in dense_xs]).simplify()
+    summed = pl_sum([f, g])
+    assert not hasattr(thinned, "_index") and not hasattr(summed, "_index")
+    for h in (f, summed, thinned):
+        xs = h.breakpoints
+        probes = {*TIE_POINTS, *near_and_between([*xs, *g.breakpoints]),
+                  xs[0] - 1, xs[-1] + 1, -F(1, 10 ** 400)}
+        for x in sorted(probes):
+            assert h._position(x, True) == bisect_right(xs, x)
+            assert h._position(x, False) == bisect_left(xs, x)
+
+
+def test_index_keeps_equality_and_hash():
+    f = PiecewiseLinear([0, F(1, 3), F(2, 3), 1], [0, 1, 1, 0])
+    assert hasattr(f, "_index")  # the constructor's order check builds it
+    zero = PiecewiseLinear.constant(0, f.domain)
+    built = [f.add(zero), f.scale(1), f.restrict(0, 1), pl_sum([f, zero]), pl_min(f, f),
+             PiecewiseLinear.constant(0, Interval(F(-1), F(0))).concat(zero).splice([f])]
+    # the algebra, comparison, hash and repr build no index
+    pairs, hashes, reprs = [g.as_pairs() for g in built], list(map(hash, built)), list(map(repr, built))
+    assert all(g == f and f == g for g in built[:-1]) and built[-1] != f
+    assert not any(hasattr(g, "_index") for g in built)
+    assert [g(F(1, 2)) for g in built] == [1] * len(built)
+    for g in built:  # the first locate builds the index the constructor would
+        assert g._index == PiecewiseLinear(g.breakpoints, g.values)._index
+    assert [g.as_pairs() for g in built] == pairs and list(map(repr, built)) == reprs
+    assert list(map(hash, built)) == hashes
+    assert all(g == f and f == g for g in built[:-1]) and built[-1] != f
 
 
 # -- one- and two-function readers on integer_grid, on windows off the breakpoints -----

@@ -245,6 +245,30 @@ def test_a_stage_sloped_on_the_next_closed_set_is_rejected():
     assert F2.clip(seg).measure() > 0
 
 
+def test_nesting_keeps_isolated_points():
+    # F_1 = {1/2} lies in F_2 = {1/2} ∪ [1/8, 1/4] though the two sets'
+    # intersection, which drops degenerate overlaps, is empty
+    window = Interval(F(0), F(1))
+    half = IntervalSet([Interval.point(F(1, 2))], allow_degenerate=True)
+    F2 = half.union(IntervalSet.from_pairs([(F(1, 8), F(1, 4))]))
+    system = NestedClosedSystem((half, F2), window, IntervalSet([window]))
+    assert system.closed_at(1) == half and system.closed_at(2) == F2
+    # an isolated point of F_1 missing from F_2 still breaks the nesting
+    for later in (IntervalSet.from_pairs([(F(1, 8), F(1, 4))]),
+                  IntervalSet([Interval.point(F(1, 3))], allow_degenerate=True)):
+        with pytest.raises(ValueError, match="nesting violated at stage 2"):
+            NestedClosedSystem((half, later), window, IntervalSet([window]))
+    # an interval of F_1 must lie whole in F_2: a gap inside it fails
+    F1 = IntervalSet.from_pairs([(F(1, 8), F(1, 4))])
+    split = IntervalSet.from_pairs([(F(1, 8), F(3, 16)), (F(13, 64), F(1, 4))])
+    with pytest.raises(ValueError, match="nesting violated at stage 2"):
+        NestedClosedSystem((F1, split), window, IntervalSet([window]))
+    with pytest.raises(ValueError, match="nesting violated at stage 3"):
+        NestedClosedSystem((half, F2, F1), window, IntervalSet([window]))
+    F3 = F2.union(IntervalSet.from_pairs([(F(3, 4), F(1))]))
+    assert NestedClosedSystem((F1, F2, F3), window, IntervalSet([window])).depth == 3
+
+
 def test_default_collar_two_stage_build():
     # the only tier-1 build with a 10^4-breakpoint stage; these counts are
     # pinned from the builder that refines f_1 directly
