@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from itertools import islice
+from math import gcd, lcm
+from operator import itemgetter, lt
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .intervals import Interval, IntervalSet, RationalLike, on_scale, rat
 from .density import (
@@ -335,8 +336,7 @@ def balance_on(
 # -- the small-lip sawtooth ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmallLipBlock:
+class SmallLipBlock(NamedTuple):
     lo: Fraction
     hi: Fraction
     balance: Fraction
@@ -403,14 +403,19 @@ def small_lip_blocks(
     point where the running piece mass reaches A/2.  That is O(n + blocks)
     integer operations for n components, on integers of about D's bit
     length, so the cost grows with the bit length of the lcm.  A block's
-    ends, t and A/2 become Fractions once; a block end shared with the
-    previous block, and a t on a component's end, reuse that Fraction.
+    ends and t become Fractions once; a block end shared with the previous
+    block, and a t on a component's end, reuse that Fraction.  Each
+    distinct A/2 becomes a Fraction once, through a dict, and serves as both
+    masses of every block that carries it: every full block carries ε/2.
+    A block is a `SmallLipBlock`, a NamedTuple, so it compares equal to the
+    plain tuple of its five fields.
     """
     eps = rat(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     clipped, scale, step, w_lo, w_hi = _sawtooth_scale(E, eps, window)
     blocks = []
+    masses = {}  # A/2 on the scale -> its Fraction
     b = hi = None  # the previous block's right edge, as integer and Fraction
     for k, pieces in _pieces_by_block(clipped, step, scale):
         a = k * step
@@ -425,7 +430,7 @@ def small_lip_blocks(
             rest -= q - p
         # t < b, since the right half carries mass: t == q is a component's end
         t = p + rest
-        mass = Fraction(half, scale)
+        mass = masses[half] if half in masses else masses.setdefault(half, Fraction(half, scale))
         blocks.append(SmallLipBlock(lo, hi, q_end if t == q else Fraction(t, scale), mass, mass))
     return blocks
 
@@ -438,18 +443,24 @@ def build_small_lip(
     0 <= f <= ε exactly; slope +1 on the first half of each block's E-mass,
     -1 on the second half, 0 off E; f vanishes at block boundaries.
 
-    The blocks come from `small_lip_blocks`; a second walk over the same
-    pieces on the same integer scale D integrates the slopes and emits a
-    point only where the slope (-1, 0 or +1) changes, so the function is
-    already simplified.  The cost is O(n + blocks) integer operations, and
-    grows with the bit length of D as that of `small_lip_blocks` does.  Each
-    kept point becomes a Fraction once; points on a component's end, a
-    block's end or its balance point reuse that Fraction.
+    The blocks come from one call of `small_lip_blocks`; a second walk over
+    the same pieces on the same integer scale D integrates the slopes and
+    emits a point only where the slope (-1, 0 or +1) changes, so the
+    function is already simplified.  The cost is O(n + blocks) integer
+    operations, and grows with the bit length of D as that of
+    `small_lip_blocks` does.  Each point is kept as an integer X on D and
+    its value as an integer V on D.  A point on a component's end, a block's
+    end or its balance point reuses that Fraction, and each distinct value
+    becomes a Fraction once.  The function is handed the index (S, X) its
+    constructor would build (`PiecewiseLinear._position`): with
+    g = gcd(D, *X), S = D/g and the points X/g.  The constructor's
+    strict-increase check is one comparison over X.
     """
     blocks = small_lip_blocks(E, epsilon, window)
     clipped, scale, step, w_lo, w_hi = _sawtooth_scale(E, rat(epsilon), window)
     xs: list[Fraction] = []
-    vs: list[Fraction] = []
+    X: list[int] = []
+    V: list[int] = []
     # the pending point: the walk has reached `end` (the Fraction end_x) with
     # value v.  The slope changes at every piece's start: a piece starts on
     # slope ±1 after a gap, or on +1 right after the last block's -1
@@ -457,25 +468,34 @@ def build_small_lip(
     for blk, (_, pieces) in zip(blocks, _pieces_by_block(clipped, step, scale)):
         t = on_scale(blk.balance, scale)
         for p, q, p_end, q_end in pieces:
-            value = Fraction(v, scale) if v else ZERO
             if p != end:  # a gap: the walk turns flat at end
                 xs.append(end_x)
-                vs.append(value)
+                X.append(end)
+                V.append(v)
             xs.append(blk.lo if p_end is None else p_end)
-            vs.append(value)
+            X.append(p)
+            V.append(v)
             if p < t < q:
                 xs.append(blk.balance)
-                vs.append(blk.left_mass)
+                X.append(t)
+                V.append(v + t - p)
                 v += 2 * t - p - q
             else:
                 v += q - p if p < t else p - q
             end, end_x = q, blk.hi if q_end is None else q_end
     if end != w_hi:
         xs.append(end_x)
-        vs.append(ZERO)
+        X.append(end)
+        V.append(0)
     xs.append(window.hi)
-    vs.append(ZERO)
-    return PiecewiseLinear(xs, vs)
+    X.append(w_hi)
+    V.append(0)
+    if not all(map(lt, X, islice(X, 1, None))):
+        raise ValueError("breakpoints must be strictly increasing")
+    value = {0: ZERO}  # a sawtooth of thousands of points has a few distinct values
+    vs = tuple(value[u] if u in value else value.setdefault(u, Fraction(u, scale)) for u in V)
+    g = gcd(scale, *X)
+    return PiecewiseLinear._trusted(tuple(xs), vs, (scale // g, [x // g for x in X] if g > 1 else X))
 
 
 # -- the lip-1 sum -------------------------------------------------------------------

@@ -39,9 +39,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .intervals import IntervalSet, RationalLike, all_on_scale, lcm_of, on_scale, rat
+from .intervals import IntervalSet, RationalLike, on_scale, own_scale, rat
 from .constructions import balance_on
-from .pcw import PiecewiseLinear, integer_grid
+from .pcw import PiecewiseLinear, integer_grid, rescaled
 
 
 class PreconditionError(ValueError):
@@ -99,8 +99,9 @@ def verify_contraction(
     sloped one passes exactly when E covers it, |E ∩ [a, b]| = b - a, and
     |f(b) - f(a)| <= factor·(b - a), as f moves across any part of [a, b]
     outside E.  Both are integer comparisons: breakpoints X on
-    S = lcm(D_E, their denominators), values V on W = lcm(their
-    denominators), and with factor = p/q a sloped segment passes when
+    S = lcm(D_E, their denominators), f's index moved to S
+    (`PiecewiseLinear._scaled`), values V on W = lcm(their denominators),
+    each read once, and with factor = p/q a sloped segment passes when
     Φ_S(X1) - Φ_S(X0) = ΔX (`IntervalSet.phi_on`) and q·S·|ΔV| <= p·W·ΔX.
     Returns None when the bound holds, else the first failing span
     (p, q, |Δf|, factor*|E ∩ [p, q]|) between f's breakpoints and E's
@@ -108,9 +109,10 @@ def verify_contraction(
     ValueError on a negative factor, for which flat segments could fail."""
     if factor < 0:
         raise ValueError("factor must be nonnegative")
-    bps, vals = f.breakpoints, f.values
-    S, W = lcm(E.mass_scale, lcm_of(bps)), lcm_of(vals)
-    X, V = all_on_scale(bps, S), all_on_scale(vals, W)
+    bps = f.breakpoints
+    index = f._scaled()
+    S = lcm(E.mass_scale, index[0])
+    X, (W, V) = rescaled(index, S), own_scale(f.values)
     allow, per = factor.numerator * W, factor.denominator * S
     phi = E.phi_on
     for k in range(len(X) - 1):

@@ -387,19 +387,9 @@ def on_scale(x: Fraction, scale: int) -> int:
     return x.numerator * (scale // x.denominator)
 
 
-def all_on_scale(xs: Iterable[Fraction], scale: int) -> list[int]:
-    """[on_scale(x, scale) for x in xs]."""
-    return [n * (scale // d) for n, d in map(Fraction.as_integer_ratio, xs)]
-
-
-def lcm_of(*seqs: Iterable[Fraction]) -> int:
-    """The lcm of the denominators of every Fraction in seqs."""
-    return lcm(*{x.denominator for xs in seqs for x in xs})
-
-
 def own_scale(xs: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """(S, X): S = lcm_of(xs) and X = all_on_scale(xs, S), reading each
-    Fraction once."""
+    """(S, X): S, the lcm of the denominators of xs, and X, each x·S, an
+    integer; each Fraction is read once."""
     pairs = list(map(Fraction.as_integer_ratio, xs))
     S = lcm(*{d for _, d in pairs})
     return S, [n * (S // d) for n, d in pairs]

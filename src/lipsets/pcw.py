@@ -22,22 +22,27 @@ integers (`_kinks`) keeps the points of `simplify`, `pl_sum` and the
 envelopes: a point stays where the slopes on its two sides differ,
 compared crosswise.  Their cost grows with the bit length of those lcms,
 as the sawtooth's (`constructions.small_lip_blocks`) does with its scale.
-`PiecewiseLinear.__call__` reads one point: it returns a breakpoint's own
-value and a flat segment's value without arithmetic, and elsewhere
-interpolates as one integer fraction reduced once.  And
+`PiecewiseLinear.__call__` reads one point: left of the domain, from its
+last breakpoint on, and anywhere on a flat segment, it returns a stored
+value without arithmetic; elsewhere, at the first or an interior
+breakpoint too, it interpolates as one integer fraction reduced once.  And
 `envelopes.verify_contraction`, the check of the increment bound
 |f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, reads f's own
 breakpoints and values as integers, on one scale with E's own.
 
 Every locate among a function's breakpoints goes through one integer
 index (`PiecewiseLinear._position`), as E's mass index does in `intervals`:
-the breakpoints as integers X on S, the lcm of their denominators, built by
-the constructor or on the first locate of a function the algebra built.  A
-point x lies among them by an integer bisect: b <= x exactly when
-b·S <= ⌊x·S⌋, and b < x exactly when b·S < ⌈x·S⌉.  `__call__`, `restrict`,
-`breakpoints_in`, every windowed `integer_grid` read and
-`local_lip_exact` locate through it, so every order among points is exact,
-however close the points or however large.
+the breakpoints as integers X on S, the lcm of their denominators.  The
+constructor builds it; the sawtooth (`constructions.build_small_lip`)
+hands on the one it already holds; a function the algebra built gets it on
+its first locate.  A point x lies among them by an integer bisect: b <= x
+exactly when b·S <= ⌊x·S⌋, and b < x exactly when b·S < ⌈x·S⌉.
+`__call__`, `restrict`, `breakpoints_in`, every windowed `integer_grid`
+read and `local_lip_exact` locate through it, so every order among points
+is exact, however close the points or however large.  `integer_grid` on
+the shared domain and `verify_contraction` read every breakpoint from it
+where a function has one (`PiecewiseLinear._scaled`), and otherwise read
+each breakpoint once without storing an index.
 
 `PiecewiseLinear.splice` is the only glue.  `build_signed_integral`
 integrates the difference of two sets' indicators, reading their cumulative
@@ -57,7 +62,7 @@ from operator import add, and_, eq, itemgetter, le, lt, neg, or_, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import (
-    Interval, IntervalSet, RationalLike, all_on_scale, ceil_on, floor_on, lcm_of, own_scale, rat,
+    Interval, IntervalSet, RationalLike, ceil_on, floor_on, own_scale, rat,
 )
 
 ZERO = Fraction(0)
@@ -83,13 +88,25 @@ class PiecewiseLinear:
         self.values = vals
 
     @classmethod
-    def _trusted(cls, bps: tuple, vals: tuple) -> "PiecewiseLinear":
+    def _trusted(cls, bps: tuple, vals: tuple, index: Optional[tuple] = None) -> "PiecewiseLinear":
         """A function from tuples already known to be valid: Fractions,
-        strictly increasing breakpoints, equal lengths.  Its index is built
-        on its first locate."""
+        strictly increasing breakpoints, equal lengths.  index, if given, is
+        the (S, X) the constructor would build; else the index is built on
+        the first locate."""
         f = object.__new__(cls)
         f.breakpoints, f.values = bps, vals
+        if index is not None:
+            f._index = index
         return f
+
+    def _scaled(self) -> tuple[int, list[int]]:
+        """The index (S, X) if self has one, else the same pair read by
+        `own_scale` and not stored: a reader of every breakpoint needs no
+        bisect."""
+        try:
+            return self._index
+        except AttributeError:
+            return own_scale(self.breakpoints)
 
     def _position(self, x: Fraction, right: bool) -> int:
         """bisect_right(breakpoints, x) if right, else bisect_left, as one
@@ -313,7 +330,10 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     no function.  Every breakpoint becomes an integer X on S, the lcm of all
     breakpoint denominators, and every value an integer V on W, the lcm of
     all value denominators widened by the lcm of ΔX/gcd(ΔX, ΔV) over every
-    sloped segment of every f.  Then every slope ΔV/ΔX is an integer, and
+    sloped segment of every f.  Each f's points and values are read once on
+    its own scales (`own_scale`; on the shared domain its points come from
+    its index, `PiecewiseLinear._scaled`) and then moved to S and W
+    (`rescaled`).  Then every slope ΔV/ΔX is an integer, and
     so is each f's value at each grid point.  grid is the sorted distinct
     X, point maps each X to a breakpoint of fs there, and columns yields,
     for each f in order, its values on grid: one walk over f's segments
@@ -323,12 +343,14 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     if lo is None:
         _window(fs, None, None)
         parts = [(f.breakpoints, f.values) for f in fs]
+        x_own = [f._scaled() for f in fs]
     else:
         lo, hi = _window(fs, lo, hi)
-        parts = [f._clipped(lo, hi)[:2] for f in fs]
-    S = lcm_of(*(bps for bps, _ in parts))
-    W = lcm_of(*(vals for _, vals in parts))
-    terms = [(all_on_scale(bps, S), all_on_scale(vals, W)) for bps, vals in parts]
+        parts = [f._clipped(lo, hi) for f in fs]
+        x_own = [own_scale(bps) for bps, _ in parts]
+    v_own = [own_scale(vals) for _, vals in parts]  # x_own, v_own: (S_f, X), (W_f, V)
+    S, W = lcm(*(s for s, _ in x_own)), lcm(*(w for w, _ in v_own))
+    terms = [(rescaled(x, S), rescaled(v, W)) for x, v in zip(x_own, v_own)]
     widen = lcm(*{dx // gcd(dx, dv) for X, V in terms
                   for dx, dv in zip(map(sub, X[1:], X), map(sub, V[1:], V)) if dv})
     point = {}  # X -> a breakpoint of fs there
@@ -338,6 +360,16 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     terms.reverse()  # popped in order, so each term's lists are freed once walked
     columns = (_walk(grid, *terms.pop(), widen) for _ in range(len(terms)))
     return grid, point, S, W * widen, columns
+
+
+def rescaled(index: tuple[int, list[int]], scale: int) -> list[int]:
+    """The integers X of index = (S, X), integers on S, moved to a scale
+    that S divides: X itself when the scales are equal."""
+    S, X = index
+    if S == scale:
+        return X
+    m = scale // S
+    return [x * m for x in X]
 
 
 def _steps(X: Sequence[int]) -> list[int]:

@@ -435,6 +435,7 @@ class TestSmallLipBlocks:
         E = iset((0, F(1, 4)), (F(1, 2), F(3, 4)), (F(5, 4), F(3, 2)), (F(7, 4), 2))
         blocks = small_lip_blocks(E, 1, Interval(F(0), F(2)))
         assert [b.balance for b in blocks] == [F(1, 4), F(3, 2)]
+        assert blocks[0] == (0, 1, F(1, 4), F(1, 4), F(1, 4))  # a NamedTuple
         assert blocks == _blocks_by_walk(E, 1, Interval(F(0), F(2)))
 
     def test_fine_grid_with_sparse_mass(self):
@@ -565,6 +566,30 @@ class TestSmallLipRamp:
         assert f.as_pairs() == _small_lip_by_signed_integral(E, eps, window).as_pairs()
         # points are emitted only where the slope changes
         assert f.simplify() is f
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_lip_inputs([F(1, 4), F(1, 3), F(1, 2), 1, F(1, 2 ** 6)]))
+    def test_hands_on_the_constructor_index(self, inputs):
+        f = build_small_lip(*inputs)
+        rebuilt = PiecewiseLinear(f.breakpoints, f.values)
+        assert f._index == rebuilt._index
+        assert f == rebuilt
+
+    def test_reads_the_blocks_once(self, monkeypatch):
+        # the tracer of the benchmark sees the sawtooth's blocks only
+        # through the module-level small_lip_blocks
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return small_lip_blocks(*args)
+
+        monkeypatch.setattr("lipsets.constructions.small_lip_blocks", counted)
+        E = iset((0, F(1, 8)), (F(1, 3), F(5, 8)), (F(7, 8), 1))
+        build_small_lip(E, F(1, 4), W01)
+        assert calls == [(E, F(1, 4), W01)]
+        build_lip1_sum([iset((0, 1)), iset((2, 3))], Interval(F(-1), F(4)))
+        assert len(calls) == 3
 
     def test_degenerate_component_inside_a_ramp(self):
         # {3/8} carries no mass: the ramp passes it without a breakpoint

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipsets.constructions import build_small_lip
 from lipsets.envelopes import PreconditionError, _least_radius, _zigzag, verify_contraction
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import (
@@ -595,6 +596,21 @@ def test_pl_sum_matches_the_fraction_sum(family, data):
     fs = [first, *data.draw(st.lists(st.one_of(SUM_TERMS[family](domain), ramps),
                                      max_size=4))]
     assert pl_sum(fs).as_pairs() == ref_pl_sum(fs).as_pairs()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(grid_sets(), st.sampled_from([F(1, 4), F(1, 3), F(1, 16)])),
+                min_size=1, max_size=3),
+       st.lists(st.one_of(pl_functions(), non_dyadic_functions()), max_size=3), st.data())
+def test_pl_sum_reads_the_index_a_term_has(saws, others, data):
+    # a sawtooth carries the index its constructor would build, a function
+    # the algebra built carries none, and the sum must not store one on it
+    bare = [PiecewiseLinear._trusted(g.breakpoints, g.values) for g in others]
+    fs = data.draw(st.permutations(
+        [build_small_lip(E, eps, Interval(F(0), F(1))) for E, eps in saws] + bare))
+    total = pl_sum(fs)
+    assert not any(hasattr(g, "_index") for g in bare)
+    assert total.as_pairs() == ref_pl_sum(fs).as_pairs()
 
 
 # -- locates, grid and simplify where points share a float ---------------------------
