@@ -21,10 +21,13 @@ from .density import (
     FAILS,
     HOLDS,
     HOLDS_AT_SCALE,
-    check_strongly_dense_at,
-    check_strongly_one_sided_dense_at,
-    check_weakly_center_dense_at,
-    check_weakly_dense_at,
+    _centered,
+    _grid_report,
+    _one_sided_rows,
+    _sided_max,
+    _weak_report,
+    _window_rows,
+    grid_on,
     window_starts,
 )
 from .pcw import (
@@ -67,23 +70,22 @@ class MonotoneConditionsReport:
         )
 
 
-def _sample_points(S: IntervalSet, window: Interval, step: Fraction) -> list[Fraction]:
+def _sample_points(S: IntervalSet, window: Interval, step: Fraction, scale: int) -> list[int]:
     """Interval endpoints of S plus the points window.lo + k·step of S, all
-    within the window.
+    within the window, as sorted integers on the scale.
 
     Points within one step of the window boundary are skipped: densities
-    there reflect the truncation, not the represented set.  The walk is on
-    the integer scale lcm(D_S, the denominators of the window's ends and of
-    the step): each component contributes the grid points it covers.
+    there reflect the truncation, not the represented set.  D_S and the
+    denominators of the window's ends and of the step must divide the
+    scale; each component contributes the grid points it covers.
     """
-    scale = lcm(S.mass_scale, window.lo.denominator, window.hi.denominator, step.denominator)
     w, k = on_scale(window.lo, scale), on_scale(step, scale)
     lo, hi = w + k, on_scale(window.hi, scale) - k
     pts = set(S.ends_on(scale, lo, hi))
     for iv in S:
         a, b = max(on_scale(iv.lo, scale), lo), min(on_scale(iv.hi, scale), hi)
         pts.update(range(w - (w - a) // k * k, b + 1, k))  # the first grid point >= a
-    return [Fraction(u, scale) for u in sorted(pts)]
+    return sorted(pts)
 
 
 def check_monotone_conditions(
@@ -98,6 +100,12 @@ def check_monotone_conditions(
     at sampled points of E^c.  lip1 mode: E strongly one-sided dense on E,
     E^c weakly center dense on E^c.  The complement is taken closed, so its
     samples include E's boundary; certificates are exact either way.
+
+    Every point is sampled and checked on one integer scale S, the lcm of
+    D_E, the denominators of the window's ends and that of the smallest
+    grid radius (which the resolution's divides).  The density cores are
+    called with S and the point's integer u = x·S; each report equals that
+    of the public per-point check at x.
     """
     res = rat(resolution)
     if not (0 < res < 1):
@@ -106,21 +114,27 @@ def check_monotone_conditions(
         raise ValueError("mode must be 'Lip1' or 'lip1'")
     comp = E.complement_within(window)
     grid = geometric_grid(res, Fraction(1, 2), 4)
-    on_set = []
-    for x in _sample_points(E.clip(window), window, res):
-        if mode == "Lip1":
-            rep = check_weakly_dense_at(E, x, res)
-        else:
-            rep = check_strongly_one_sided_dense_at(E, x, grid, tolerance=res)
-        on_set.append((x, rep))
-    on_comp = []
-    for x in _sample_points(comp, window, res):
-        if mode == "Lip1":
-            rep = check_strongly_dense_at(comp, x, grid, tolerance=res)
-        else:
-            rep = check_weakly_center_dense_at(comp, x, res)
-        on_comp.append((x, rep))
-    return MonotoneConditionsReport(mode, tuple(on_set), tuple(on_comp))
+    scale = lcm(E.mass_scale, window.lo.denominator, window.hi.denominator, grid[-1].denominator)
+    Rs = grid_on(grid, scale)
+
+    def checked(S: IntervalSet, check) -> tuple:
+        out = []
+        for u in _sample_points(S, window, res, scale):
+            x = Fraction(u, scale)
+            out.append((x, check(x, u)))
+        return tuple(out)
+
+    if mode == "Lip1":
+        on_set = checked(E.clip(window), lambda x, u: _weak_report(
+            E, x, scale, u, Rs[0], _sided_max))
+        on_comp = checked(comp, lambda x, u: _grid_report(
+            x, grid, Rs, res, _window_rows(comp, scale, u, grid, Rs)))
+    else:
+        on_set = checked(E.clip(window), lambda x, u: _grid_report(
+            x, grid, Rs, res, _one_sided_rows(E, scale, u, grid, Rs)))
+        on_comp = checked(comp, lambda x, u: _weak_report(
+            comp, x, scale, u, Rs[0], _centered))
+    return MonotoneConditionsReport(mode, on_set, on_comp)
 
 
 # -- ternary decompositions ------------------------------------------------------
@@ -181,17 +195,25 @@ def worst_imbalance(
     x, r = rat(x), rat(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    e1, em1 = t.e1, t.em1
-    scale = lcm(e1.mass_scale, em1.mass_scale, x.denominator, r.denominator)
+    scale = lcm(t.e1.mass_scale, t.em1.mass_scale, x.denominator, r.denominator)
     R = on_scale(r, scale)
-
-    def imbalance(u: int) -> int:
-        return abs(e1.phi_on(scale, u + R) - e1.phi_on(scale, u)
-                   - em1.phi_on(scale, u + R) + em1.phi_on(scale, u))
-
-    worst, u = max(((imbalance(u), u) for u in window_starts(on_scale(x, scale), R, scale, e1, em1)),
-                   key=itemgetter(0))
+    (worst, u), = _imbalance_rows(t, scale, on_scale(x, scale), [R])
     return Fraction(worst, R), Fraction(u, scale)
+
+
+def _imbalance_rows(t: TernaryDecomposition, scale: int, v: int, Rs: Sequence[int]) -> list:
+    """(imbalance, u) at each R of a descending list: the greatest
+    ||E1 ∩ I| - |E-1 ∩ I|| over windows I = [u, u + R] ∋ v, and the leftmost
+    such u, all integers on a scale that D_E1 and D_E-1 divide.  The
+    endpoints near v are found once, for the largest R."""
+    e1, em1 = t.e1, t.em1
+    ends = e1.ends_on(scale, v - Rs[0], v + Rs[0]) + em1.ends_on(scale, v - Rs[0], v + Rs[0])
+    out = []
+    for R in Rs:
+        out.append(max(((abs(e1.phi_on(scale, u + R) - e1.phi_on(scale, u)
+                             - em1.phi_on(scale, u + R) + em1.phi_on(scale, u)), u)
+                        for u in window_starts(v, R, ends)), key=itemgetter(0)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,28 +244,40 @@ def check_ternary(
     tolerance: Optional[RationalLike] = None,
 ) -> TernaryReport:
     """Condition 1 at sampled x ∈ E (E1 or E-1 weakly dense); condition 2 at
-    sampled x ∉ E (imbalance ratios over shrinking windows)."""
+    sampled x ∉ E (imbalance ratios over shrinking windows).
+
+    Every point is sampled and checked on one integer scale S, the lcm of
+    D_E, D_E1, D_E-1, the denominators of the window's ends and that of the
+    smallest radius; the weak core and the imbalance rows take S and the
+    point's integer u = x·S, and each entry equals that of
+    `check_weakly_dense_at` and `worst_imbalance` at x.
+    """
     res = rat(resolution)
     tol = rat(tolerance) if tolerance is not None else res
     if not (0 < res < 1):
         raise ValueError("resolution must be in (0,1)")
+    w = t.window
+    radii = geometric_grid(res, Fraction(1, 2), 5)
+    scale = lcm(E.mass_scale, t.e1.mass_scale, t.em1.mass_scale,
+                w.lo.denominator, w.hi.denominator, radii[-1].denominator)
+    Rs = grid_on(radii, scale)
     cond1 = []
-    for x in _sample_points(E.clip(t.window), t.window, res):
-        rep1 = check_weakly_dense_at(t.e1, x, res)
+    for u in _sample_points(E.clip(w), w, res, scale):
+        x = Fraction(u, scale)
+        rep1 = _weak_report(t.e1, x, scale, u, Rs[0], _sided_max)
         if rep1.verdict == HOLDS:
             cond1.append((x, "E1", rep1))
             continue
-        rep2 = check_weakly_dense_at(t.em1, x, res)
+        rep2 = _weak_report(t.em1, x, scale, u, Rs[0], _sided_max)
         cond1.append((x, "E-1" if rep2.verdict == HOLDS else "neither",
                       rep2 if rep2.verdict == HOLDS else rep1))
-    comp = E.complement_within(t.window)
-    radii = geometric_grid(res, Fraction(1, 2), 5)
     cond2 = []
-    for x in _sample_points(comp, t.window, res):
+    for u in _sample_points(E.complement_within(w), w, res, scale):
+        x = Fraction(u, scale)
         if E.contains(x):
             continue  # closed-collapse boundary point: x ∈ E is not quantified
-        rows = tuple((r, worst_imbalance(t, x, r)[0]) for r in radii)
-        cond2.append((x, rows))
+        rows = _imbalance_rows(t, scale, u, Rs)
+        cond2.append((x, tuple((r, Fraction(m, R)) for r, R, (m, _) in zip(radii, Rs, rows))))
     return TernaryReport(tuple(cond1), tuple(cond2), tol)
 
 

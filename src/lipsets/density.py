@@ -7,17 +7,28 @@ reduces to evaluating exact ratios at those finitely many candidate radii
 (plus the rational crossings of the two one-sided ratio curves), so
 quantified statements over r ∈ (0, δ] are decided exactly.
 
-`_integer_rows` is the one reader of E's masses left and right of a point.
-It reads E's mass index (`IntervalSet.phi_on`) on an integer scale S that
-D_E and the denominators of x and of every radius divide, so a row is three
-integers on S.  The weak, strongly one-sided and worst-window checks compute
-on S = lcm(D_E, den x, den ε or of the radii) and compare integers: rows of
-different radii by cross-multiplying, the windows of one radius by their
-masses.  Only the values a report carries become Fractions.
-`_sided_masses` is the Fraction view of the integer rows, for radii of any
-denominator; the public ratios and level-set membership read it.  A weak
-check whose best ratio is attained only at the open end r = ε solves its
-radius exactly.
+The density checks run on integer cores.  A core takes one integer scale
+S, which D_E (`IntervalSet.mass_scale`) and the denominators of x and of
+every radius divide, and the point as its integer u = x·S; it reads E's
+cumulative measure with `IntervalSet.phi_on` and its endpoints with
+`IntervalSet.ends_on`.  Each core reads Φ(x) once per point, finds the
+endpoints near x once, for the largest radius, compares rows by
+cross-multiplying integers and decides holds-at-scale on integers; only
+the values a report carries become Fractions.  The cores are
+`_weak_report` (with `_sided_max` or `_centered`), `_one_sided_rows` and
+`_window_rows` (read by `_grid_report`).
+`constructions.check_monotone_conditions` and `constructions.check_ternary`
+call them directly with one S for all their sample points; the public
+per-point checks (`check_weakly_dense_at`, `check_weakly_center_dense_at`,
+`check_strongly_one_sided_dense_at`, `check_strongly_dense_at`,
+`worst_window_ratio`) compute their own S and u and call the same cores.
+
+`_integer_rows` is the one reader of E's masses left and right of a
+point: it reads Φ(x) once, and then Φ(x - r) and Φ(x + r) per radius.
+`_sided_masses` is its Fraction view, for radii of any denominator; the
+public ratios, `_ratio_candidates` and level-set membership read it.  A
+weak check whose best ratio is attained only at the open end r = ε solves
+its radius exactly.
 """
 
 from __future__ import annotations
@@ -50,12 +61,11 @@ class DensityQuery:
             raise ValueError("radius must be positive")
 
 
-def _integer_rows(E: IntervalSet, x: Fraction, scale: int):
+def _integer_rows(E: IntervalSet, scale: int, u: int):
     """R ↦ (R, left, right) with left = S·|E ∩ [x - R/S, x]| and right =
-    S·|E ∩ [x, x + R/S]|, integers on the scale S, which D_E and x's
-    denominator divide.  Φ(x) is read here once, and each call reads
-    Φ(x - r) and Φ(x + r) once each."""
-    u = on_scale(x, scale)
+    S·|E ∩ [x, x + R/S]|, integers on the scale S, which D_E divides, for
+    x = u/S.  Φ(x) is read here once, and each call reads Φ(x - r) and
+    Φ(x + r) once each."""
     phi_x = E.phi_on(scale, u)
 
     def row(R: int) -> tuple[int, int, int]:
@@ -72,7 +82,7 @@ def _sided_masses(E: IntervalSet, x: RationalLike):
 
     def masses(r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
         scale = lcm(base, r.denominator)
-        _, left, right = _integer_rows(E, x, scale)(on_scale(r, scale))
+        _, left, right = _integer_rows(E, scale, on_scale(x, scale))(on_scale(r, scale))
         return r, Fraction(left, scale), Fraction(right, scale)
 
     return masses
@@ -134,11 +144,9 @@ def centered_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction
 # -- candidate radii ---------------------------------------------------------
 
 
-def _endpoint_distances(E: IntervalSet, x: Fraction, bound: Fraction, scale: int) -> list[int]:
-    """The distances d with 0 < d < bound from x to E's endpoints, sorted,
-    as integers on a scale that D_E and the denominators of x and the bound
-    divide."""
-    u, b = on_scale(x, scale), on_scale(bound, scale)
+def _endpoint_distances(E: IntervalSet, u: int, b: int, scale: int) -> list[int]:
+    """The distances d with 0 < d < b from u to E's endpoints, sorted, all
+    integers on a scale that D_E divides."""
     return sorted({d for d in (abs(e - u) for e in E.ends_on(scale, u - b, u + b)) if 0 < d < b})
 
 
@@ -150,7 +158,8 @@ def _ratio_candidates(
     in-piece crossings of the two one-sided curves; rows of _sided_masses."""
     sided_masses = _sided_masses(E, x)
     scale = lcm(E.mass_scale, x.denominator, delta.denominator)
-    rows = [sided_masses(Fraction(d, scale)) for d in _endpoint_distances(E, x, delta, scale)]
+    rows = [sided_masses(Fraction(d, scale))
+            for d in _endpoint_distances(E, on_scale(x, scale), on_scale(delta, scale), scale)]
     rows.append(sided_masses(delta))
     out = rows[:1]
     for (r_a, left_a, right_a), (r_b, left_b, right_b) in zip(rows, rows[1:]):
@@ -301,24 +310,19 @@ def _open_end_radius(lo_row, end_row, side: str, threshold: int, scale: int) -> 
     return Fraction(lo + eps, 2 * scale)
 
 
-def _weak_report(E, x, epsilon, best_of) -> DensityReport:
+def _weak_report(E, x, scale, u, R, best_of) -> DensityReport:
     """Is there r ∈ (0, ε) with best_of(row) = (num, den, side) and ratio
-    num/den > 1 - ε?
+    num/den > 1 - ε?  The core of the weak checks: x = u/scale and
+    ε = R/scale on a scale that D_E divides.
 
     Between candidate radii the ratio is c/r + b, so its sup over (0, ε] is
     attained at a candidate.  Holds at the first best row, or, when the sup
     is attained only at r = ε, at the exact radius of _open_end_radius on the
-    last piece; fails at the first best row otherwise.  Rows are integers on
-    S = lcm(D_E, den x, den ε), and ratios of different rows are compared
-    by cross-multiplying.
+    last piece; fails at the first best row otherwise.  Ratios of different
+    rows are compared by cross-multiplying.
     """
-    x, eps = rat(x), rat(epsilon)
-    if not (0 < eps < 1):
-        raise ValueError("epsilon must be in (0,1)")
-    scale = lcm(E.mass_scale, x.denominator, eps.denominator)
-    R = on_scale(eps, scale)
-    rows_at = _integer_rows(E, x, scale)
-    rows = [rows_at(d) for d in _endpoint_distances(E, x, eps, scale) + [R]]
+    row_at = _integer_rows(E, scale, u)
+    rows = [row_at(d) for d in _endpoint_distances(E, u, R, scale) + [R]]
     best = None
     for row in rows:
         num, den, side = best_of(row)
@@ -332,54 +336,80 @@ def _weak_report(E, x, epsilon, best_of) -> DensityReport:
         lo_row = rows[-2] if len(rows) > 1 else (0, 0, 0)
         r = _open_end_radius(lo_row, row, side, threshold, scale)
         scale = lcm(scale, r.denominator)
-        row = _integer_rows(E, x, scale)(on_scale(r, scale))
+        row = _integer_rows(E, scale, on_scale(x, scale))(on_scale(r, scale))
         num, den, side = best_of(row)
     return DensityReport(x, HOLDS, Fraction(row[0], scale), Fraction(num, den), side)
 
 
+def _weak_at(E, x, epsilon, best_of) -> DensityReport:
+    """The weak check at one point, on S = lcm(D_E, den x, den ε)."""
+    x, eps = rat(x), rat(epsilon)
+    if not (0 < eps < 1):
+        raise ValueError("epsilon must be in (0,1)")
+    scale = lcm(E.mass_scale, x.denominator, eps.denominator)
+    return _weak_report(E, x, scale, on_scale(x, scale), on_scale(eps, scale), best_of)
+
+
 def check_weakly_dense_at(E: IntervalSet, x: RationalLike, epsilon: RationalLike) -> DensityReport:
     """Is there r ∈ (0, ε) with max one-sided ratio > 1 - ε?  Exact."""
-    return _weak_report(E, x, epsilon, _sided_max)
+    return _weak_at(E, x, epsilon, _sided_max)
 
 
 def check_weakly_center_dense_at(
     E: IntervalSet, x: RationalLike, epsilon: RationalLike
 ) -> DensityReport:
     """Same as check_weakly_dense_at but for intervals centered at x."""
-    return _weak_report(E, x, epsilon, _centered)
+    return _weak_at(E, x, epsilon, _centered)
 
 
-def _grid_report(E, x, r_grid, tolerance, row_at) -> DensityReport:
-    """Rows along a strictly descending grid of positive radii, computed on
-    the scale S = lcm(D_E, den x, the radii's denominators): row_at(E, x, S,
-    r, R) is the report row at r = R/S and the mass m of its ratio m/R.
-    Holds-at-scale when the worst ratio is >= 1 - tolerance, and the worst
-    radius (the first on ties) is reported."""
-    x, tol = rat(x), rat(tolerance)
-    grid = [rat(r) for r in r_grid]
-    scale = lcm(E.mass_scale, x.denominator, *(r.denominator for r in grid))
+def grid_on(grid: Sequence[Fraction], scale: int) -> list[int]:
+    """The radii of a grid as integers on a scale that their denominators
+    divide; ValueError unless they are positive and strictly descending."""
     Rs = [on_scale(r, scale) for r in grid]
     if not Rs or min(Rs) <= 0:
         raise ValueError("grid must be positive")
     if any(a <= b for a, b in zip(Rs, Rs[1:])):
         raise ValueError("grid must be strictly descending")
-    rows = []
-    for i, (r, R) in enumerate(zip(grid, Rs)):
-        row, mass = row_at(E, x, scale, r, R)
-        rows.append(row)
-        if i == 0 or mass * worst[2] < worst[1] * R:
-            worst = i, mass, R
-    i, mass, R = worst
-    ratio = Fraction(mass, R)
-    verdict = HOLDS_AT_SCALE if ratio >= 1 - tol else FAILS
-    return DensityReport(x, verdict, grid[i], ratio, None, tuple(rows))
+    return Rs
 
 
-def _one_sided_grid_row(E, x, scale, r, R):
-    """((r, left ratio, right ratio, their max), the larger mass)."""
-    _, left, right = _integer_rows(E, x, scale)(R)
-    lf, rf = Fraction(left, R), Fraction(right, R)
-    return (r, lf, rf, lf if left >= right else rf), max(left, right)
+def _grid_report(x, grid, Rs, tolerance: Fraction, rows) -> DensityReport:
+    """The report on rows (row, mass, ratio) along a strictly descending
+    grid, radius r = R/S, with ratio the Fraction mass/R that the row
+    carries.  Holds-at-scale when the worst ratio is >= 1 - tolerance,
+    decided on integers; the worst radius (the first on ties) is reported
+    with its row's ratio."""
+    worst = 0
+    for i in range(1, len(Rs)):
+        if rows[i][1] * Rs[worst] < rows[worst][1] * Rs[i]:
+            worst = i
+    _, mass, ratio = rows[worst]
+    tn, td = tolerance.numerator, tolerance.denominator
+    verdict = HOLDS_AT_SCALE if mass * td >= (td - tn) * Rs[worst] else FAILS
+    return DensityReport(x, verdict, grid[worst], ratio, None, tuple(row for row, _, _ in rows))
+
+
+def _grid_at(E, x, r_grid, tolerance, rows_of) -> DensityReport:
+    """A grid check at one point, on S = lcm(D_E, den x, the radii's
+    denominators)."""
+    x, tol = rat(x), rat(tolerance)
+    grid = [rat(r) for r in r_grid]
+    scale = lcm(E.mass_scale, x.denominator, *(r.denominator for r in grid))
+    Rs = grid_on(grid, scale)
+    return _grid_report(x, grid, Rs, tol, rows_of(E, scale, on_scale(x, scale), grid, Rs))
+
+
+def _one_sided_rows(E, scale, u, grid, Rs) -> list:
+    """((r, left ratio, right ratio, their max), the larger mass, that max)
+    at each radius r = R/scale; Φ(x) is read once."""
+    row_at = _integer_rows(E, scale, u)
+    out = []
+    for r, R in zip(grid, Rs):
+        _, left, right = row_at(R)
+        lf, rf = Fraction(left, R), Fraction(right, R)
+        m = lf if left >= right else rf
+        out.append(((r, lf, rf, m), max(left, right), m))
+    return out
 
 
 def check_strongly_one_sided_dense_at(
@@ -393,7 +423,7 @@ def check_strongly_one_sided_dense_at(
     A finite-scale check, not a limit claim: the verdict is holds-at-scale
     when every grid radius achieves ratio >= 1 - tolerance.
     """
-    return _grid_report(E, x, r_grid, tolerance, _one_sided_grid_row)
+    return _grid_at(E, x, r_grid, tolerance, _one_sided_rows)
 
 
 def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tuple[Fraction, Fraction]:
@@ -404,26 +434,32 @@ def worst_window_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> tupl
     if r <= 0:
         raise ValueError("radius must be positive")
     scale = lcm(E.mass_scale, x.denominator, r.denominator)
-    (_, ratio, t), _ = _window_grid_row(E, x, scale, r, on_scale(r, scale))
+    [((_, ratio, t), _, _)] = _window_rows(E, scale, on_scale(x, scale), [r], [on_scale(r, scale)])
     return ratio, t
 
 
-def _window_grid_row(E, x, scale, r, R):
-    """((r, ratio, t), mass): the least mass of E in a window [t, t + r] ∋ x,
-    the leftmost such t and the ratio mass/r, with the mass an integer on
-    the scale."""
-    mass, t = min(((E.phi_on(scale, t + R) - E.phi_on(scale, t), t)
-                   for t in window_starts(on_scale(x, scale), R, scale, E)), key=itemgetter(0))
-    return (r, Fraction(mass, R), Fraction(t, scale)), mass
+def _window_rows(E, scale, u, grid, Rs) -> list:
+    """((r, ratio, t), mass, ratio) at each radius r = R/scale of a
+    descending grid: the least mass of E in a window [t, t + r] ∋ x, the
+    leftmost such t and the ratio mass/r.  The endpoints near x are found
+    once, for the largest radius."""
+    ends = E.ends_on(scale, u - Rs[0], u + Rs[0])
+    out = []
+    for r, R in zip(grid, Rs):
+        mass, t = min(((E.phi_on(scale, t + R) - E.phi_on(scale, t), t)
+                       for t in window_starts(u, R, ends)), key=itemgetter(0))
+        ratio = Fraction(mass, R)
+        out.append(((r, ratio, Fraction(t, scale)), mass, ratio))
+    return out
 
 
-def window_starts(u: int, R: int, scale: int, *sets: IntervalSet) -> list[int]:
-    """Sorted left ends t ∈ [u - R, u] where the sets' masses in [t, t + R] ∋ u
-    can kink: u - R, u, and e, e - R for each endpoint e in [u - R, u + R];
-    all integers on a scale that every set's D divides."""
+def window_starts(u: int, R: int, ends: Sequence[int]) -> list[int]:
+    """Sorted left ends t ∈ [u - R, u] where masses in [t, t + R] ∋ u can
+    kink: u - R, u, and e, e - R for each endpoint e in [u - R, u + R].
+    ends holds at least those endpoints (others are filtered out), all
+    integers on one scale."""
     lo = u - R
-    ends = [e for S in sets for e in S.ends_on(scale, lo, u + R)]
-    return sorted({lo, u, *(t for t in (*ends, *(e - R for e in ends)) if lo <= t <= u)})
+    return sorted({lo, u, *(t for e in ends for t in (e, e - R) if lo <= t <= u)})
 
 
 def check_strongly_dense_at(
@@ -434,7 +470,7 @@ def check_strongly_dense_at(
 ) -> DensityReport:
     """Worst-window density at each radius of a strictly descending grid
     (Lebesgue density at scale)."""
-    return _grid_report(E, x, r_grid, tolerance, _window_grid_row)
+    return _grid_at(E, x, r_grid, tolerance, _window_rows)
 
 
 # -- UDT witnesses -------------------------------------------------------------
@@ -514,7 +550,10 @@ def suggest_udt_witness(E: IntervalSet, depth: int) -> UDTWitness:
     """
     if E.is_empty:
         raise ValueError("no witness for the empty set")
-    min_len = min(iv.length for iv in E if not iv.is_degenerate)
+    lengths = [iv.length for iv in E if not iv.is_degenerate]
+    if not lengths:
+        raise ValueError(f"no witness for {E}: every component is a single point")
+    min_len = min(lengths)
     gammas = [1 - Fraction(1, 2 ** (n + 1)) for n in range(depth)]
     deltas = [min_len / 2 ** (n + 1) for n in range(depth)]
     return UDTWitness(tuple(gammas), tuple(deltas))

@@ -18,6 +18,12 @@ readers (`cumulative`, `mass`, `locate`, `endpoints_in`, ...) are built on
 the same bisects and turn only their results into Fractions.  The same
 floor/ceil rule (`floor_on`, `ceil_on`) places points among a
 piecewise-linear function's breakpoints (`pcw.PiecewiseLinear._position`).
+
+`clip`, `complement_within` and `intersect` build results that are
+canonical by construction, so they go through `IntervalSet._trusted`,
+which neither sorts nor merges; `clip` keeps every component it does not
+cut as the same `Interval` object.  Everything else goes through the
+canonicalizing constructor.
 """
 
 from __future__ import annotations
@@ -93,7 +99,9 @@ class IntervalSet:
     Canonical form: components sorted by lo, pairwise disjoint, with gaps of
     positive length between consecutive components.  The constructor always
     canonicalizes (sort, merge overlapping/adjacent), so membership and
-    measure are preserved from the raw input.
+    measure are preserved from the raw input.  Results that are canonical
+    by construction (`clip`, `complement_within`, `intersect`) skip it
+    through `_trusted`.
 
     Isolated degenerate components are rejected unless
     ``allow_degenerate=True`` (used only for closure examples such as the
@@ -127,6 +135,15 @@ class IntervalSet:
         self._intervals = tuple(merged)
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, intervals: Iterable[Interval]) -> "IntervalSet":
+        """A set from components already in canonical form (sorted, gaps
+        of positive length, none degenerate), kept as given: no sort, no
+        merge and no check."""
+        out = object.__new__(cls)
+        out._intervals = tuple(intervals)
+        return out
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[RationalLike, RationalLike]],
@@ -309,14 +326,17 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        # each piece ends at the end of a component of one set, and the next
+        # starts at a later component's start in that set: the gaps stay
+        return IntervalSet._trusted(out)
 
     def clip(self, window: Interval) -> "IntervalSet":
         """self ∩ window in O(log n + k), by bisect on the mass index.
 
         Equal to intersecting with IntervalSet([window]): components that
         only touch the window, and degenerate ones, drop out, and a
-        degenerate window raises ValueError.
+        degenerate window raises ValueError.  Only the first and the last
+        component can be cut; every other one is kept as the same object.
         """
         if window.is_degenerate:
             raise ValueError(f"degenerate clip window {window}")
@@ -325,30 +345,31 @@ class IntervalSet:
         # components j with hi_j > a and lo_j < b; ends = lo_0, hi_0, lo_1, ...
         first = bisect_right(ends, floor_on(a, D)) // 2
         stop = (bisect_left(ends, ceil_on(b, D)) + 1) // 2
-        out = []
-        for iv in self._intervals[first:stop]:
-            lo, hi = max(iv.lo, a), min(iv.hi, b)
-            if lo < hi:
-                out.append(Interval(lo, hi))
-        return IntervalSet(out)
+        out = [iv for j, iv in enumerate(self._intervals[first:stop], first)
+               if ends[2 * j] < ends[2 * j + 1]]
+        if out and out[0].lo < a:
+            out[0] = Interval(a, out[0].hi)
+        if out and out[-1].hi > b:
+            out[-1] = Interval(out[-1].lo, b)
+        return IntervalSet._trusted(out)
 
     def complement_within(self, window: Interval) -> "IntervalSet":
         """Closed-collapse complement relative to a bounded window.
 
         The result shares endpoints with self; it is an involution on
-        canonical non-degenerate sets within a fixed window.
+        canonical non-degenerate sets within a fixed window.  Its
+        components are the gaps of the clipped set together with the
+        window's ends; only the first and the last can be degenerate.
         """
         if window.is_degenerate:
             raise ValueError("empty window for complement")
-        out: list[Interval] = []
-        cursor = window.lo
-        for iv in self.clip(window):
-            if iv.lo > cursor:
-                out.append(Interval(cursor, iv.lo))
-            cursor = max(cursor, iv.hi)
-        if cursor < window.hi:
-            out.append(Interval(cursor, window.hi))
-        return IntervalSet(out)
+        ends = [window.lo, *(e for iv in self.clip(window) for e in (iv.lo, iv.hi)), window.hi]
+        gaps = list(zip(ends[::2], ends[1::2]))
+        if gaps[-1][0] == gaps[-1][1]:
+            gaps.pop()
+        if gaps and gaps[0][0] == gaps[0][1]:
+            gaps.pop(0)
+        return IntervalSet._trusted([Interval(lo, hi) for lo, hi in gaps])
 
     def distance(self, other: "IntervalSet") -> Optional[Fraction]:
         """Lower distance inf{|x - y|}; None is the infinity flag (empty set)."""

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -27,17 +28,36 @@ from lipsets.constructions import (
     split_into_bounded_shards,
     worst_imbalance,
 )
-from lipsets.density import FAILS, HOLDS
+from lipsets import constructions, density
+from lipsets.density import (
+    FAILS,
+    HOLDS,
+    HOLDS_AT_SCALE,
+    check_strongly_dense_at,
+    check_strongly_one_sided_dense_at,
+    check_weakly_center_dense_at,
+    check_weakly_dense_at,
+)
 from lipsets.envelopes import verify_contraction
 from lipsets.pcw import (
     PiecewiseLinear,
     build_signed_integral,
     first_sloped_segment,
+    geometric_grid,
     local_lip_exact,
     m_ratio,
 )
 
-from oracles import brute_one_sided_measure, ref_sample_points, ref_worst_imbalance
+from oracles import (
+    brute_one_sided_measure,
+    ref_contains,
+    ref_one_sided_rows,
+    ref_sample_points,
+    ref_sided_ratio,
+    ref_weak_report,
+    ref_worst_imbalance,
+    ref_worst_window_ratio,
+)
 from strategies import (
     TIE_POINTS, TIE_STEP, float_tie_sets, non_dyadic, non_dyadic_sets, pl_functions)
 
@@ -115,6 +135,101 @@ class TestMonotoneBuilder:
             assert local_lip_exact(f, iv.midpoint) == (1, 1)
         for a, b in zip(E.intervals, E.intervals[1:]):
             assert local_lip_exact(f, (a.hi + b.lo) / 2) == (0, 0)
+# (windows, resolutions) of each family for the condition checks; float-tie
+# windows are a few steps of 2^-70 wide
+CHECK_WINDOWS = {
+    "dyadic": ([W01, W, Interval(F(1, 4), F(5, 8))], [F(1, 32), F(1, 24), F(1, 8)]),
+    "float-tie": ([Interval(c - 8 * TIE_STEP, c + 8 * TIE_STEP) for c in (F(1, 3), F(2, 3))],
+                  [TIE_STEP, 3 * TIE_STEP]),
+    "non-dyadic": ([Interval(F(3, 11), F(9, 13)), Interval(F(-1, 5), F(8, 7))],
+                   [F(1, 30), F(1, 7), F(1, 32)]),
+}
+
+# the component [6/7, 13/14] lies outside the window [1/3, 5/8], and 7 divides
+# no denominator inside it: D_E is 7 times the lcm of E ∩ window's
+SEVENTHS = iset((F(1, 12), F(1, 4)), (F(3, 8), F(1, 2)), (F(7, 12), F(3, 4)),
+                (F(6, 7), F(13, 14)))
+SEVENTHS_WINDOW = Interval(F(1, 3), F(5, 8))
+
+
+def _assert_weak_entry(rep, E, x, eps, centered):
+    """A weak report against the Fraction oracle; at the open end the
+    witness lies in (0, ε) and its oracle ratio beats 1 - ε."""
+    expected = ref_weak_report(E, x, eps, centered)
+    if expected is not None:
+        assert (rep.verdict, rep.worst_r, rep.ratio, rep.side) == expected
+    else:
+        assert rep.verdict == HOLDS and 0 < rep.worst_r < eps
+        assert rep.ratio == ref_sided_ratio(E, x, rep.worst_r, rep.side) > 1 - eps
+
+
+def _assert_grid_entry(rep, rows, ratios, grid, tol):
+    """A grid report against oracle rows and their ratios: the first worst
+    radius, its ratio and the verdict at 1 - tol."""
+    worst = min(range(len(grid)), key=ratios.__getitem__)
+    assert rep.details == rows
+    assert (rep.worst_r, rep.ratio) == (grid[worst], ratios[worst])
+    assert rep.verdict == (HOLDS_AT_SCALE if ratios[worst] >= 1 - tol else FAILS)
+
+
+def _assert_monotone_entries(E, window, res):
+    """Both modes of check_monotone_conditions, entry for entry: the points
+    are ref_sample_points, each report is that of the public per-point
+    check at x and agrees with the Fraction oracles."""
+    comp = E.complement_within(window)
+    grid = geometric_grid(res, F(1, 2), 4)
+    for mode in ("Lip1", "lip1"):
+        rep = check_monotone_conditions(E, mode, window, res)
+        assert [x for x, _ in rep.on_set] == ref_sample_points(E.clip(window), window, res)
+        assert [x for x, _ in rep.on_complement] == ref_sample_points(comp, window, res)
+        for x, r in rep.on_set:
+            if mode == "Lip1":
+                assert r == check_weakly_dense_at(E, x, res)
+                _assert_weak_entry(r, E, x, res, centered=False)
+            else:
+                assert r == check_strongly_one_sided_dense_at(E, x, grid, res)
+                rows = ref_one_sided_rows(E, x, grid)
+                _assert_grid_entry(r, rows, [row[3] for row in rows], grid, res)
+        for x, r in rep.on_complement:
+            if mode == "Lip1":
+                assert r == check_strongly_dense_at(comp, x, grid, res)
+                windows = [ref_worst_window_ratio(comp, x, radius) for radius in grid]
+                rows = tuple((radius, *w) for radius, w in zip(grid, windows))
+                _assert_grid_entry(r, rows, [w[0] for w in windows], grid, res)
+            else:
+                assert r == check_weakly_center_dense_at(comp, x, res)
+                _assert_weak_entry(r, comp, x, res, centered=True)
+
+
+def _assert_ternary_entries(t, E, res):
+    """check_ternary entry for entry: condition 1 at ref_sample_points of E
+    against the public weak checks on E1 and E-1 and the oracle; condition 2
+    at those of the complement that are not in E, against worst_imbalance
+    and ref_worst_imbalance."""
+    rep = check_ternary(t, E, res)
+    w = t.window
+    assert [x for x, _, _ in rep.weakly_dense_entries] == ref_sample_points(E.clip(w), w, res)
+    for x, label, r in rep.weakly_dense_entries:
+        rep1, rep2 = check_weakly_dense_at(t.e1, x, res), check_weakly_dense_at(t.em1, x, res)
+        expected = ("E1", rep1) if rep1.verdict == HOLDS else (
+            ("E-1", rep2) if rep2.verdict == HOLDS else ("neither", rep1))
+        assert (label, r) == expected
+        _assert_weak_entry(r, t.em1 if label == "E-1" else t.e1, x, res, centered=False)
+    comp = E.complement_within(w)
+    points = [x for x in ref_sample_points(comp, w, res) if not ref_contains(E, x)]
+    assert [x for x, _ in rep.balance_entries] == points
+    radii = geometric_grid(res, F(1, 2), 5)
+    for x, rows in rep.balance_entries:
+        assert rows == tuple((r, worst_imbalance(t, x, r)[0]) for r in radii)
+        assert rows == tuple((r, ref_worst_imbalance(t, x, r)[0]) for r in radii)
+
+
+def _alternating(S, window):
+    """The decomposition of the window with the components of S alternately
+    in E1 and E-1."""
+    comps = [iv for iv in S if not iv.is_degenerate]
+    e1, em1 = IntervalSet(comps[::2]), IntervalSet(comps[1::2])
+    return TernaryDecomposition(e1, e1.union(em1).complement_within(window), em1, window)
 
 
 class TestMonotoneConditions:
@@ -151,18 +266,35 @@ class TestMonotoneConditions:
     @given(data=st.data())
     def test_sample_points_match_a_fraction_walk(self, family, data):
         # the walk on the integer scale samples exactly the points of the
-        # Fraction grid walk; float-tie windows are a few steps of 2^-70 wide
-        windows, steps = {
-            "dyadic": ([W01, W, Interval(F(1, 4), F(5, 8))], [F(1, 32), F(1, 24), F(1, 8)]),
-            "float-tie": ([Interval(c - 8 * TIE_STEP, c + 8 * TIE_STEP) for c in (F(1, 3), F(2, 3))],
-                          [TIE_STEP, 3 * TIE_STEP]),
-            "non-dyadic": ([Interval(F(3, 11), F(9, 13)), Interval(F(-1, 5), F(8, 7))],
-                           [F(1, 30), F(1, 7), F(1, 32)]),
-        }[family]
+        # Fraction grid walk, on the least scale and on a multiple of it
+        windows, steps = CHECK_WINDOWS[family]
         S = data.draw(SET_FAMILIES[family][0])
         window, step = data.draw(st.sampled_from(windows)), data.draw(st.sampled_from(steps))
         for T in (S, S.clip(window), S.complement_within(window)):
-            assert _sample_points(T, window, step) == ref_sample_points(T, window, step)
+            least = lcm(T.mass_scale, window.lo.denominator, window.hi.denominator,
+                        step.denominator)
+            for scale in (least, 21 * least):
+                points = _sample_points(T, window, step, scale)
+                assert [F(u, scale) for u in points] == ref_sample_points(T, window, step)
+
+
+    @pytest.mark.parametrize("family", ["dyadic", "float-tie", "non-dyadic"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_reports_equal_the_per_point_checks(self, family, data):
+        # one scale for every sample point, against each point's own scale
+        windows, resolutions = CHECK_WINDOWS[family]
+        E = data.draw(SET_FAMILIES[family][0])
+        window, res = data.draw(st.sampled_from(windows)), data.draw(st.sampled_from(resolutions))
+        _assert_monotone_entries(E, window, res)
+
+    @pytest.mark.parametrize("res", [F(1, 32), F(1, 24), F(1, 12)])
+    def test_reports_read_e_beyond_the_window(self, res):
+        # E's mass index is read on the check's scale, so D_E must divide
+        # it, including the 7 of a component outside the window
+        assert SEVENTHS.mass_scale == 7 * lcm(*(
+            e.denominator for e in SEVENTHS.clip(SEVENTHS_WINDOW).endpoints()))
+        _assert_monotone_entries(SEVENTHS, SEVENTHS_WINDOW, res)
 
 
 class TestTernary:
@@ -264,6 +396,24 @@ class TestTernary:
         t = TernaryDecomposition(e1, e1.union(em1).complement_within(window), em1, window)
         x, r = data.draw(points), data.draw(radii)
         assert worst_imbalance(t, x, r) == ref_worst_imbalance(t, x, r)
+
+    @pytest.mark.parametrize("family", ["dyadic", "float-tie", "non-dyadic"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_report_equals_the_per_point_checks(self, family, data):
+        # E is sampled; E1 and E-1 come from a second set of the family, so
+        # their denominators need not be E's
+        windows, resolutions = CHECK_WINDOWS[family]
+        sets = SET_FAMILIES[family][0]
+        E, parts = data.draw(sets), data.draw(sets)
+        window, res = data.draw(st.sampled_from(windows)), data.draw(st.sampled_from(resolutions))
+        _assert_ternary_entries(_alternating(parts, window), E, res)
+
+    def test_report_reads_parts_beyond_the_window(self):
+        # the 7 of [6/7, 13/14] reaches the scale through E and through E1
+        window = SEVENTHS_WINDOW
+        _assert_ternary_entries(_alternating(SEVENTHS, window), SEVENTHS, F(1, 32))
+        _assert_ternary_entries(_alternating(SEVENTHS, window), iset((F(3, 8), F(1, 2))), F(1, 24))
 
     def test_normalize_fixed_point(self):
         E = iset((0, 1))
@@ -705,16 +855,33 @@ def density_inputs():
     return dyadic_sets + [(NON_DYADIC, F(1, 24), F(1, 3))]
 
 
+def _density_digests(density_inputs):
+    digests = []
+    for E, res, eps in density_inputs:
+        for mode in ("Lip1", "lip1"):
+            digests.append(_report_digest(check_monotone_conditions(E, mode, W01, res)))
+    for E, res, eps in density_inputs[::3]:  # the first random set and the non-dyadic one
+        t = _slope_decomposition(build_small_lip(E, eps, W01), W01)
+        digests.append(_report_digest(check_ternary(t, E, res)))
+    return digests
+
+
 class TestDensityCheckPins:
     def test_density_report_digests(self, density_inputs):
-        digests = []
-        for E, res, eps in density_inputs:
-            for mode in ("Lip1", "lip1"):
-                digests.append(_report_digest(check_monotone_conditions(E, mode, W01, res)))
-        for E, res, eps in density_inputs[::3]:  # the first random set and the non-dyadic one
-            t = _slope_decomposition(build_small_lip(E, eps, W01), W01)
-            digests.append(_report_digest(check_ternary(t, E, res)))
-        assert digests == DENSITY_DIGESTS
+        assert _density_digests(density_inputs) == DENSITY_DIGESTS
+
+    def test_checks_reach_the_cores(self, density_inputs, monkeypatch):
+        # the condition checks call the integer cores directly, not the
+        # public per-point checks, and still give the same reports
+        def refuse(*args, **kwargs):
+            raise AssertionError("a public per-point check was called")
+
+        for name in ("check_weakly_dense_at", "check_weakly_center_dense_at",
+                     "check_strongly_one_sided_dense_at", "check_strongly_dense_at",
+                     "worst_window_ratio"):
+            monkeypatch.setattr(density, name, refuse)
+        monkeypatch.setattr(constructions, "worst_imbalance", refuse)
+        assert _density_digests(density_inputs) == DENSITY_DIGESTS
 
 
 # computed before the density checks moved onto integer rows

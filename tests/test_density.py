@@ -633,6 +633,18 @@ class TestUDTWitness:
                     )
                     assert cert.member
 
+    def test_no_witness_for_points_only(self):
+        # the empty set and a set of isolated points have no component of
+        # positive length to size δ_n by; both name the cause
+        with pytest.raises(ValueError, match="empty set"):
+            suggest_udt_witness(IntervalSet.empty(), 2)
+        points = IntervalSet([Interval.point(0), Interval.point(F(1, 3))], allow_degenerate=True)
+        with pytest.raises(ValueError, match="single point"):
+            suggest_udt_witness(points, 2)
+        # one component of positive length is enough
+        mixed = points.union(iset((F(1, 2), F(3, 4))))
+        assert suggest_udt_witness(mixed, 2).deltas == (F(1, 8), F(1, 16))
+
     def test_json_round_trip(self):
         w = suggest_udt_witness(iset((0, 1)), 4)
         assert UDTWitness.from_json(w.to_json()) == w

@@ -21,7 +21,8 @@ from oracles import (
     ref_mass,
     to_cells,
 )
-from strategies import TIE_POINTS, float_tie_sets, near_and_between, non_dyadic_sets
+from strategies import (
+    TIE_POINTS, float_tie_sets, near_and_between, non_dyadic, non_dyadic_sets)
 
 F = Fraction
 
@@ -335,6 +336,79 @@ def test_clip_at_touching_windows_and_points():
     assert IntervalSet.empty().clip(Interval(F(0), F(1))).is_empty
     with pytest.raises(ValueError):  # as IntervalSet([window]) would
         s.clip(Interval.point(F(1, 3)))
+
+
+# -- results built without canonicalizing -------------------------------------------
+
+
+def _with_points(pairs, points):
+    return IntervalSet([Interval(p, q) for p, q in pairs] + [Interval.point(p) for p in points],
+                       allow_degenerate=True)
+
+
+# (sets with degenerate components, window ends) of three families: the
+# dyadic grid; the float-tie points, 2^-70 apart and one beyond 10^400;
+# denominators 3·2^k, 1000 and 77
+TRUSTED_FAMILIES = {
+    "dyadic": (st.builds(_with_points, window_pairs, st.lists(grid_points, max_size=3)),
+               grid_points),
+    "float-tie": (float_tie_sets(), st.sampled_from(near_and_between(TIE_POINTS))),
+    "non-dyadic": (non_dyadic_sets(), non_dyadic),
+}
+
+
+def _is_canonical(s):
+    ivs = s.intervals
+    return (all(iv.lo < iv.hi for iv in ivs)
+            and all(a.hi < b.lo for a, b in zip(ivs, ivs[1:])))
+
+
+def _gaps(pairs, a, b):
+    """The closed gaps of sorted disjoint pairs inside [a, b], with lo < hi."""
+    ends = [a, *(e for pair in pairs for e in pair), b]
+    return [(lo, hi) for lo, hi in zip(ends[::2], ends[1::2]) if lo < hi]
+
+
+@pytest.mark.parametrize("family", sorted(TRUSTED_FAMILIES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trusted_results_are_canonical(family, data):
+    # clip, complement_within and intersect skip the canonicalizing
+    # constructor: each result must be what it would build, and match the
+    # Fraction bisects of ref_clip
+    sets, ends = TRUSTED_FAMILIES[family]
+    s, t = data.draw(sets), data.draw(sets)
+    a, b = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    w = Interval(a, b)
+    clipped, comp, meet = s.clip(w), s.complement_within(w), s.intersect(t)
+    for result in (clipped, comp, meet):
+        assert _is_canonical(result)
+        assert result == IntervalSet(list(result), allow_degenerate=True)
+    assert [(iv.lo, iv.hi) for iv in clipped] == ref_clip(s, a, b)
+    assert [(iv.lo, iv.hi) for iv in comp] == _gaps(ref_clip(s, a, b), a, b)
+    assert [(iv.lo, iv.hi) for iv in meet] == [
+        pair for iv in t if not iv.is_degenerate for pair in ref_clip(s, iv.lo, iv.hi)]
+    # the components clip does not cut are the set's own objects
+    own = {(iv.lo, iv.hi): iv for iv in s}
+    for iv in clipped:
+        if (iv.lo, iv.hi) in own:
+            assert iv is own[(iv.lo, iv.hi)]
+
+
+def test_clip_cuts_only_its_ends():
+    s = IntervalSet([Interval(F(0), F(1, 4)), Interval.point(F(3, 8)),
+                     Interval(F(1, 2), F(5, 8)), Interval(F(3, 4), F(1))], allow_degenerate=True)
+    inner, last = s.intervals[2], s.intervals[3]
+    clipped = s.clip(Interval(F(1, 8), F(7, 8)))
+    assert clipped == iset((F(1, 8), F(1, 4)), (F(1, 2), F(5, 8)), (F(3, 4), F(7, 8)))
+    assert clipped.intervals[1] is inner
+    whole = s.clip(Interval(F(-1), F(2)))
+    assert whole.intervals == (s.intervals[0], inner, last)
+    assert all(a is b for a, b in zip(whole.intervals, (s.intervals[0], inner, last)))
+    # one component cut at both ends
+    assert s.clip(Interval(F(13, 16), F(15, 16))) == iset((F(13, 16), F(15, 16)))
+    assert s.complement_within(Interval(F(0), F(1))) == iset(
+        (F(1, 4), F(1, 2)), (F(5, 8), F(3, 4)))
 
 
 # -- membership by bisect --------------------------------------------------------
