@@ -518,7 +518,8 @@ def merge_udt_witnesses(ws: Sequence[UDTWitness]) -> UDTWitness:
     """Diagonalize finitely many witnesses into one dominating them all.
 
     Output prefix (γ_n, δ_n) satisfies γ_n < γ_{m,n} and δ_n < δ_{m,n} for
-    every input m and every n of the common prefix (n_m = 0 works here).
+    every input m and every n of the common prefix (n_m = 0 works here)
+    when there are two or more; a single witness is returned as is.
     """
     if not ws:
         raise ValueError("empty witness list")

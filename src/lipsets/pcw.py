@@ -4,9 +4,9 @@ The carrier for every construction: rational breakpoints and values, linear
 interpolation in between, clamp-to-constant outside the domain (all the
 functions we build are constant off their active window).
 
-Functions are read in one of four ways.  `sloped_segments(f, S)` walks
-f's segments of nonzero slope together with the components of a set S;
-`first_sloped_segment`, the check of slopes against a set, reads it.
+Functions are read in one of four ways.  `first_sloped_segment(f, S)`,
+the check of slopes against a set, walks f's segments of nonzero slope
+together with the components of a set S.
 `integer_grid(fs, lo, hi)` reads each f in fs on their merged grid, in
 integers: breakpoints on the lcm of their denominators, values on the lcm
 of theirs, widened until every value at every grid point is an integer,
@@ -526,11 +526,10 @@ def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[
     return runs
 
 
-def sloped_segments(f: PiecewiseLinear, S: IntervalSet) -> Iterator[tuple]:
-    """(a, b, f(a), f(b), J) for each segment [a, b] of f with nonzero
-    slope, in order, where J is the first component of S of positive length
-    that ends after a, or None.  One forward walk over both; each reader
-    computes from the segment only what it needs."""
+def first_sloped_segment(f: PiecewiseLinear, S: IntervalSet) -> Optional[Interval]:
+    """The first segment of f on which f has nonzero slope and S positive
+    mass, or None: None exactly when f' = 0 almost everywhere on S.  One
+    forward walk over f's sloped segments and S's components."""
     bps, vals = f.breakpoints, f.values
     comps = (iv for iv in S if iv.lo < iv.hi)  # degenerate components carry no mass
     J = next(comps, None)
@@ -539,17 +538,10 @@ def sloped_segments(f: PiecewiseLinear, S: IntervalSet) -> Iterator[tuple]:
             a = bps[k]
             while J is not None and J.hi <= a:
                 J = next(comps, None)
-            yield a, bps[k + 1], vals[k], vals[k + 1], J
-
-
-def first_sloped_segment(f: PiecewiseLinear, S: IntervalSet) -> Optional[Interval]:
-    """The first segment of f on which f has nonzero slope and S positive
-    mass, or None: None exactly when f' = 0 almost everywhere on S."""
-    for a, b, _, _, J in sloped_segments(f, S):
-        if J is None:  # S has no component left
-            return None
-        if J.lo < b:  # J, the first to end after a, starts before b
-            return Interval(a, b)
+            if J is None:  # S has no component left
+                return None
+            if J.lo < bps[k + 1]:  # J, the first to end after a, starts before b
+                return Interval(a, bps[k + 1])
     return None
 
 

@@ -28,7 +28,9 @@ stage.  There every g in U_N equals f_N, whose slope on E is 0 or
 in the default-collar builds on `fat_cantor_system` is 0.0625, 0.125, 0.182
 and 0.235 for 1 to 4 stages.  A piecewise-linear stage function
 keeps an exactly flat collar next to each F_n endpoint, so witnesses are
-sampled from the recorded active regions.
+sampled from the recorded active segments, SAMPLES_PER_STAGE per stage,
+each keeping its region.  `persistence_ok` checks (ii) on consecutive
+stages; the nesting of the F_n extends it to every pair.
 
 Refine blocks end on dyadic grids: a block [p, q] whose local margin allows
 q - p <= 2·step ends at the largest point of the grid 2^-m Z at or below
@@ -58,6 +60,9 @@ from .envelopes import (
 )
 from .pcw import PiecewiseLinear, first_sloped_segment, integer_grid
 from .pcw import monotone_runs, pl_max, pl_min
+
+SAMPLES_PER_STAGE = 8  # level-set points per stage for the witness search
+SAMPLE_SEED = 0  # each build draws them from its own random.Random(SAMPLE_SEED)
 
 
 class WitnessSearchError(RuntimeError):
@@ -101,12 +106,13 @@ class NestedClosedSystem:
         return len(self.closed_sets)
 
     def closed_at(self, n: int) -> IntervalSet:
-        if n == 0:
-            return IntervalSet.empty()
-        return self.closed_sets[n - 1]
+        """F_n for 0 <= n <= depth, F_0 being empty; ValueError otherwise."""
+        if not 0 <= n <= self.depth:
+            raise ValueError(f"no closed set F_{n}: n must lie in 0..{self.depth}")
+        return self.closed_sets[n - 1] if n else IntervalSet.empty()
 
     def complement(self, n: int) -> IntervalSet:
-        """G_n within the window (closed collapse)."""
+        """G_n within the window (closed collapse), for 0 <= n <= depth."""
         return self.closed_at(n).complement_within(self.window)
 
     def to_json(self) -> dict:
@@ -188,17 +194,17 @@ def _sup_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
     return Fraction(max(map(abs, map(sub, fs, gs))), W)
 
 
-def _positive_zone(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> Optional[tuple[Fraction, Fraction]]:
-    """Longest run of segments [x_i, x_{i+1}] of f on [lo, hi] with v_i > 0 or v_i + v_{i+1} > 0."""
-    grid, point, _, _, (vs,) = integer_grid((f,), lo, hi)
+def _positive_zone(f: PiecewiseLinear) -> Optional[tuple[Fraction, Fraction]]:
+    """Longest run of segments [x_i, x_{i+1}] of f with v_i > 0 or v_i + v_{i+1} > 0."""
+    xs, vs = f.breakpoints, f.values
     zones: list[tuple[Fraction, Fraction]] = []
     start: Optional[Fraction] = None
-    for i, x in enumerate(grid):
-        if i + 1 < len(grid) and (vs[i] > 0 or vs[i] + vs[i + 1] > 0):
+    for i, x in enumerate(xs):
+        if i + 1 < len(xs) and (vs[i] > 0 or vs[i] + vs[i + 1] > 0):
             if start is None:
-                start = point[x]
+                start = x
         elif start is not None:
-            zones.append((start, point[x]))
+            zones.append((start, x))
             start = None
     return max(zones, key=lambda z: z[1] - z[0], default=None)
 
@@ -241,26 +247,27 @@ class UdtBuildResult:
     diagnostics: tuple[StageDiagnostics, ...]
 
     def vicinity(self, n: int) -> Envelope:
+        """U_n = Envelope(f_n, r_n) for 1 <= n <= N; ValueError otherwise."""
+        if not 1 <= n <= len(self.stages):
+            raise ValueError(f"no vicinity U_{n}: n must lie in 1..{len(self.stages)}")
         return Envelope(self.stages[n - 1], self.radii[n - 1])
 
     def persistence_ok(self) -> bool:
-        """(ii) f_m = f_n on F_n and (vi) tail witness ratios, all stages.
+        """(ii) f_m = f_n on F_n for m >= n and (vi) tail witness ratios.
 
-        Both stages are linear between the points of the merged grid of a
-        component of F_n, so f_m = f_n on it when their values agree there:
-        integers on `pcw.integer_grid`."""
-        for n in range(1, len(self.stages) + 1):
-            f_n = self.stages[n - 1]
-            F_n = self.system.closed_at(n)
-            for m in range(n, len(self.stages) + 1):
-                f_m = self.stages[m - 1]
-                if m > n:  # f_n - f_n = 0: nothing to check at m = n
-                    for comp in F_n:
-                        if not comp.is_degenerate:
-                            _, _, _, _, (a, b) = integer_grid((f_m, f_n), comp.lo, comp.hi)
-                            if a != b:
-                                return False
-                for rec in self.diagnostics[n - 1].witnesses:
+        (ii) is checked as f_{k+1} = f_k on F_k for k < N: F_n ⊆ F_k for
+        n <= k (`NestedClosedSystem` checks it), which gives every n < m.
+        Both are linear between the points of their merged grid on a
+        component of F_k: they agree there as integers (`pcw.integer_grid`)."""
+        for n, (f_n, f_next) in enumerate(zip(self.stages, self.stages[1:]), start=1):
+            for comp in self.system.closed_at(n):
+                if not comp.is_degenerate:
+                    _, _, _, _, (a, b) = integer_grid((f_next, f_n), comp.lo, comp.hi)
+                    if a != b:
+                        return False
+        for n, diag in enumerate(self.diagnostics, start=1):
+            for f_m in self.stages[n - 1:]:
+                for rec in diag.witnesses:
                     gap = abs(rec.x - rec.y)
                     if not abs(f_m(rec.x) - f_m(rec.y)) > rec.tail_target * gap:
                         return False
@@ -356,31 +363,32 @@ def _sample_level_points(
     E: IntervalSet,
     gamma: Fraction,
     delta: Fraction,
-    segments: Sequence[tuple[Fraction, Fraction]],
-    count: int,
+    active: Sequence[tuple[Interval, tuple[Fraction, Fraction]]],
     rng: random.Random,
-) -> list[Fraction]:
-    comps: list[Interval] = []
-    for lo, hi in segments:
-        comps.extend(E.clip(Interval(lo, hi)).intervals)
+) -> list[tuple[Fraction, Interval]]:
+    """Up to SAMPLES_PER_STAGE points x of E^{γ,δ} on the active
+    (region, segment) pairs, as (x, region) sorted by x."""
+    comps: list[tuple[Interval, Interval]] = []  # (component of E, its region)
+    for region, (lo, hi) in active:
+        comps.extend((comp, region) for comp in E.clip(Interval(lo, hi)))
     if not comps:
         return []
-    cum_weights = list(accumulate(float(c.length) for c in comps))
-    out: list[Fraction] = []
+    cum_weights = list(accumulate(float(comp.length) for comp, _ in comps))
+    out: list[tuple[Fraction, Interval]] = []
     seen = set()
     tries = 0
     denom = 64
-    while len(out) < count and tries < 40 * count:
+    while len(out) < SAMPLES_PER_STAGE and tries < 40 * SAMPLES_PER_STAGE:
         tries += 1
-        comp = rng.choices(comps, cum_weights=cum_weights)[0]
+        comp, region = rng.choices(comps, cum_weights=cum_weights)[0]
         k = rng.randint(0, denom)
         x = comp.lo + comp.length * Fraction(k, denom)
         if x in seen:
             continue
         seen.add(x)
         if level_set_membership(E, x, gamma, delta).member:
-            out.append(x)
-    return sorted(out)
+            out.append((x, region))
+    return sorted(out, key=itemgetter(0))
 
 
 # -- the builder ----------------------------------------------------------------------
@@ -390,8 +398,6 @@ def build_udt_lip1(
     system: NestedClosedSystem,
     witness: UDTWitness,
     stages: int,
-    samples_per_stage: int = 8,
-    seed: int = 0,
     collar: Fraction = Fraction(1, 8),
     strict: bool = True,
 ) -> UdtBuildResult:
@@ -402,6 +408,9 @@ def build_udt_lip1(
     margin's cap (ε = 2^-3(n-1), which stage n-1 certified, and δ = 2^-3n).
     Stage 1 is stage n with f_0 = 0 and r_0/3 = 1.  r_{n-1}/3 budgets a
     second move that no stage makes; it is kept as a conservative budget.
+    Witnesses are searched at SAMPLES_PER_STAGE level-set points per stage
+    from random.Random(SAMPLE_SEED); with strict, a point without one raises
+    WitnessSearchError, otherwise it is recorded in witness_failures.
     """
     if stages < 1 or stages > system.depth:
         raise ValueError("stages must be between 1 and the system depth")
@@ -411,7 +420,7 @@ def build_udt_lip1(
         raise ValueError("collar must lie in (0, 1/2)")
     E = system.target
     window = system.window
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
 
     f_prev = PiecewiseLinear.constant(0, window)
     r_third = PiecewiseLinear.constant(1, window)  # r_{n-1}/3, the tube's radius cap
@@ -434,9 +443,10 @@ def build_udt_lip1(
         # region reads f_prev only on itself, so the results are spliced once ----
         margin_parts: list[PiecewiseLinear] = []
         refined: list[PiecewiseLinear] = []
-        active: list[tuple[Fraction, Fraction]] = []
+        active: list[tuple[Interval, tuple[Fraction, Fraction]]] = []  # (region, segment)
         for region in system.complement(n):
-            zone = _positive_zone(r_third, region.lo, region.hi)
+            cap = r_third.restrict(region.lo, region.hi)
+            zone = _positive_zone(cap)
             if zone is None:
                 continue
             zlen = zone[1] - zone[0]
@@ -445,7 +455,7 @@ def build_udt_lip1(
                 region, (c0, d0),
                 left_is_f=region.lo != window.lo,
                 right_is_f=region.hi != window.hi,
-                cap=r_third.restrict(region.lo, region.hi),
+                cap=cap,
             )
             margin_parts.append(qmargin)
             if E.mass(c0, d0) == 0:
@@ -455,7 +465,7 @@ def build_udt_lip1(
                 Envelope(f_loc, qmargin), E, eps_contract, delta_stage, segment=(c0, d0)
             )
             refined.append(res.function)
-            active.append((c0, d0))
+            active.append((region, (c0, d0)))
         f_n = f_prev.splice(refined)
         eps_margin = PiecewiseLinear.constant(0, window).splice(margin_parts)
 
@@ -469,15 +479,8 @@ def build_udt_lip1(
         failures: list[tuple[Fraction, Fraction]] = []
         stage_target = (1 - Fraction(1, 2 ** (2 * n))) * gamma_n
         tail_target = (1 - Fraction(1, 2 ** n)) * gamma_n
-        regions_n = system.complement(n).intervals
         runs_of: dict[Interval, list[tuple[Fraction, Fraction]]] = {}
-        samples = _sample_level_points(
-            E, gamma_n, delta_n, active, samples_per_stage, rng
-        )
-        for x in samples:
-            region = next((r for r in regions_n if r.contains(x)), None)
-            if region is None:
-                continue
+        for x, region in _sample_level_points(E, gamma_n, delta_n, active, rng):
             if region not in runs_of:
                 runs_of[region] = monotone_runs(f_n, region.lo, region.hi)
             y, ratio = stage_witness_search(
@@ -516,7 +519,7 @@ def build_udt_lip1(
                 contraction_factor=factor,
                 contraction_ok=contraction_ok,
                 flat_on_closed_ok=flat_ok,
-                active_segments=tuple(active),
+                active_segments=tuple(segment for _, segment in active),
                 witnesses=tuple(witnesses),
                 witness_failures=tuple(failures),
                 cauchy_step=_sup_distance(f_n, f_prev),

@@ -34,6 +34,10 @@ block ends with one Fraction step per block.  The tube checks' slow paths
 `ref_contraction_by_bisects`) build intermediate functions or bisect per
 point.
 
+`ref_persistence_ok` is the staged build's persistence check as it read
+before it compared consecutive stages only: every pair n < m, each
+component of F_n read through `restrict` and `__call__`.
+
 `ref_case_split_candidates` is the stage witness case split as it read
 before it was written in x's own coordinates: it reflects x, its run and
 its neighbour to -x when x sits in the right half of its run.
@@ -376,18 +380,6 @@ def ref_first_sloped_segment(f, pairs):
     return None
 
 
-def ref_sloped_segments(f, S):
-    """(a, b, f(a), f(b), J) for each segment of f whose ends differ, with J
-    found by a linear scan of S: its first component of positive length
-    ending after a, or None."""
-    out = []
-    for a, b in zip(f.breakpoints, f.breakpoints[1:]):
-        if f(a) != f(b):
-            J = next((iv for iv in S if iv.lo < iv.hi and iv.hi > a), None)
-            out.append((a, b, f(a), f(b), J))
-    return out
-
-
 def ref_ramp_to(xs, vs, E, slope, b):
     """The ramp with one Φ bisect per point: v0 + slope·(Φ(p) - Φ(x0)) at
     every endpoint p of E strictly inside (x0, b), each once, then at b."""
@@ -494,6 +486,26 @@ def ref_positive_zone(f, lo, hi):
     if not zones:
         return None
     return max(zones, key=lambda z: z[1] - z[0])
+
+
+def ref_persistence_ok(result):
+    """The staged build's persistence check over every pair of stages:
+    f_m = f_n on each component of F_n of positive length for every n < m,
+    read through `restrict` and `__call__` at the breakpoints of both
+    restrictions, then every tail witness ratio at every later stage."""
+    stages, closed = result.stages, result.system.closed_sets
+    for n, f_n in enumerate(stages, start=1):
+        for f_m in stages[n:]:
+            for comp in closed[n - 1]:
+                if comp.lo < comp.hi:
+                    g, h = f_n.restrict(comp.lo, comp.hi), f_m.restrict(comp.lo, comp.hi)
+                    if any(g(x) != h(x) for x in {*g.breakpoints, *h.breakpoints}):
+                        return False
+        for f_m in stages[n - 1:]:
+            for rec in result.diagnostics[n - 1].witnesses:
+                if not abs(f_m(rec.x) - f_m(rec.y)) > rec.tail_target * abs(rec.x - rec.y):
+                    return False
+    return True
 
 
 def ref_vicinity_contains(center, radius, g):

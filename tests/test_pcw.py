@@ -25,7 +25,6 @@ from lipsets.pcw import (
     pl_max,
     pl_min,
     pl_sum,
-    sloped_segments,
 )
 
 from oracles import (
@@ -41,7 +40,6 @@ from oracles import (
     ref_pl_sum,
     ref_refine_blocks,
     ref_simplify,
-    ref_sloped_segments,
     ref_splice,
 )
 from strategies import (
@@ -525,10 +523,12 @@ def grid_sets(draw):
 
 @settings(max_examples=150)
 @given(pl_functions(value=st.sampled_from([F(0), F(1, 2), F(1)])), grid_sets())
-def test_sloped_segments_match_a_linear_scan(f, S):
-    assert list(sloped_segments(f, S)) == ref_sloped_segments(f, S)
-    assert list(sloped_segments(f, IntervalSet.empty())) == ref_sloped_segments(
-        f, IntervalSet.empty())
+def test_first_sloped_segment_matches_the_midpoint_test_on_grid_sets(f, S):
+    # grid_sets hold degenerate components and ones that touch a segment at an end
+    for T in (S, IntervalSet.empty()):
+        seg = first_sloped_segment(f, T)
+        expected = ref_first_sloped_segment(f, [(iv.lo, iv.hi) for iv in T])
+        assert (None if seg is None else (seg.lo, seg.hi)) == expected
 
 
 @settings(max_examples=100)

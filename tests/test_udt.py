@@ -19,7 +19,9 @@ from lipsets.udt import (
     stage_witness_search,
 )
 
-from oracles import ref_case_split_candidates, ref_cauchy_step, ref_positive_zone
+from oracles import (
+    ref_case_split_candidates, ref_cauchy_step, ref_persistence_ok, ref_positive_zone,
+)
 from strategies import pl_functions, points
 
 F = Fraction
@@ -40,6 +42,12 @@ def two_stages():
 def _digest(f):
     """SHA-256 of the exact breakpoint/value pairs, as "x:v" joined by spaces."""
     return hashlib.sha256(" ".join(f"{x}:{v}" for x, v in f.as_pairs()).encode()).hexdigest()
+
+
+def _tent(window, comp):
+    """0 off comp, rising to 2^-20 at its midpoint."""
+    return PiecewiseLinear([window.lo, comp.lo, comp.midpoint, comp.hi, window.hi],
+                           [0, 0, F(1, 2 ** 20), 0, 0])
 
 
 def _assert_stage_flags(res):
@@ -166,16 +174,68 @@ class TestTwoStages:
         # the grid points strictly inside the component see it
         f1, f2 = two_stages.stages
         comp = two_stages.system.closed_at(1).intervals[0]
-        w = two_stages.system.window
-        tent = PiecewiseLinear([w.lo, comp.lo, comp.midpoint, comp.hi, w.hi],
-                               [0, 0, F(1, 2 ** 20), 0, 0])
         bumped = UdtBuildResult(
-            two_stages.system, two_stages.witness, (f1, f2 + tent),
+            two_stages.system, two_stages.witness,
+            (f1, f2 + _tent(two_stages.system.window, comp)),
             two_stages.radii, two_stages.diagnostics,
         )
         assert bumped.stages[1](comp.lo) == f1(comp.lo)
         assert bumped.stages[1](comp.hi) == f1(comp.hi)
         assert not bumped.persistence_ok()
+
+    def test_persistence_matches_the_all_pairs_check(self, two_stages):
+        assert two_stages.persistence_ok() == ref_persistence_ok(two_stages) is True
+
+
+def _three_stages(two_stages, f2, f3):
+    """(f_1, f2, f3) on fat_cantor_system(3), whose F_1 and F_2 are the
+    two-stage fixture's; the third stage reuses stage 2's records."""
+    system = fat_cantor_system(3)
+    assert system.closed_sets[:2] == two_stages.system.closed_sets
+    r1, r2 = two_stages.radii
+    return UdtBuildResult(system, two_stages.witness, (two_stages.stages[0], f2, f3),
+                          (r1, r2, r2),
+                          (*two_stages.diagnostics, two_stages.diagnostics[1]))
+
+
+class TestThreeStages:
+    # persistence_ok compares consecutive stages only; on each result below
+    # its verdict equals the all-pairs oracle's
+    def test_the_stages_unchanged_pass(self, two_stages):
+        f2 = two_stages.stages[1]
+        res = _three_stages(two_stages, f2, f2)
+        assert res.persistence_ok() == ref_persistence_ok(res) is True
+
+    def test_a_tent_on_f1_in_the_last_stage_is_rejected(self, two_stages):
+        # f_3 = f_2 + tent moves off f_2 inside a component of F_1 ⊆ F_2:
+        # only the last consecutive pair (2, 3) sees it
+        f2 = two_stages.stages[1]
+        comp = two_stages.system.closed_at(1).intervals[0]
+        res = _three_stages(two_stages, f2, f2 + _tent(two_stages.system.window, comp))
+        assert res.persistence_ok() == ref_persistence_ok(res) is False
+
+    def test_a_tent_kept_from_stage_two_on_is_rejected(self, two_stages):
+        # f_2 = f_3 = f_2 + tent: the pair (2, 3) agrees, (1, 2) does not
+        f2 = two_stages.stages[1]
+        comp = two_stages.system.closed_at(1).intervals[0]
+        bumped = f2 + _tent(two_stages.system.window, comp)
+        res = _three_stages(two_stages, bumped, bumped)
+        assert res.persistence_ok() == ref_persistence_ok(res) is False
+
+
+def test_stage_indexes_out_of_range_are_rejected(one_stage):
+    system = fat_cantor_system(2)
+    assert system.closed_at(0) == IntervalSet.empty()
+    assert system.complement(0) == IntervalSet([system.window])
+    for n in (-1, 3):
+        with pytest.raises(ValueError, match=f"F_{n}"):
+            system.closed_at(n)
+        with pytest.raises(ValueError, match=f"F_{n}"):
+            system.complement(n)
+    assert one_stage.vicinity(1).center == one_stage.stages[0]
+    for n in (0, -1, 2):
+        with pytest.raises(ValueError, match=f"U_{n}"):
+            one_stage.vicinity(n)
 
 
 @pytest.mark.parametrize("fixture", ["one_stage", "two_stages"])
@@ -189,9 +249,9 @@ def test_cauchy_step_and_radius_sup_match_fraction_maxima(fixture, request):
 
 
 def test_read_only_checks_build_no_function(monkeypatch, two_stages):
-    # every exact check reads the stages through sloped_segments or
-    # integer_grid, or on its own integer scale: with every way to build a
-    # function made to raise, each still returns its verdict
+    # every exact check reads the stages through first_sloped_segment's
+    # walk or integer_grid, or on its own integer scale: with every way to
+    # build a function made to raise, each still returns its verdict
     def no_build(*args, **kwargs):
         raise AssertionError("a read-only check built a function")
 
@@ -373,7 +433,7 @@ def test_sup_distance_is_the_fraction_max_on_the_merged_grid(f, g):
        st.lists(points, min_size=2, max_size=2, unique=True))
 def test_positive_zone_reads_breakpoint_values(f, window):
     lo, hi = sorted(window)
-    assert udt._positive_zone(f, lo, hi) == ref_positive_zone(f, lo, hi)
+    assert udt._positive_zone(f.restrict(lo, hi)) == ref_positive_zone(f, lo, hi)
 
 
 # contiguous runs with ends on the 1/64 grid of [0, 1]
