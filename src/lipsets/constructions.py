@@ -241,10 +241,10 @@ def check_ternary(
     t: TernaryDecomposition,
     E: IntervalSet,
     resolution: RationalLike,
-    tolerance: Optional[RationalLike] = None,
 ) -> TernaryReport:
     """Condition 1 at sampled x ∈ E (E1 or E-1 weakly dense); condition 2 at
-    sampled x ∉ E (imbalance ratios over shrinking windows).
+    sampled x ∉ E (imbalance ratios over shrinking windows, held to the
+    resolution as the report's tolerance).
 
     Every point is sampled and checked on one integer scale S, the lcm of
     D_E, D_E1, D_E-1, the denominators of the window's ends and that of the
@@ -253,7 +253,6 @@ def check_ternary(
     `check_weakly_dense_at` and `worst_imbalance` at x.
     """
     res = rat(resolution)
-    tol = rat(tolerance) if tolerance is not None else res
     if not (0 < res < 1):
         raise ValueError("resolution must be in (0,1)")
     w = t.window
@@ -278,7 +277,7 @@ def check_ternary(
             continue  # closed-collapse boundary point: x ∈ E is not quantified
         rows = _imbalance_rows(t, scale, u, Rs)
         cond2.append((x, tuple((r, Fraction(m, R)) for r, R, (m, _) in zip(radii, Rs, rows))))
-    return TernaryReport(tuple(cond1), tuple(cond2), tol)
+    return TernaryReport(tuple(cond1), tuple(cond2), res)
 
 
 def normalize_ternary(t: TernaryDecomposition, E: IntervalSet) -> TernaryDecomposition:

@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -424,8 +424,3 @@ def floor_on(x: Fraction, scale: int) -> int:
 def ceil_on(x: Fraction, scale: int) -> int:
     """⌈x·scale⌉."""
     return -(-x.numerator * scale // x.denominator)
-
-
-def canonicalize(raw: Sequence[Interval], allow_degenerate: bool = False) -> IntervalSet:
-    """Spec-level entry point; the IntervalSet constructor does the work."""
-    return IntervalSet(raw, allow_degenerate=allow_degenerate)

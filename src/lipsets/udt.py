@@ -32,6 +32,12 @@ sampled from the recorded active segments, SAMPLES_PER_STAGE per stage,
 each keeping its region.  `persistence_ok` checks (ii) on consecutive
 stages; the nesting of the F_n extends it to every pair.
 
+A stage runs in phases: the flatness precondition, the region phase
+(`_refine_regions`: cap, margins, refine), the witness phase
+(`_stage_witnesses`: sampling, search), the radius and the diagnostics.
+Stage n + 1's precondition walks f_n on F_{n+1} ⊇ F_n and raises on a slope
+there, so only the last stage walks f_n on F_n for its diagnostic.
+
 Refine blocks end on dyadic grids: a block [p, q] whose local margin allows
 q - p <= 2·step ends at the largest point of the grid 2^-m Z at or below
 p + step, with 2^-m < step/8, so (7/8)·step < q - p <= step (the last block
@@ -131,13 +137,14 @@ class NestedClosedSystem:
         )
 
 
-def fat_cantor_system(levels: int, window: Interval = Interval(Fraction(0), Fraction(1))) -> NestedClosedSystem:
-    """Fat-Cantor-style nested system: level n removes the middle 4^-n
-    fraction of every kept piece, so the removed closed sets F_n increase
-    while the kept set retains positive measure."""
+def fat_cantor_system(levels: int) -> NestedClosedSystem:
+    """Fat-Cantor-style nested system on [0, 1]: level n removes the middle
+    4^-n fraction of every kept piece, so the removed closed sets F_n
+    increase while the kept set retains positive measure."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    kept = [Interval(window.lo, window.hi)]
+    window = Interval(Fraction(0), Fraction(1))
+    kept = [window]
     removed: list[Interval] = []
     chain: list[IntervalSet] = []
     for n in range(1, levels + 1):
@@ -172,19 +179,20 @@ def quadratic_margin(
 
     Tangent lines of the parabola lie below it, so the max of finitely many
     tangents is an exact minorant; tangents are taken at the segment ends
-    and midpoint.  Each end's tangents are one n-ary `pl_max`, and each
-    envelope reads its functions on `pcw.integer_grid`.
+    and midpoint.  Each end's tangents are one n-ary `pl_max`, the cap and
+    those maxima one n-ary `pl_min`, and each envelope reads its functions
+    on `pcw.integer_grid`.
     """
     a, b = region.lo, region.hi
     c, d = segment
-    out = cap
+    end_maxima = []
     for p, touches_f in ((a, left_is_f), (b, right_is_f)):
         if touches_f:
             # tangent of (x-p)^2 at t: (t-p)(2x-t-p), slope 2(t-p), value (t-p)^2 at t
             lines = [PiecewiseLinear([a, b], [(t - p) * (2 * x - t - p) for x in (a, b)])
                      for t in (c, (c + d) / 2, d)]
-            out = pl_min(out, pl_max(*lines))
-    return pl_max(out, PiecewiseLinear.constant(0, region))
+            end_maxima.append(pl_max(*lines))
+    return pl_max(pl_min(cap, *end_maxima), PiecewiseLinear.constant(0, region))
 
 
 def _sup_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:
@@ -359,26 +367,25 @@ def stage_witness_search(
     return best_of([lo, hi, *f.breakpoints_in(lo, hi), *E.endpoints_in(lo, hi)])
 
 
-def _sample_level_points(
-    E: IntervalSet,
-    gamma: Fraction,
-    delta: Fraction,
-    active: Sequence[tuple[Interval, tuple[Fraction, Fraction]]],
-    rng: random.Random,
-) -> list[tuple[Fraction, Interval]]:
-    """Up to SAMPLES_PER_STAGE points x of E^{γ,δ} on the active
-    (region, segment) pairs, as (x, region) sorted by x."""
+def _stage_witnesses(
+    E: IntervalSet, n: int, gamma_n: Fraction, delta_n: Fraction, f_n: PiecewiseLinear,
+    active: Sequence[tuple[Interval, tuple[Fraction, Fraction]]], rng: random.Random,
+) -> tuple[list[WitnessRecord], list[tuple[Fraction, Fraction]]]:
+    """Stage n's witness phase, (iv): up to SAMPLES_PER_STAGE points x of
+    E^{γ_n,δ_n} drawn by rng from the active (region, segment) pairs, each
+    searched in ascending order on the monotone runs of f_n on its region.
+    Returns the witness records and the (x, best ratio) failures."""
     comps: list[tuple[Interval, Interval]] = []  # (component of E, its region)
     for region, (lo, hi) in active:
         comps.extend((comp, region) for comp in E.clip(Interval(lo, hi)))
     if not comps:
-        return []
+        return [], []
     cum_weights = list(accumulate(float(comp.length) for comp, _ in comps))
-    out: list[tuple[Fraction, Interval]] = []
+    points: list[tuple[Fraction, Interval]] = []
     seen = set()
     tries = 0
     denom = 64
-    while len(out) < SAMPLES_PER_STAGE and tries < 40 * SAMPLES_PER_STAGE:
+    while len(points) < SAMPLES_PER_STAGE and tries < 40 * SAMPLES_PER_STAGE:
         tries += 1
         comp, region = rng.choices(comps, cum_weights=cum_weights)[0]
         k = rng.randint(0, denom)
@@ -386,12 +393,63 @@ def _sample_level_points(
         if x in seen:
             continue
         seen.add(x)
-        if level_set_membership(E, x, gamma, delta).member:
-            out.append((x, region))
-    return sorted(out, key=itemgetter(0))
+        if level_set_membership(E, x, gamma_n, delta_n).member:
+            points.append((x, region))
+
+    stage_target = (1 - Fraction(1, 2 ** (2 * n))) * gamma_n
+    tail_target = (1 - Fraction(1, 2 ** n)) * gamma_n
+    witnesses: list[WitnessRecord] = []
+    failures: list[tuple[Fraction, Fraction]] = []
+    runs_of: dict[Interval, list[tuple[Fraction, Fraction]]] = {}
+    for x, region in sorted(points, key=itemgetter(0)):
+        if region not in runs_of:
+            runs_of[region] = monotone_runs(f_n, region.lo, region.hi)
+        y, ratio = stage_witness_search(f_n, E, x, delta_n, runs_of[region], stage_target)
+        if y is not None and ratio > stage_target:
+            witnesses.append(WitnessRecord(n, x, y, ratio, stage_target, tail_target))
+        else:
+            failures.append((x, ratio))
+    return witnesses, failures
 
 
 # -- the builder ----------------------------------------------------------------------
+
+
+def _refine_regions(
+    system: NestedClosedSystem, n: int, f_prev: PiecewiseLinear, r_third: PiecewiseLinear,
+    collar: Fraction,
+) -> tuple[PiecewiseLinear, PiecewiseLinear, list[tuple[Interval, tuple[Fraction, Fraction]]]]:
+    """Stage n's region phase.  In each complement region of F_n: the
+    quadratic margin under the cap r_{n-1}/3 on the cap's collared positive
+    zone [c, d], and, where E has mass on [c, d], f_{n-1} refined in that
+    tube (ε = 2^-3(n-1), certified by stage n-1, and δ = 2^-3n).  The cap
+    budgets a second move that no stage makes.  Returns f_n and the margin,
+    each spliced once (the margin is 0 off the regions), and the active
+    (region, segment) pairs."""
+    E, window = system.target, system.window
+    eps_contract = Fraction(1, 2 ** (3 * (n - 1)))
+    delta_stage = Fraction(1, 2 ** (3 * n))
+    margin_parts: list[PiecewiseLinear] = []
+    refined: list[PiecewiseLinear] = []
+    active: list[tuple[Interval, tuple[Fraction, Fraction]]] = []
+    for region in system.complement(n):
+        cap = r_third.restrict(region.lo, region.hi)
+        zone = _positive_zone(cap)
+        if zone is None:
+            continue
+        zlen = zone[1] - zone[0]
+        c0, d0 = zone[0] + zlen * collar, zone[1] - zlen * collar
+        qmargin = quadratic_margin(region, (c0, d0), left_is_f=region.lo != window.lo,
+                                   right_is_f=region.hi != window.hi, cap=cap)
+        margin_parts.append(qmargin)
+        if E.mass(c0, d0) == 0:
+            continue
+        tube = Envelope(f_prev.restrict(region.lo, region.hi), qmargin)
+        res = envelope_refine(tube, E, eps_contract, delta_stage, segment=(c0, d0))
+        refined.append(res.function)
+        active.append((region, (c0, d0)))
+    margin = PiecewiseLinear.constant(0, window).splice(margin_parts)
+    return f_prev.splice(refined), margin, active
 
 
 def build_udt_lip1(
@@ -403,14 +461,17 @@ def build_udt_lip1(
 ) -> UdtBuildResult:
     """Run the staged construction for the given number of stages.
 
-    Stage n refines f_{n-1} directly, checked flat on F_n, within the tube
-    of radius min{quadratic margin, r_{n-1}/3}, r_{n-1}/3 being the quadratic
-    margin's cap (ε = 2^-3(n-1), which stage n-1 certified, and δ = 2^-3n).
-    Stage 1 is stage n with f_0 = 0 and r_0/3 = 1.  r_{n-1}/3 budgets a
-    second move that no stage makes; it is kept as a conservative budget.
-    Witnesses are searched at SAMPLES_PER_STAGE level-set points per stage
-    from random.Random(SAMPLE_SEED); with strict, a point without one raises
-    WitnessSearchError, otherwise it is recorded in witness_failures.
+    Stage n checks f_{n-1} flat on F_n, runs the region phase
+    (`_refine_regions`) and the witness phase (`_stage_witnesses`, sampling
+    from one random.Random(SAMPLE_SEED) per build), and builds the radius
+    r_n and the stage's diagnostics.  Stage 1 is stage n with f_0 = 0 and
+    r_0/3 = 1.  With strict, a sampled point without a witness raises
+    WitnessSearchError; otherwise it is recorded in witness_failures.
+
+    Only the last stage walks f_n on F_n for `flat_on_closed_ok`: for
+    n < stages, stage n + 1's precondition walks f_n on F_{n+1} ⊇ F_n, where
+    a slope on F_n shows too, and raises PreconditionError before stage n's
+    diagnostics are returned.
     """
     if stages < 1 or stages > system.depth:
         raise ValueError("stages must be between 1 and the system depth")
@@ -430,105 +491,43 @@ def build_udt_lip1(
 
     for n in range(1, stages + 1):
         gamma_n, delta_n = witness.gammas[n - 1], witness.deltas[n - 1]
-        delta_stage = Fraction(1, 2 ** (3 * n))
         F_n = system.closed_at(n)
-
-        # f_{n-1} must be flat on F_n, and stage n-1 certified ε (f_0 = 0: ε = 1)
         sloped = first_sloped_segment(f_prev, F_n)
         if sloped is not None:
             raise PreconditionError(f"stage {n}: f_{n - 1} is not flat on F_{n}", sloped)
-        eps_contract = Fraction(1, 2 ** (3 * (n - 1)))
 
-        # ---- margins and refine inside each complement region of F_n; each
-        # region reads f_prev only on itself, so the results are spliced once ----
-        margin_parts: list[PiecewiseLinear] = []
-        refined: list[PiecewiseLinear] = []
-        active: list[tuple[Interval, tuple[Fraction, Fraction]]] = []  # (region, segment)
-        for region in system.complement(n):
-            cap = r_third.restrict(region.lo, region.hi)
-            zone = _positive_zone(cap)
-            if zone is None:
-                continue
-            zlen = zone[1] - zone[0]
-            c0, d0 = zone[0] + zlen * collar, zone[1] - zlen * collar
-            qmargin = quadratic_margin(
-                region, (c0, d0),
-                left_is_f=region.lo != window.lo,
-                right_is_f=region.hi != window.hi,
-                cap=cap,
-            )
-            margin_parts.append(qmargin)
-            if E.mass(c0, d0) == 0:
-                continue
-            f_loc = f_prev.restrict(region.lo, region.hi)
-            res = envelope_refine(
-                Envelope(f_loc, qmargin), E, eps_contract, delta_stage, segment=(c0, d0)
-            )
-            refined.append(res.function)
-            active.append((region, (c0, d0)))
-        f_n = f_prev.splice(refined)
-        eps_margin = PiecewiseLinear.constant(0, window).splice(margin_parts)
-
-        # ---- diagnostics: (i) and (iii) ----
-        factor = 1 - delta_stage
-        contraction_ok = verify_contraction(f_n, E, factor) is None
-        flat_ok = first_sloped_segment(f_n, F_n) is None
-
-        # ---- (iv): witness search at sampled level-set points ----
-        witnesses: list[WitnessRecord] = []
-        failures: list[tuple[Fraction, Fraction]] = []
-        stage_target = (1 - Fraction(1, 2 ** (2 * n))) * gamma_n
-        tail_target = (1 - Fraction(1, 2 ** n)) * gamma_n
-        runs_of: dict[Interval, list[tuple[Fraction, Fraction]]] = {}
-        for x, region in _sample_level_points(E, gamma_n, delta_n, active, rng):
-            if region not in runs_of:
-                runs_of[region] = monotone_runs(f_n, region.lo, region.hi)
-            y, ratio = stage_witness_search(
-                f_n, E, x, delta_n, runs_of[region], stage_target
-            )
-            if y is not None and ratio > stage_target:
-                witnesses.append(
-                    WitnessRecord(n, x, y, ratio, stage_target, tail_target)
-                )
-            else:
-                failures.append((x, ratio))
+        f_n, margin, active = _refine_regions(system, n, f_prev, r_third, collar)
+        witnesses, failures = _stage_witnesses(E, n, gamma_n, delta_n, f_n, active, rng)
         if failures and strict:
-            x, best = failures[0]
-            raise WitnessSearchError(n, x, best, stage_target)
+            raise WitnessSearchError(n, *failures[0], (1 - Fraction(1, 2 ** (2 * n))) * gamma_n)
 
-        # ---- (v): the radius function; witness caps are local V-notches so
-        # the radius only collapses near the protected pairs ----
-        # a recorded ratio beats (1 - 2^-2n)γ_n, so ratio - tail_target
-        # > (2^-n - 2^-2n)γ_n >= 2^-2n·γ_n for n >= 1: the cap
-        # (ratio - tail_target)·gap/2 never binds below γ_n·gap/2^(2n+1)
+        # (v): witness caps are local V-notches, so the radius only
+        # collapses near the protected pairs.  A recorded ratio beats
+        # (1 - 2^-2n)γ_n, so ratio - tail_target > (2^-n - 2^-2n)γ_n
+        # >= 2^-2n·γ_n for n >= 1: the cap (ratio - tail_target)·gap/2
+        # never binds below γ_n·gap/2^(2n+1)
         notches = [_v_notch(window, min(rec.x, rec.y), max(rec.x, rec.y),
                             gamma_n * abs(rec.x - rec.y) / 2 ** (2 * n + 1))
                    for rec in witnesses]
-        r_n = pl_min(eps_margin, PiecewiseLinear.constant(Fraction(1, 2 ** n), window),
-                     *notches)
+        r_n = pl_min(margin, PiecewiseLinear.constant(Fraction(1, 2 ** n), window), *notches)
 
-        radius_zero = not any(
-            any(next(integer_grid((r_n,), comp.lo, comp.hi)[4]))
-            for comp in F_n if not comp.is_degenerate
-        )
-        radius_within = r_n.le(eps_margin)
-        gaps = [abs(rec.x - rec.y) for rec in witnesses]
-        diags.append(
-            StageDiagnostics(
-                stage=n,
-                contraction_factor=factor,
-                contraction_ok=contraction_ok,
-                flat_on_closed_ok=flat_ok,
-                active_segments=tuple(segment for _, segment in active),
-                witnesses=tuple(witnesses),
-                witness_failures=tuple(failures),
-                cauchy_step=_sup_distance(f_n, f_prev),
-                radius_sup=r_n.sup_norm(),
-                radius_zero_on_closed=radius_zero,
-                radius_within_margin=radius_within,
-                min_witness_gap=min(gaps) if gaps else None,
-            )
-        )
+        factor = 1 - Fraction(1, 2 ** (3 * n))
+        diags.append(StageDiagnostics(
+            stage=n,
+            contraction_factor=factor,
+            contraction_ok=verify_contraction(f_n, E, factor) is None,
+            flat_on_closed_ok=n < stages or first_sloped_segment(f_n, F_n) is None,
+            active_segments=tuple(segment for _, segment in active),
+            witnesses=tuple(witnesses),
+            witness_failures=tuple(failures),
+            cauchy_step=_sup_distance(f_n, f_prev),
+            radius_sup=r_n.sup_norm(),
+            radius_zero_on_closed=not any(
+                any(next(integer_grid((r_n,), comp.lo, comp.hi)[4]))
+                for comp in F_n if not comp.is_degenerate),
+            radius_within_margin=r_n.le(margin),
+            min_witness_gap=min((abs(rec.x - rec.y) for rec in witnesses), default=None),
+        ))
         stage_fns.append(f_n)
         radii.append(r_n)
         f_prev, r_third = f_n, r_n.scale(Fraction(1, 3))

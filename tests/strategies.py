@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import PiecewiseLinear
+from lipsets.udt import NestedClosedSystem
 
 F = Fraction
 
@@ -92,3 +93,24 @@ def near_and_between(points, offset=F(1, 2 ** 200)):
         {*xs, *(x + s * offset for x in xs for s in (-1, 1)),
          *((a + b) / 2 for a, b in zip(xs, xs[1:]))}
     )
+
+
+# (start, length) on the 1/64 grid: an interval of length 1/64 to 3/64
+# inside [1/64, 63/64]
+grid_pieces = st.integers(1, 3).flatmap(
+    lambda length: st.tuples(st.integers(1, 63 - length), st.just(length)))
+
+
+@st.composite
+def nested_systems(draw, depth):
+    """F_1 ⊆ ... ⊆ F_depth on the 1/64 grid of [0, 1], each F_n being
+    F_{n-1} plus 1 to 3 drawn `grid_pieces`; the target is the complement of
+    F_depth."""
+    window = Interval(F(0), F(1))
+    closed = IntervalSet.empty()
+    chain = []
+    for _ in range(depth):
+        pieces = draw(st.lists(grid_pieces, min_size=1, max_size=3))
+        closed = closed.union(IntervalSet([Interval(F(a, 64), F(a + k, 64)) for a, k in pieces]))
+        chain.append(closed)
+    return NestedClosedSystem(tuple(chain), window, closed.complement_within(window))

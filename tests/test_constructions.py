@@ -238,6 +238,9 @@ class TestMonotoneConditions:
         assert all(r.verdict == HOLDS for _, r in rep.on_set)
         failed_at = {x for x, r in rep.on_complement if r.verdict == FAILS}
         assert failed_at == {0, 1}
+        # the failures are those entries, in order, and nothing else
+        assert not rep.all_hold
+        assert rep.failures == tuple((x, r) for x, r in rep.on_complement if x in failed_at)
         # the centered windows around the endpoints have complement density 1/2
         comp = iset((0, 1)).complement_within(W)
         half = comp.intersect(iset((F(-1, 8), F(1, 8)))).measure() / F(1, 4)
@@ -338,6 +341,24 @@ class TestTernary:
         t = TernaryDecomposition(E, E.complement_within(W), IntervalSet.empty(), W)
         rep = check_ternary(t, E, F(1, 8))
         assert rep.condition2_holds_at_scale
+        assert rep.tolerance == F(1, 8)
+
+    def test_condition1_fails_without_a_dense_part(self):
+        # E1 = E-1 = ∅: no x ∈ E has a weakly dense part, though condition 2
+        # holds (no imbalance anywhere)
+        E = iset((0, 1))
+        t = TernaryDecomposition(IntervalSet.empty(), iset((-1, 2)), IntervalSet.empty(), W)
+        rep = check_ternary(t, E, F(1, 8))
+        assert rep.weakly_dense_entries
+        assert all(label == "neither" for _, label, _ in rep.weakly_dense_entries)
+        assert rep.condition2_holds_at_scale
+        assert not rep.condition1_holds and not rep.all_hold
+
+    def test_json_round_trip(self):
+        t = remark_ternary_example(3, Interval(F(-1, 2), F(3, 2)))
+        obj = t.to_json()
+        assert obj["window"] == ["-1/2", "3/2"]
+        assert TernaryDecomposition.from_json(obj) == t
 
     def test_remark_example_balance_at_zero(self):
         w = Interval(F(-1, 2), F(3, 2))
@@ -355,6 +376,8 @@ class TestTernary:
         )
         rep = check_ternary(t, IntervalSet.empty(), F(1, 4))
         assert not rep.condition2_holds_at_scale
+        # condition 1 is vacuous on the empty E; all_hold reads condition 2 too
+        assert rep.condition1_holds and not rep.all_hold
         ratio, u = worst_imbalance(t, F(1, 2), F(1, 4))
         assert ratio == 1
         violating = [x for x, rows in rep.balance_entries if rows[-1][1] > rep.tolerance]

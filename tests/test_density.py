@@ -13,6 +13,7 @@ from lipsets.density import (
     LEFT,
     RIGHT,
     DensityQuery,
+    DensityReport,
     MembershipCertificate,
     UDTWitness,
     centered_ratio,
@@ -594,6 +595,21 @@ class TestStronglyDense:
             check_strongly_dense_at(iset((0, 1)), 0, [F(1, 8), F(1, 4)])
         with pytest.raises(ValueError):
             check_strongly_dense_at(iset((0, 1)), 0, [F(1, 4), F(1, 4)])
+
+
+def test_report_json_on_each_verdict():
+    # exact values go out as strings and absent ones as None; details stay out
+    holds = check_weakly_dense_at(iset((0, 1)), F(1, 2), F(1, 8))
+    fails = check_weakly_dense_at(iset((0, F(1, 8))), F(3, 16), F(1, 4))
+    at_scale = check_strongly_dense_at(iset((0, 1)), F(1, 2), [F(1, 4), F(1, 8)])
+    assert at_scale.details
+    assert [r.to_json() for r in (holds, fails, at_scale, DensityReport(F(-1, 3), FAILS))] == [
+        {"point": "1/2", "verdict": HOLDS, "worst_r": "1/16", "ratio": "1", "side": LEFT},
+        {"point": "3/16", "verdict": FAILS, "worst_r": "3/16", "ratio": "2/3", "side": LEFT},
+        {"point": "1/2", "verdict": HOLDS_AT_SCALE, "worst_r": "1/4", "ratio": "1", "side": None},
+        {"point": "-1/3", "verdict": FAILS, "worst_r": None, "ratio": None, "side": None},
+    ]
+    assert (HOLDS, FAILS, HOLDS_AT_SCALE) == ("holds", "fails", "holds-at-scale")
 
 
 class TestUDTWitness:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipsets.density import UDTWitness
+from lipsets.density import UDTWitness, suggest_udt_witness
 from lipsets.envelopes import PreconditionError
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import PiecewiseLinear, first_sloped_segment, monotone_runs
@@ -22,7 +22,7 @@ from lipsets.udt import (
 from oracles import (
     ref_case_split_candidates, ref_cauchy_step, ref_persistence_ok, ref_positive_zone,
 )
-from strategies import pl_functions, points
+from strategies import nested_systems, pl_functions, points
 
 F = Fraction
 
@@ -186,6 +186,38 @@ class TestTwoStages:
     def test_persistence_matches_the_all_pairs_check(self, two_stages):
         assert two_stages.persistence_ok() == ref_persistence_ok(two_stages) is True
 
+    def test_persistence_detects_a_broken_tail_witness(self, two_stages):
+        # f_2 = the constant f_1 takes on F_1: it agrees with f_1 there, but
+        # every stage-1 witness pair has ratio 0 under it
+        f1 = two_stages.stages[0]
+        comp, = two_stages.system.closed_at(1)
+        assert f1(comp.lo) == f1(comp.midpoint) == f1(comp.hi)
+        flat = UdtBuildResult(
+            two_stages.system, two_stages.witness,
+            (f1, PiecewiseLinear.constant(f1(comp.lo), f1.domain)),
+            two_stages.radii, two_stages.diagnostics,
+        )
+        assert two_stages.diagnostics[0].witnesses
+        assert flat.persistence_ok() == ref_persistence_ok(flat) is False
+
+    def test_each_stage_walks_its_flatness_once(self, monkeypatch, two_stages):
+        # stage 1's flat_on_closed_ok rides on stage 2's precondition walk of
+        # f_1 on F_2 ⊇ F_1: the walks are the two preconditions and stage 2's
+        # own diagnostic
+        walk, walked = udt.first_sloped_segment, []
+
+        def counted(f, S):
+            walked.append(S)
+            return walk(f, S)
+
+        monkeypatch.setattr(udt, "first_sloped_segment", counted)
+        res = build_udt_lip1(fat_cantor_system(2), WITNESS, 2, collar=F(27, 64))
+        F1, F2 = res.system.closed_sets
+        assert walked == [F1, F2, F2]
+        assert [_digest(f) for f in res.stages] == [_digest(f) for f in two_stages.stages]
+        assert [_digest(r) for r in res.radii] == [_digest(r) for r in two_stages.radii]
+        assert res.diagnostics == two_stages.diagnostics
+
 
 def _three_stages(two_stages, f2, f3):
     """(f_1, f2, f3) on fat_cantor_system(3), whose F_1 and F_2 are the
@@ -221,6 +253,53 @@ class TestThreeStages:
         bumped = f2 + _tent(two_stages.system.window, comp)
         res = _three_stages(two_stages, bumped, bumped)
         assert res.persistence_ok() == ref_persistence_ok(res) is False
+
+
+def test_the_last_stage_reads_its_own_flatness_walk(monkeypatch):
+    # a slope that only the diagnostic walk of f_1 on F_1 reports: stage
+    # 1's flag is False and the lax build still returns
+    walk, calls = udt.first_sloped_segment, []
+
+    def sloped_after_the_precondition(f, S):
+        calls.append(S)
+        return walk(f, S) if len(calls) == 1 else Interval(F(0), F(1))
+
+    monkeypatch.setattr(udt, "first_sloped_segment", sloped_after_the_precondition)
+    res = build_udt_lip1(fat_cantor_system(1), WITNESS, 1, strict=False)
+    assert len(calls) == 2
+    assert not res.diagnostics[0].flat_on_closed_ok
+
+
+def test_system_json_round_trip_and_target_check():
+    system = fat_cantor_system(2)
+    assert NestedClosedSystem.from_json(system.to_json()) == system
+    # G_1 = [0, 1/4] ∪ [1/2, 1]: a target inside [0, 1/8] misses [1/2, 1]
+    window = Interval(F(0), F(1))
+    with pytest.raises(ValueError, match=r"\[1/2, 1\] misses the target"):
+        NestedClosedSystem((IntervalSet.from_pairs([(F(1, 4), F(1, 2))]),), window,
+                           IntervalSet.from_pairs([(F(0), F(1, 8))]))
+
+
+def _assert_strict_builds(system):
+    # under the fixed prefix and the suggested witness: every flag, a
+    # witness at every sampled point, and both checks
+    for witness in (WITNESS, suggest_udt_witness(system.target, system.depth)):
+        res = build_udt_lip1(system, witness, system.depth, strict=True)
+        _assert_stage_flags(res)
+        assert res.persistence_ok()
+        assert res.vicinity_chain_ok()
+
+
+@settings(max_examples=12, deadline=None)
+@given(nested_systems(1))
+def test_random_one_stage_systems_build_strictly(system):
+    _assert_strict_builds(system)
+
+
+@settings(max_examples=5, deadline=None)
+@given(nested_systems(2))
+def test_random_two_stage_systems_build_strictly(system):
+    _assert_strict_builds(system)
 
 
 def test_stage_indexes_out_of_range_are_rejected(one_stage):
