@@ -46,21 +46,6 @@ RIGHT = "right"
 BOTH = "both"
 
 
-@dataclass(frozen=True)
-class DensityQuery:
-    point: Fraction
-    side: str
-    radius: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", rat(self.point))
-        object.__setattr__(self, "radius", rat(self.radius))
-        if self.side not in (LEFT, RIGHT, BOTH):
-            raise ValueError(f"side must be left/right/both, got {self.side!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-
 def _integer_rows(E: IntervalSet, scale: int, u: int):
     """R ↦ (R, left, right) with left = S·|E ∩ [x - R/S, x]| and right =
     S·|E ∩ [x, x + R/S]|, integers on the scale S, which D_E divides, for
@@ -126,14 +111,10 @@ def one_sided_ratio(E: IntervalSet, x: RationalLike, r: RationalLike, side: str)
     return one_sided_measure(E, x, r, side) / rat(r)
 
 
-def density_ratio(E: IntervalSet, query: DensityQuery) -> Fraction:
-    """Exact |(x-r,x) ∩ E|/r (resp. right, or the max of both sides)."""
-    r, left, right = _row(E, query.point, query.radius)
-    return {LEFT: left, RIGHT: right, BOTH: max(left, right)}[query.side] / r
-
-
 def max_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
-    return density_ratio(E, DensityQuery(rat(x), BOTH, rat(r)))
+    """The larger one-sided ratio max(|E ∩ [x - r, x]|, |E ∩ [x, x + r]|)/r."""
+    r, left, right = _row(E, x, r)
+    return max(left, right) / r
 
 
 def centered_ratio(E: IntervalSet, x: RationalLike, r: RationalLike) -> Fraction:
@@ -230,6 +211,8 @@ def level_set(
     sampling was needed.
     """
     gamma, delta, resolution = rat(gamma), rat(delta), rat(resolution)
+    if gamma <= 0 or delta <= 0:
+        raise ValueError("gamma and delta must be positive")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if window.is_degenerate:

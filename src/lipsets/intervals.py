@@ -14,8 +14,8 @@ e < x exactly when e·D_E < ⌈x·D_E⌉.  `IntervalSet.phi_on` and
 `IntervalSet.ends_on` read the index on any integer scale S that D_E
 divides, as u ↦ S·Φ(u/S) and the endpoints as integers on S, and
 `IntervalSet.locate_on` inverts `phi_on` on the same scale; the Fraction
-readers (`cumulative`, `mass`, `locate`, `endpoints_in`, ...) are built on
-the same bisects and turn only their results into Fractions.  The same
+readers (`cumulative`, `mass`, `endpoints_in`, ...) are built on the same
+bisects and turn only their results into Fractions.  The same
 floor/ceil rule (`floor_on`, `ceil_on`) places points among a
 piecewise-linear function's breakpoints (`pcw.PiecewiseLinear._position`).
 
@@ -279,18 +279,6 @@ class IntervalSet:
         return Fraction(self.phi_on(scale, on_scale(b, scale))
                         - self.phi_on(scale, on_scale(a, scale)), scale)
 
-    def locate(self, m: RationalLike) -> Fraction:
-        """Inverse of Φ: the leftmost t with Φ(t) = m, for 0 < m <= |E|.
-
-        Φ is constant across a gap of E, so a value m reached at a gap has
-        the gap's left end as solution, and t always lies in (lo, hi] of a
-        component.  Raises ValueError outside that range, where the solution
-        set is empty or unbounded.  Read through `locate_on`.
-        """
-        m = rat(m)
-        scale = lcm(self.mass_scale, m.denominator)
-        return Fraction(self.locate_on(scale, on_scale(m, scale)), scale)
-
     def locate_on(self, scale: int, y: int) -> int:
         """The integer inverse of `phi_on`: u with u/scale the leftmost t
         with Φ(t) = y/scale, for 0 < y <= scale·|E| and a scale that D_E
@@ -390,9 +378,6 @@ class IntervalSet:
             else:
                 j += 1
         return best
-
-    def distance_to_point(self, x: RationalLike) -> Optional[Fraction]:
-        return self.distance(IntervalSet([Interval.point(rat(x))], allow_degenerate=True))
 
     # -- serialization ------------------------------------------------------
 

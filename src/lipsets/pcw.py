@@ -54,7 +54,6 @@ in `envelopes`.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
@@ -221,14 +220,6 @@ class PiecewiseLinear:
         j = self._position(hi, False)  # bps[j - 1] < hi <= bps[j]
         return ((lo, *bps[i:j], hi),
                 (_interpolate(bps, vals, i, lo), *vals[i:j], _interpolate(bps, vals, j, hi)))
-
-    def concat(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        if self.domain.hi != other.domain.lo:
-            raise ValueError("domains are not adjacent")
-        if self.values[-1] != other.values[0]:
-            raise ValueError("concat would be discontinuous")
-        return PiecewiseLinear._trusted(
-            self.breakpoints + other.breakpoints[1:], self.values + other.values[1:])
 
     def splice(self, pieces: Iterable["PiecewiseLinear"]) -> "PiecewiseLinear":
         """self with each piece in its place on the piece's domain, simplified.
@@ -628,37 +619,6 @@ def local_lip_exact(f: PiecewiseLinear, x: RationalLike) -> tuple[Fraction, Frac
     if bps[i - 1] == x and i > 1:
         val = max(abs(_slope(bps, vals, i - 1)), val)
     return (val, val)
-
-
-@dataclass(frozen=True)
-class LipSweep:
-    """Exact M_f(x,r) along a radius grid.
-
-    min/max over the grid bracket lip/Lip at the sampled scales only; they
-    bound the r -> 0 limits only through stage diagnostics, never by
-    themselves.
-    """
-
-    point: Fraction
-    entries: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def min_ratio(self) -> Fraction:
-        return min(r for _, r in self.entries)
-
-    @property
-    def max_ratio(self) -> Fraction:
-        return max(r for _, r in self.entries)
-
-
-def lip_sweep(f: PiecewiseLinear, x: RationalLike, r_grid: Sequence[RationalLike]) -> LipSweep:
-    x = rat(x)
-    grid = [rat(r) for r in r_grid]
-    if any(r <= 0 for r in grid):
-        raise ValueError("grid radii must be positive")
-    if any(a <= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly descending")
-    return LipSweep(x, tuple((r, m_ratio(f, x, r)) for r in grid))
 
 
 def geometric_grid(start: RationalLike, factor: RationalLike, count: int) -> list[Fraction]:

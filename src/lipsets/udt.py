@@ -65,7 +65,7 @@ from .envelopes import (
     verify_contraction,
 )
 from .pcw import PiecewiseLinear, first_sloped_segment, integer_grid
-from .pcw import monotone_runs, pl_max, pl_min
+from .pcw import monotone_runs, pl_min
 
 SAMPLES_PER_STAGE = 8  # level-set points per stage for the witness search
 SAMPLE_SEED = 0  # each build draws them from its own random.Random(SAMPLE_SEED)
@@ -97,6 +97,9 @@ class NestedClosedSystem:
     target: IntervalSet
 
     def __post_init__(self):
+        for n, F in enumerate(self.closed_sets, start=1):
+            if not all(map(self.window.contains, F.endpoints())):
+                raise ValueError(f"closed set F_{n} leaves the window {self.window}")
         # each component of F_{n-1} lies in F_n: a point is a member, an
         # interval has full mass (F_n is closed, its gaps have positive length)
         for n, (prev, F) in enumerate(zip(self.closed_sets, self.closed_sets[1:]), start=2):
@@ -174,25 +177,31 @@ def quadratic_margin(
     cap: PiecewiseLinear,
 ) -> PiecewiseLinear:
     """Piecewise-linear minorant of min(d(x, p)^2, cap) over the
-    F-adjacent region ends p, clamped at 0; cap is a function on the region.
-    It is zero at those ends and positive on the segment where cap is.
+    F-adjacent region ends p, clamped at 0; cap is a nonnegative function
+    on the region.  It is zero at those ends and positive on the segment
+    where cap is.
 
     Tangent lines of the parabola lie below it, so the max of finitely many
-    tangents is an exact minorant; tangents are taken at the segment ends
-    and midpoint.  Each end's tangents are one n-ary `pl_max`, the cap and
-    those maxima one n-ary `pl_min`, and each envelope reads its functions
-    on `pcw.integer_grid`.
+    tangents is an exact minorant.  The tangents are taken at t = c, m, d,
+    the segment's ends and midpoint, and each end p gets one function
+    max(0, T_c, T_m, T_d) with T_t(x) = (t - p)(2x - t - p), written down
+    directly: it is linear between a, b, the knees (c + m)/2 and (m + d)/2,
+    where one tangent overtakes the next, and its root, (c + a)/2 at the
+    left end or (d + b)/2 at the right, on p's side of which it is 0.  The
+    cap and those functions meet in one n-ary `pl_min` on
+    `pcw.integer_grid`; as cap >= 0, the min needs no clamp.
     """
     a, b = region.lo, region.hi
     c, d = segment
-    end_maxima = []
-    for p, touches_f in ((a, left_is_f), (b, right_is_f)):
+    ts = (c, (c + d) / 2, d)
+    knees = [(s + t) / 2 for s, t in zip(ts, ts[1:])]
+    ends = []
+    for p, root, touches_f in ((a, (c + a) / 2, left_is_f), (b, (d + b) / 2, right_is_f)):
         if touches_f:
-            # tangent of (x-p)^2 at t: (t-p)(2x-t-p), slope 2(t-p), value (t-p)^2 at t
-            lines = [PiecewiseLinear([a, b], [(t - p) * (2 * x - t - p) for x in (a, b)])
-                     for t in (c, (c + d) / 2, d)]
-            end_maxima.append(pl_max(*lines))
-    return pl_max(pl_min(cap, *end_maxima), PiecewiseLinear.constant(0, region))
+            xs = sorted({a, b, root, *knees})
+            ends.append(PiecewiseLinear(
+                xs, [max(0, *((t - p) * (2 * x - t - p) for t in ts)) for x in xs]))
+    return pl_min(cap, *ends)
 
 
 def _sup_distance(f: PiecewiseLinear, g: PiecewiseLinear) -> Fraction:

@@ -7,9 +7,10 @@ are minimized over dense radius grids.
 
 The `ref_*` functions at the end are the slow paths that the integer
 piecewise-linear readers replaced: they evaluate a function one point at a
-time through its `__call__` and glue with `restrict` and `concat`, or
-read E's cumulative measure with one bisect per point, or compare a tube
-through intermediate functions built on the breakpoint union.
+time through its `__call__` and glue the breakpoint and value tuples of
+`restrict`ed pieces themselves, or read E's cumulative measure with one
+bisect per point, or compare a tube through intermediate functions built
+on the breakpoint union.
 
 `ref_cumulative`, `ref_mass`, `ref_contains`, `ref_locate`,
 `ref_endpoints_in` and `ref_clip` are the readers of E's
@@ -357,15 +358,21 @@ def ref_contraction_by_bisects(f, E, factor):
 
 
 def ref_splice(f, pieces):
-    """Each piece put in place one at a time by restrict and concat."""
+    """Each piece put in place one at a time: the breakpoint and value
+    tuples of f restricted left of it, of the piece and of f restricted
+    right of it, joined where each seam's point and value agree."""
     for piece in pieces:
         lo, hi = piece.breakpoints[0], piece.breakpoints[-1]
-        out = piece
+        parts = [piece]
         if f.breakpoints[0] < lo:
-            out = f.restrict(f.breakpoints[0], lo).concat(out)
+            parts.insert(0, f.restrict(f.breakpoints[0], lo))
         if hi < f.breakpoints[-1]:
-            out = out.concat(f.restrict(hi, f.breakpoints[-1]))
-        f = out
+            parts.append(f.restrict(hi, f.breakpoints[-1]))
+        xs, vs = parts[0].breakpoints, parts[0].values
+        for g in parts[1:]:
+            assert (xs[-1], vs[-1]) == (g.breakpoints[0], g.values[0]), "seam"
+            xs, vs = xs + g.breakpoints[1:], vs + g.values[1:]
+        f = type(f)(xs, vs)
     return ref_simplify(f)
 
 

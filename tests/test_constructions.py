@@ -644,7 +644,7 @@ class TestLip1Sum:
         n1 = 2
         first = parts[0].union(parts[1])
         for x in [F(3, 2), F(16, 10), F(13, 10)]:
-            r = first.distance_to_point(x)
+            r = first.distance(IntervalSet([Interval.point(x)], allow_degenerate=True))
             assert r > 0
             assert m_ratio(f, x, r) <= 2 * F(1, 2 ** n1)
 

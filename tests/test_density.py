@@ -12,7 +12,6 @@ from lipsets.density import (
     HOLDS_AT_SCALE,
     LEFT,
     RIGHT,
-    DensityQuery,
     DensityReport,
     MembershipCertificate,
     UDTWitness,
@@ -21,7 +20,6 @@ from lipsets.density import (
     check_strongly_one_sided_dense_at,
     check_weakly_center_dense_at,
     check_weakly_dense_at,
-    density_ratio,
     level_set,
     level_set_membership,
     max_ratio,
@@ -145,25 +143,25 @@ def test_open_end_on_every_family(E, x, eps):
 
 class TestDensityRatio:
     def test_right_full(self):
-        assert density_ratio(iset((0, 1)), DensityQuery(F(0), RIGHT, F(1, 2))) == 1
+        assert one_sided_ratio(iset((0, 1)), F(0), F(1, 2), RIGHT) == 1
 
     def test_left_empty(self):
-        assert density_ratio(iset((0, 1)), DensityQuery(F(0), LEFT, F(1, 2))) == 0
+        assert one_sided_ratio(iset((0, 1)), F(0), F(1, 2), LEFT) == 0
 
     def test_direct_measure(self):
         E = iset((0, F(1, 4)), (F(1, 2), 1))
-        assert density_ratio(E, DensityQuery(F(1), LEFT, F(1))) == F(3, 4)
+        assert one_sided_ratio(E, F(1), F(1), LEFT) == F(3, 4)
 
     def test_both_is_max(self):
         E = iset((0, 1))
-        q = DensityQuery(F(0), BOTH, F(1, 2))
-        assert density_ratio(E, q) == 1
+        assert max_ratio(E, F(0), F(1, 2)) == 1
 
     def test_radius_validation(self):
+        E = iset((0, 1))
         with pytest.raises(ValueError):
-            DensityQuery(F(0), RIGHT, F(0))
+            one_sided_ratio(E, 0, 0, RIGHT)
         with pytest.raises(ValueError):
-            DensityQuery(F(0), "up", F(1))
+            one_sided_ratio(E, 0, 1, "up")
 
     @settings(max_examples=150)
     @given(dyadic_sets(), dyadic, st.integers(1, 2 ** GRID_M))
@@ -377,6 +375,13 @@ class TestLevelSet:
     def test_degenerate_window_rejected(self):
         with pytest.raises(ValueError):
             level_set(iset((0, 1)), F(1, 2), F(1, 4), Interval.point(0), F(1, 16))
+
+    @pytest.mark.parametrize("gamma, delta", [
+        (-1, F(1, 64)), (F(1, 2), 0), (F(1, 2), F(-1, 8))])
+    def test_nonpositive_gamma_or_delta_rejected(self, gamma, delta):
+        # as level_set_membership rejects them, not E back with margin 0
+        with pytest.raises(ValueError, match="gamma and delta must be positive"):
+            level_set(iset((0, F(1, 2))), gamma, delta, Interval(F(0), F(1)), F(1, 64))
 
     @pytest.mark.parametrize("length, zone", [
         (F(1, 24), (F(0), F(1, 24))),  # below δ: the whole component

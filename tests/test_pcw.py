@@ -18,7 +18,6 @@ from lipsets.pcw import (
     first_sloped_segment,
     geometric_grid,
     integer_grid,
-    lip_sweep,
     local_lip_exact,
     m_ratio,
     monotone_runs,
@@ -101,14 +100,6 @@ class TestAlgebra:
         g = PiecewiseLinear([0, 2], [0, 0])
         with pytest.raises(ValueError):
             f + g
-
-    def test_concat(self):
-        f = PiecewiseLinear([0, 1], [0, 1])
-        g = PiecewiseLinear([1, 2], [1, 0])
-        h = f.concat(g)
-        assert h(F(3, 2)) == F(1, 2)
-        with pytest.raises(ValueError):
-            f.concat(PiecewiseLinear([1, 2], [0, 0]))
 
     def test_restrict(self):
         f = PiecewiseLinear([0, 2], [0, 2])
@@ -322,30 +313,21 @@ class TestLocalLip:
     def test_matches_sweep_below_gap(self):
         f = PiecewiseLinear([0, 1, 2, 3], [0, 1, 1, 0])
         x = F(1)
-        sweep = lip_sweep(f, x, geometric_grid(F(1, 2), F(1, 2), 6))
         lip_val, _ = local_lip_exact(f, x)
-        below_gap = [r for r, _ in sweep.entries if r < 1]
-        assert all(
-            ratio == lip_val for r, ratio in sweep.entries if r in below_gap
-        )
+        below_gap = [r for r in geometric_grid(F(1, 2), F(1, 2), 6) if r < 1]
+        assert all(m_ratio(f, x, r) == lip_val for r in below_gap)
 
 
 class TestLipSweep:
+    """M_f(x, r) read by `m_ratio` at each radius of a geometric grid."""
+
     def test_identity(self):
         f = PiecewiseLinear([-2, 2], [-2, 2])
-        sweep = lip_sweep(f, 0, geometric_grid(1, F(1, 2), 5))
-        assert all(ratio == 1 for _, ratio in sweep.entries)
-        assert sweep.min_ratio == sweep.max_ratio == 1
+        assert [m_ratio(f, 0, r) for r in geometric_grid(1, F(1, 2), 5)] == [1] * 5
 
     def test_zero(self):
         f = PiecewiseLinear.constant(0, Interval(F(-2), F(2)))
-        sweep = lip_sweep(f, 0, geometric_grid(1, F(1, 2), 5))
-        assert sweep.max_ratio == 0
-
-    def test_grid_validation(self):
-        f = PiecewiseLinear([-1, 1], [0, 0])
-        with pytest.raises(ValueError):
-            lip_sweep(f, 0, [F(1, 4), F(1, 2)])
+        assert [m_ratio(f, 0, r) for r in geometric_grid(1, F(1, 2), 5)] == [0] * 5
 
 
 class TestIncrementBound:
@@ -692,7 +674,7 @@ def test_index_keeps_equality_and_hash():
     assert hasattr(f, "_index")  # the constructor's order check builds it
     zero = PiecewiseLinear.constant(0, f.domain)
     built = [f.add(zero), f.scale(1), f.restrict(0, 1), pl_sum([f, zero]), pl_min(f, f),
-             PiecewiseLinear.constant(0, Interval(F(-1), F(0))).concat(zero).splice([f])]
+             PiecewiseLinear.constant(0, Interval(F(-1), F(1))).splice([f])]
     # the algebra, comparison, hash and repr build no index
     pairs, hashes, reprs = [g.as_pairs() for g in built], list(map(hash, built)), list(map(repr, built))
     assert all(g == f and f == g for g in built[:-1]) and built[-1] != f

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lipsets.density import UDTWitness, suggest_udt_witness
 from lipsets.envelopes import PreconditionError
 from lipsets.intervals import Interval, IntervalSet
-from lipsets.pcw import PiecewiseLinear, first_sloped_segment, monotone_runs
+from lipsets.pcw import PiecewiseLinear, first_sloped_segment, monotone_runs, pl_max, pl_min
 from lipsets import envelopes, udt
 from lipsets.udt import (
     NestedClosedSystem,
@@ -280,6 +280,18 @@ def test_system_json_round_trip_and_target_check():
                            IntervalSet.from_pairs([(F(0), F(1, 8))]))
 
 
+def test_closed_sets_leaving_the_window_are_rejected():
+    window = Interval(F(0), F(1))
+    with pytest.raises(ValueError, match="F_1 leaves the window"):
+        NestedClosedSystem((IntervalSet.from_pairs([(F(-1, 4), F(1, 4))]),), window,
+                           IntervalSet.from_pairs([(F(1, 4), F(1))]))
+    # fat_cantor_system(2) has F_1 = [3/8, 5/8] and F_2 reaching down to 45/256
+    obj = fat_cantor_system(2).to_json()
+    obj["window"] = ["1/4", "1"]
+    with pytest.raises(ValueError, match="F_2 leaves the window"):
+        NestedClosedSystem.from_json(obj)
+
+
 def _assert_strict_builds(system):
     # under the fixed prefix and the suggested witness: every flag, a
     # witness at every sampled point, and both checks
@@ -495,6 +507,40 @@ def test_quadratic_margin_is_a_positive_minorant(left_is_f, right_is_f, segment,
         assert 0 <= q(x) <= bound(x), x
     assert q.restrict(c, d).min_value() > 0
     assert all(q(p) == 0 for p in f_ends)
+
+
+def _margin_by_tangent_envelopes(region, segment, left_is_f, right_is_f, cap):
+    """The slow path the closed form replaced: per F-adjacent end p, the
+    three tangent lines of (x - p)^2 at c, m and d and their `pl_max`; then
+    the cap and those maxima in one `pl_min`, clamped at 0 by a `pl_max`."""
+    a, b = region.lo, region.hi
+    c, d = segment
+    end_maxima = []
+    for p, touches_f in ((a, left_is_f), (b, right_is_f)):
+        if touches_f:
+            lines = [PiecewiseLinear([a, b], [(t - p) * (2 * x - t - p) for x in (a, b)])
+                     for t in (c, (c + d) / 2, d)]
+            end_maxima.append(pl_max(*lines))
+    return pl_max(pl_min(cap, *end_maxima), PiecewiseLinear.constant(0, region))
+
+
+@st.composite
+def margin_cases(draw):
+    # a <= c < d <= b on the 1/den grid of [0, 1] (c = a and d = b included),
+    # and a cap >= 0 on [a, b] with values from 0 to above the tangents' peak
+    den = draw(st.sampled_from([64, 192, 35]))
+    c, d = sorted(draw(st.lists(st.integers(0, den), min_size=2, max_size=2, unique=True)))
+    a, b = draw(st.integers(0, c)), draw(st.integers(d, den))
+    region, segment = Interval(F(a, den), F(b, den)), (F(c, den), F(d, den))
+    cap = draw(pl_functions(region.lo, region.hi, value=st.sampled_from(
+        [F(0), F(1, 4096), F(1, 1024), F(1, 256), F(1, 64), F(1, 16), F(1)])))
+    return region, segment, draw(st.booleans()), draw(st.booleans()), cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_cases())
+def test_quadratic_margin_is_the_tangent_envelope_composition(case):
+    assert quadratic_margin(*case).as_pairs() == _margin_by_tangent_envelopes(*case).as_pairs()
 
 
 # values of both signs, with runs of zeros and segments whose ends cancel
