@@ -18,7 +18,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .intervals import Interval, IntervalSet, RationalLike, on_scale, rat
 from .density import (
     DensityReport,
-    FAILS,
     HOLDS,
     HOLDS_AT_SCALE,
     _centered,
@@ -57,8 +56,7 @@ class MonotoneConditionsReport:
 
     @property
     def all_hold(self) -> bool:
-        good = (HOLDS, HOLDS_AT_SCALE)
-        return all(rep.verdict in good for _, rep in self.on_set + self.on_complement)
+        return not self.failures
 
     @property
     def failures(self):
@@ -285,7 +283,7 @@ def normalize_ternary(t: TernaryDecomposition, E: IntervalSet) -> TernaryDecompo
     F-1 = E-1 ∩ E, F0 = E^c, so F1 ⊔ F-1 = E exactly."""
     w = t.window
     f_m1 = t.em1.intersect(E).clip(w)
-    f_1 = E.clip(w).intersect(f_m1.complement_within(w)) if not f_m1.is_empty else E.clip(w)
+    f_1 = E.clip(w).intersect(f_m1.complement_within(w))
     f_0 = E.complement_within(w)
     return TernaryDecomposition(f_1, f_0, f_m1, w)
 

@@ -93,13 +93,6 @@ def _centered(row) -> tuple:
     return left + right, 2 * r, BOTH
 
 
-def _one_sided_row(row):
-    r, left, right = row
-    left, right = left / r, right / r
-    m = max(left, right)
-    return (r, left, right, m), m
-
-
 def one_sided_measure(E: IntervalSet, x: RationalLike, r: RationalLike, side: str) -> Fraction:
     if side not in (LEFT, RIGHT):
         raise ValueError(f"side must be left/right, got {side!r}")
@@ -178,8 +171,10 @@ def level_set_membership(
     x, gamma, delta = rat(x), rat(gamma), rat(delta)
     if gamma <= 0 or delta <= 0:
         raise ValueError("gamma and delta must be positive")
-    row = min(_ratio_candidates(E, x, delta), key=lambda row: max(row[1], row[2]) / row[0])
-    (r, left, right, m), _ = _one_sided_row(row)  # min takes the first on ties
+    r, left, right = min(_ratio_candidates(E, x, delta),  # the first on ties
+                         key=lambda row: max(row[1], row[2]) / row[0])
+    left, right = left / r, right / r
+    m = max(left, right)
     return MembershipCertificate(m >= gamma, r, m, left, right)
 
 
@@ -234,14 +229,12 @@ def level_set(
         grid = [lo + i * step for i in range(n_cells + 1)]
         member = [level_set_membership(E, p, gamma, delta).member for p in grid]
         margin = max(margin, step)
-        for i in range(len(grid) - 1):
-            if member[i] and member[i + 1]:
-                pieces.append(Interval(grid[i], grid[i + 1]))
+        # every member, and the cell between two member neighbours
         for i, p in enumerate(grid):
-            if member[i] and not (
-                (i > 0 and member[i - 1]) or (i + 1 < len(member) and member[i + 1])
-            ):
+            if member[i]:
                 pieces.append(Interval.point(p))
+                if i and member[i - 1]:
+                    pieces.append(Interval(grid[i - 1], p))
     approx = IntervalSet(pieces, allow_degenerate=True)
     return LevelSetResult(approx, margin, gamma, delta, window)
 
@@ -376,6 +369,8 @@ def _grid_at(E, x, r_grid, tolerance, rows_of) -> DensityReport:
     """A grid check at one point, on S = lcm(D_E, den x, the radii's
     denominators)."""
     x, tol = rat(x), rat(tolerance)
+    if not (0 <= tol < 1):
+        raise ValueError("tolerance must be in [0,1)")
     grid = [rat(r) for r in r_grid]
     scale = lcm(E.mass_scale, x.denominator, *(r.denominator for r in grid))
     Rs = grid_on(grid, scale)
@@ -595,7 +590,3 @@ class DyadicBlocksExample:
     @staticmethod
     def critical_radius(n: int) -> Fraction:
         return Fraction(2) ** n - Fraction(2) ** (n - 2)
-
-
-def prop5_example(depth: int) -> DyadicBlocksExample:
-    return DyadicBlocksExample.build(depth)

@@ -19,6 +19,9 @@ bisects and turn only their results into Fractions.  The same
 floor/ceil rule (`floor_on`, `ceil_on`) places points among a
 piecewise-linear function's breakpoints (`pcw.PiecewiseLinear._position`).
 
+`intersect` and `distance` read the index too: `intersect` clips its
+receiver to each component of the other set, so it builds the receiver's
+index as `clip` does, and `distance` bisects once per such component.
 `clip`, `complement_within` and `intersect` build results that are
 canonical by construction, so they go through `IntervalSet._trusted`,
 which neither sorts nor merges; `clip` keeps every component it does not
@@ -109,9 +112,11 @@ class IntervalSet:
 
     Mass queries go through a prefix-sum index over the components, built on
     the first such query and cached (the set is immutable); sets that are
-    never queried never pay for it.  The index holds the endpoints and the
-    prefix sums as integers on the scale D_E (`mass_scale`), and every
-    bisect into it compares integers (see the module docstring).
+    never queried never pay for it; `intersect` and `distance` read it too,
+    and `intersect` builds its receiver's index, as `clip` does.  The index
+    holds the endpoints and the prefix sums as integers on the scale D_E
+    (`mass_scale`), and every bisect into it compares integers (see the
+    module docstring).
     """
 
     __slots__ = ("_intervals", "_index")
@@ -302,21 +307,9 @@ class IntervalSet:
         return IntervalSet(self._intervals + other._intervals, allow_degenerate=allow)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        i = j = 0
-        a, b = self._intervals, other._intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
-            if lo < hi:
-                out.append(Interval(lo, hi))
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        # each piece ends at the end of a component of one set, and the next
-        # starts at a later component's start in that set: the gaps stay
-        return IntervalSet._trusted(out)
+        """self ∩ other: self clipped to each non-degenerate component of
+        other; other's gaps keep the pieces of different components apart."""
+        return IntervalSet._trusted([iv for J in other if J.lo < J.hi for iv in self.clip(J)])
 
     def clip(self, window: Interval) -> "IntervalSet":
         """self ∩ window in O(log n + k), by bisect on the mass index.
@@ -360,24 +353,21 @@ class IntervalSet:
         return IntervalSet._trusted([Interval(lo, hi) for lo, hi in gaps])
 
     def distance(self, other: "IntervalSet") -> Optional[Fraction]:
-        """Lower distance inf{|x - y|}; None is the infinity flag (empty set)."""
+        """Lower distance inf{|x - y|}; None is the infinity flag (empty set).
+        One bisect per component J of other: i endpoints lie below J.lo, so
+        J meets self if i is odd or the next lo is <= J.hi, else it lies in
+        the gap (fracs[i - 1], fracs[i])."""
         if self.is_empty or other.is_empty:
             return None
-        best: Optional[Fraction] = None
-        i = j = 0
-        a, b = self._intervals, other._intervals
-        while i < len(a) and j < len(b):
-            gap = max(a[i].lo, b[j].lo) - min(a[i].hi, b[j].hi)
-            d = gap if gap > 0 else Fraction(0)
-            if best is None or d < best:
-                best = d
-            if best == 0:
+        D, ends, _, fracs = self._mass_index()
+        gaps = []
+        for J in other:
+            i = bisect_left(ends, ceil_on(J.lo, D))
+            if i & 1 or (i < len(ends) and fracs[i] <= J.hi):
                 return Fraction(0)
-            if a[i].hi < b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return best
+            gaps += [J.lo - fracs[i - 1]] if i else []
+            gaps += [fracs[i] - J.hi] if i < len(ends) else []
+        return min(gaps)
 
     # -- serialization ------------------------------------------------------
 

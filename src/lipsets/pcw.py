@@ -623,8 +623,12 @@ def local_lip_exact(f: PiecewiseLinear, x: RationalLike) -> tuple[Fraction, Frac
 
 def geometric_grid(start: RationalLike, factor: RationalLike, count: int) -> list[Fraction]:
     start, factor = rat(start), rat(factor)
+    if start <= 0:
+        raise ValueError("start must be positive")
     if not (0 < factor < 1):
         raise ValueError("factor must be in (0,1)")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     out = []
     r = start
     for _ in range(count):

@@ -355,20 +355,12 @@ def stage_witness_search(
     hi = min(runs[-1][1], x + delta_n)
 
     def best_of(cands):
+        # max keeps the first of equal keys, so ties go to the smaller y
         fx = f(x)
-        best_y, best_ratio = None, Fraction(0)
-        for y in sorted(set(cands)):
-            if y == x or not (lo <= y <= hi):
-                continue
-            gap = abs(y - x)
-            ratio = abs(f(y) - fx) / gap
-            if ratio > best_ratio or (
-                ratio == best_ratio
-                and best_y is not None
-                and gap < abs(best_y - x)
-            ):
-                best_ratio, best_y = ratio, y
-        return best_y, best_ratio
+        gaps = [(y, abs(y - x)) for y in sorted(set(cands)) if y != x and lo <= y <= hi]
+        ratio, _, y = max(((abs(f(y) - fx) / gap, -gap, y) for y, gap in gaps),
+                          key=itemgetter(0, 1), default=(0, 0, None))
+        return (y, ratio) if ratio > 0 else (None, Fraction(0))
 
     y, ratio = best_of(_case_split_candidates(runs, x, delta_n))
     if y is not None and ratio > target:

@@ -16,6 +16,8 @@ on the breakpoint union.
 `ref_endpoints_in` and `ref_clip` are the readers of E's
 mass index without its integer scale: each builds the endpoint and
 prefix-sum lists from E's components and bisects them on Fractions only.
+`ref_intersect` and `ref_distance` use no index at all: they compare
+every pair of components of the two sets.
 `ref_at`, `ref_merged_breakpoints` and `ref_simplify` are point reads, the
 merged grid and `simplify` without integer indexes or scales: they order
 points by Fraction comparisons only and interpolate on every segment.
@@ -204,6 +206,21 @@ def ref_clip(E, a, b):
     stop = (bisect_left(ends, b) + 1) // 2
     pairs = [(max(iv.lo, a), min(iv.hi, b)) for iv in E.intervals[first:stop]]
     return [(lo, hi) for lo, hi in pairs if lo < hi]
+
+
+def ref_intersect(A, B):
+    """A ∩ B from the overlaps of positive length of every pair of
+    components, through the canonicalizing constructor of A's class."""
+    pieces = [type(a)(max(a.lo, b.lo), min(a.hi, b.hi)) for a in A for b in B
+              if max(a.lo, b.lo) < min(a.hi, b.hi)]
+    return type(A)(pieces)
+
+
+def ref_distance(A, B):
+    """The least gap max(0, later lo - earlier hi) over every pair of
+    components; None when either set is empty."""
+    gaps = [max(Fraction(0), max(a.lo, b.lo) - min(a.hi, b.hi)) for a in A for b in B]
+    return min(gaps) if gaps else None
 
 
 # -- exact-only sweep, grid and simplify ----------------------------------------

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.constructions import (
-    Lip1SumResult,
     SmallLipBlock,
     TernaryDecomposition,
     _sample_points,

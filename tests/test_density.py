@@ -13,6 +13,7 @@ from lipsets.density import (
     LEFT,
     RIGHT,
     DensityReport,
+    DyadicBlocksExample,
     MembershipCertificate,
     UDTWitness,
     centered_ratio,
@@ -26,13 +27,10 @@ from lipsets.density import (
     merge_udt_witnesses,
     one_sided_measure,
     one_sided_ratio,
-    prop5_example,
     suggest_udt_witness,
     witness_dominates,
     worst_window_ratio,
-    _one_sided_row,
     _ratio_candidates,
-    _sided_masses,
 )
 
 from oracles import (
@@ -205,9 +203,6 @@ class TestDensityRatio:
     @given(dyadic_sets(), dyadic, st.integers(1, 2 ** GRID_M))
     def test_one_sided_rows_match_per_side_ratios(self, E, x, rk):
         r = F(rk, 2 ** GRID_M)
-        left, right = one_sided_ratio(E, x, r, LEFT), one_sided_ratio(E, x, r, RIGHT)
-        m = max(left, right)
-        assert _one_sided_row(_sided_masses(E, x)(r)) == ((r, left, right, m), m)
         grid = [r / 2 ** k for k in range(3)]
         rows = check_strongly_one_sided_dense_at(E, x, grid).details
         assert rows == tuple(
@@ -517,7 +512,7 @@ class TestStronglyOneSided:
         assert all(row[3] == 1 for row in rep.details)
 
     def test_prop5_closure_fails_at_zero(self):
-        ex = prop5_example(4)
+        ex = DyadicBlocksExample.build(4)
         grid = [ex.critical_radius(n) for n in range(1, -3, -1)]
         rep = check_strongly_one_sided_dense_at(ex.closure, 0, grid, tolerance=F(1, 2))
         assert rep.verdict == FAILS
@@ -532,7 +527,7 @@ class TestStronglyOneSided:
         assert one_sided_ratio(ex.closure, 0, F(5), LEFT) == 0
 
     def test_prop5_truncated_blocks(self):
-        ex = prop5_example(3)
+        ex = DyadicBlocksExample.build(3)
         assert iset((F(3, 4), 1), (F(3, 2), 2)).intersect(ex.truncated).measure() == F(3, 4)
         assert ex.closure.contains(0)
 
@@ -615,6 +610,16 @@ def test_report_json_on_each_verdict():
         {"point": "-1/3", "verdict": FAILS, "worst_r": None, "ratio": None, "side": None},
     ]
     assert (HOLDS, FAILS, HOLDS_AT_SCALE) == ("holds", "fails", "holds-at-scale")
+
+
+@pytest.mark.parametrize("check", [check_strongly_one_sided_dense_at, check_strongly_dense_at])
+def test_strong_checks_reject_a_tolerance_outside_0_1(check):
+    # E = [0, 1/2] misses [5/8, 7/8]: the ratio at x = 3/4 is 0 at both radii
+    E, grid = iset((0, F(1, 2))), [F(1, 8), F(1, 16)]
+    for tolerance in (2, 1, -1, F(-1, 16)):
+        with pytest.raises(ValueError, match=r"tolerance must be in \[0,1\)"):
+            check(E, F(3, 4), grid, tolerance)
+    assert check(E, F(3, 4), grid, 0).verdict == check(E, F(3, 4), grid, F(15, 16)).verdict == FAILS
 
 
 class TestUDTWitness:

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.envelopes import (
     Envelope,
-    FlattenResult,
     PreconditionError,
-    RefineResult,
     _adaptive_block_bounds,
     _least_radius,
     _zigzag,

@@ -16,8 +16,10 @@ from oracles import (
     ref_clip,
     ref_contains,
     ref_cumulative,
+    ref_distance,
     ref_endpoints_in,
     ref_index,
+    ref_intersect,
     ref_locate,
     ref_mass,
     to_cells,
@@ -145,6 +147,15 @@ class TestDistance:
     def test_point(self):
         point = IntervalSet([Interval.point(F(3, 2))], allow_degenerate=True)
         assert iset((0, 1)).distance(point) == F(1, 2)
+
+    def test_inside_a_component(self):
+        assert iset((0, 1)).distance(iset((F(1, 4), F(1, 2)))) == 0
+
+    def test_nearer_side_of_a_gap(self):
+        s = iset((0, 1), (3, 4))
+        assert s.distance(iset((F(3, 2), 2))) == F(1, 2)
+        assert s.distance(iset((2, F(5, 2)))) == F(1, 2)
+        assert s.distance(iset((5, 6))) == iset((5, 6)).distance(s) == 1
 
 
 @settings(max_examples=200)
@@ -295,7 +306,8 @@ def test_index_keeps_equality_and_hash():
     assert hash(s) == h == hash(t)
     assert s.to_json() == j == t.to_json()
     assert s != iset((0, 1))
-    # set algebra, comparison and serialization build no index
+    # union, comparison and serialization build no index, and intersect and
+    # clip build only their receiver's, so the result u has none
     u = s.union(t).intersect(iset((0, 1))).clip(Interval(F(0), F(1, 2)))
     assert u != s and isinstance(hash(u), int) and u.to_json() != j and u.measure() == F(1, 3)
     assert not hasattr(u, "_index")
@@ -405,6 +417,23 @@ def test_trusted_results_are_canonical(family, data):
     for iv in clipped:
         if (iv.lo, iv.hi) in own:
             assert iv is own[(iv.lo, iv.hi)]
+
+
+@pytest.mark.parametrize("families", [(f, g) for f in sorted(TRUSTED_FAMILIES)
+                                      for g in sorted(TRUSTED_FAMILIES)], ids="-".join)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_set_queries_match_pairwise_oracles(families, data):
+    # intersect, clip and distance against every pair of components, with
+    # degenerate components and the denominators of two families mixed
+    (s_sets, ends), (t_sets, _) = (TRUSTED_FAMILIES[f] for f in families)
+    s, t = data.draw(s_sets), data.draw(t_sets)
+    a, b = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    w = IntervalSet([Interval(a, b)])
+    assert s.intersect(t) == ref_intersect(s, t)
+    assert s.clip(Interval(a, b)) == ref_intersect(s, w)
+    assert s.distance(t) == ref_distance(s, t)
+    assert s.distance(w) == ref_distance(s, w)
 
 
 def test_clip_cuts_only_its_ends():

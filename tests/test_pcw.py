@@ -330,6 +330,19 @@ class TestLipSweep:
         assert [m_ratio(f, 0, r) for r in geometric_grid(1, F(1, 2), 5)] == [0] * 5
 
 
+def test_geometric_grid_validation():
+    assert geometric_grid(F(1, 2), F(1, 2), 3) == [F(1, 2), F(1, 4), F(1, 8)]
+    for start, count, message in ((-1, 3, "start must be positive"),
+                                  (0, 2, "start must be positive"),
+                                  (1, 0, "count must be >= 1"),
+                                  (1, -2, "count must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            geometric_grid(start, F(1, 2), count)
+    for factor in (0, 1, F(3, 2)):
+        with pytest.raises(ValueError, match=r"factor must be in \(0,1\)"):
+            geometric_grid(1, factor, 3)
+
+
 class TestIncrementBound:
     def test_phi_equality_on_full_block(self):
         E = iset((0, 1))

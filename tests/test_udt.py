@@ -100,6 +100,18 @@ class TestOneStage:
         y, ratio = stage_witness_search(f, E, F(3, 8), F(1, 4), [(F(0), F(1))], F(2))
         assert (y, ratio) == (F(1, 2), 1)
 
+    def test_witness_search_ties(self):
+        # f(y) = y has ratio 1 at every y: the smaller gap wins, then the
+        # smaller y; a flat f has no witness
+        f, E, x, runs = PiecewiseLinear([0, 1], [0, 1]), IntervalSet.empty(), F(1, 2), [(F(0), F(1))]
+        dstar = F(1, 4) / 101  # x's case split: min(c - a, b - c, δ_n) = 1/4 with c = 1/4
+        assert stage_witness_search(f, E, x, F(1, 2), runs, F(1, 2)) == (x - dstar, 1)
+        assert stage_witness_search(f, E, x, F(1, 4), runs, F(2)) == (F(1, 4), 1)
+        E = IntervalSet.from_pairs([(F(1, 8), F(5, 8))])
+        assert stage_witness_search(f, E, x, F(1, 4), runs, F(2)) == (F(5, 8), 1)
+        flat = PiecewiseLinear([0, 1], [F(1, 3), F(1, 3)])
+        assert stage_witness_search(flat, E, x, F(1, 4), runs, F(2)) == (None, 0)
+
     def test_stage_and_radius_digests(self, one_stage):
         assert [_digest(f) for f in one_stage.stages] == [
             "97efaffd92cff14749f63735767919cae08138cc50b90d6e1417b605b3eff1bd",
