@@ -34,8 +34,8 @@ from .pcw import (
     PiecewiseLinear,
     build_phi,
     build_signed_integral,
+    first_sloped_segment,
     geometric_grid,
-    integer_grid,
     pl_sum,
 )
 
@@ -555,10 +555,11 @@ class Lip1SumResult:
 
 def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumResult:
     """f = Σ f_n with f_n the small-lip sawtooth of part n at the exact bound
-    ε_n = 2^{-n} min{1, d(E_n, ∪_{k<n} E_k)} (ε_1 = 1).
+    ε_n = 2^{-n} min{1, d_n} (ε_1 = 1), d_n = d(E_n, ∪_{k<n} E_k) the least
+    distance to one earlier part (0 if E_n or every earlier part is empty).
 
     Parts must be pairwise disjoint up to endpoints.  A part at distance 0
-    from the earlier union forces ε_n = 0 and is skipped with a warning
+    from the earlier ones forces ε_n = 0 and is skipped with a warning
     entry in the diagnostics.  The f_n are summed once, by `pcw.pl_sum`.
     """
     if not parts:
@@ -569,25 +570,21 @@ def build_lip1_sum(parts: Sequence[IntervalSet], window: Interval) -> Lip1SumRes
                 raise ValueError(f"parts {i+1} and {j+1} overlap with positive measure")
     terms: list[PiecewiseLinear] = []
     diags: list[Lip1Part] = []
-    earlier: Optional[IntervalSet] = None
     for n, part in enumerate(parts, start=1):
         if n == 1:
             eps: Optional[Fraction] = Fraction(1)
             dist: Optional[Fraction] = None
         else:
-            dist = part.distance(earlier)
-            if dist is None:
-                dist = Fraction(0)
+            dist = min((d for d in map(part.distance, parts[:n - 1]) if d is not None),
+                       default=ZERO)
             eps = Fraction(1, 2 ** n) * min(Fraction(1), dist) if dist > 0 else Fraction(0)
         if not eps:
             diags.append(Lip1Part(n, None, dist, Fraction(0), True, True))
         else:
             f_n = build_small_lip(part, eps, window)
             terms.append(f_n)
-            constant_off = all(len(set(next(integer_grid((f_n,), C.lo, C.hi)[4]))) == 1
-                               for C in part.complement_within(f_n.domain))
+            constant_off = first_sloped_segment(f_n, part.complement_within(f_n.domain)) is None
             diags.append(Lip1Part(n, eps, dist, f_n.sup_norm(), constant_off, False))
-        earlier = part if earlier is None else earlier.union(part)
     return Lip1SumResult(pl_sum(terms), tuple(diags), window)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -202,7 +203,8 @@ def level_set(
     r ≤ δ).  Only the remaining middle zone of a component [c0, c1],
     [max(c0, c1-δ), min(c1, c0+δ)], is sampled, at spacing ≤ resolution,
     with exact membership tests; it is one nondegenerate interval, empty
-    once c1 - c0 ≥ 2δ.  The margin is the largest sampled cell, 0 when no
+    once c1 - c0 ≥ 2δ.  Each maximal run of members is one piece (a point
+    for a run of one).  The margin is the largest sampled cell, 0 when no
     sampling was needed.
     """
     gamma, delta, resolution = rat(gamma), rat(delta), rat(resolution)
@@ -227,14 +229,11 @@ def level_set(
         n_cells = max(1, -(-(hi - lo) // resolution))
         step = (hi - lo) / n_cells
         grid = [lo + i * step for i in range(n_cells + 1)]
-        member = [level_set_membership(E, p, gamma, delta).member for p in grid]
         margin = max(margin, step)
-        # every member, and the cell between two member neighbours
-        for i, p in enumerate(grid):
-            if member[i]:
-                pieces.append(Interval.point(p))
-                if i and member[i - 1]:
-                    pieces.append(Interval(grid[i - 1], p))
+        for member, run in groupby(grid, lambda p: level_set_membership(E, p, gamma, delta).member):
+            if member:
+                members = list(run)
+                pieces.append(Interval(members[0], members[-1]))
     approx = IntervalSet(pieces, allow_degenerate=True)
     return LevelSetResult(approx, margin, gamma, delta, window)
 
@@ -340,9 +339,11 @@ def check_weakly_center_dense_at(
 
 def grid_on(grid: Sequence[Fraction], scale: int) -> list[int]:
     """The radii of a grid as integers on a scale that their denominators
-    divide; ValueError unless they are positive and strictly descending."""
+    divide; ValueError unless nonempty, positive and strictly descending."""
+    if not grid:
+        raise ValueError("grid must be nonempty")
     Rs = [on_scale(r, scale) for r in grid]
-    if not Rs or min(Rs) <= 0:
+    if min(Rs) <= 0:
         raise ValueError("grid must be positive")
     if any(a <= b for a, b in zip(Rs, Rs[1:])):
         raise ValueError("grid must be strictly descending")

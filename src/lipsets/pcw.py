@@ -5,16 +5,17 @@ interpolation in between, clamp-to-constant outside the domain (all the
 functions we build are constant off their active window).
 
 Functions are read in one of four ways.  `first_sloped_segment(f, S)`,
-the check of slopes against a set, walks f's segments of nonzero slope
-together with the components of a set S.
+the one check of slopes against a set, reads only the segments of f that
+meet a set S; the staged builder's precondition, its last stage's flat
+diagnostic and the lip-1 sum's constant-off-part diagnostic call it.
 `integer_grid(fs, lo, hi)` reads each f in fs on their merged grid, in
 integers: breakpoints on the lcm of their denominators, values on the lcm
 of theirs, widened until every value at every grid point is an integer,
 and one walk over each function's segments (`_walk`) gives its values
 there.  Each f is linear between grid points, so comparing values there is
 exact.  `add`, `sub`, `le`, `__eq__`, `monotone_runs`, the tube checks
-(`envelopes.Envelope`), the staged builder's persistence and radius checks
-and the lip-1 sum's constant-off-part diagnostic compare those integers;
+(`envelopes.Envelope`) and the staged builder's persistence and radius
+checks compare those integers;
 `pl_sum` adds them; and `pl_min` and `pl_max` walk the least of them.  Each
 makes Fractions only of what it returns: a grid point is a breakpoint of
 fs there, a value one division by the value scale.  One kink test on
@@ -37,9 +38,10 @@ constructor builds it; the sawtooth (`constructions.build_small_lip`)
 hands on the one it already holds; a function the algebra built gets it on
 its first locate.  A point x lies among them by an integer bisect: b <= x
 exactly when b·S <= ⌊x·S⌋, and b < x exactly when b·S < ⌈x·S⌉.
-`__call__`, `restrict`, `breakpoints_in`, every windowed `integer_grid`
-read and `local_lip_exact` locate through it, so every order among points
-is exact, however close the points or however large.  `integer_grid` on
+`__call__`, `restrict`, `breakpoints_in`, `first_sloped_segment`, every
+windowed `integer_grid` read and `local_lip_exact` locate through it, so
+every order among points is exact, however close the points or however
+large.  `integer_grid` on
 the shared domain and `verify_contraction` read every breakpoint from it
 where a function has one (`PiecewiseLinear._scaled`), and otherwise read
 each breakpoint once without storing an index.
@@ -519,20 +521,16 @@ def monotone_runs(f: PiecewiseLinear, lo: Fraction, hi: Fraction) -> list[tuple[
 
 def first_sloped_segment(f: PiecewiseLinear, S: IntervalSet) -> Optional[Interval]:
     """The first segment of f on which f has nonzero slope and S positive
-    mass, or None: None exactly when f' = 0 almost everywhere on S.  One
-    forward walk over f's sloped segments and S's components."""
+    mass, or None: None exactly when f' = 0 almost everywhere on S.  Each
+    component J, located by `PiecewiseLinear._position`, reads only the
+    segments k with bps[k] < J.hi and bps[k + 1] > J.lo."""
     bps, vals = f.breakpoints, f.values
-    comps = (iv for iv in S if iv.lo < iv.hi)  # degenerate components carry no mass
-    J = next(comps, None)
-    for k in range(len(bps) - 1):
-        if vals[k] != vals[k + 1]:
-            a = bps[k]
-            while J is not None and J.hi <= a:
-                J = next(comps, None)
-            if J is None:  # S has no component left
-                return None
-            if J.lo < bps[k + 1]:  # J, the first to end after a, starts before b
-                return Interval(a, bps[k + 1])
+    for J in S:
+        if J.lo < J.hi:  # degenerate components carry no mass
+            for k in range(max(f._position(J.lo, True) - 1, 0),
+                           min(f._position(J.hi, False), len(bps) - 1)):
+                if vals[k] != vals[k + 1]:
+                    return Interval(bps[k], bps[k + 1])
     return None
 
 

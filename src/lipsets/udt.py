@@ -328,10 +328,7 @@ def _case_split_candidates(
         c = a + (x - a) / 2 if a == lo else a
         e = runs[idx - 1][0] if idx > 0 else lo
         parts = (c - e, b - c, delta_n)
-    parts = [p for p in parts if p > 0]
-    if not parts:
-        return []
-    dstar = min(parts) / 101
+    dstar = min(p for p in parts if p > 0) / 101  # δ_n > 0 (`UDTWitness`)
     return [x - dstar, x + dstar, x - 100 * dstar, x + 100 * dstar]
 
 

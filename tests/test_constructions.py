@@ -41,7 +41,6 @@ from lipsets.envelopes import verify_contraction
 from lipsets.pcw import (
     PiecewiseLinear,
     build_signed_integral,
-    first_sloped_segment,
     geometric_grid,
     local_lip_exact,
     m_ratio,
@@ -50,6 +49,7 @@ from lipsets.pcw import (
 from oracles import (
     brute_one_sided_measure,
     ref_contains,
+    ref_first_sloped_segment,
     ref_one_sided_rows,
     ref_sample_points,
     ref_sided_ratio,
@@ -652,6 +652,28 @@ class TestLip1Sum:
         assert res.skipped_parts == (2,)
         assert res.parts[1].distance == 0
 
+    def test_empty_part_skipped_at_distance_zero(self):
+        # an empty part has no distance to any earlier part, and no earlier
+        # part's distance is read through an empty one
+        parts = [iset((0, 1)), IntervalSet.empty(), iset((3, 4))]
+        res = build_lip1_sum(parts, Interval(F(-1), F(5)))
+        assert res.skipped_parts == (2,)
+        assert [p.distance for p in res.parts] == [None, 0, 2]
+        assert res.parts[2].epsilon == F(1, 8)
+
+    def test_distances_are_read_without_a_union(self, monkeypatch):
+        parts = [iset((0, 1)), iset((F(5, 2), 3)), iset((F(7, 2), 4), (6, 7))]
+        expected = [None] + [p.distance(reduce(IntervalSet.union, parts[:n]))
+                             for n, p in enumerate(parts[1:], 1)]
+
+        def no_union(self, other):
+            raise AssertionError("build_lip1_sum built a union")
+
+        monkeypatch.setattr(IntervalSet, "union", no_union)
+        res = build_lip1_sum(parts, Interval(F(-1), F(8)))
+        assert [p.distance for p in res.parts] == expected == [None, F(3, 2), F(1, 2)]
+        assert not res.skipped_parts
+
     def test_overlapping_parts_rejected(self):
         with pytest.raises(ValueError):
             build_lip1_sum([iset((0, 1)), iset((F(1, 2), 2))], W)
@@ -673,8 +695,8 @@ class TestLip1Sum:
                            allow_degenerate=True)
         with patch("lipsets.constructions.build_small_lip", lambda *args: f):
             res = build_lip1_sum([part], W01)
-        expected = first_sloped_segment(f, part.complement_within(W01)) is None
-        assert res.parts[0].constant_off_part == expected
+        comp = [(C.lo, C.hi) for C in part.complement_within(W01)]
+        assert res.parts[0].constant_off_part == (ref_first_sloped_segment(f, comp) is None)
 
     def test_split_helper(self):
         S = iset((0, 1), (2, 3), (10, 11))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipsets import density
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.density import (
     BOTH,
@@ -371,6 +372,23 @@ class TestLevelSet:
         with pytest.raises(ValueError):
             level_set(iset((0, 1)), F(1, 2), F(1, 4), Interval.point(0), F(1, 16))
 
+    def test_one_piece_per_run_of_members(self, monkeypatch):
+        # on [1/8, 1/4] the grid's members read x.xxx: the isolated member
+        # 1/8 is a point and the run 3/16, 7/32, 1/4 is one interval
+        seen = []
+
+        def capture(pieces, **kw):
+            seen.append(list(pieces))
+            return IntervalSet(seen[-1], **kw)
+
+        monkeypatch.setattr(density, "IntervalSet", capture)
+        E = iset((0, F(1, 16)), (F(1, 8), F(1, 4)))
+        res = level_set(E, F(1, 2), F(1, 4), Interval(F(-1), F(1)), F(1, 32))
+        pieces = [Interval.point(0), Interval.point(F(1, 16)), Interval.point(F(1, 8)),
+                  Interval(F(3, 16), F(1, 4))]
+        assert seen == [pieces]
+        assert res.approximation == IntervalSet(pieces, allow_degenerate=True)
+
     @pytest.mark.parametrize("gamma, delta", [
         (-1, F(1, 64)), (F(1, 2), 0), (F(1, 2), F(-1, 8))])
     def test_nonpositive_gamma_or_delta_rejected(self, gamma, delta):
@@ -595,6 +613,12 @@ class TestStronglyDense:
             check_strongly_dense_at(iset((0, 1)), 0, [F(1, 8), F(1, 4)])
         with pytest.raises(ValueError):
             check_strongly_dense_at(iset((0, 1)), 0, [F(1, 4), F(1, 4)])
+
+
+@pytest.mark.parametrize("check", [check_strongly_dense_at, check_strongly_one_sided_dense_at])
+def test_empty_grid_is_named_as_empty(check):
+    with pytest.raises(ValueError, match="grid must be nonempty"):
+        check(iset((0, 1)), F(1, 2), [])
 
 
 def test_report_json_on_each_verdict():

@@ -506,6 +506,33 @@ def test_first_sloped_segment_degenerate_and_touching_components():
     assert first_sloped_segment(f, iset((F(63, 64), 2))) == Interval(F(0), F(1))
 
 
+class _ReadLog(tuple):
+    """A values tuple that records each index read."""
+
+    def __new__(cls, values):
+        log = super().__new__(cls, values)
+        log.read = set()
+        return log
+
+    def __getitem__(self, k):
+        self.read.add(k)
+        return super().__getitem__(k)
+
+
+@pytest.mark.parametrize("values, expected, read", [
+    ([0] * 21, None, {3, 4, 5, 10, 11}),  # flat: every segment meeting S is read
+    ([k % 2 for k in range(21)], Interval(F(3), F(4)), {3, 4}),  # stops at the first
+])
+def test_first_sloped_segment_reads_only_the_segments_meeting_s(values, expected, read):
+    bps = tuple(F(k) for k in range(21))
+    vals = _ReadLog(map(F, values))
+    f = PiecewiseLinear._trusted(bps, vals)
+    S = iset((F(7, 2), F(9, 2)), (F(41, 4), F(43, 4)))  # meets segments 3, 4 and 10
+    S = S.union(IntervalSet([Interval.point(F(15))], allow_degenerate=True))
+    assert first_sloped_segment(f, S) == expected
+    assert vals.read == read
+
+
 @st.composite
 def grid_sets(draw):
     """Up to four components on the 1/64 grid of [0, 1], plus up to two
