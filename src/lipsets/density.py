@@ -24,11 +24,11 @@ per-point checks (`check_weakly_dense_at`, `check_weakly_center_dense_at`,
 `worst_window_ratio`) compute their own S and u and call the same cores.
 
 `_integer_rows` is the one reader of E's masses left and right of a
-point: it reads Φ(x) once, and then Φ(x - r) and Φ(x + r) per radius.
-`_sided_masses` is its Fraction view, for radii of any denominator; the
-public ratios, `_ratio_candidates` and level-set membership read it.  A
-weak check whose best ratio is attained only at the open end r = ε solves
-its radius exactly.
+point: it reads Φ(x) once per query, and then Φ(x - r) and Φ(x + r) per
+radius.  The public ratios read one row through it (`_row`), and
+`_ratio_candidates`, behind level-set membership, reads all its rows
+through one reader on one scale.  A weak check whose best ratio is
+attained only at the open end r = ε solves its radius exactly.
 """
 
 from __future__ import annotations
@@ -60,25 +60,15 @@ def _integer_rows(E: IntervalSet, scale: int, u: int):
     return row
 
 
-def _sided_masses(E: IntervalSet, x: RationalLike):
-    """r ↦ (r, |E ∩ [x - r, x]|, |E ∩ [x, x + r]|) for r > 0: the integer
-    row on the scale lcm(D_E, den x, den r), as Fractions."""
-    x = rat(x)
-    base = lcm(E.mass_scale, x.denominator)
-
-    def masses(r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-        scale = lcm(base, r.denominator)
-        _, left, right = _integer_rows(E, scale, on_scale(x, scale))(on_scale(r, scale))
-        return r, Fraction(left, scale), Fraction(right, scale)
-
-    return masses
-
-
 def _row(E: IntervalSet, x: RationalLike, r: RationalLike) -> tuple[Fraction, Fraction, Fraction]:
-    r = rat(r)
+    """(r, |E ∩ [x - r, x]|, |E ∩ [x, x + r]|) for r > 0: one `_integer_rows`
+    row on the scale lcm(D_E, den x, den r), as Fractions."""
+    x, r = rat(x), rat(r)
     if r <= 0:
         raise ValueError("radius must be positive")
-    return _sided_masses(E, x)(r)
+    scale = lcm(E.mass_scale, x.denominator, r.denominator)
+    _, left, right = _integer_rows(E, scale, on_scale(x, scale))(on_scale(r, scale))
+    return r, Fraction(left, scale), Fraction(right, scale)
 
 
 def _sided_max(row) -> tuple:
@@ -130,12 +120,15 @@ def _ratio_candidates(
 ) -> list[tuple[Fraction, Fraction, Fraction]]:
     """(r, left mass, right mass), ascending in r, at the radii where
     inf/sup of max(left,right)/r over (0, δ] can occur: piece endpoints plus
-    in-piece crossings of the two one-sided curves; rows of _sided_masses."""
-    sided_masses = _sided_masses(E, x)
+    in-piece crossings of the two one-sided curves.  The piece endpoints are
+    read through one `_integer_rows` on S = lcm(D_E, den x, den δ) and made
+    Fractions over S; no endpoint of E lies strictly between two of them, so
+    a crossing's masses come from the affine masses already in hand."""
     scale = lcm(E.mass_scale, x.denominator, delta.denominator)
-    rows = [sided_masses(Fraction(d, scale))
-            for d in _endpoint_distances(E, on_scale(x, scale), on_scale(delta, scale), scale)]
-    rows.append(sided_masses(delta))
+    u, R = on_scale(x, scale), on_scale(delta, scale)
+    row_at = _integer_rows(E, scale, u)
+    rows = [(Fraction(r, scale), Fraction(left, scale), Fraction(right, scale))
+            for r, left, right in map(row_at, _endpoint_distances(E, u, R, scale) + [R])]
     out = rows[:1]
     for (r_a, left_a, right_a), (r_b, left_b, right_b) in zip(rows, rows[1:]):
         # both masses are affine in r on [r_a, r_b]; left = right at most once
@@ -144,7 +137,7 @@ def _ratio_candidates(
         if bl != br:
             cross = ((left_a - bl * r_a) - (right_a - br * r_a)) / (br - bl)
             if r_a < cross < r_b:
-                out.append(sided_masses(cross))
+                out.append((cross, left_a + bl * (cross - r_a), right_a + br * (cross - r_a)))
         out.append((r_b, left_b, right_b))
     return out
 
@@ -528,6 +521,8 @@ def suggest_udt_witness(E: IntervalSet, depth: int) -> UDTWitness:
     Heuristic per the spec's open question; callers should re-validate via
     level_set_membership.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if E.is_empty:
         raise ValueError("no witness for the empty set")
     lengths = [iv.length for iv in E if not iv.is_degenerate]

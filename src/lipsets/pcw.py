@@ -59,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
-from operator import add, and_, eq, itemgetter, le, lt, neg, or_, sub
+from operator import add, itemgetter, le, lt, neg, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import (
@@ -209,7 +209,9 @@ class PiecewiseLinear:
 
     def restrict(self, lo: RationalLike, hi: RationalLike) -> "PiecewiseLinear":
         lo, hi = rat(lo), rat(hi)
-        if not (self.domain.lo <= lo < hi <= self.domain.hi):
+        if lo >= hi:
+            raise ValueError("restriction must have lo < hi")
+        if not (self.domain.lo <= lo and hi <= self.domain.hi):
             raise ValueError("restriction outside domain")
         return PiecewiseLinear._trusted(*self._clipped(lo, hi))
 
@@ -307,7 +309,9 @@ def _window(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike],
             raise ValueError("domain mismatch")
         return lo, hi
     lo, hi = rat(lo), rat(hi)
-    if not all(f.breakpoints[0] <= lo < hi <= f.breakpoints[-1] for f in fs):
+    if lo >= hi:
+        raise ValueError("window must have lo < hi")
+    if not all(f.breakpoints[0] <= lo and hi <= f.breakpoints[-1] for f in fs):
         raise ValueError("window outside domain")
     return lo, hi
 
@@ -423,12 +427,13 @@ def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
     simplified: ValueError if fs is empty or the domains differ.
 
     fs are read on `integer_grid`, where every f is a line on each grid
-    interval.  An interval where one line is least at both ends adds no
-    point.  Otherwise the walk starts on the line least at the left end
-    (ties to the one least at the right end); the next crossing is the
-    earliest t = n/d, compared crosswise, among the lines lower at the right
-    end, and the walk goes on along the line crossing there that is least at
-    the right end.
+    interval.  The walk over an interval starts on the line least at the
+    left end (ties to the one least at the right end); the next crossing is
+    the earliest t = n/d, compared crosswise, among the lines lower at the
+    right end, and the walk goes on along the line crossing there that is
+    least at the right end.  Where one line is least at both ends the walk
+    adds no crossing.  It ends on the line least at the right end, so that
+    line's value there is the grid point's.
     A crossing is the point ((X0·d + n·ΔX)/(S·d), (L·d + n·ΔV)/(W·d)) for
     the interval [X0, X0 + ΔX] and the line's values L, L + ΔV at its ends;
     grid points have d = 1.  Points are kept by `_kinks`, and only kept
@@ -436,33 +441,27 @@ def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
     distinct value at grid points is one division by W."""
     grid, point, S, W, columns = integer_grid(fs)
     cols = list(columns) if lower else [list(map(neg, c)) for c in columns]
-    low = list(map(min, *cols)) if len(cols) > 1 else cols[0]
-    held = repeat(False, len(grid) - 1)  # one line is least at both ends
-    for c in cols:
-        least = list(map(eq, c, low))
-        held = map(or_, held, map(and_, least, islice(least, 1, None)))
-    X, V, D = [grid[0]], [low[0]], [1]
-    for k, h in enumerate(held, 1):
-        if not h:
-            x0, run = grid[k - 1], grid[k] - grid[k - 1]
-            ends = [(c[k - 1], c[k]) for c in cols]
-            a, b = min(ends)  # least at the left end, ties to the least at the right
-            while True:
-                best = None  # (n, d, ai, bi) of the earliest crossing
-                for ai, bi in ends:
-                    if bi < b:  # then ai > a: the lines cross at t = n/d in (0, 1)
-                        n, d = ai - a, ai - a + b - bi
-                        if best is None or (n * best[1], bi) < (best[0] * d, best[3]):
-                            best = n, d, ai, bi
-                if best is None:
-                    break
-                n, d, ai, bi = best
-                X.append(x0 * d + n * run)
-                V.append(a * d + n * (b - a))
-                D.append(d)
-                a, b = ai, bi
+    X, V, D = [grid[0]], [min(c[0] for c in cols)], [1]
+    for k in range(1, len(grid)):
+        x0, run = grid[k - 1], grid[k] - grid[k - 1]
+        ends = [(c[k - 1], c[k]) for c in cols]
+        a, b = min(ends)  # least at the left end, ties to the least at the right
+        while True:
+            best = None  # (n, d, ai, bi) of the earliest crossing
+            for ai, bi in ends:
+                if bi < b:  # then ai > a: the lines cross at t = n/d in (0, 1)
+                    n, d = ai - a, ai - a + b - bi
+                    if best is None or (n * best[1], bi) < (best[0] * d, best[3]):
+                        best = n, d, ai, bi
+            if best is None:
+                break
+            n, d, ai, bi = best
+            X.append(x0 * d + n * run)
+            V.append(a * d + n * (b - a))
+            D.append(d)
+            a, b = ai, bi
         X.append(grid[k])
-        V.append(low[k])
+        V.append(b)
         D.append(1)
     rows = list(zip(X, V, D))
     keep = _kinks([x1 * d0 - x0 * d1 for (x0, _, d0), (x1, _, d1) in zip(rows, rows[1:])],

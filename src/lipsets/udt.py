@@ -72,11 +72,13 @@ SAMPLE_SEED = 0  # each build draws them from its own random.Random(SAMPLE_SEED)
 
 
 class WitnessSearchError(RuntimeError):
-    """Raised when a sampled level-set point has no stage witness: the input
-    system does not realize its claimed witness at that scale."""
+    """Raised when a sampled level-set point has no stage witness, or (point
+    None) when a stage samples no level-set point at all: the input system
+    does not realize its claimed witness at that scale."""
 
     def __init__(self, stage, point, best_ratio, target):
         super().__init__(
+            f"stage {stage}: no level-set point sampled" if point is None else
             f"stage {stage}: no witness at x={point}: best ratio {best_ratio} "
             f"<= target {target}"
         )
@@ -463,8 +465,9 @@ def build_udt_lip1(
     (`_refine_regions`) and the witness phase (`_stage_witnesses`, sampling
     from one random.Random(SAMPLE_SEED) per build), and builds the radius
     r_n and the stage's diagnostics.  Stage 1 is stage n with f_0 = 0 and
-    r_0/3 = 1.  With strict, a sampled point without a witness raises
-    WitnessSearchError; otherwise it is recorded in witness_failures.
+    r_0/3 = 1.  With strict, a sampled point without a witness, or a stage
+    that samples no level-set point, raises WitnessSearchError; otherwise
+    the point is recorded in witness_failures.
 
     Only the last stage walks f_n on F_n for `flat_on_closed_ok`: for
     n < stages, stage n + 1's precondition walks f_n on F_{n+1} ⊇ F_n, where
@@ -496,8 +499,9 @@ def build_udt_lip1(
 
         f_n, margin, active = _refine_regions(system, n, f_prev, r_third, collar)
         witnesses, failures = _stage_witnesses(E, n, gamma_n, delta_n, f_n, active, rng)
-        if failures and strict:
-            raise WitnessSearchError(n, *failures[0], (1 - Fraction(1, 2 ** (2 * n))) * gamma_n)
+        if strict and (failures or not witnesses):
+            x, ratio = failures[0] if failures else (None, Fraction(0))
+            raise WitnessSearchError(n, x, ratio, (1 - Fraction(1, 2 ** (2 * n))) * gamma_n)
 
         # (v): witness caps are local V-notches, so the radius only
         # collapses near the protected pairs.  A recorded ratio beats

@@ -192,6 +192,31 @@ class TestDensityRatio:
             assert left == brute_one_sided_measure(pairs, x, r, LEFT)
             assert right == brute_one_sided_measure(pairs, x, r, RIGHT)
 
+    def test_one_reader_per_candidate_query(self, monkeypatch):
+        # six piece-end rows (five endpoint distances and δ) read Φ twice each
+        # after one Φ(x); the three crossings, 5/32, 7/32 and 11/32, read none
+        counts = {"readers": 0, "phi": 0}
+        integer_rows, phi_on = density._integer_rows, IntervalSet.phi_on
+
+        def counted_rows(*args):
+            counts["readers"] += 1
+            return integer_rows(*args)
+
+        def counted_phi(self, *args):
+            counts["phi"] += 1
+            return phi_on(self, *args)
+
+        monkeypatch.setattr(density, "_integer_rows", counted_rows)
+        monkeypatch.setattr(IntervalSet, "phi_on", counted_phi)
+        E = iset((0, F(1, 8)), (F(3, 16), F(5, 16)), (F(11, 32), F(1, 2)), (F(9, 16), F(3, 4)))
+        rows = _ratio_candidates(E, F(5, 16), F(3, 8))
+        assert counts == {"readers": 1, "phi": 13}
+        assert [r for r, _, _ in rows] == [F(k, 32) for k in (1, 4, 5, 6, 7, 8, 10, 11, 12)]
+        counts.update(readers=0, phi=0)
+        cert = level_set_membership(E, F(5, 16), F(1, 2), F(3, 8))
+        assert counts == {"readers": 1, "phi": 13}
+        assert (cert.member, cert.worst_r, cert.worst_ratio) == (True, F(7, 32), F(5, 7))
+
     def test_side_must_be_left_or_right(self):
         E = iset((0, 1))
         for side in (BOTH, "up"):

@@ -566,8 +566,11 @@ def test_integer_grid_reads_each_function_on_the_merged_grid(fs, data):
             [f(x) for x in xs] for f in fs]
     with pytest.raises(ValueError, match="domain mismatch"):
         integer_grid([*fs, PiecewiseLinear.constant(0, Interval(F(0), F(2)))])
-    for bad in ((hi, lo), (lo, lo), (lo, F(2)), (F(-1), hi)):
-        with pytest.raises(ValueError, match="window outside domain"):
+    for bad, message in (((hi, lo), "window must have lo < hi"),
+                         ((lo, lo), "window must have lo < hi"),
+                         ((lo, F(2)), "window outside domain"),
+                         ((F(-1), hi), "window outside domain")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             integer_grid(fs, *bad)
 
 
@@ -805,6 +808,18 @@ def test_envelopes_match_pairwise_fraction_picks(family, data):
         lambda vs: PiecewiseLinear(domain, vs))
     fs = [first, *data.draw(st.lists(st.one_of(SUM_TERMS[family](domain), ramps),
                                      max_size=4))]
+    assert pl_min(*fs).as_pairs() == ref_envelope(fs, min).as_pairs()
+    assert pl_max(*fs).as_pairs() == ref_envelope(fs, max).as_pairs()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 15), st.integers(-8, 8),
+       st.lists(st.integers(-4, 4), min_size=3, max_size=5, unique=True))
+def test_envelopes_of_lines_through_one_point_match_pairwise_picks(k, q, slopes):
+    # several lines cross at (k/16, q/8) inside the one grid interval [0, 1]:
+    # the walk must leave that point on the line least at the right end
+    p, v = F(k, 16), F(q, 8)
+    fs = [PiecewiseLinear([0, 1], [v - s * p, v + s * (1 - p)]) for s in slopes]
     assert pl_min(*fs).as_pairs() == ref_envelope(fs, min).as_pairs()
     assert pl_max(*fs).as_pairs() == ref_envelope(fs, max).as_pairs()
 

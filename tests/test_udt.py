@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipsets.density import UDTWitness, suggest_udt_witness
+from lipsets.density import UDTWitness, level_set_membership, suggest_udt_witness
 from lipsets.envelopes import PreconditionError
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import PiecewiseLinear, first_sloped_segment, monotone_runs, pl_max, pl_min
@@ -477,6 +477,25 @@ def test_strict_build_raises_on_a_missing_witness(fixture, levels, stage, collar
     diag = lax.diagnostics[stage - 1]
     assert not diag.witnesses
     assert diag.witness_failures[0] == (first.x, first.ratio)
+
+
+def test_strict_build_raises_on_a_stage_that_samples_no_level_set_point():
+    # the cap's collared zone [3/64, 21/64] in the region [0, 3/8] misses E,
+    # so stage 1 refines nothing and samples nothing, though 1/128 is in
+    # E^{1/2, 1/128}; only a lax build returns f_1 = 0
+    window = Interval(F(0), F(1))
+    E = IntervalSet.from_pairs([(0, F(1, 64)), (F(63, 64), 1)])
+    system = NestedClosedSystem((IntervalSet.from_pairs([(F(3, 8), F(5, 8))]),), window, E)
+    witness = UDTWitness((F(1, 2),), (F(1, 128),))
+    assert level_set_membership(E, F(1, 128), F(1, 2), F(1, 128)).member
+    with pytest.raises(udt.WitnessSearchError, match="^stage 1: no level-set point sampled$") as info:
+        build_udt_lip1(system, witness, 1)
+    assert (info.value.stage, info.value.point) == (1, None)
+
+    lax = build_udt_lip1(system, witness, 1, strict=False)
+    diag = lax.diagnostics[0]
+    assert lax.stages[0].as_pairs() == ((0, 0), (1, 0))
+    assert (diag.active_segments, diag.witnesses, diag.witness_failures) == ((), (), ())
 
 
 @pytest.mark.parametrize("collar", [F(0), F(1, 2), F(3, 4), F(-1, 8)])

@@ -15,10 +15,23 @@ from lipsets.constructions import (
     split_into_bounded_shards,
     worst_imbalance,
 )
-from lipsets.density import DyadicBlocksExample, UDTWitness, level_set
+from lipsets.density import (
+    DyadicBlocksExample,
+    UDTWitness,
+    check_strongly_dense_at,
+    check_strongly_one_sided_dense_at,
+    level_set,
+    suggest_udt_witness,
+)
 from lipsets.envelopes import Envelope, envelope_flatten, envelope_refine
 from lipsets.intervals import Interval, IntervalSet
-from lipsets.pcw import PiecewiseLinear, build_phi, build_signed_integral
+from lipsets.pcw import (
+    PiecewiseLinear,
+    build_phi,
+    build_signed_integral,
+    integer_grid,
+    monotone_runs,
+)
 from lipsets.udt import build_udt_lip1, fat_cantor_system
 
 F = Fraction
@@ -26,6 +39,7 @@ E01 = IntervalSet.from_pairs([(0, 1)])
 W01 = Interval(F(0), F(1))
 WIDE = Interval(F(-1), F(2))
 TERNARY = TernaryDecomposition(E01, IntervalSet.empty(), IntervalSet.empty(), W01)
+RAMP = PiecewiseLinear([0, 1], [0, 1])
 TUBE = Envelope(PiecewiseLinear.constant(0, W01), PiecewiseLinear.constant(F(1, 4), W01))
 WITNESS = UDTWitness((F(1, 2), F(3, 4)), (F(1, 8), F(1, 16)))
 
@@ -66,6 +80,13 @@ CASES = [
     # density
     ("level-set-resolution-0", lambda: level_set(E01, F(1, 2), F(1, 4), WIDE, 0),
      ValueError, "resolution must be positive"),
+    ("strongly-dense-grid-with-0", lambda: check_strongly_dense_at(E01, F(1, 4), [0]),
+     ValueError, "grid must be positive"),
+    ("one-sided-grid-ending-at-0",
+     lambda: check_strongly_one_sided_dense_at(E01, F(1, 4), [F(1, 4), 0]),
+     ValueError, "grid must be positive"),
+    ("suggested-witness-depth-0", lambda: suggest_udt_witness(E01, 0),
+     ValueError, "depth must be >= 1"),
     ("witness-unequal-lengths", lambda: UDTWitness((F(1, 2), F(3, 4)), (F(1, 8),)),
      ValueError, "need equally long, nonempty gamma/delta prefixes"),
     ("witness-gamma-0", lambda: UDTWitness((0,), (F(1, 8),)),
@@ -96,8 +117,16 @@ CASES = [
     # pcw
     ("pcw-unequal-lengths", lambda: PiecewiseLinear([0, 1], [0]),
      ValueError, "breakpoints and values must have equal length"),
-    ("pcw-restrict-outside", lambda: PiecewiseLinear([0, 1], [0, 1]).restrict(F(1, 2), 2),
+    ("pcw-restrict-outside", lambda: RAMP.restrict(F(1, 2), 2),
      ValueError, "restriction outside domain"),
+    ("pcw-restrict-empty", lambda: RAMP.restrict(F(1, 2), F(1, 2)),
+     ValueError, "restriction must have lo < hi"),
+    ("pcw-restrict-reversed", lambda: RAMP.restrict(F(3, 4), F(1, 4)),
+     ValueError, "restriction must have lo < hi"),
+    ("integer-grid-empty-window", lambda: integer_grid((RAMP,), F(1, 2), F(1, 2)),
+     ValueError, "window must have lo < hi"),
+    ("monotone-runs-empty-window", lambda: monotone_runs(RAMP, F(1, 2), F(1, 2)),
+     ValueError, "window must have lo < hi"),
     ("signed-integral-basepoint-outside",
      lambda: build_signed_integral(E01, IntervalSet.empty(), 2, W01),
      ValueError, "basepoint outside window"),
