@@ -3,12 +3,12 @@
 An `Envelope(center, radius)` is the tube {g : |g - center| <= radius}; one
 type serves the lemmas, the staged builder and its vicinity chain.  Every
 tube test (`contains`, `is_inside`, `min_margin_on`) and the least radius
-(`_least_radius`) compare integers on the merged grid (`pcw.integer_grid`),
-and the increment bound (`verify_contraction`) compares f's integer
-increments with E's integer masses on one scale; only a failing segment is
-cut in Fractions for its witness.  The staged builder uses only
-envelope_refine: each stage is already flat where the next must be, so
-envelope_flatten is the standalone lemma.
+(`_least_radius`) compare integers on the merged grid (`pcw.integer_grid`);
+the increment bound (`verify_contraction`) bounds f's slopes on its own
+integers and walks f on E's complement (`pcw.first_sloped_segment`); only
+a failing segment is cut in Fractions for its witness.  The staged builder
+uses only envelope_refine: each stage is already flat where the next must
+be, so envelope_flatten is the standalone lemma.
 
 envelope_refine replaces the tube's center f, monotone or not, by a
 (1-δ)-slope zigzag with the same block increments, strictly inside the tube.
@@ -39,9 +39,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .intervals import IntervalSet, RationalLike, on_scale, own_scale, rat
+from .intervals import Interval, IntervalSet, RationalLike, on_scale, own_scale, rat
 from .constructions import balance_on
-from .pcw import PiecewiseLinear, integer_grid, rescaled
+from .pcw import PiecewiseLinear, first_sloped_segment, integer_grid
 
 
 class PreconditionError(ValueError):
@@ -90,47 +90,43 @@ class Envelope:
 
 
 def verify_contraction(
-    f: PiecewiseLinear, E: IntervalSet, factor: Fraction
+    f: PiecewiseLinear, E: IntervalSet, factor: RationalLike
 ) -> Optional[tuple[Fraction, Fraction, Fraction, Fraction]]:
     """Exact check of |f(x)-f(y)| <= factor*|E ∩ [x, y]| for all x <= y.
 
     Equivalent to the same bound on each segment [a, b] of f, which is
     linear there and constant off its domain.  A flat segment passes; a
-    sloped one passes exactly when E covers it, |E ∩ [a, b]| = b - a, and
-    |f(b) - f(a)| <= factor·(b - a), as f moves across any part of [a, b]
-    outside E.  Both are integer comparisons: breakpoints X on
-    S = lcm(D_E, their denominators), f's index moved to S
-    (`PiecewiseLinear._scaled`), values V on W = lcm(their denominators),
-    each read once, and with factor = p/q a sloped segment passes when
-    Φ_S(X1) - Φ_S(X0) = ΔX (`IntervalSet.phi_on`) and q·S·|ΔV| <= p·W·ΔX.
+    sloped one passes exactly when |f(b) - f(a)| <= factor·(b - a) and E
+    covers it, as f moves across any part of [a, b] outside E.  The first
+    failing segment is the earlier of two passes' finds: the first steep
+    one, q·S·|ΔV| > p·W·ΔX on f's breakpoints X on S
+    (`PiecewiseLinear._scaled`) and values V on W with factor = p/q, and
+    the first sloped one where E's closed complement within f's domain has
+    mass (`pcw.first_sloped_segment`).
     Returns None when the bound holds, else the first failing span
     (p, q, |Δf|, factor*|E ∩ [p, q]|) between f's breakpoints and E's
-    endpoints: the first failing segment is cut there in Fractions.
+    endpoints: the failing segment is cut there in Fractions.
     ValueError on a negative factor, for which flat segments could fail."""
+    factor = rat(factor)
     if factor < 0:
         raise ValueError("factor must be nonnegative")
-    bps = f.breakpoints
-    index = f._scaled()
-    S = lcm(E.mass_scale, index[0])
-    X, (W, V) = rescaled(index, S), own_scale(f.values)
+    (S, X), (W, V) = f._scaled(), own_scale(f.values)
     allow, per = factor.numerator * W, factor.denominator * S
-    phi = E.phi_on
-    for k in range(len(X) - 1):
-        dv = V[k + 1] - V[k]
-        if not dv:
-            continue
-        x0, x1 = X[k], X[k + 1]
-        if per * abs(dv) <= allow * (x1 - x0) and phi(S, x1) - phi(S, x0) == x1 - x0:
-            continue
-        a, b = bps[k], bps[k + 1]
-        xs = [a, *E.endpoints_in(a, b), b]
-        for p, q in zip(xs, xs[1:]):
-            if p < q:
-                df = abs(f(q) - f(p))
-                allowed = factor * (q - p) if E.mass(p, q) == q - p else Fraction(0)
-                if df > allowed:
-                    return (p, q, df, allowed)
-    return None
+    bps = f.breakpoints
+    steep = next((Interval(bps[k], bps[k + 1]) for k in range(len(X) - 1)
+                  if per * abs(V[k + 1] - V[k]) > allow * (X[k + 1] - X[k])), None)
+    off_E = first_sloped_segment(f, E.complement_within(f.domain))
+    failing = min(filter(None, (steep, off_E)), default=None)
+    if failing is None:
+        return None
+    a, b = failing.lo, failing.hi
+    xs = [a, *E.endpoints_in(a, b), b]
+    for p, q in zip(xs, xs[1:]):
+        if p < q:
+            df = abs(f(q) - f(p))
+            allowed = factor * (q - p) if E.mass(p, q) == q - p else Fraction(0)
+            if df > allowed:
+                return (p, q, df, allowed)
 
 
 def _lemma_frame(

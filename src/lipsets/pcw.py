@@ -7,15 +7,16 @@ functions we build are constant off their active window).
 Functions are read in one of four ways.  `first_sloped_segment(f, S)`,
 the one check of slopes against a set, reads only the segments of f that
 meet a set S; the staged builder's precondition, its last stage's flat
-diagnostic and the lip-1 sum's constant-off-part diagnostic call it.
+diagnostic and its radius diagnostic, the lip-1 sum's constant-off-part
+diagnostic and `envelopes.verify_contraction` (no slope off E) call it.
 `integer_grid(fs, lo, hi)` reads each f in fs on their merged grid, in
 integers: breakpoints on the lcm of their denominators, values on the lcm
 of theirs, widened until every value at every grid point is an integer,
 and one walk over each function's segments (`_walk`) gives its values
 there.  Each f is linear between grid points, so comparing values there is
 exact.  `add`, `sub`, `le`, `__eq__`, `monotone_runs`, the tube checks
-(`envelopes.Envelope`) and the staged builder's persistence and radius
-checks compare those integers;
+(`envelopes.Envelope`) and the staged builder's persistence check compare
+those integers;
 `pl_sum` adds them; and `pl_min` and `pl_max` walk the least of them.  Each
 makes Fractions only of what it returns: a grid point is a breakpoint of
 fs there, a value one division by the value scale.  One kink test on
@@ -28,8 +29,8 @@ last breakpoint on, and anywhere on a flat segment, it returns a stored
 value without arithmetic; elsewhere, at the first or an interior
 breakpoint too, it interpolates as one integer fraction reduced once.  And
 `envelopes.verify_contraction`, the check of the increment bound
-|f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, reads f's own
-breakpoints and values as integers, on one scale with E's own.
+|f(x) - f(y)| <= factor·|E ∩ [x, y]| for every pair x <= y, bounds f's
+slopes on its own breakpoints and values as integers.
 
 Every locate among a function's breakpoints goes through one integer
 index (`PiecewiseLinear._position`), as E's mass index does in `intervals`:
@@ -265,7 +266,8 @@ class PiecewiseLinear:
         _, _, _, _, (fs, gs) = integer_grid((self, other))
         return all(map(le, fs, gs))
 
-    def breakpoints_in(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    def breakpoints_in(self, lo: RationalLike, hi: RationalLike) -> list[Fraction]:
+        lo, hi = rat(lo), rat(hi)
         return list(self.breakpoints[self._position(lo, False):self._position(hi, True)])
 
 

@@ -56,7 +56,7 @@ from itertools import accumulate
 from operator import itemgetter, sub
 from typing import Optional, Sequence
 
-from .intervals import Interval, IntervalSet, rat
+from .intervals import Interval, IntervalSet, RationalLike, rat
 from .density import UDTWitness, level_set_membership
 from .envelopes import (
     Envelope,
@@ -456,7 +456,7 @@ def build_udt_lip1(
     system: NestedClosedSystem,
     witness: UDTWitness,
     stages: int,
-    collar: Fraction = Fraction(1, 8),
+    collar: RationalLike = Fraction(1, 8),
     strict: bool = True,
 ) -> UdtBuildResult:
     """Run the staged construction for the given number of stages.
@@ -478,6 +478,7 @@ def build_udt_lip1(
         raise ValueError("stages must be between 1 and the system depth")
     if witness.depth < stages:
         raise ValueError("witness exhausted: need a prefix of length >= stages")
+    collar = rat(collar)
     if not 0 < collar < Fraction(1, 2):
         raise ValueError("collar must lie in (0, 1/2)")
     E = system.target
@@ -513,6 +514,7 @@ def build_udt_lip1(
                    for rec in witnesses]
         r_n = pl_min(margin, PiecewiseLinear.constant(Fraction(1, 2 ** n), window), *notches)
 
+        # r_n is continuous: 0 on a component J of F_n when flat on J and 0 at J.lo
         factor = 1 - Fraction(1, 2 ** (3 * n))
         diags.append(StageDiagnostics(
             stage=n,
@@ -524,9 +526,8 @@ def build_udt_lip1(
             witness_failures=tuple(failures),
             cauchy_step=_sup_distance(f_n, f_prev),
             radius_sup=r_n.sup_norm(),
-            radius_zero_on_closed=not any(
-                any(next(integer_grid((r_n,), comp.lo, comp.hi)[4]))
-                for comp in F_n if not comp.is_degenerate),
+            radius_zero_on_closed=first_sloped_segment(r_n, F_n) is None and not any(
+                r_n(J.lo) for J in F_n if not J.is_degenerate),
             radius_within_margin=r_n.le(margin),
             min_witness_gap=min((abs(rec.x - rec.y) for rec in witnesses), default=None),
         ))

@@ -135,8 +135,8 @@ wide = st.integers(-8, 24).map(lambda k: F(k, 16))  # [-1/2, 3/2]
 
 
 @settings(max_examples=100)
-@given(st.lists(st.tuples(wide, wide), max_size=5), st.sampled_from([F(1, 4), F(7, 8), F(1)]),
-       st.data())
+@given(st.lists(st.tuples(wide, wide), max_size=5),
+       st.sampled_from([F(0), F(1, 4), F(7, 8), F(1), F(3, 2)]), st.data())
 def test_verify_contraction_on_unequal_domains(pairs, factor, data):
     # E may reach past the window [0, 1] of φ; f lives on a subsegment [a, b]
     E = IntervalSet.from_pairs([(min(p, q), max(p, q)) for p, q in pairs if p != q])
@@ -154,8 +154,8 @@ sixteenths = st.integers(-4, 20).map(lambda k: F(k, 16))  # [-1/4, 5/4]
 
 @settings(max_examples=150)
 @given(st.lists(st.tuples(sixteenths, sixteenths), max_size=5),
-       st.lists(sixteenths, max_size=3), st.sampled_from([F(1, 4), F(7, 8), F(1)]),
-       st.data())
+       st.lists(sixteenths, max_size=3),
+       st.sampled_from([F(0), F(1, 4), F(7, 8), F(1), F(3, 2)]), st.data())
 def test_verify_contraction_walk_matches_bisects_on_degenerate_components(
         pairs, singles, factor, data):
     # degenerate components split the grid but carry no mass, and f's

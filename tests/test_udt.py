@@ -214,18 +214,20 @@ class TestTwoStages:
 
     def test_each_stage_walks_its_flatness_once(self, monkeypatch, two_stages):
         # stage 1's flat_on_closed_ok rides on stage 2's precondition walk of
-        # f_1 on F_2 ⊇ F_1: the walks are the two preconditions and stage 2's
-        # own diagnostic
+        # f_1 on F_2 ⊇ F_1: the stage walks are the two preconditions and
+        # stage 2's own diagnostic; each radius r_n is walked on F_n once
         walk, walked = udt.first_sloped_segment, []
 
         def counted(f, S):
-            walked.append(S)
+            walked.append((f, S))
             return walk(f, S)
 
         monkeypatch.setattr(udt, "first_sloped_segment", counted)
         res = build_udt_lip1(fat_cantor_system(2), WITNESS, 2, collar=F(27, 64))
         F1, F2 = res.system.closed_sets
-        assert walked == [F1, F2, F2]
+        on_radius = [any(f is r for r in res.radii) for f, _ in walked]
+        assert [S for (_, S), r in zip(walked, on_radius) if not r] == [F1, F2, F2]
+        assert [S for (_, S), r in zip(walked, on_radius) if r] == [F1, F2]
         assert [_digest(f) for f in res.stages] == [_digest(f) for f in two_stages.stages]
         assert [_digest(r) for r in res.radii] == [_digest(r) for r in two_stages.radii]
         assert res.diagnostics == two_stages.diagnostics
@@ -269,17 +271,20 @@ class TestThreeStages:
 
 def test_the_last_stage_reads_its_own_flatness_walk(monkeypatch):
     # a slope that only the diagnostic walk of f_1 on F_1 reports: stage
-    # 1's flag is False and the lax build still returns
+    # 1's flag is False and the lax build still returns; the precondition
+    # walk of f_0 and the radius walk of r_1 read the real slopes
     walk, calls = udt.first_sloped_segment, []
 
     def sloped_after_the_precondition(f, S):
-        calls.append(S)
-        return walk(f, S) if len(calls) == 1 else Interval(F(0), F(1))
+        calls.append((f, S))
+        return Interval(F(0), F(1)) if len(calls) == 2 else walk(f, S)
 
     monkeypatch.setattr(udt, "first_sloped_segment", sloped_after_the_precondition)
     res = build_udt_lip1(fat_cantor_system(1), WITNESS, 1, strict=False)
-    assert len(calls) == 2
+    assert len(calls) == 3
+    assert calls[1][0] is res.stages[0] and calls[2][0] is res.radii[0]
     assert not res.diagnostics[0].flat_on_closed_ok
+    assert res.diagnostics[0].radius_zero_on_closed
 
 
 def test_system_json_round_trip_and_target_check():
@@ -376,6 +381,18 @@ def test_read_only_checks_build_no_function(monkeypatch, two_stages):
     assert r2.le(r1) and not r1.le(r2)
     runs = monotone_runs(f2, c, d)
     assert runs[0][0] == c and runs[-1][1] == d and len(runs) > 1
+
+
+def test_contraction_check_reads_no_cumulative_mass(monkeypatch, two_stages):
+    # the off-E pass walks f_2 on E's complement and the steep pass reads
+    # f_2's own integers: E's mass is read only to cut a failing segment
+    def no_phi(*args, **kwargs):
+        raise AssertionError("verify_contraction read IntervalSet.phi_on")
+
+    monkeypatch.setattr(IntervalSet, "phi_on", no_phi)
+    E, f2 = two_stages.system.target, two_stages.stages[1]
+    factor = two_stages.diagnostics[1].contraction_factor
+    assert envelopes.verify_contraction(f2, E, factor) is None
 
 
 def test_builder_never_flattens(monkeypatch, two_stages):
@@ -496,6 +513,63 @@ def test_strict_build_raises_on_a_stage_that_samples_no_level_set_point():
     diag = lax.diagnostics[0]
     assert lax.stages[0].as_pairs() == ((0, 0), (1, 0))
     assert (diag.active_segments, diag.witnesses, diag.witness_failures) == ((), (), ())
+
+
+def _plateau(window, comp):
+    """2^-20 on comp, falling to 0 over ramps of width 2^-10 outside it."""
+    ramp = F(1, 2 ** 10)
+    return PiecewiseLinear([window.lo, comp.lo - ramp, comp.lo, comp.hi, comp.hi + ramp,
+                            window.hi], [0, 0, F(1, 2 ** 20), F(1, 2 ** 20), 0, 0])
+
+
+@pytest.mark.parametrize("bump, zero_on_closed",
+                         [(None, True), (_tent, False), (_plateau, False)])
+def test_a_bump_on_the_margin_over_F1_clears_the_radius_flag(monkeypatch, bump,
+                                                             zero_on_closed):
+    # r_1 <= margin, so a margin bump on F_1 = [3/8, 5/8] lifts r_1 there:
+    # the tent is sloped on F_1 and 0 at its ends, the plateau is flat on
+    # F_1 and positive at its ends, and each fails one half of the check
+    refine = udt._refine_regions
+
+    def bumped(system, *args):
+        f_n, margin, active = refine(system, *args)
+        if bump is not None:
+            (comp,) = system.closed_at(1)
+            margin = margin + bump(system.window, comp)
+        return f_n, margin, active
+
+    monkeypatch.setattr(udt, "_refine_regions", bumped)
+    diag = build_udt_lip1(fat_cantor_system(1), WITNESS, 1).diagnostics[0]
+    assert diag.radius_zero_on_closed is zero_on_closed
+    assert diag.radius_within_margin
+
+
+def test_a_region_frozen_by_stage_one_is_skipped(monkeypatch):
+    # stage 1 leaves r_1 = 0 on [45/128, 3/8] next to F_1, and F_2 adds
+    # [46/128, 47/128] there: stage 2's region [47/128, 3/8] has no
+    # positive zone, so f_2 = f_1 = 0 and r_2 = 0 on it, though the target
+    # has mass 1/128 there
+    zone, zones = udt._positive_zone, []
+
+    def recorded(cap):
+        zones.append(zone(cap))
+        return zones[-1]
+
+    monkeypatch.setattr(udt, "_positive_zone", recorded)
+    window = Interval(F(0), F(1))
+    F1 = IntervalSet.from_pairs([(F(3, 8), F(5, 8))])
+    F2 = F1.union(IntervalSet.from_pairs([(F(46, 128), F(47, 128))]))
+    system = NestedClosedSystem((F1, F2), window, F2.complement_within(window))
+    res = build_udt_lip1(system, UDTWitness((F(1, 2), F(3, 4)), (F(1, 128), F(1, 256))), 2)
+    _assert_stage_flags(res)
+    assert res.persistence_ok() and res.vicinity_chain_ok()
+    assert [z is None for z in zones] == [False, False, False, True, False]
+    assert (len(system.complement(2)), len(res.diagnostics[1].active_segments)) == (3, 2)
+    a, b = F(47, 128), F(3, 8)
+    assert res.radii[0].restrict(F(45, 128), b).as_pairs() == ((F(45, 128), 0), (b, 0))
+    for g in (*res.stages, res.radii[1]):
+        assert g.restrict(a, b).as_pairs() == ((a, 0), (b, 0))
+    assert system.target.mass(a, b) == F(1, 128)
 
 
 @pytest.mark.parametrize("collar", [F(0), F(1, 2), F(3, 4), F(-1, 8)])

@@ -23,7 +23,7 @@ from lipsets.density import (
     level_set,
     suggest_udt_witness,
 )
-from lipsets.envelopes import Envelope, envelope_flatten, envelope_refine
+from lipsets.envelopes import Envelope, envelope_flatten, envelope_refine, verify_contraction
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.pcw import (
     PiecewiseLinear,
@@ -108,6 +108,10 @@ CASES = [
     ("refine-segment-at-the-right-end",
      lambda: envelope_refine(TUBE, E01, F(1, 4), F(1, 8), (F(1, 2), 1)),
      ValueError, "segment must be strictly inside the domain"),
+    ("contraction-factor-float", lambda: verify_contraction(RAMP, E01, 0.5),
+     TypeError, "not an exact rational: 0.5"),
+    ("contraction-factor-string", lambda: verify_contraction(RAMP, E01, "1/2"),
+     None, (F(0), F(1), F(1), F(1, 2))),
     ("flatten-segment-leaves-the-domain",
      lambda: envelope_flatten(TUBE, E01, IntervalSet.empty(), F(1, 4), F(1, 8), (F(1, 2), 2)),
      ValueError, "segment must lie inside the domain"),
@@ -123,6 +127,10 @@ CASES = [
      ValueError, "restriction must have lo < hi"),
     ("pcw-restrict-reversed", lambda: RAMP.restrict(F(3, 4), F(1, 4)),
      ValueError, "restriction must have lo < hi"),
+    ("pcw-breakpoints-in-floats", lambda: RAMP.breakpoints_in(0.25, 1),
+     TypeError, "not an exact rational: 0.25"),
+    ("pcw-breakpoints-in-strings", lambda: RAMP.breakpoints_in("1/4", "1"),
+     None, [F(1)]),
     ("integer-grid-empty-window", lambda: integer_grid((RAMP,), F(1, 2), F(1, 2)),
      ValueError, "window must have lo < hi"),
     ("monotone-runs-empty-window", lambda: monotone_runs(RAMP, F(1, 2), F(1, 2)),
@@ -140,6 +148,13 @@ CASES = [
      ValueError, "levels must be >= 1"),
     ("udt-stages-0", lambda: build_udt_lip1(fat_cantor_system(1), WITNESS, 0),
      ValueError, "stages must be between 1 and the system depth"),
+    ("udt-collar-float",
+     lambda: build_udt_lip1(fat_cantor_system(1), WITNESS, 1, collar=0.125),
+     TypeError, "not an exact rational: 0.125"),
+    ("udt-collar-string",
+     lambda: build_udt_lip1(fat_cantor_system(1), WITNESS, 1, collar="1/8")
+     == build_udt_lip1(fat_cantor_system(1), WITNESS, 1, collar=F(1, 8)),
+     None, True),
     ("udt-witness-too-short",
      lambda: build_udt_lip1(fat_cantor_system(3), WITNESS, 3),
      ValueError, "witness exhausted: need a prefix of length >= stages"),
