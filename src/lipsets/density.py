@@ -190,10 +190,11 @@ def level_set(
 ) -> LevelSetResult:
     """Reconstruct E^{γ,δ} ∩ window within the reported margin.
 
-    Structure used: points off E are never members (their small-radius ratio
-    is 0), so E^{γ,δ} ⊆ E, and a point whose distance to the far end of its
-    component is ≥ δ is always a member (that side's ratio is 1 at every
-    r ≤ δ).  Only the remaining middle zone of a component [c0, c1],
+    Structure used: no ratio exceeds 1, so for γ > 1 the set is empty (with
+    margin 0).  Points off E are never members (their small-radius ratio
+    is 0), so E^{γ,δ} ⊆ E, and for γ ≤ 1 a point whose distance to the far
+    end of its component is ≥ δ is always a member (that side's ratio is 1
+    at every r ≤ δ).  Only the remaining middle zone of a component [c0, c1],
     [max(c0, c1-δ), min(c1, c0+δ)], is sampled, at spacing ≤ resolution,
     with exact membership tests; it is one nondegenerate interval, empty
     once c1 - c0 ≥ 2δ.  Each maximal run of members is one piece (a point
@@ -207,6 +208,8 @@ def level_set(
         raise ValueError("resolution must be positive")
     if window.is_degenerate:
         raise ValueError("degenerate window")
+    if gamma > 1:
+        return LevelSetResult(IntervalSet.empty(), Fraction(0), gamma, delta, window)
     pieces: list[Interval] = []
     margin = Fraction(0)
     for comp in E.clip(window):

@@ -14,16 +14,17 @@ integers: breakpoints on the lcm of their denominators, values on the lcm
 of theirs, widened until every value at every grid point is an integer,
 and one walk over each function's segments (`_walk`) gives its values
 there.  Each f is linear between grid points, so comparing values there is
-exact.  `add`, `sub`, `le`, `__eq__`, `monotone_runs`, the tube checks
+exact.  `add`, `le`, `__eq__`, `monotone_runs`, the tube checks
 (`envelopes.Envelope`) and the staged builder's persistence check compare
-those integers;
-`pl_sum` adds them; and `pl_min` and `pl_max` walk the least of them.  Each
-makes Fractions only of what it returns: a grid point is a breakpoint of
-fs there, a value one division by the value scale.  One kink test on
-integers (`_kinks`) keeps the points of `simplify`, `pl_sum` and the
-envelopes: a point stays where the slopes on its two sides differ,
-compared crosswise.  Their cost grows with the bit length of those lcms,
-as the sawtooth's (`constructions.small_lip_blocks`) does with its scale.
+those integers; `pl_sum` adds them; and `pl_min` walks the least of them.
+`sub` and `pl_max` are negations through `add` and `pl_min`: g - h is
+g + (-h), and max(fs) is -min(-f for f in fs).  Each makes Fractions only
+of what it returns: a grid point is a breakpoint of fs there, a value one
+division by the value scale.  One kink test on integers (`_kinks`) keeps
+the points of `simplify`, `pl_sum` and `pl_min`: a point stays where the
+slopes on its two sides differ, compared crosswise.  Their cost grows with
+the bit length of those lcms, as the sawtooth's
+(`constructions.small_lip_blocks`) does with its scale.
 `PiecewiseLinear.__call__` reads one point: left of the domain, from its
 last breakpoint on, and anywhere on a flat segment, it returns a stored
 value without arithmetic; elsewhere, at the first or an interior
@@ -60,7 +61,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import islice, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, le, lt, neg, sub
+from operator import add, itemgetter, le, lt, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .intervals import (
@@ -183,17 +184,17 @@ class PiecewiseLinear:
     # -- algebra ------------------------------------------------------------
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self._combine(other, add)
-
-    def sub(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        return self._combine(other, sub)
-
-    def _combine(self, other: "PiecewiseLinear", op) -> "PiecewiseLinear":
-        """op of self and other on their merged grid, unsimplified, from
-        their integer columns on `integer_grid`."""
+        """self + other on their merged grid, unsimplified, from their
+        integer columns on `integer_grid`."""
         grid, point, _, W, (fs, gs) = integer_grid((self, other))
         xs = tuple(map(point.__getitem__, grid))
-        return PiecewiseLinear._trusted(xs, tuple(Fraction(v, W) for v in map(op, fs, gs)))
+        return PiecewiseLinear._trusted(xs, tuple(Fraction(v, W) for v in map(add, fs, gs)))
+
+    def sub(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
+        """self + (-other): negation keeps other's breakpoints, value
+        denominators and slope gcds, so the grid and scales are those of
+        the difference."""
+        return self.add(-other)
 
     def scale(self, c: RationalLike) -> "PiecewiseLinear":
         c = rat(c)
@@ -209,12 +210,7 @@ class PiecewiseLinear:
         return self.scale(-1)
 
     def restrict(self, lo: RationalLike, hi: RationalLike) -> "PiecewiseLinear":
-        lo, hi = rat(lo), rat(hi)
-        if lo >= hi:
-            raise ValueError("restriction must have lo < hi")
-        if not (self.domain.lo <= lo and hi <= self.domain.hi):
-            raise ValueError("restriction outside domain")
-        return PiecewiseLinear._trusted(*self._clipped(lo, hi))
+        return PiecewiseLinear._trusted(*self._clipped(*_window((self,), lo, hi)))
 
     def _clipped(self, lo: Fraction, hi: Fraction) -> tuple[tuple, tuple]:
         """The breakpoints and values of self restricted to [lo, hi], inside
@@ -300,12 +296,12 @@ def _slope(bps: tuple, vals: tuple, i: int) -> Fraction:
 
 def _window(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike],
             hi: Optional[RationalLike]) -> tuple[Fraction, Fraction]:
-    """[lo, hi], by default the domain all of fs share (ValueError if they
-    differ); a given window must have lo < hi in every domain (ValueError).
-    ValueError if fs is empty."""
+    """[lo, hi], by default (both None) the domain all of fs share
+    (ValueError if they differ); a given window must have lo < hi in every
+    domain (ValueError).  ValueError if fs is empty."""
     if not fs:
         raise ValueError("need at least one function")
-    if lo is None:
+    if lo is None and hi is None:
         lo, hi = fs[0].breakpoints[0], fs[0].breakpoints[-1]
         if any(f.breakpoints[0] != lo or f.breakpoints[-1] != hi for f in fs):
             raise ValueError("domain mismatch")
@@ -339,7 +335,7 @@ def integer_grid(fs: Sequence[PiecewiseLinear], lo: Optional[RationalLike] = Non
     (`_walk`), never an interpolation per point.  That is O(grid) integer
     operations per function on integers of about the bit length of S·W, so
     the cost grows with the bit length of the lcms."""
-    if lo is None:
+    if lo is None and hi is None:
         _window(fs, None, None)
         parts = [(f.breakpoints, f.values) for f in fs]
         x_own = [f._scaled() for f in fs]
@@ -381,7 +377,7 @@ def _kinks(dX: Sequence[int], dV: Sequence[int]) -> list[int]:
     a run dX[k] > 0, each pair on any positive scale of its own: the ends,
     and each point k where the slopes on its two sides differ,
     dV[k - 1]·dX[k] != dV[k]·dX[k - 1].  The one kink test of `simplify`,
-    `pl_sum` and the envelopes `pl_min` and `pl_max`."""
+    `pl_sum` and `pl_min`, and so of `pl_max`, its negation."""
     rows = zip(dX, islice(dX, 1, None), dV, islice(dV, 1, None))
     return [0, *(k for k, (x0, x1, v0, v1) in enumerate(rows, 1) if v0 * x1 != v1 * x0),
             len(dX)]
@@ -413,20 +409,8 @@ def _walk(grid: list[int], X: list[int], V: list[int], widen: int) -> list[int]:
 
 
 def pl_min(*fs: PiecewiseLinear) -> PiecewiseLinear:
-    """The pointwise min of fs on their common domain, simplified
-    (`_envelope`)."""
-    return _envelope(fs, True)
-
-
-def pl_max(*fs: PiecewiseLinear) -> PiecewiseLinear:
-    """The pointwise max of fs on their common domain, simplified
-    (`_envelope`)."""
-    return _envelope(fs, False)
-
-
-def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
-    """The lower envelope of fs (upper when not lower, on negated columns),
-    simplified: ValueError if fs is empty or the domains differ.
+    """The pointwise min of fs on their common domain, simplified:
+    ValueError if fs is empty or the domains differ.
 
     fs are read on `integer_grid`, where every f is a line on each grid
     interval.  The walk over an interval starts on the line least at the
@@ -442,7 +426,7 @@ def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
     points become Fractions: a grid point keeps its own breakpoint, and each
     distinct value at grid points is one division by W."""
     grid, point, S, W, columns = integer_grid(fs)
-    cols = list(columns) if lower else [list(map(neg, c)) for c in columns]
+    cols = list(columns)
     X, V, D = [grid[0]], [min(c[0] for c in cols)], [1]
     for k in range(1, len(grid)):
         x0, run = grid[k - 1], grid[k] - grid[k - 1]
@@ -468,17 +452,24 @@ def _envelope(fs: Sequence[PiecewiseLinear], lower: bool) -> PiecewiseLinear:
     rows = list(zip(X, V, D))
     keep = _kinks([x1 * d0 - x0 * d1 for (x0, _, d0), (x1, _, d1) in zip(rows, rows[1:])],
                   [v1 * d0 - v0 * d1 for (_, v0, d0), (_, v1, d1) in zip(rows, rows[1:])])
-    sign = 1 if lower else -1
     xs, vs, value = [], [], {}  # value: each distinct grid value made once
     for k in keep:
         x, v, d = rows[k]
         if d == 1:
             xs.append(point[x])
-            vs.append(value[v] if v in value else value.setdefault(v, Fraction(sign * v, W)))
+            vs.append(value[v] if v in value else value.setdefault(v, Fraction(v, W)))
         else:
             xs.append(Fraction(x, S * d))
-            vs.append(Fraction(sign * v, W * d))
+            vs.append(Fraction(v, W * d))
     return PiecewiseLinear._trusted(tuple(xs), tuple(vs))
+
+
+def pl_max(*fs: PiecewiseLinear) -> PiecewiseLinear:
+    """The pointwise max of fs on their common domain, simplified:
+    -pl_min(-f for f in fs).  Negation keeps every breakpoint, value
+    denominator and slope gcd, so the grid, the scales and the kept points
+    are those of the max."""
+    return -pl_min(*(-f for f in fs))
 
 
 def pl_sum(fs: Sequence[PiecewiseLinear]) -> PiecewiseLinear:

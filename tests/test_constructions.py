@@ -785,6 +785,21 @@ class TestSmallLipRamp:
         build_lip1_sum([iset((0, 1)), iset((2, 3))], Interval(F(-1), F(4)))
         assert len(calls) == 3
 
+    def test_pieces_out_of_order_on_the_second_walk_are_rejected(self, monkeypatch):
+        # the strict-increase check guards the integrating walk: a block
+        # whose two pieces come back reversed on it is rejected
+        walks, pieces_by_block = [], constructions._pieces_by_block
+
+        def reversed_on_second_walk(clipped, step, scale):
+            walks.append(step)
+            for k, pieces in pieces_by_block(clipped, step, scale):
+                yield k, pieces[::-1] if len(walks) == 2 else pieces
+
+        monkeypatch.setattr(constructions, "_pieces_by_block", reversed_on_second_walk)
+        with pytest.raises(ValueError, match="^breakpoints must be strictly increasing$"):
+            build_small_lip(iset((0, F(1, 8)), (F(1, 4), F(3, 8))), F(1, 2), W01)
+        assert len(walks) == 2
+
     def test_degenerate_component_inside_a_ramp(self):
         # {3/8} carries no mass: the ramp passes it without a breakpoint
         E = IntervalSet.from_pairs([(0, F(1, 4)), (F(3, 8), F(3, 8)), (F(1, 2), 1)],

@@ -450,6 +450,19 @@ class TestLevelSet:
         assert res.approximation == expected
         assert res.margin == (hi - lo) / n
 
+    @pytest.mark.parametrize("gamma", [F(1), F(3, 2)])
+    def test_gamma_at_least_one_agrees_with_membership(self, gamma):
+        # no ratio exceeds 1: for γ > 1 no point is a member, so the sure
+        # parts of the components are not members either
+        E = iset((0, F(1, 2)), (F(3, 4), 1))
+        delta, resolution = F(1, 16), F(1, 64)
+        res = level_set(E, gamma, delta, Interval(F(0), F(1)), resolution)
+        grid = [k * resolution for k in range(65)]
+        members = [x for x in grid if level_set_membership(E, x, gamma, delta).member]
+        assert [x for x in grid if res.approximation.contains(x)] == members
+        assert res.margin == 0
+        assert bool(members) == (gamma <= 1)
+
     def test_short_component_sampled_with_margin(self):
         # component shorter than delta: middle zone must be sampled
         E = iset((0, F(1, 8)))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipsets import envelopes
 from lipsets.intervals import Interval, IntervalSet
 from lipsets.envelopes import (
     Envelope,
@@ -317,6 +318,19 @@ class TestEnvelopeRefine:
         res = envelope_refine(env, E, 1, F(1, 8), segment=(F(1, 8), F(7, 8)))
         c, d = res.segment
         assert env.min_margin_on(res.function, c, d) > 0
+
+    def test_escaping_zigzag_rejected(self, monkeypatch):
+        # the exact containment check is refine's last guard: a zigzag
+        # lifted by 1 at one interior point leaves the tube of radius 1/4
+        def lifted(E, evens, f_evens, delta):
+            division, xs, vs = _zigzag(E, evens, f_evens, delta)
+            vs[1] += 1
+            return division, xs, vs
+
+        monkeypatch.setattr(envelopes, "_zigzag", lifted)
+        env = tube(PiecewiseLinear.constant(0, W01), F(1, 4))
+        with pytest.raises(PreconditionError, match="^refined function escapes the envelope$"):
+            envelope_refine(env, iset((0, 1)), 1, F(1, 8), segment=(F(1, 8), F(7, 8)))
 
     def test_increment_precondition_enforced(self):
         E = iset((0, 1))

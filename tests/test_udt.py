@@ -481,8 +481,8 @@ def test_strict_build_raises_on_a_missing_witness(fixture, levels, stage, collar
         y, ratio = search(f, E, x, delta_n, runs, stage_target)
         return (None, ratio) if stage_target == target else (y, ratio)
 
-    monkeypatch.setattr(udt, "stage_witness_search", missing_search)
     first = request.getfixturevalue(fixture).diagnostics[stage - 1].witnesses[0]
+    monkeypatch.setattr(udt, "stage_witness_search", missing_search)
     with pytest.raises(udt.WitnessSearchError) as info:
         build_udt_lip1(fat_cantor_system(levels), WITNESS, stage, collar=collar)
     err = info.value
@@ -494,6 +494,31 @@ def test_strict_build_raises_on_a_missing_witness(fixture, levels, stage, collar
     diag = lax.diagnostics[stage - 1]
     assert not diag.witnesses
     assert diag.witness_failures[0] == (first.x, first.ratio)
+
+
+def test_a_repeated_draw_is_tested_for_membership_once(monkeypatch):
+    # every draw of this rng lands on x = 1/2, so the sampler tries the
+    # membership of x once and skips the repeats
+    class OneDraw:
+        def choices(self, population, cum_weights):
+            return [population[0]]
+
+        def randint(self, a, b):
+            return 32
+
+    tested = []
+
+    def counted(E, x, gamma, delta):
+        tested.append(x)
+        return level_set_membership(E, x, gamma, delta)
+
+    monkeypatch.setattr(udt, "level_set_membership", counted)
+    E = IntervalSet.from_pairs([(0, 1)])
+    f = PiecewiseLinear.constant(0, Interval(F(0), F(1)))
+    witnesses, failures = udt._stage_witnesses(
+        E, 1, F(1, 2), F(1, 8), f, [(Interval(F(0), F(1)), (F(0), F(1)))], OneDraw())
+    assert tested == [F(1, 2)]
+    assert (witnesses, failures) == ([], [(F(1, 2), 0)])
 
 
 def test_strict_build_raises_on_a_stage_that_samples_no_level_set_point():

@@ -80,6 +80,10 @@ CASES = [
     # density
     ("level-set-resolution-0", lambda: level_set(E01, F(1, 2), F(1, 4), WIDE, 0),
      ValueError, "resolution must be positive"),
+    ("level-set-gamma-above-1",
+     lambda: level_set(IntervalSet.from_pairs([(0, F(1, 2)), (F(3, 4), 1)]),
+                       F(3, 2), F(1, 16), W01, F(1, 64)).approximation,
+     None, IntervalSet.empty()),
     ("strongly-dense-grid-with-0", lambda: check_strongly_dense_at(E01, F(1, 4), [0]),
      ValueError, "grid must be positive"),
     ("one-sided-grid-ending-at-0",
@@ -122,15 +126,19 @@ CASES = [
     ("pcw-unequal-lengths", lambda: PiecewiseLinear([0, 1], [0]),
      ValueError, "breakpoints and values must have equal length"),
     ("pcw-restrict-outside", lambda: RAMP.restrict(F(1, 2), 2),
-     ValueError, "restriction outside domain"),
+     ValueError, "window outside domain"),
     ("pcw-restrict-empty", lambda: RAMP.restrict(F(1, 2), F(1, 2)),
-     ValueError, "restriction must have lo < hi"),
+     ValueError, "window must have lo < hi"),
     ("pcw-restrict-reversed", lambda: RAMP.restrict(F(3, 4), F(1, 4)),
-     ValueError, "restriction must have lo < hi"),
+     ValueError, "window must have lo < hi"),
+    ("pcw-restrict-half-window", lambda: RAMP.restrict(None, F(1, 2)),
+     TypeError, "not an exact rational: None"),
     ("pcw-breakpoints-in-floats", lambda: RAMP.breakpoints_in(0.25, 1),
      TypeError, "not an exact rational: 0.25"),
     ("pcw-breakpoints-in-strings", lambda: RAMP.breakpoints_in("1/4", "1"),
      None, [F(1)]),
+    ("integer-grid-half-window", lambda: integer_grid((RAMP,), None, F(1, 2)),
+     TypeError, "not an exact rational: None"),
     ("integer-grid-empty-window", lambda: integer_grid((RAMP,), F(1, 2), F(1, 2)),
      ValueError, "window must have lo < hi"),
     ("monotone-runs-empty-window", lambda: monotone_runs(RAMP, F(1, 2), F(1, 2)),
